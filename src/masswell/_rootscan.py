@@ -6,7 +6,13 @@ import math
 
 import numpy as np
 
-__all__ = ["ScanResolutionError", "isolate_sign_changes", "bisect_root"]
+__all__ = [
+    "ScanResolutionError", "isolate_sign_changes", "bisect_root", "roots_in", "segments_between",
+]
+
+#: each rescan is _REFINE times finer than the last, up to _MAX_LEVELS rescans
+_REFINE = 4
+_MAX_LEVELS = 4
 
 
 class ScanResolutionError(RuntimeError):
@@ -28,11 +34,11 @@ def _scan(f, lo, hi, n):
     return brackets, exact
 
 
-def isolate_sign_changes(f, lo, hi, samples, refine=4, max_levels=4):
+def isolate_sign_changes(f, lo, hi, samples):
     """Bracket every sign change of ``f`` on [lo, hi].
 
     ``f`` must map a float ndarray to an ndarray elementwise.  The
-    interval is scanned at ``samples`` cells and rescanned ``refine``
+    interval is scanned at ``samples`` cells and rescanned ``_REFINE``
     times finer until the number of crossings stops growing; this turns
     the assumption that the scan resolution suffices into a runtime
     check.  Instability at the deepest level raises
@@ -46,8 +52,8 @@ def isolate_sign_changes(f, lo, hi, samples, refine=4, max_levels=4):
         raise ValueError(f"empty scan interval [{lo}, {hi}]")
     n = max(int(samples), 2)
     brackets, exact = _scan(f, lo, hi, n)
-    for _ in range(max_levels):
-        n *= refine
+    for _ in range(_MAX_LEVELS):
+        n *= _REFINE
         finer = _scan(f, lo, hi, n)
         if len(finer[0]) + len(finer[1]) == len(brackets) + len(exact):
             return finer
@@ -83,3 +89,32 @@ def bisect_root(f, a, b, fa, fb, tol):
         else:
             b, fb = mid, fm
     return 0.5 * (a + b)
+
+
+def segments_between(lo, hi, cuts, margin):
+    """The pieces of [lo, hi] left after removing ``margin`` either side of
+    each ascending cut; empty pieces are dropped."""
+    starts = [lo] + [c + margin for c in cuts]
+    ends = [c - margin for c in cuts] + [hi]
+    return [(s, e) for s, e in zip(starts, ends) if e > s]
+
+
+def roots_in(f, f_scalar, segments, samples, tol):
+    """Every root of ``f`` on the segments, ascending.
+
+    Each segment is bracketed by :func:`isolate_sign_changes` at
+    ``samples`` cells (``f`` is the elementwise form) and each bracket is
+    bisected to ``tol`` with ``f_scalar``.  Roots closer than four times
+    the tolerance, floored near machine relative precision, are one root.
+    """
+    roots = []
+    for lo, hi in segments:
+        brackets, exact = isolate_sign_changes(f, lo, hi, samples)
+        roots.extend(exact)
+        roots.extend(bisect_root(f_scalar, *bracket, tol) for bracket in brackets)
+    roots.sort()
+    merged = []
+    for r in roots:
+        if not merged or r - merged[-1] > 4.0 * max(tol, 1e-15 * max(1.0, abs(r))):
+            merged.append(r)
+    return merged

@@ -3,7 +3,7 @@
 Config files are flat ``key = value`` text: one assignment per line,
 ``#`` starts a comment, unknown keys are rejected.  Command-line flags
 override config values.  Exit codes: 0 success, 2 bad config or request,
-3 solver diagnostic.
+3 solver diagnostic or numeric overflow.
 
 Floats are always written with 17 significant digits, so identical
 configs produce byte-identical output files.
@@ -15,20 +15,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
+from ._rootscan import segments_between
 from .matching import eigenvalues
-from .profiles import (
-    ConstantInner,
-    MassProfile,
-    ScaledInner,
-    StepInner,
-    TanhInner,
-    WellGeometry,
-)
+from .profiles import INNER_LAWS, MassProfile, WellGeometry
 from .secular import (
     ConstantNegNeg,
     ConstantNegPos,
@@ -67,6 +61,12 @@ _KNOWN_KEYS = {
     "window", "parity", "tol", "format", "out", "samples", "level",
     "branch", "count", "b_over_nu", "nu_values", "range",
 }
+
+#: config keys a command-line flag can override; each flag's dest is its key
+_FLAG_KEYS = (
+    "preset", "out", "window", "tol", "format", "parity", "branch", "range",
+    "samples", "level", "count", "L", "b_over_nu", "nu_values",
+)
 
 _BRANCH_NAMES = (
     "constant-neg-pos", "constant-neg-neg", "tanh-pos", "tanh-neg",
@@ -159,24 +159,19 @@ class ScenarioConfig:
         a = _parse_float(eff.get("a", "1"), "a")
         try:
             geometry = WellGeometry(L, a)
-            if inner_name == "constant":
-                inner = ConstantInner(_parse_float(eff.get("m0", "-1"), "m0"))
-            elif inner_name == "tanh":
-                inner = TanhInner()
-            elif inner_name == "step":
-                if "e_thr" not in eff:
-                    raise ConfigError("step inner law requires 'e_thr'")
-                inner = StepInner(_parse_float(eff["e_thr"], "e_thr"))
-            elif inner_name == "scaled":
-                if "b" not in eff:
-                    raise ConfigError("scaled inner law requires 'b'")
-                inner = ScaledInner(_parse_float(eff["b"], "b"))
-            else:
+            law = INNER_LAWS.get(inner_name)
+            if law is None:
+                *names, last = INNER_LAWS
                 raise ConfigError(
-                    f"unknown inner law {inner_name!r}; "
-                    "choose constant, tanh, step or scaled"
+                    f"unknown inner law {inner_name!r}; choose {', '.join(names)} or {last}"
                 )
-            return MassProfile(geometry, inner)
+            params = {}
+            for param in fields(law):
+                if param.name in eff:
+                    params[param.name] = _parse_float(eff[param.name], param.name)
+                elif param.default is MISSING:
+                    raise ConfigError(f"{inner_name} inner law requires {param.name!r}")
+            return MassProfile(geometry, law(**params))
         except ValueError as exc:
             if isinstance(exc, ConfigError):
                 raise
@@ -236,39 +231,19 @@ class ScenarioConfig:
 
 
 def _profile_dict(profile: MassProfile) -> dict:
-    inner = profile.inner
-    law: dict = {}
-    if isinstance(inner, ConstantInner):
-        law = {"law": "constant", "m0": inner.m0}
-    elif isinstance(inner, TanhInner):
-        law = {"law": "tanh"}
-    elif isinstance(inner, StepInner):
-        law = {"law": "step", "e_thr": inner.e_thr}
-    elif isinstance(inner, ScaledInner):
-        law = {"law": "scaled", "b": inner.b}
     return {
         "L": profile.geometry.L,
         "a": profile.geometry.a,
         "outer_mass": profile.outer_mass,
-        "inner": law,
+        "inner": {"law": profile.inner.law, **asdict(profile.inner)},
     }
-
-
-def _profile_summary(profile: MassProfile) -> str:
-    d = _profile_dict(profile)
-    inner = d["inner"]
-    extras = " ".join(f"{k}={_fmt(v)}" for k, v in inner.items() if k != "law")
-    text = f"inner={inner['law']}"
-    if extras:
-        text += f" {extras}"
-    return f"{text} L={_fmt(d['L'])} a={_fmt(d['a'])}"
 
 
 def _report_text(report: SpectrumReport) -> str:
     lines = [
         "# masswell spectrum report",
         f"# scenario: {report.scenario}",
-        f"# model: {_profile_summary(report.profile)}",
+        f"# model: {report.profile.describe()}",
         f"# window: {_fmt(report.window[0])}:{_fmt(report.window[1])}",
         f"# parities: {','.join(report.parities)}",
         f"# verdict: {report.verdict.kind}",
@@ -362,23 +337,8 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         raw.update(parse_config(text))
-    overrides = {
-        "preset": getattr(args, "preset", None),
-        "out": getattr(args, "out", None),
-        "window": getattr(args, "window", None),
-        "tol": getattr(args, "tol", None),
-        "format": getattr(args, "format", None),
-        "parity": getattr(args, "parity", None),
-        "branch": getattr(args, "branch", None),
-        "range": getattr(args, "range", None),
-        "samples": getattr(args, "samples", None),
-        "level": getattr(args, "level", None),
-        "count": getattr(args, "count", None),
-        "L": getattr(args, "L", None),
-        "b_over_nu": getattr(args, "b_over_nu", None),
-        "nu_values": getattr(args, "nus", None),
-    }
-    for key, value in overrides.items():
+    for key in _FLAG_KEYS:
+        value = getattr(args, key, None)
         if value is not None:
             raw[key] = str(value)
     return ScenarioConfig(raw)
@@ -392,7 +352,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         cfg.window(),
         parities=cfg.parities(),
         tol=cfg.tol(),
-        scenario=cfg.get_str("scenario", "") or _profile_summary(profile),
+        scenario=cfg.get_str("scenario", "") or profile.describe(),
     )
     if cfg.out_format() == "json":
         text = _json_text(_report_dict(report))
@@ -417,14 +377,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     tol = cfg.tol()
 
     margin = 1e-6
-    breaks = [b for b in branch.curve_breaks(lo, hi)]
-    edges = [max(lo, margin)] + sorted(breaks) + [hi]
-    segments = []
-    for s0, s1 in zip(edges, edges[1:]):
-        s0 = s0 + margin if s0 in breaks else s0
-        s1 = s1 - margin if s1 in breaks else s1
-        if s1 > s0:
-            segments.append((s0, s1))
+    segments = segments_between(max(lo, margin), hi, branch.curve_breaks(lo, hi), margin)
 
     roots = find_roots(branch, RootWindow(max(lo, 1e-9), hi, tol=tol))
 
@@ -477,7 +430,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     values = evaluate(psi, xs)
     lines = [
         "# masswell wavefunction dump",
-        f"# model: {_profile_summary(profile)}",
+        f"# model: {profile.describe()}",
         f"# level: {level_index}",
         f"# energy: {_fmt(energy)}",
         f"# parity: {parity}",
@@ -616,7 +569,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--b-over-nu", dest="b_over_nu", type=float, help="fixed ratio b/nu")
     p.add_argument("--L", type=float, help="outer half-width")
-    p.add_argument("--nus", help="comma-separated nu sequence")
+    p.add_argument("--nus", dest="nu_values", help="comma-separated nu sequence")
     p.set_defaults(handler=_cmd_delta_limit)
 
     return parser
@@ -630,7 +583,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ScanResolutionError, PoleProximityError) as exc:
+    except (ScanResolutionError, PoleProximityError, OverflowError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from ._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes
+from ._rootscan import ScanResolutionError, roots_in
 from .profiles import MassProfile
 from .wavefunction import PiecewiseWavefunction, RegionSolution, region_abs_max, region_l2
 
@@ -162,15 +162,5 @@ def eigenvalues(
     def f_scalar(e):
         return mismatch(profile, float(e), parity)
 
-    roots: list[float] = []
-    for seg_lo, seg_hi in _segment_bounds(profile, lo, hi):
-        brackets, exact = isolate_sign_changes(f_vec, seg_lo, seg_hi, samples=512)
-        roots.extend(exact)
-        for x0, x1, f0, f1 in brackets:
-            roots.append(bisect_root(f_scalar, x0, x1, f0, f1, tol))
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 4.0 * max(tol, 1e-15 * max(1.0, abs(r))):
-            merged.append(r)
-    return [(e, build_solution(profile, e, parity).normalized()) for e in merged]
+    roots = roots_in(f_vec, f_scalar, _segment_bounds(profile, lo, hi), 512, tol)
+    return [(e, build_solution(profile, e, parity).normalized()) for e in roots]

@@ -14,8 +14,8 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Literal, Optional, Union
+from dataclasses import asdict, dataclass
+from typing import ClassVar, Literal, Optional, Union
 
 __all__ = [
     "WellGeometry",
@@ -24,6 +24,7 @@ __all__ = [
     "StepInner",
     "ScaledInner",
     "InnerLaw",
+    "INNER_LAWS",
     "MassProfile",
     "Region",
     "mass_at",
@@ -49,6 +50,7 @@ class WellGeometry:
 class ConstantInner:
     """Energy-independent inner mass ``m0``."""
 
+    law: ClassVar[str] = "constant"
     m0: float = -1.0
 
     def value(self, energy: float) -> float:
@@ -58,6 +60,8 @@ class ConstantInner:
 @dataclass(frozen=True)
 class TanhInner:
     """Inner mass -tanh(E): tends to +1 far below E = 0 and to -1 far above."""
+
+    law: ClassVar[str] = "tanh"
 
     def value(self, energy: float) -> float:
         return -math.tanh(energy)
@@ -71,6 +75,7 @@ class StepInner:
     inner mass is -1.
     """
 
+    law: ClassVar[str] = "step"
     e_thr: float
 
     def value(self, energy: float) -> float:
@@ -81,6 +86,7 @@ class StepInner:
 class ScaledInner:
     """Inner mass -1/b**2 with a constant scale ``b > 0``."""
 
+    law: ClassVar[str] = "scaled"
     b: float
 
     def __post_init__(self) -> None:
@@ -92,6 +98,8 @@ class ScaledInner:
 
 
 InnerLaw = Union[ConstantInner, TanhInner, StepInner, ScaledInner]
+#: inner-law classes by the name each gives itself
+INNER_LAWS = {law.law: law for law in (ConstantInner, TanhInner, StepInner, ScaledInner)}
 
 
 @dataclass(frozen=True)
@@ -114,7 +122,12 @@ class MassProfile:
     @property
     def threshold(self) -> Optional[float]:
         """Energy where the inner law jumps, if it has one."""
-        return self.inner.e_thr if isinstance(self.inner, StepInner) else None
+        return getattr(self.inner, "e_thr", None)
+
+    def describe(self) -> str:
+        """One-line label: the inner law and its parameters, then L and a."""
+        params = {**asdict(self.inner), "L": self.geometry.L, "a": self.geometry.a}
+        return " ".join([f"inner={self.inner.law}"] + [f"{k}={v:.17g}" for k, v in params.items()])
 
 
 def mass_at(profile: MassProfile, x: float, energy: float) -> float:

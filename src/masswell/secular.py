@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes
+from ._rootscan import ScanResolutionError, bisect_root, roots_in, segments_between
 from .profiles import WellGeometry
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
+#: width kept clear on either side of each tangent pole
 DEFAULT_POLE_MARGIN = 1e-8 * math.pi
 
 
@@ -53,20 +54,17 @@ class PoleProximityError(ValueError):
 
 @dataclass(frozen=True)
 class RootWindow:
-    """Search window (lo, hi] with absolute tolerance and pole exclusion width."""
+    """Search window (lo, hi] with absolute tolerance."""
 
     lo: float
     hi: float
     tol: float = DEFAULT_TOL
-    pole_margin: float = DEFAULT_POLE_MARGIN
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.lo < self.hi):
             raise ValueError(f"require 0 <= lo < hi, got {self.lo!r}, {self.hi!r}")
         if not self.tol > 0.0:
             raise ValueError("tol must be positive")
-        if not self.pole_margin > 0.0:
-            raise ValueError("pole_margin must be positive")
 
 
 def _tan_pole_distance(t, scale):
@@ -85,19 +83,24 @@ class SecularBranch:
     #: upper admissibility cut on t (step model); None means no cut
     clip_hi: Optional[float] = None
     curve_labels: tuple[str, str] = ("lhs", "rhs")
+    #: attributes that :meth:`describe` prints after the geometry
+    described: tuple[str, ...] = ()
+
+    def __init__(self, geometry: WellGeometry):
+        self.geometry = geometry
 
     def residual_raw(self, t):
         raise NotImplementedError
 
-    def residual(self, t, pole_margin: float = DEFAULT_POLE_MARGIN):
+    def residual(self, t):
         """LHS - RHS of the branch equation, guarded against pole proximity."""
         arr = np.asarray(t, dtype=float)
         if self.pole_scale is not None:
-            dist = _tan_pole_distance(arr, self.pole_scale)
-            if np.any(dist < pole_margin):
-                bad = float(np.atleast_1d(arr)[np.atleast_1d(dist < pole_margin)][0])
+            near = _tan_pole_distance(arr, self.pole_scale) < DEFAULT_POLE_MARGIN
+            if np.any(near):
+                bad = float(np.atleast_1d(arr)[np.atleast_1d(near)][0])
                 raise PoleProximityError(
-                    f"t = {bad!r} is within {pole_margin!r} of a tangent pole "
+                    f"t = {bad!r} is within {DEFAULT_POLE_MARGIN!r} of a tangent pole "
                     f"of branch {self.name}"
                 )
         out = self.residual_raw(arr)
@@ -127,7 +130,9 @@ class SecularBranch:
         return []
 
     def describe(self) -> str:
-        return self.name
+        g = self.geometry
+        extra = "".join(f" {key}={getattr(self, key):g}" for key in self.described)
+        return f"{self.name} L={g.L:g} a={g.a:g}{extra}"
 
 
 def _multiples_between(step: float, lo: float, hi: float) -> list[float]:
@@ -146,9 +151,9 @@ class ConstantNegPos(SecularBranch):
     name = "constant-neg-pos"
     curve_labels = ("-tanh(a*k)", "cot(k*(L-a))")
 
-    def __init__(self, geometry: WellGeometry):
-        self.geometry = geometry
-        self.pole_scale = geometry.L - geometry.a
+    @property
+    def pole_scale(self) -> float:
+        return self.geometry.L - self.geometry.a
 
     def residual_raw(self, t):
         g = self.geometry
@@ -161,9 +166,6 @@ class ConstantNegPos(SecularBranch):
     def curve_breaks(self, lo, hi):
         return _multiples_between(math.pi / (self.geometry.L - self.geometry.a), lo, hi)
 
-    def describe(self) -> str:
-        return f"{self.name} L={self.geometry.L:g} a={self.geometry.a:g}"
-
 
 class ConstantNegNeg(SecularBranch):
     """E = -kappa^2 branch for inner mass -1: tan(kappa a) * tanh(kappa (L-a)) = 1."""
@@ -171,9 +173,9 @@ class ConstantNegNeg(SecularBranch):
     name = "constant-neg-neg"
     curve_labels = ("tan(a*k)", "coth(k*(L-a))")
 
-    def __init__(self, geometry: WellGeometry):
-        self.geometry = geometry
-        self.pole_scale = geometry.a
+    @property
+    def pole_scale(self) -> float:
+        return self.geometry.a
 
     def residual_raw(self, t):
         g = self.geometry
@@ -186,9 +188,6 @@ class ConstantNegNeg(SecularBranch):
     def curve_breaks(self, lo, hi):
         return self.poles_between(lo, hi)
 
-    def describe(self) -> str:
-        return f"{self.name} L={self.geometry.L:g} a={self.geometry.a:g}"
-
 
 class TanhPos(SecularBranch):
     """E = k^2 branch for inner mass -tanh(E):
@@ -197,9 +196,9 @@ class TanhPos(SecularBranch):
     name = "tanh-pos"
     curve_labels = ("-sqrt(tanh(k^2))*tanh(a*lam(k))", "cot(k*(L-a))")
 
-    def __init__(self, geometry: WellGeometry):
-        self.geometry = geometry
-        self.pole_scale = geometry.L - geometry.a
+    @property
+    def pole_scale(self) -> float:
+        return self.geometry.L - self.geometry.a
 
     def residual_raw(self, t):
         g = self.geometry
@@ -216,9 +215,6 @@ class TanhPos(SecularBranch):
     def curve_breaks(self, lo, hi):
         return _multiples_between(math.pi / (self.geometry.L - self.geometry.a), lo, hi)
 
-    def describe(self) -> str:
-        return f"{self.name} L={self.geometry.L:g} a={self.geometry.a:g}"
-
 
 class TanhNeg(SecularBranch):
     """E = -kappa^2 branch for inner mass -tanh(E):
@@ -230,9 +226,6 @@ class TanhNeg(SecularBranch):
 
     name = "tanh-neg"
     curve_labels = ("-sqrt(tanh(k^2))*tanh(a*mu(k))", "coth(k*(L-a))")
-
-    def __init__(self, geometry: WellGeometry):
-        self.geometry = geometry
 
     def residual_raw(self, t):
         g = self.geometry
@@ -246,9 +239,6 @@ class TanhNeg(SecularBranch):
         mu = t * root
         return -root * np.tanh(mu * g.a), 1.0 / np.tanh(t * (g.L - g.a))
 
-    def describe(self) -> str:
-        return f"{self.name} L={self.geometry.L:g} a={self.geometry.a:g}"
-
 
 class StepNeg(ConstantNegNeg):
     """Negative branch of the step-threshold model.
@@ -259,6 +249,7 @@ class StepNeg(ConstantNegNeg):
     """
 
     name = "step-neg"
+    described = ("beta",)
 
     def __init__(self, geometry: WellGeometry, beta: float):
         if not beta > 0.0:
@@ -266,12 +257,6 @@ class StepNeg(ConstantNegNeg):
         super().__init__(geometry)
         self.beta = beta
         self.clip_hi = beta
-
-    def describe(self) -> str:
-        return (
-            f"{self.name} L={self.geometry.L:g} a={self.geometry.a:g} "
-            f"beta={self.beta:g}"
-        )
 
 
 class TwoParamNeg(SecularBranch):
@@ -284,11 +269,12 @@ class TwoParamNeg(SecularBranch):
 
     name = "two-param-neg"
     curve_labels = ("tan(nu*k)", "b*coth(k*(L-a))")
+    described = ("b", "nu")
 
     def __init__(self, geometry: WellGeometry, b: float, nu: Optional[float] = None):
         if not b > 0.0:
             raise ValueError(f"require b > 0, got {b!r}")
-        self.geometry = geometry
+        super().__init__(geometry)
         self.b = b
         self.nu = geometry.a / b if nu is None else nu
         if not self.nu > 0.0:
@@ -305,12 +291,6 @@ class TwoParamNeg(SecularBranch):
 
     def curve_breaks(self, lo, hi):
         return self.poles_between(lo, hi)
-
-    def describe(self) -> str:
-        return (
-            f"{self.name} L={self.geometry.L:g} a={self.geometry.a:g} "
-            f"b={self.b:g} nu={self.nu:g}"
-        )
 
 
 class TwoParamReduced(SecularBranch):
@@ -341,44 +321,22 @@ def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
     """All roots of the branch residual inside the window, strictly increasing.
 
     Brackets are the intervals between consecutive tangent poles clipped
-    to the window and shrunk by ``pole_margin``; each is scanned at 64
-    points with the rescan stability guard, then every crossing is
+    to the window and shrunk by ``DEFAULT_POLE_MARGIN``; each is scanned
+    at 64 points with the rescan stability guard, then every crossing is
     bisected to ``window.tol``.  An empty list is a legitimate outcome,
     not an error.
     """
-    lo = max(window.lo, window.pole_margin)
-    hi = window.hi
-    if branch.clip_hi is not None:
-        hi = min(hi, branch.clip_hi)
+    lo = max(window.lo, DEFAULT_POLE_MARGIN)
+    hi = window.hi if branch.clip_hi is None else min(window.hi, branch.clip_hi)
     if not hi > lo:
         return []
-    margin = window.pole_margin
-    starts = [lo]
-    ends = []
-    for pole in branch.poles_between(lo, hi):
-        ends.append(pole - margin)
-        starts.append(pole + margin)
-    ends.append(hi)
-
-    roots: list[float] = []
     f = branch.residual_raw
 
     def f_scalar(t):
         return float(f(np.float64(t)))
 
-    for seg_lo, seg_hi in zip(starts, ends):
-        if not seg_hi > seg_lo:
-            continue
-        brackets, exact = isolate_sign_changes(f, seg_lo, seg_hi, samples=64)
-        roots.extend(exact)
-        for x0, x1, f0, f1 in brackets:
-            roots.append(bisect_root(f_scalar, x0, x1, f0, f1, window.tol))
-    roots.sort()
-    merged: list[float] = []
-    for r in roots:
-        if not merged or r - merged[-1] > 4.0 * window.tol:
-            merged.append(r)
-    return merged
+    segments = segments_between(lo, hi, branch.poles_between(lo, hi), DEFAULT_POLE_MARGIN)
+    return roots_in(f, f_scalar, segments, 64, window.tol)
 
 
 def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL) -> list[float]:

@@ -160,20 +160,13 @@ def run_scenario(
     levels.sort(key=lambda lv: lv.energy)
     verdict = _boundedness_verdict(profile, parities, bool(levels))
     return SpectrumReport(
-        scenario=scenario or _profile_label(profile),
+        scenario=scenario or profile.describe(),
         profile=profile,
         window=(float(window[0]), float(window[1])),
         parities=tuple(parities),
         levels=tuple(levels),
         verdict=verdict,
     )
-
-
-def _profile_label(profile: MassProfile) -> str:
-    inner = profile.inner
-    name = type(inner).__name__
-    geo = profile.geometry
-    return f"{name} L={geo.L:g} a={geo.a:g}"
 
 
 def ground_state_staircase(

@@ -218,6 +218,8 @@ class PiecewiseWavefunction:
         current = self.l2_norm()
         if current == 0.0:
             raise ValueError("cannot normalize the zero solution")
+        if not math.isfinite(current):
+            raise OverflowError(f"L2 norm of the state at E = {self.energy!r} is {current!r}")
         factor = 1.0 / current
         return replace(self, regions=tuple(r.scaled(factor) for r in self.regions))
 

@@ -260,3 +260,21 @@ class TestDeltaLimitCommand:
 
     def test_bad_nu_list_rejected(self):
         assert main(["delta-limit", "--nus", "0.1,zebra"]) == 2
+
+
+class TestNumericFailureExitCode:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # math.cosh overflows deep in the negative-energy window
+            ["--window=-1e6:10"],
+            # the grown state's L2 norm is not finite, so it cannot be normalized
+            ["--window=37000:38500", "--parity", "even"],
+        ],
+    )
+    def test_overflow_maps_to_exit_3(self, argv, tmp_path, capsys):
+        out = tmp_path / "never.csv"
+        code = main(["spectrum", "--preset", "constant-negative", *argv, "--out", str(out)])
+        assert code == 3
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("solver failure:")
