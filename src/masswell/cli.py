@@ -24,15 +24,12 @@ from ._rootscan import segments_between
 from .matching import eigenvalues
 from .profiles import INNER_LAWS, MassProfile, WellGeometry
 from .secular import (
-    ConstantNegNeg,
-    ConstantNegPos,
+    BRANCHES,
     PoleProximityError,
     RootWindow,
     ScanResolutionError,
     SecularBranch,
     StepNeg,
-    TanhNeg,
-    TanhPos,
     TwoParamNeg,
     TwoParamReduced,
     critical_betas,
@@ -66,11 +63,6 @@ _KNOWN_KEYS = {
 _FLAG_KEYS = (
     "preset", "out", "window", "tol", "format", "parity", "branch", "range",
     "samples", "level", "count", "L", "b_over_nu", "nu_values",
-)
-
-_BRANCH_NAMES = (
-    "constant-neg-pos", "constant-neg-neg", "tanh-pos", "tanh-neg",
-    "step-neg", "two-param-neg", "two-param-reduced",
 )
 
 
@@ -111,9 +103,12 @@ def preset_config(name: str) -> str:
 
 def _parse_float(raw: str, key: str) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"key {key!r}: not a number: {raw!r}") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"key {key!r}: not a finite number: {raw!r}")
+    return value
 
 
 def _parse_int(raw: str, key: str) -> int:
@@ -155,10 +150,8 @@ class ScenarioConfig:
         inner_name = eff.get("inner")
         if inner_name is None:
             raise ConfigError("no mass profile: set 'preset' or 'inner'")
-        L = _parse_float(eff.get("L", "2"), "L")
-        a = _parse_float(eff.get("a", "1"), "a")
+        geometry = self.geometry()
         try:
-            geometry = WellGeometry(L, a)
             law = INNER_LAWS.get(inner_name)
             if law is None:
                 *names, last = INNER_LAWS
@@ -178,22 +171,21 @@ class ScenarioConfig:
             raise ConfigError(str(exc)) from None
 
     def geometry(self) -> WellGeometry:
-        eff = self._effective()
-        L = _parse_float(eff.get("L", "2"), "L")
-        a = _parse_float(eff.get("a", "1"), "a")
+        L = self.get_float("L", "2")
+        a = self.get_float("a", "1")
         try:
             return WellGeometry(L, a)
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
 
     def window(self) -> tuple[float, float]:
-        lo, hi = _parse_pair(self._effective().get("window", "-100:100"), "window")
+        lo, hi = _parse_pair(self.get_str("window", "-100:100"), "window")
         if not lo < hi:
             raise ConfigError(f"window: require LO < HI, got {lo}:{hi}")
         return lo, hi
 
     def parities(self) -> tuple[str, ...]:
-        raw = self._effective().get("parity", "both")
+        raw = self.get_str("parity", "both")
         if raw == "both":
             return ("even", "odd")
         if raw in ("even", "odd"):
@@ -201,30 +193,22 @@ class ScenarioConfig:
         raise ConfigError(f"parity must be even, odd or both, got {raw!r}")
 
     def tol(self) -> float:
-        tol = _parse_float(self._effective().get("tol", "1e-12"), "tol")
+        tol = self.get_float("tol", "1e-12")
         if not tol > 0.0:
             raise ConfigError("tol must be positive")
         return tol
 
     def out_format(self) -> str:
-        fmt = self._effective().get("format", "csv")
+        fmt = self.get_str("format", "csv")
         if fmt not in ("csv", "json"):
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
         return fmt
 
-    def get_float(self, key: str, default: Optional[str] = None) -> float:
-        eff = self._effective()
-        raw = eff.get(key, default)
-        if raw is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return _parse_float(raw, key)
+    def get_float(self, key: str, default: str) -> float:
+        return _parse_float(self.get_str(key, default), key)
 
-    def get_int(self, key: str, default: Optional[str] = None) -> int:
-        eff = self._effective()
-        raw = eff.get(key, default)
-        if raw is None:
-            raise ConfigError(f"missing required key {key!r}")
-        return _parse_int(raw, key)
+    def get_int(self, key: str, default: str) -> int:
+        return _parse_int(self.get_str(key, default), key)
 
     def get_str(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return self._effective().get(key, default)
@@ -297,31 +281,26 @@ def _json_text(obj) -> str:
 
 
 def _make_branch(name: str, cfg: ScenarioConfig) -> SecularBranch:
-    if name not in _BRANCH_NAMES:
-        raise ConfigError(f"unknown branch {name!r}; choose from {list(_BRANCH_NAMES)}")
-    if name == "two-param-reduced":
-        return TwoParamReduced(cfg.get_float("L", "2"), cfg.get_float("b_over_nu", "1"))
-    geometry = cfg.geometry()
+    branch = BRANCHES.get(name)
+    if branch is None:
+        raise ConfigError(f"unknown branch {name!r}; choose from {list(BRANCHES)}")
     try:
-        if name == "constant-neg-pos":
-            return ConstantNegPos(geometry)
-        if name == "constant-neg-neg":
-            return ConstantNegNeg(geometry)
-        if name == "tanh-pos":
-            return TanhPos(geometry)
-        if name == "tanh-neg":
-            return TanhNeg(geometry)
-        if name == "step-neg":
+        if branch is TwoParamReduced:
+            return TwoParamReduced(cfg.get_float("L", "2"), cfg.get_float("b_over_nu", "1"))
+        geometry = cfg.geometry()
+        if branch is StepNeg:
             e_thr = cfg.get_float("e_thr", "-4")
             if not e_thr < 0.0:
                 raise ConfigError("step-neg requires e_thr < 0")
             return StepNeg(geometry, beta=math.sqrt(-e_thr))
-        nu = cfg.get_str("nu")
-        return TwoParamNeg(
-            geometry,
-            b=cfg.get_float("b", "0.5"),
-            nu=None if nu is None else _parse_float(nu, "nu"),
-        )
+        if branch is TwoParamNeg:
+            nu = cfg.get_str("nu")
+            return TwoParamNeg(
+                geometry,
+                b=cfg.get_float("b", "0.5"),
+                nu=None if nu is None else _parse_float(nu, "nu"),
+            )
+        return branch(geometry)
     except ValueError as exc:
         if isinstance(exc, ConfigError):
             raise
@@ -474,10 +453,7 @@ def _cmd_delta_limit(args: argparse.Namespace) -> int:
     b_over_nu = cfg.get_float("b_over_nu", "1")
     L = cfg.get_float("L", "2")
     raw = cfg.get_str("nu_values", "0.1,0.01,0.001") or ""
-    try:
-        nus = [float(part) for part in raw.split(",") if part.strip()]
-    except ValueError:
-        raise ConfigError(f"nu_values: expected comma-separated floats, got {raw!r}") from None
+    nus = [_parse_float(part, "nu_values") for part in raw.split(",") if part.strip()]
     if not nus:
         raise ConfigError("nu_values must contain at least one value")
     try:
@@ -547,7 +523,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("curves", help="graphical-solution curve data for one branch")
     _add_common(p)
-    p.add_argument("--branch", help=f"branch name: {', '.join(_BRANCH_NAMES)}")
+    p.add_argument("--branch", help=f"branch name: {', '.join(BRANCHES)}")
     p.add_argument("--range", help="search-variable range LO:HI")
     p.add_argument("--samples", type=int, help="total curve samples")
     p.add_argument("--b-over-nu", dest="b_over_nu", type=float, help="reduced-branch ratio")

@@ -149,10 +149,10 @@ def eigenvalues(
     precision).  Returns (energy, state) pairs sorted by energy.
     """
     lo, hi = window
-    if not lo < hi:
-        raise ValueError(f"require lo < hi, got {lo!r}, {hi!r}")
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not -math.inf < lo < hi < math.inf:
+        raise ValueError(f"require finite lo < hi, got {lo!r}, {hi!r}")
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if parity not in _PARITY_SIGN:
         raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
 

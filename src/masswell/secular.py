@@ -2,7 +2,9 @@
 
 Each branch packages one transcendental equation in a single positive
 variable t (the wavenumber k for E = t**2, or kappa for E = -t**2) as a
-residual LHS - RHS whose sign changes locate eigenvalues.  Tangent poles
+residual LHS - RHS whose sign changes locate eigenvalues.  Every branch
+but the deep-narrow limit has the form ``inner(t) * outer(t (L-a)) = rhs``
+and differs from the others only in that data.  Tangent poles
 are enumerated analytically, the open intervals between consecutive
 poles are clipped to the search window, scanned, and each isolated
 crossing is bisected.  Between poles every residual here crosses zero at
@@ -31,6 +33,7 @@ __all__ = [
     "ScanResolutionError",
     "RootWindow",
     "SecularBranch",
+    "BRANCHES",
     "ConstantNegPos",
     "ConstantNegNeg",
     "TanhPos",
@@ -61,10 +64,10 @@ class RootWindow:
     tol: float = DEFAULT_TOL
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.lo < self.hi):
-            raise ValueError(f"require 0 <= lo < hi, got {self.lo!r}, {self.hi!r}")
-        if not self.tol > 0.0:
-            raise ValueError("tol must be positive")
+        if not (0.0 <= self.lo < self.hi < math.inf):
+            raise ValueError(f"require 0 <= lo < hi < inf, got {self.lo!r}, {self.hi!r}")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
 
 
 def _tan_pole_distance(t, scale):
@@ -74,10 +77,27 @@ def _tan_pole_distance(t, scale):
     return np.abs(u - np.round(u)) * math.pi / scale
 
 
+def _progression(point, j, lo, hi):
+    """point(j), point(j + 1), ... that lie strictly inside (lo, hi); point increases."""
+    out = []
+    while (p := point(j)) < hi:
+        if p > lo:
+            out.append(p)
+        j += 1
+    return out
+
+
 class SecularBranch:
-    """One quantization condition as a residual of one positive variable."""
+    """One quantization condition ``inner(t) * outer(t (L-a)) = rhs`` in one
+    positive variable t.
+
+    ``inner`` is the inner-region factor and ``outer`` is ``np.tan`` for
+    E = t**2 or ``np.tanh`` for E = -t**2.
+    """
 
     name: str = "?"
+    outer = np.tanh
+    rhs: float
     #: poles sit at t = (2j+1) pi / (2 pole_scale); None means pole-free
     pole_scale: Optional[float] = None
     #: upper admissibility cut on t (step model); None means no cut
@@ -89,8 +109,12 @@ class SecularBranch:
     def __init__(self, geometry: WellGeometry):
         self.geometry = geometry
 
-    def residual_raw(self, t):
+    def inner(self, t):
         raise NotImplementedError
+
+    def residual_raw(self, t):
+        g = self.geometry
+        return self.inner(t) * self.outer(t * (g.L - g.a)) - self.rhs
 
     def residual(self, t):
         """LHS - RHS of the branch equation, guarded against pole proximity."""
@@ -111,23 +135,21 @@ class SecularBranch:
         if self.pole_scale is None:
             return []
         c = self.pole_scale
-        poles = []
-        j = max(math.ceil((2.0 * c * lo / math.pi - 1.0) / 2.0), 0)
-        while True:
-            p = (2 * j + 1) * math.pi / (2.0 * c)
-            if p >= hi:
-                return poles
-            if p > lo:
-                poles.append(p)
-            j += 1
+        first = max(math.ceil((2.0 * c * lo / math.pi - 1.0) / 2.0), 0)
+        return _progression(lambda j: (2 * j + 1) * math.pi / (2.0 * c), first, lo, hi)
 
     def curve_pair(self, t):
-        """Two curves whose intersections are the branch roots."""
-        raise NotImplementedError
+        """``inner`` and ``rhs / outer`` up to one common sign; they cross at the roots."""
+        g = self.geometry
+        return math.copysign(1.0, self.rhs) * self.inner(t), abs(self.rhs) / self.outer(t * (g.L - g.a))
 
     def curve_breaks(self, lo: float, hi: float) -> list[float]:
-        """Singular points of the curve pair strictly inside (lo, hi)."""
-        return []
+        """Singular points of the curve pair strictly inside (lo, hi): the
+        zeros of a tan outer factor, otherwise the tangent poles."""
+        if self.outer is not np.tan:
+            return self.poles_between(lo, hi)
+        step = math.pi / (self.geometry.L - self.geometry.a)
+        return _progression(lambda j: j * step, max(math.ceil(lo / step), 1), lo, hi)
 
     def describe(self) -> str:
         g = self.geometry
@@ -135,36 +157,31 @@ class SecularBranch:
         return f"{self.name} L={g.L:g} a={g.a:g}{extra}"
 
 
-def _multiples_between(step: float, lo: float, hi: float) -> list[float]:
-    out = []
-    j = max(math.ceil(lo / step), 1)
-    while j * step < hi:
-        if j * step > lo:
-            out.append(j * step)
-        j += 1
-    return out
+class _PositiveBranch(SecularBranch):
+    """E = k^2: ``inner(k) * tan(k (L-a)) = -1``, with poles of the tangent."""
 
-
-class ConstantNegPos(SecularBranch):
-    """E = k^2 branch for inner mass -1: tanh(k a) * tan(k (L-a)) = -1."""
-
-    name = "constant-neg-pos"
-    curve_labels = ("-tanh(a*k)", "cot(k*(L-a))")
+    outer = np.tan
+    rhs = -1.0
 
     @property
     def pole_scale(self) -> float:
         return self.geometry.L - self.geometry.a
 
-    def residual_raw(self, t):
-        g = self.geometry
-        return np.tanh(t * g.a) * np.tan(t * (g.L - g.a)) + 1.0
 
-    def curve_pair(self, t):
-        g = self.geometry
-        return -np.tanh(t * g.a), 1.0 / np.tan(t * (g.L - g.a))
+def _tanh_inner(t, a):
+    """sqrt(tanh t^2) * tanh(a t sqrt(tanh t^2)), the inner factor of the tanh law."""
+    root = np.sqrt(np.tanh(t * t))
+    return root * np.tanh(t * root * a)
 
-    def curve_breaks(self, lo, hi):
-        return _multiples_between(math.pi / (self.geometry.L - self.geometry.a), lo, hi)
+
+class ConstantNegPos(_PositiveBranch):
+    """E = k^2 branch for inner mass -1: tanh(k a) * tan(k (L-a)) = -1."""
+
+    name = "constant-neg-pos"
+    curve_labels = ("-tanh(a*k)", "cot(k*(L-a))")
+
+    def inner(self, t):
+        return np.tanh(t * self.geometry.a)
 
 
 class ConstantNegNeg(SecularBranch):
@@ -172,48 +189,25 @@ class ConstantNegNeg(SecularBranch):
 
     name = "constant-neg-neg"
     curve_labels = ("tan(a*k)", "coth(k*(L-a))")
+    rhs = 1.0
 
     @property
     def pole_scale(self) -> float:
         return self.geometry.a
 
-    def residual_raw(self, t):
-        g = self.geometry
-        return np.tan(t * g.a) * np.tanh(t * (g.L - g.a)) - 1.0
-
-    def curve_pair(self, t):
-        g = self.geometry
-        return np.tan(t * g.a), 1.0 / np.tanh(t * (g.L - g.a))
-
-    def curve_breaks(self, lo, hi):
-        return self.poles_between(lo, hi)
+    def inner(self, t):
+        return np.tan(t * self.geometry.a)
 
 
-class TanhPos(SecularBranch):
+class TanhPos(_PositiveBranch):
     """E = k^2 branch for inner mass -tanh(E):
     sqrt(tanh k^2) * tanh(a lam(k)) * tan(k (L-a)) = -1 with lam = k sqrt(tanh k^2)."""
 
     name = "tanh-pos"
     curve_labels = ("-sqrt(tanh(k^2))*tanh(a*lam(k))", "cot(k*(L-a))")
 
-    @property
-    def pole_scale(self) -> float:
-        return self.geometry.L - self.geometry.a
-
-    def residual_raw(self, t):
-        g = self.geometry
-        root = np.sqrt(np.tanh(t * t))
-        lam = t * root
-        return root * np.tanh(lam * g.a) * np.tan(t * (g.L - g.a)) + 1.0
-
-    def curve_pair(self, t):
-        g = self.geometry
-        root = np.sqrt(np.tanh(t * t))
-        lam = t * root
-        return -root * np.tanh(lam * g.a), 1.0 / np.tan(t * (g.L - g.a))
-
-    def curve_breaks(self, lo, hi):
-        return _multiples_between(math.pi / (self.geometry.L - self.geometry.a), lo, hi)
+    def inner(self, t):
+        return _tanh_inner(t, self.geometry.a)
 
 
 class TanhNeg(SecularBranch):
@@ -225,19 +219,11 @@ class TanhNeg(SecularBranch):
     """
 
     name = "tanh-neg"
+    rhs = -1.0
     curve_labels = ("-sqrt(tanh(k^2))*tanh(a*mu(k))", "coth(k*(L-a))")
 
-    def residual_raw(self, t):
-        g = self.geometry
-        root = np.sqrt(np.tanh(t * t))
-        mu = t * root
-        return root * np.tanh(mu * g.a) * np.tanh(t * (g.L - g.a)) + 1.0
-
-    def curve_pair(self, t):
-        g = self.geometry
-        root = np.sqrt(np.tanh(t * t))
-        mu = t * root
-        return -root * np.tanh(mu * g.a), 1.0 / np.tanh(t * (g.L - g.a))
+    def inner(self, t):
+        return _tanh_inner(t, self.geometry.a)
 
 
 class StepNeg(ConstantNegNeg):
@@ -280,17 +266,10 @@ class TwoParamNeg(SecularBranch):
         if not self.nu > 0.0:
             raise ValueError(f"require nu > 0, got {self.nu!r}")
         self.pole_scale = self.nu
+        self.rhs = b
 
-    def residual_raw(self, t):
-        g = self.geometry
-        return np.tan(t * self.nu) * np.tanh(t * (g.L - g.a)) - self.b
-
-    def curve_pair(self, t):
-        g = self.geometry
-        return np.tan(t * self.nu), self.b / np.tanh(t * (g.L - g.a))
-
-    def curve_breaks(self, lo, hi):
-        return self.poles_between(lo, hi)
+    def inner(self, t):
+        return np.tan(t * self.nu)
 
 
 class TwoParamReduced(SecularBranch):
@@ -315,6 +294,12 @@ class TwoParamReduced(SecularBranch):
 
     def describe(self) -> str:
         return f"{self.name} L={self.L:g} b/nu={self.b_over_nu:g}"
+
+
+BRANCHES = {
+    branch.name: branch
+    for branch in (ConstantNegPos, ConstantNegNeg, TanhPos, TanhNeg, StepNeg, TwoParamNeg, TwoParamReduced)
+}
 
 
 def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:

@@ -181,6 +181,10 @@ class TestCurvesCommand:
     def test_unknown_branch_rejected(self):
         assert main(["curves", "--branch", "no-such-branch"]) == 2
 
+    def test_bad_reduced_ratio_rejected(self, capsys):
+        assert main(["curves", "--branch", "two-param-reduced", "--b-over-nu", "0"]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
 
 class TestWavefunctionCommand:
     def test_uniform_ground_state_dump(self, tmp_path):
@@ -278,3 +282,22 @@ class TestNumericFailureExitCode:
         assert code == 3
         assert not out.exists()
         assert capsys.readouterr().err.startswith("solver failure:")
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--preset", "constant-negative", "--window=-inf:10", "--parity", "even"],
+            ["spectrum", "--preset", "constant-negative", "--window=0:inf"],
+            ["spectrum", "--preset", "uniform", "--window=0:30", "--tol", "inf"],
+            ["spectrum", "--preset", "uniform", "--window=0:30", "--tol", "nan"],
+            ["critical-beta", "--L", "inf"],
+            ["delta-limit", "--nus", "0.1,nan"],
+        ],
+    )
+    def test_exits_2(self, argv, tmp_path, capsys):
+        out = tmp_path / "never.txt"
+        assert main([*argv, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("config error:")

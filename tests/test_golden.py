@@ -31,6 +31,11 @@ CASES = {
         for fmt in ("csv", "json")
     },
     **{f"curves-{branch}.csv": ["curves", "--branch", branch, "--samples", "200"] for branch in BRANCHES},
+    # tens of pole-separated segments per file
+    **{
+        f"curves-wide-{branch}.csv": ["curves", "--branch", branch, "--range", "0.001:60", "--samples", "400"]
+        for branch in ("constant-neg-pos", "constant-neg-neg", "two-param-neg")
+    },
     "wavefunction-step.csv": [
         "wavefunction", "--preset", "step", "--window=-4:1", "--level", "1", "--samples", "401",
     ],

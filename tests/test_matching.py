@@ -285,3 +285,12 @@ class TestScanMachinery:
             eigenvalues(profile, (0.0, 1.0), "even", tol=0.0)
         with pytest.raises(ValueError):
             eigenvalues(profile, (0.0, 1.0), "sideways")
+
+    @pytest.mark.parametrize(
+        "window, tol",
+        [((-math.inf, 10.0), 1e-12), ((0.0, math.inf), 1e-12), ((math.nan, 1.0), 1e-12), ((0.0, 30.0), math.inf)],
+    )
+    def test_non_finite_window_or_tol_rejected(self, window, tol):
+        profile = MassProfile(G2, ConstantInner(-1.0))
+        with pytest.raises(ValueError):
+            eigenvalues(profile, window, "even", tol=tol)

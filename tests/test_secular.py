@@ -5,6 +5,7 @@ import pytest
 
 from masswell.profiles import WellGeometry
 from masswell.secular import (
+    BRANCHES,
     ConstantNegNeg,
     ConstantNegPos,
     PoleProximityError,
@@ -143,6 +144,22 @@ class TestFindRoots:
             RootWindow(0.0, 1.0, tol=0.0)
         with pytest.raises(ValueError):
             RootWindow(-1.0, 1.0)
+
+    @pytest.mark.parametrize(
+        "lo, hi, tol",
+        [(0.0, math.inf, 1e-12), (math.nan, 1.0, 1e-12), (0.0, math.nan, 1e-12), (0.0, 1.0, math.inf)],
+    )
+    def test_non_finite_window_rejected(self, lo, hi, tol):
+        with pytest.raises(ValueError):
+            RootWindow(lo, hi, tol)
+
+    @pytest.mark.parametrize("name", list(BRANCHES))
+    def test_curves_meet_at_every_root(self, name):
+        args = {"step-neg": (G2, 5.0), "two-param-neg": (G2, 0.5), "two-param-reduced": (2.0, 1.0)}
+        branch = BRANCHES[name](*args.get(name, (G2,)))
+        for r in find_roots(branch, RootWindow(0.0, 20.0)):
+            c1, c2 = branch.curve_pair(np.float64(r))
+            assert c1 == pytest.approx(c2, rel=1e-9, abs=1e-9)
 
 
 class TestCriticalBetas:
