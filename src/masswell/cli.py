@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ._rootscan import segments_between
-from .matching import eigenvalues
 from .profiles import INNER_LAWS, MassProfile, WellGeometry
 from .secular import (
     BRANCHES,
@@ -35,7 +34,7 @@ from .secular import (
     critical_betas,
     find_roots,
 )
-from .spectrum import SpectrumReport, delta_limit_study, run_scenario
+from .spectrum import SpectrumReport, _states_by_energy, delta_limit_study, run_scenario
 from .wavefunction import count_nodes, evaluate, localization_fraction
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "preset_config", "main"]
@@ -58,12 +57,6 @@ _KNOWN_KEYS = {
     "window", "parity", "tol", "format", "out", "samples", "level",
     "branch", "count", "b_over_nu", "nu_values", "range",
 }
-
-#: config keys a command-line flag can override; each flag's dest is its key
-_FLAG_KEYS = (
-    "preset", "out", "window", "tol", "format", "parity", "branch", "range",
-    "samples", "level", "count", "L", "b_over_nu", "nu_values",
-)
 
 
 def _fmt(value) -> str:
@@ -151,23 +144,21 @@ class ScenarioConfig:
         if inner_name is None:
             raise ConfigError("no mass profile: set 'preset' or 'inner'")
         geometry = self.geometry()
+        law = INNER_LAWS.get(inner_name)
+        if law is None:
+            *names, last = INNER_LAWS
+            raise ConfigError(
+                f"unknown inner law {inner_name!r}; choose {', '.join(names)} or {last}"
+            )
+        params = {}
+        for param in fields(law):
+            if param.name in eff:
+                params[param.name] = _parse_float(eff[param.name], param.name)
+            elif param.default is MISSING:
+                raise ConfigError(f"{inner_name} inner law requires {param.name!r}")
         try:
-            law = INNER_LAWS.get(inner_name)
-            if law is None:
-                *names, last = INNER_LAWS
-                raise ConfigError(
-                    f"unknown inner law {inner_name!r}; choose {', '.join(names)} or {last}"
-                )
-            params = {}
-            for param in fields(law):
-                if param.name in eff:
-                    params[param.name] = _parse_float(eff[param.name], param.name)
-                elif param.default is MISSING:
-                    raise ConfigError(f"{inner_name} inner law requires {param.name!r}")
             return MassProfile(geometry, law(**params))
         except ValueError as exc:
-            if isinstance(exc, ConfigError):
-                raise
             raise ConfigError(str(exc)) from None
 
     def geometry(self) -> WellGeometry:
@@ -223,7 +214,7 @@ def _profile_dict(profile: MassProfile) -> dict:
     }
 
 
-def _report_text(report: SpectrumReport) -> str:
+def _report_header(report: SpectrumReport) -> list[str]:
     lines = [
         "# masswell spectrum report",
         f"# scenario: {report.scenario}",
@@ -240,32 +231,7 @@ def _report_text(report: SpectrumReport) -> str:
             f"{ev['count_large']} for kappa in (0,{_fmt(ev['kappa_window_large'])}], "
             f"required growth {ev['required_growth']}"
         )
-    lines.append("# columns: index,energy,parity,nodes,localization")
-    for i, level in enumerate(report.levels, start=1):
-        lines.append(
-            f"{i},{_fmt(level.energy)},{level.parity},{level.nodes},{_fmt(level.localization)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def _report_dict(report: SpectrumReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "model": _profile_dict(report.profile),
-        "window": list(report.window),
-        "parities": list(report.parities),
-        "verdict": {"kind": report.verdict.kind, "evidence": report.verdict.evidence},
-        "levels": [
-            {
-                "index": i,
-                "energy": level.energy,
-                "parity": level.parity,
-                "nodes": level.nodes,
-                "localization": level.localization,
-            }
-            for i, level in enumerate(report.levels, start=1)
-        ],
-    }
+    return lines
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -276,8 +242,19 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _table_text(header: Sequence[str], columns: str, rows) -> str:
+    lines = [*header, f"# columns: {columns}"]
+    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _write(cfg: ScenarioConfig, header: Sequence[str], columns: str, rows, obj=None) -> None:
+    """Emit ``obj`` as JSON when given and the config asks for JSON, else the table."""
+    if obj is not None and cfg.out_format() == "json":
+        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    else:
+        text = _table_text(header, columns, rows)
+    _emit(text, cfg.get_str("out"))
 
 
 def _make_branch(name: str, cfg: ScenarioConfig) -> SecularBranch:
@@ -309,35 +286,42 @@ def _make_branch(name: str, cfg: ScenarioConfig) -> SecularBranch:
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     raw: dict[str, str] = {}
-    if getattr(args, "config", None):
+    if args.config:
         try:
             with open(args.config) as handle:
                 text = handle.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
         raw.update(parse_config(text))
-    for key in _FLAG_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key in _KNOWN_KEYS and value is not None:
             raw[key] = str(value)
     return ScenarioConfig(raw)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    profile = cfg.profile()
     report = run_scenario(
-        profile,
+        cfg.profile(),
         cfg.window(),
         parities=cfg.parities(),
         tol=cfg.tol(),
-        scenario=cfg.get_str("scenario", "") or profile.describe(),
+        scenario=cfg.get_str("scenario", ""),
     )
-    if cfg.out_format() == "json":
-        text = _json_text(_report_dict(report))
-    else:
-        text = _report_text(report)
-    _emit(text, cfg.get_str("out"))
+    columns = "index,energy,parity,nodes,localization"
+    rows = [
+        (i, level.energy, level.parity, level.nodes, level.localization)
+        for i, level in enumerate(report.levels, start=1)
+    ]
+    obj = {
+        "scenario": report.scenario,
+        "model": _profile_dict(report.profile),
+        "window": list(report.window),
+        "parities": list(report.parities),
+        "verdict": {"kind": report.verdict.kind, "evidence": report.verdict.evidence},
+        "levels": [dict(zip(columns.split(","), row)) for row in rows],
+    }
+    _write(cfg, _report_header(report), columns, rows, obj)
     return 0
 
 
@@ -392,13 +376,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     level_index = cfg.get_int("level", "1")
     if level_index < 1:
         raise ConfigError("level index is 1-based")
-    window = cfg.window()
-    tol = cfg.tol()
-    found = []
-    for parity in cfg.parities():
-        for energy, psi in eigenvalues(profile, window, parity, tol=tol):
-            found.append((energy, parity, psi))
-    found.sort(key=lambda item: item[0])
+    found = _states_by_energy(profile, cfg.window(), cfg.parities(), cfg.tol())
     if level_index > len(found):
         raise ConfigError(
             f"level {level_index} out of range: only {len(found)} level(s) in window"
@@ -406,8 +384,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     energy, parity, psi = found[level_index - 1]
     half = psi.half_width
     xs = np.linspace(-half, half, samples)
-    values = evaluate(psi, xs)
-    lines = [
+    header = [
         "# masswell wavefunction dump",
         f"# model: {profile.describe()}",
         f"# level: {level_index}",
@@ -415,11 +392,8 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         f"# parity: {parity}",
         f"# nodes: {count_nodes(psi)}",
         f"# localization: {_fmt(localization_fraction(psi))}",
-        "# columns: x,psi",
     ]
-    for x, v in zip(xs, values):
-        lines.append(f"{_fmt(float(x))},{_fmt(float(v))}")
-    _emit("\n".join(lines) + "\n", cfg.get_str("out"))
+    _write(cfg, header, "x,psi", zip(xs.tolist(), evaluate(psi, xs).tolist()))
     return 0
 
 
@@ -430,21 +404,13 @@ def _cmd_critical_beta(args: argparse.Namespace) -> int:
         raise ConfigError("count must be >= 1")
     geometry = cfg.geometry()
     betas = critical_betas(geometry, count, tol=cfg.tol())
-    if cfg.out_format() == "json":
-        obj = {
-            "L": geometry.L,
-            "a": geometry.a,
-            "critical_betas": list(betas),
-        }
-        text = _json_text(obj)
-    else:
-        lines = [
-            f"# masswell critical beta values: L={_fmt(geometry.L)} a={_fmt(geometry.a)}",
-            "# columns: index,beta",
-        ]
-        lines += [f"{i},{_fmt(b)}" for i, b in enumerate(betas, start=1)]
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.get_str("out"))
+    _write(
+        cfg,
+        [f"# masswell critical beta values: L={_fmt(geometry.L)} a={_fmt(geometry.a)}"],
+        "index,beta",
+        enumerate(betas, start=1),
+        {"L": geometry.L, "a": geometry.a, "critical_betas": betas},
+    )
     return 0
 
 
@@ -460,53 +426,47 @@ def _cmd_delta_limit(args: argparse.Namespace) -> int:
         rows = delta_limit_study(b_over_nu, L, nus, tol=cfg.tol())
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    if cfg.out_format() == "json":
-        obj = {
+    fixed_point = rows[0].reduced_fixed_point
+    columns = "nu,a,b,leftmost_root,second_root,pi_over_nu"
+    table = [
+        (row.nu, row.a, row.b, row.leftmost_root, row.second_root, math.pi / row.nu)
+        for row in rows
+    ]
+    _write(
+        cfg,
+        [
+            f"# masswell delta-limit study: b/nu={_fmt(b_over_nu)} L={_fmt(L)}",
+            f"# reduced fixed point: {_fmt(fixed_point)}",
+        ],
+        columns,
+        table,
+        {
             "b_over_nu": b_over_nu,
             "L": L,
-            "reduced_fixed_point": rows[0].reduced_fixed_point,
-            "rows": [
-                {
-                    "nu": row.nu,
-                    "a": row.a,
-                    "b": row.b,
-                    "leftmost_root": row.leftmost_root,
-                    "second_root": row.second_root,
-                    "pi_over_nu": math.pi / row.nu,
-                }
-                for row in rows
-            ],
-        }
-        text = _json_text(obj)
-    else:
-        lines = [
-            f"# masswell delta-limit study: b/nu={_fmt(b_over_nu)} L={_fmt(L)}",
-            f"# reduced fixed point: {_fmt(rows[0].reduced_fixed_point)}",
-            "# columns: nu,a,b,leftmost_root,second_root,pi_over_nu",
-        ]
-        for row in rows:
-            lines.append(
-                ",".join(
-                    _fmt(v)
-                    for v in (
-                        row.nu, row.a, row.b,
-                        row.leftmost_root, row.second_root, math.pi / row.nu,
-                    )
-                )
-            )
-        text = "\n".join(lines) + "\n"
-    _emit(text, cfg.get_str("out"))
+            "reduced_fixed_point": fixed_point,
+            "rows": [dict(zip(columns.split(","), row)) for row in table],
+        },
+    )
     return 0
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+#: options that several subcommands take: flag -> add_argument keywords
+_SHARED_OPTIONS = {
+    "--format": dict(choices=("csv", "json"), help="output format"),
+    "--window": dict(help="energy window LO:HI"),
+    "--parity": dict(choices=("even", "odd", "both"), help="parity selection"),
+    "--L": dict(type=float, help="outer half-width"),
+}
+
+
+def _add_common(sub: argparse.ArgumentParser, *shared: str) -> None:
+    """Options every subcommand takes, then the named ``_SHARED_OPTIONS``."""
     sub.add_argument("--config", help="path to a flat key = value scenario config")
     sub.add_argument("--preset", help=f"model preset: {', '.join(sorted(PRESETS))}")
     sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--format", choices=("csv", "json"), help="output format")
-    sub.add_argument("--window", help="energy window LO:HI")
     sub.add_argument("--tol", type=float, help="solver tolerance")
-    sub.add_argument("--parity", choices=("even", "odd", "both"), help="parity selection")
+    for flag in shared:
+        sub.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -518,7 +478,7 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("spectrum", help="solve a scenario and write the level report")
-    _add_common(p)
+    _add_common(p, "--format", "--window", "--parity")
     p.set_defaults(handler=_cmd_spectrum)
 
     p = subs.add_parser("curves", help="graphical-solution curve data for one branch")
@@ -530,21 +490,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_curves)
 
     p = subs.add_parser("wavefunction", help="dump one normalized state on a grid")
-    _add_common(p)
+    _add_common(p, "--window", "--parity")
     p.add_argument("--level", type=int, help="1-based level index in the window")
     p.add_argument("--samples", type=int, help="grid size (>= 2)")
     p.set_defaults(handler=_cmd_wavefunction)
 
     p = subs.add_parser("critical-beta", help="first critical threshold strengths")
-    _add_common(p)
+    _add_common(p, "--format", "--L")
     p.add_argument("--count", type=int, help="how many critical values")
-    p.add_argument("--L", type=float, help="outer half-width")
     p.set_defaults(handler=_cmd_critical_beta)
 
     p = subs.add_parser("delta-limit", help="deep-narrow-well study at fixed b/nu")
-    _add_common(p)
+    _add_common(p, "--format", "--L")
     p.add_argument("--b-over-nu", dest="b_over_nu", type=float, help="fixed ratio b/nu")
-    p.add_argument("--L", type=float, help="outer half-width")
     p.add_argument("--nus", dest="nu_values", help="comma-separated nu sequence")
     p.set_defaults(handler=_cmd_delta_limit)
 

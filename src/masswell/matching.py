@@ -41,6 +41,12 @@ LINEAR_BAND = 1e-12
 _PARITY_SIGN = {"even": 1.0, "odd": -1.0}
 
 
+def _parity_sign(parity: str) -> float:
+    if parity not in _PARITY_SIGN:
+        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    return _PARITY_SIGN[parity]
+
+
 def _solution_kind(q2: float) -> tuple[str, float]:
     if q2 > LINEAR_BAND:
         return "trig", math.sqrt(q2)
@@ -86,7 +92,7 @@ def build_solution(profile: MassProfile, energy: float, parity: str) -> Piecewis
     and its residual is what :func:`mismatch` reports.  The returned
     state is unnormalized; its ``norm`` field carries the L2 norm.
     """
-    sign = _PARITY_SIGN[parity]
+    sign = _parity_sign(parity)
     outer, inner = _half_solution(profile, energy)
     regions = (outer, inner, inner.reflected(sign), outer.reflected(sign))
     norm = math.sqrt(2.0 * (region_l2(outer) + region_l2(inner)))
@@ -100,8 +106,7 @@ def mismatch(profile: MassProfile, energy: float, parity: str) -> float:
     residual is divided by the maximum amplitude of the half-well
     solution, so rescaling the solution leaves the zero set unchanged.
     """
-    if parity not in _PARITY_SIGN:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    _parity_sign(parity)
     outer, inner = _half_solution(profile, energy)
     if parity == "even":
         scale_v = inner.q if inner.kind != "linear" else 1.0
@@ -153,8 +158,7 @@ def eigenvalues(
         raise ValueError(f"require finite lo < hi, got {lo!r}, {hi!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    if parity not in _PARITY_SIGN:
-        raise ValueError(f"parity must be 'even' or 'odd', got {parity!r}")
+    _parity_sign(parity)
 
     def f_vec(es):
         return np.array([mismatch(profile, float(e), parity) for e in np.atleast_1d(es)])

@@ -333,13 +333,10 @@ def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL)
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    branch = ConstantNegNeg(geometry)
+    # tan(kappa a) = coth(kappa (L-a)) > 1 has exactly one root on each
+    # branch (j pi + pi/4, j pi + pi/2) / a, so this window holds count + 1
     hi = (count + 1) * math.pi / geometry.a
-    while True:
-        roots = find_roots(branch, RootWindow(0.0, hi, tol=tol))
-        if len(roots) >= count:
-            return roots[:count]
-        hi *= 2.0
+    return find_roots(ConstantNegNeg(geometry), RootWindow(0.0, hi, tol=tol))[:count]
 
 
 def reduced_kappa1(b_over_nu: float, L: float, tol: float = DEFAULT_TOL) -> float:

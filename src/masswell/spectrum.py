@@ -20,7 +20,7 @@ from .secular import (
     find_roots,
     reduced_kappa1,
 )
-from .wavefunction import count_nodes, localization_fraction
+from .wavefunction import PiecewiseWavefunction, count_nodes, localization_fraction
 
 __all__ = [
     "Level",
@@ -87,34 +87,40 @@ class DeltaLimitRow:
     reduced_fixed_point: float
 
 
-def _negative_level_count(profile: MassProfile, parity: str, kappa_hi: float) -> int:
-    """Number of negative-energy levels with kappa = sqrt(-E) in (0, kappa_hi]."""
+def _negative_level_counts(profile: MassProfile, parity: str) -> tuple[int, int]:
+    """Numbers of negative-energy levels with kappa = sqrt(-E) in
+    (0, PROBE_KAPPA_SMALL] and in (0, PROBE_KAPPA_LARGE], from one scan."""
     thr = profile.threshold
     beta = math.sqrt(-thr) if thr is not None and thr < 0.0 else None
-    bounds = [1e-6, kappa_hi]
-    if beta is not None and bounds[0] < beta < kappa_hi:
-        # kappa <= beta sits on the negative-mass side of the step
-        bounds = [1e-6, beta, kappa_hi]
+    cuts = {1e-6, PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE}
+    if beta is not None and 1e-6 < beta < PROBE_KAPPA_LARGE:
+        cuts.add(beta)
 
     def f_vec(kaps):
         return np.array(
             [mismatch(profile, -float(k) * float(k), parity) for k in np.atleast_1d(kaps)]
         )
 
-    total = 0
-    for i, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
-        if i > 0:
-            lo = lo + 1e-13 * max(1.0, lo)
+    small = large = 0
+    bounds = sorted(cuts)
+    for lo, hi in zip(bounds, bounds[1:]):
+        if lo == beta:
+            # kappa <= beta sits on the negative-mass side of the step, so
+            # the segment above it starts just past the jump
+            lo += 1e-13 * max(1.0, lo)
         samples = max(64, int((hi - lo) / 0.05))
         brackets, exact = isolate_sign_changes(f_vec, lo, hi, samples=samples)
-        total += len(brackets) + len(exact)
-    return total
+        large += len(brackets) + len(exact)
+        if hi <= PROBE_KAPPA_SMALL:
+            small = large
+    return small, large
 
 
 def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_levels: bool) -> Verdict:
     k1, k2 = PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE
-    c1 = sum(_negative_level_count(profile, p, k1) for p in parities)
-    c2 = sum(_negative_level_count(profile, p, k2) for p in parities)
+    counts = [_negative_level_counts(profile, p) for p in parities]
+    c1 = sum(small for small, _ in counts)
+    c2 = sum(large for _, large in counts)
     required = math.floor((k2 - k1) / math.pi) - 1
     if c2 - c1 >= required:
         return Verdict(
@@ -132,6 +138,18 @@ def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_lev
     return Verdict("bounded_below")
 
 
+def _states_by_energy(
+    profile: MassProfile, window: tuple[float, float], parities: Sequence[str], tol: float
+) -> list[tuple[float, str, PiecewiseWavefunction]]:
+    """(energy, parity, state) for every level in the window, stably sorted by energy."""
+    found = [
+        (energy, parity, psi)
+        for parity in parities
+        for energy, psi in eigenvalues(profile, window, parity, tol=tol)
+    ]
+    return sorted(found, key=lambda item: item[0])
+
+
 def run_scenario(
     profile: MassProfile,
     window: tuple[float, float],
@@ -146,18 +164,10 @@ def run_scenario(
     mass is +1 and the matching solver finds nothing there, which is the
     admissibility cut kappa <= beta in disguise.
     """
-    levels: list[Level] = []
-    for parity in parities:
-        for energy, psi in eigenvalues(profile, window, parity, tol=tol):
-            levels.append(
-                Level(
-                    energy=energy,
-                    parity=parity,
-                    nodes=count_nodes(psi),
-                    localization=localization_fraction(psi),
-                )
-            )
-    levels.sort(key=lambda lv: lv.energy)
+    levels = [
+        Level(energy, parity, count_nodes(psi), localization_fraction(psi))
+        for energy, parity, psi in _states_by_energy(profile, window, parities, tol)
+    ]
     verdict = _boundedness_verdict(profile, parities, bool(levels))
     return SpectrumReport(
         scenario=scenario or profile.describe(),
@@ -240,7 +250,9 @@ def delta_limit_study(
         if not a < L:
             raise ValueError(f"inner half-width a = {a!r} does not fit inside L = {L!r}")
         branch = TwoParamNeg(WellGeometry(L, a), b=b, nu=nu)
-        hi = 1.45 * math.pi / nu
+        # tan(kappa nu) > 0 holds one root per branch (j pi, (j + 1/2) pi) / nu,
+        # so the second root lies below 3 pi / (2 nu) and the third above 2 pi / nu
+        hi = 2.0 * math.pi / nu
         roots = find_roots(branch, RootWindow(0.0, hi, tol=tol))
         if len(roots) < 2:
             raise RuntimeError(

@@ -265,6 +265,29 @@ class TestDeltaLimitCommand:
     def test_bad_nu_list_rejected(self):
         assert main(["delta-limit", "--nus", "0.1,zebra"]) == 2
 
+    def test_second_root_above_old_search_window(self, capsys):
+        assert main(["delta-limit", "--b-over-nu", "100", "--nus", "0.1", "--L", "2"]) == 0
+        row = [l for l in capsys.readouterr().out.splitlines() if not l.startswith("#")][0]
+        second = float(row.split(",")[4])
+        assert second == pytest.approx(46.127, abs=1e-3)
+
+
+class TestOptionsPerCommand:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curves", "--branch", "constant-neg-neg", "--format", "json"],
+            ["wavefunction", "--preset", "uniform", "--format", "json"],
+            ["critical-beta", "--window", "0:1"],
+            ["delta-limit", "--parity", "odd"],
+        ],
+    )
+    def test_option_the_command_does_not_read_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestNumericFailureExitCode:
     @pytest.mark.parametrize(

@@ -59,6 +59,11 @@ class TestBuildSolution:
         assert psi.regions[0].value(-1.0) == pytest.approx(1.0)
         assert psi.regions[0].value(-2.0) == 0.0
 
+    def test_parity_validated(self):
+        profile = MassProfile(G2, TanhInner())
+        with pytest.raises(ValueError, match="parity"):
+            build_solution(profile, 1.0, "both")
+
     def test_tanh_negative_energy_inner_wavenumber(self):
         profile = MassProfile(G2, TanhInner())
         kappa = 1.3

@@ -1,10 +1,33 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from masswell.profiles import ConstantInner, MassProfile, StepInner, TanhInner, WellGeometry
-from masswell.secular import ConstantNegNeg, RootWindow, critical_betas, find_roots, reduced_kappa1
-from masswell.spectrum import delta_limit_study, ground_state_staircase, run_scenario
+from masswell.profiles import (
+    ConstantInner,
+    MassProfile,
+    ScaledInner,
+    StepInner,
+    TanhInner,
+    WellGeometry,
+)
+from masswell.secular import (
+    ConstantNegNeg,
+    RootWindow,
+    StepNeg,
+    TwoParamNeg,
+    critical_betas,
+    find_roots,
+    reduced_kappa1,
+)
+from masswell.spectrum import (
+    PROBE_KAPPA_LARGE,
+    PROBE_KAPPA_SMALL,
+    _negative_level_counts,
+    delta_limit_study,
+    ground_state_staircase,
+    run_scenario,
+)
 
 G2 = WellGeometry(2.0, 1.0)
 CRITICALS_L2 = [
@@ -101,6 +124,30 @@ class TestRunScenario:
         assert report.levels == ()
 
 
+class TestVerdictCounts:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        L=st.floats(0.5, 5.0),
+        a_frac=st.floats(0.1, 0.9),
+        b=st.floats(0.2, 3.0),
+        # beta below, between and above the two probes
+        beta=st.one_of(st.floats(0.5, 9.5), st.floats(10.5, 39.5), st.floats(40.5, 60.0)),
+        law=st.sampled_from(["constant", "scaled", "step"]),
+    )
+    def test_counts_match_closed_form_roots(self, L, a_frac, b, beta, law):
+        geometry = WellGeometry(L, a_frac * L)
+        profile, branch = {
+            "constant": (ConstantInner(-1.0), ConstantNegNeg(geometry)),
+            "scaled": (ScaledInner(b), TwoParamNeg(geometry, b=b)),
+            "step": (StepInner(-beta * beta), StepNeg(geometry, beta=beta)),
+        }[law]
+        expected = tuple(
+            len(find_roots(branch, RootWindow(0.0, kappa)))
+            for kappa in (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE)
+        )
+        assert _negative_level_counts(MassProfile(geometry, profile), "even") == expected
+
+
 class TestGroundStateStaircase:
     def test_counts_jump_exactly_at_criticals(self):
         rows = ground_state_staircase(2.0, 14.0, 280)
@@ -163,6 +210,15 @@ class TestDeltaLimitStudy:
         assert rows[0].b == pytest.approx(1.0)
         assert rows[0].leftmost_root == pytest.approx(roots[0], abs=1e-9)
         assert rows[0].second_root == pytest.approx(roots[1], abs=1e-9)
+
+    def test_second_root_above_1_45_pi_over_nu(self):
+        # the second root lies in (pi/nu, 3 pi/(2 nu)); here above 1.45 pi/nu
+        nu = 0.1
+        (row,) = delta_limit_study(100.0, 2.0, [nu])
+        branch = TwoParamNeg(WellGeometry(2.0, row.a), b=row.b, nu=nu)
+        roots = find_roots(branch, RootWindow(0.0, 2.5 * math.pi / nu))
+        assert row.second_root == pytest.approx(roots[1], abs=1e-9)
+        assert 1.45 * math.pi / nu < row.second_root < 1.5 * math.pi / nu
 
     def test_validation(self):
         with pytest.raises(ValueError):
