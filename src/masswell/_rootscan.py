@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 __all__ = [
@@ -64,31 +62,38 @@ def isolate_sign_changes(f, lo, hi, samples):
 
 
 def bisect_root(f, a, b, fa, fb, tol):
-    """Shrink a sign-change bracket until its width is at most 2*tol.
+    """Shrink sign-change brackets [a, b] until each is at most 2*tol wide.
 
-    The width is also floored near machine precision of the midpoint, so
-    very small absolute tolerances degrade gracefully to full relative
-    precision instead of looping.
+    Takes arrays of endpoints and their residuals (scalars are one
+    bracket) and bisects every bracket in lockstep: one call of the
+    elementwise ``f`` per step, on the midpoints of the open brackets.
+    Each bracket takes exactly the steps it would take alone.  The width
+    is floored near machine precision of the midpoint, so very small
+    absolute tolerances degrade gracefully to full relative precision
+    instead of looping.  Returns one root per bracket as a float array.
     """
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    if (fa < 0.0) == (fb < 0.0):
+    a, b, fa, fb = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(a, b, fa, fb))
+    if np.any((fa != 0.0) & (fb != 0.0) & ((fa < 0.0) == (fb < 0.0))):
         raise ValueError("bracket endpoints must have opposite signs")
+    roots = np.where(fa == 0.0, a, b)
+    live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
     for _ in range(256):
-        mid = 0.5 * (a + b)
-        width = b - a
-        if width <= 2.0 * tol or width <= 8.0 * math.ulp(mid) or mid <= a or mid >= b:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return 0.5 * (a + b)
+        mid = 0.5 * (a[live] + b[live])
+        width = b[live] - a[live]
+        done = (width <= 2.0 * tol) | (width <= 8.0 * np.spacing(np.abs(mid)))
+        done |= (mid <= a[live]) | (mid >= b[live])
+        roots[live[done]] = mid[done]
+        live, mid = live[~done], mid[~done]
+        if live.size == 0:
+            return roots
+        fm = np.asarray(f(mid), dtype=float)
+        roots[live[fm == 0.0]] = mid[fm == 0.0]
+        lower = (fm < 0.0) == (fa[live] < 0.0)
+        a[live[lower]], fa[live[lower]] = mid[lower], fm[lower]
+        b[live[~lower]] = mid[~lower]
+        live = live[fm != 0.0]
+    roots[live] = 0.5 * (a[live] + b[live])
+    return roots
 
 
 def segments_between(lo, hi, cuts, margin):
@@ -99,19 +104,20 @@ def segments_between(lo, hi, cuts, margin):
     return [(s, e) for s, e in zip(starts, ends) if e > s]
 
 
-def roots_in(f, f_scalar, segments, samples, tol):
-    """Every root of ``f`` on the segments, ascending.
+def roots_in(f, segments, samples, tol):
+    """Every root of the elementwise residual ``f`` on the segments, ascending.
 
     Each segment is bracketed by :func:`isolate_sign_changes` at
-    ``samples`` cells (``f`` is the elementwise form) and each bracket is
-    bisected to ``tol`` with ``f_scalar``.  Roots closer than four times
-    the tolerance, floored near machine relative precision, are one root.
+    ``samples`` cells and all brackets are bisected to ``tol`` together by
+    :func:`bisect_root`.  Roots closer than four times the tolerance,
+    floored near machine relative precision, are one root.
     """
-    roots = []
+    roots, brackets = [], []
     for lo, hi in segments:
-        brackets, exact = isolate_sign_changes(f, lo, hi, samples)
+        found, exact = isolate_sign_changes(f, lo, hi, samples)
         roots.extend(exact)
-        roots.extend(bisect_root(f_scalar, *bracket, tol) for bracket in brackets)
+        brackets.extend(found)
+    roots.extend(bisect_root(f, *np.reshape(brackets, (-1, 4)).T, tol).tolist())
     roots.sort()
     merged = []
     for r in roots:

@@ -6,9 +6,15 @@ breakpoint x = -a fixes the inner piece.  Both psi and psi' are matched
 plainly, with NO 1/m weighting of the derivative: these models match
 logarithmic derivatives directly, which deliberately departs from the
 BenDaniel-Duke current-continuity convention common elsewhere in the
-effective-mass literature.  The parity condition at the center is not
-imposed; its amplitude-normalized residual (:func:`mismatch`) is the
-quantity whose zeros in energy are the eigenvalues.
+effective-mass literature.
+
+Eigenvalues are the zeros in energy of :func:`seam_wronskian`, the
+scaled Wronskian at x = -a of the wall solution and the center solution
+of the requested parity.  It takes an array of energies, never
+overflows, and is the residual that both the scan and the bisection
+evaluate.  :func:`mismatch`, the amplitude-normalized parity residual at
+the center of the grown state, has the same zeros and signs up to a
+parity-fixed flip; it is kept as the diagnostic.
 
 Because nothing here assumes a closed form for the quantization
 condition, this module doubles as the brute-force oracle for
@@ -31,6 +37,7 @@ __all__ = [
     "ScanResolutionError",
     "build_solution",
     "mismatch",
+    "seam_wronskian",
     "eigenvalues",
 ]
 
@@ -117,8 +124,44 @@ def mismatch(profile: MassProfile, energy: float, parity: str) -> float:
     return residual / amplitude
 
 
+def _scaled_basis(q2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(C, S, -q2 S) at t: C is cos/cosh/1 and S is sin(qt)/q, sinh(qt)/q or t,
+    the solutions with C(0) = 1, S'(0) = 1 and C' = -q2 S, S' = C.
+
+    Hyperbolic values are divided by cosh(qt) > 0, so they enter only
+    through tanh and stay bounded.  Kinds follow :func:`_solution_kind`.
+    """
+    trig, hyper = q2 > LINEAR_BAND, q2 < -LINEAR_BAND
+    q = np.sqrt(np.abs(q2))
+    q_nonzero = np.where(trig | hyper, q, 1.0)
+    c = np.where(trig, np.cos(q * t), 1.0)
+    s = np.where(trig, np.sin(q * t), np.where(hyper, np.tanh(q * t), t)) / q_nonzero
+    return c, s, np.where(trig | hyper, -q2 * s, 0.0)
+
+
+def seam_wronskian(profile: MassProfile, energies, parity: str) -> np.ndarray:
+    """Scaled Wronskian psi_out psi_in' - psi_out' psi_in at x = -a, elementwise.
+
+    psi_out is grown from the wall (psi(-L) = 0, psi'(-L) = 1) and psi_in
+    from the center with the parity imposed (C for even, S for odd; see
+    :func:`_scaled_basis`).  Each side is divided by its own positive
+    scale, so the result is finite at every finite energy.  It vanishes
+    exactly at the eigenvalues and has the sign of -mismatch for even and
+    +mismatch for odd parity.
+    """
+    sign = _parity_sign(parity)
+    energies = np.asarray(energies, dtype=float)
+    geo = profile.geometry
+    c_o, s_o, _ = _scaled_basis(profile.outer_mass * energies, geo.L - geo.a)
+    c_i, s_i, dc_i = _scaled_basis(profile.inner.value(energies) * energies, geo.a)
+    # at -a the even center solution and its slope are (c_i, -dc_i), the odd ones (-s_i, c_i)
+    if sign > 0.0:
+        return -s_o * dc_i - c_o * c_i
+    return s_o * c_i + c_o * s_i
+
+
 def _segment_bounds(profile: MassProfile, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Scan segments split where the mismatch can kink (E = 0) or jump (step).
+    """Scan segments split where the residual can kink (E = 0) or jump (step).
 
     The step law takes its negative branch at the threshold itself, so
     the segment above the threshold starts exactly there while the
@@ -149,22 +192,19 @@ def eigenvalues(
     """All eigenvalues in the window with their normalized wavefunctions.
 
     Each window segment is scanned at 512 samples with the rescan
-    stability guard, and every isolated sign change of the mismatch is
-    bisected to ``tol`` in energy (floored near machine relative
-    precision).  Returns (energy, state) pairs sorted by energy.
+    stability guard, and every isolated sign change of
+    :func:`seam_wronskian` is bisected to ``tol`` in energy (floored near
+    machine relative precision) through that same residual.  Returns
+    (energy, state) pairs sorted by energy.
     """
     lo, hi = window
     if not -math.inf < lo < hi < math.inf:
         raise ValueError(f"require finite lo < hi, got {lo!r}, {hi!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    _parity_sign(parity)
 
-    def f_vec(es):
-        return np.array([mismatch(profile, float(e), parity) for e in np.atleast_1d(es)])
+    def residual(es):
+        return seam_wronskian(profile, es, parity)
 
-    def f_scalar(e):
-        return mismatch(profile, float(e), parity)
-
-    roots = roots_in(f_vec, f_scalar, _segment_bounds(profile, lo, hi), 512, tol)
+    roots = roots_in(residual, _segment_bounds(profile, lo, hi), 512, tol)
     return [(e, build_solution(profile, e, parity).normalized()) for e in roots]

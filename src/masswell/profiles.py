@@ -5,7 +5,8 @@ outside, so every state obeys psi(-L) = psi(L) = 0.  The effective mass
 equals 1 in the outer region a < |x| < L and follows one of the inner
 laws below for |x| < a.  Inner laws may depend on the energy and may be
 negative.  Units fix hbar^2/2 = 1, so the squared local wavenumber of a
-region is simply m * E.
+region is simply m * E.  Every inner law's ``value`` also takes an array
+of energies and works elementwise.
 
 All profile values are immutable after construction and safe to share
 across threads.
@@ -16,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar, Literal, Optional, Union
+
+import numpy as np
 
 __all__ = [
     "WellGeometry",
@@ -63,8 +66,12 @@ class TanhInner:
 
     law: ClassVar[str] = "tanh"
 
-    def value(self, energy: float) -> float:
-        return -math.tanh(energy)
+    def value(self, energy):
+        # math.tanh keeps scalar values identical to the reference states;
+        # numpy's tanh can differ from it in the last bit
+        if np.ndim(energy) == 0:
+            return -math.tanh(energy)
+        return -np.tanh(energy)
 
 
 @dataclass(frozen=True)
@@ -78,8 +85,8 @@ class StepInner:
     law: ClassVar[str] = "step"
     e_thr: float
 
-    def value(self, energy: float) -> float:
-        return -1.0 if energy >= self.e_thr else 1.0
+    def value(self, energy):
+        return np.where(np.asarray(energy) >= self.e_thr, -1.0, 1.0)[()]
 
 
 @dataclass(frozen=True)

@@ -315,13 +315,8 @@ def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
     hi = window.hi if branch.clip_hi is None else min(window.hi, branch.clip_hi)
     if not hi > lo:
         return []
-    f = branch.residual_raw
-
-    def f_scalar(t):
-        return float(f(np.float64(t)))
-
     segments = segments_between(lo, hi, branch.poles_between(lo, hi), DEFAULT_POLE_MARGIN)
-    return roots_in(f, f_scalar, segments, 64, window.tol)
+    return roots_in(branch.residual_raw, segments, 64, window.tol)
 
 
 def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL) -> list[float]:
@@ -354,9 +349,8 @@ def reduced_kappa1(b_over_nu: float, L: float, tol: float = DEFAULT_TOL) -> floa
         raise ValueError("tol must be positive")
     c = b_over_nu
 
-    def f(k: float) -> float:
-        return k - c / math.tanh(k * L)
+    def f(k):
+        return k - c / np.tanh(k * L)
 
-    lo = c
-    hi = c / math.tanh(c * L)
-    return bisect_root(f, lo, hi, f(lo), f(hi), tol)
+    # the bracket's signs are analytic; f(hi) is a rounding-sized number
+    return float(bisect_root(f, c, c / math.tanh(c * L), -1.0, 1.0, tol)[0])

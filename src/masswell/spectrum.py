@@ -6,10 +6,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
 from ._rootscan import isolate_sign_changes
-from .matching import build_solution, eigenvalues, mismatch
+from .matching import build_solution, eigenvalues, seam_wronskian
 from .profiles import ConstantInner, MassProfile, WellGeometry
 from .secular import (
     DEFAULT_TOL,
@@ -96,10 +94,8 @@ def _negative_level_counts(profile: MassProfile, parity: str) -> tuple[int, int]
     if beta is not None and 1e-6 < beta < PROBE_KAPPA_LARGE:
         cuts.add(beta)
 
-    def f_vec(kaps):
-        return np.array(
-            [mismatch(profile, -float(k) * float(k), parity) for k in np.atleast_1d(kaps)]
-        )
+    def residual(kaps):
+        return seam_wronskian(profile, -kaps * kaps, parity)
 
     small = large = 0
     bounds = sorted(cuts)
@@ -109,7 +105,7 @@ def _negative_level_counts(profile: MassProfile, parity: str) -> tuple[int, int]
             # the segment above it starts just past the jump
             lo += 1e-13 * max(1.0, lo)
         samples = max(64, int((hi - lo) / 0.05))
-        brackets, exact = isolate_sign_changes(f_vec, lo, hi, samples=samples)
+        brackets, exact = isolate_sign_changes(residual, lo, hi, samples=samples)
         large += len(brackets) + len(exact)
         if hi <= PROBE_KAPPA_SMALL:
             small = large

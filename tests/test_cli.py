@@ -293,7 +293,8 @@ class TestNumericFailureExitCode:
     @pytest.mark.parametrize(
         "argv",
         [
-            # math.cosh overflows deep in the negative-energy window
+            # levels crowd so deep that the sign-change count is still growing
+            # at the finest rescan (ScanResolutionError)
             ["--window=-1e6:10"],
             # the grown state's L2 norm is not finite, so it cannot be normalized
             ["--window=37000:38500", "--parity", "even"],

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masswell._rootscan import ScanResolutionError, isolate_sign_changes
-from masswell.matching import _half_solution, build_solution, eigenvalues, mismatch
+from masswell._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes
+from masswell.matching import _half_solution, build_solution, eigenvalues, mismatch, seam_wronskian
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -299,3 +299,132 @@ class TestScanMachinery:
         profile = MassProfile(G2, ConstantInner(-1.0))
         with pytest.raises(ValueError):
             eigenvalues(profile, window, "even", tol=tol)
+
+
+LAWS = st.one_of(
+    st.builds(ConstantInner, st.floats(-3.0, 3.0)),
+    st.just(TanhInner()),
+    st.builds(StepInner, st.floats(-50.0, 50.0)),
+    st.builds(ScaledInner, st.floats(0.6, 3.0)),
+)
+# |m E| <= 3e4 and L <= 2 keep q a below the ~355 where mismatch's
+# cosh(q a)**2 overflows
+PROFILES = st.builds(
+    lambda L, frac, inner: MassProfile(WellGeometry(L, frac * L), inner),
+    st.floats(0.5, 2.0),
+    st.floats(0.05, 0.95),
+    LAWS,
+)
+
+
+class TestSeamWronskian:
+    @settings(max_examples=30, deadline=None)
+    @given(
+        profile=PROFILES,
+        energies=st.lists(st.floats(-1e4, 1e4), min_size=1, max_size=20),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    def test_sign_follows_mismatch(self, profile, energies, parity):
+        w = seam_wronskian(profile, np.array(energies), parity)
+        flip = -1.0 if parity == "even" else 1.0
+        for e, we in zip(energies, w):
+            m = mismatch(profile, e, parity)
+            if abs(m) > 1e-9:
+                assert np.sign(we) == flip * np.sign(m), (e, we, m)
+
+    @settings(max_examples=30, deadline=None)
+    @given(profile=PROFILES, parity=st.sampled_from(["even", "odd"]))
+    def test_finite_where_mismatch_overflows(self, profile, parity):
+        energies = np.linspace(-1e6, 1e6, 2001)
+        assert np.all(np.isfinite(seam_wronskian(profile, energies, parity)))
+
+    def test_mismatch_overflows_at_deep_energy(self):
+        profile = MassProfile(G2, ConstantInner(-1.0))
+        with pytest.raises(OverflowError):
+            mismatch(profile, -1e6, "even")
+        assert np.isfinite(seam_wronskian(profile, [-1e6], "even")).all()
+
+    def test_zero_at_secular_root(self):
+        k = K_NP1_L2
+        profile = MassProfile(G2, ConstantInner(-1.0))
+        w = seam_wronskian(profile, [k * k * (1 - 1e-9), k * k * (1 + 1e-9)], "even")
+        assert w[0] * w[1] < 0.0
+
+    def test_parity_validated(self):
+        with pytest.raises(ValueError, match="parity"):
+            seam_wronskian(MassProfile(G2, TanhInner()), [1.0], "both")
+
+
+def _scalar_bisect(f, a, b, fa, fb, tol):
+    """The one-bracket-at-a-time bisection the lockstep routine must reproduce."""
+    if fa == 0.0:
+        return a
+    if fb == 0.0:
+        return b
+    for _ in range(256):
+        mid = 0.5 * (a + b)
+        width = b - a
+        if width <= 2.0 * tol or width <= 8.0 * math.ulp(mid) or mid <= a or mid >= b:
+            return mid
+        fm = f(mid)
+        if fm == 0.0:
+            return mid
+        if (fm < 0.0) == (fa < 0.0):
+            a, fa = mid, fm
+        else:
+            b, fb = mid, fm
+    return 0.5 * (a + b)
+
+
+def _cubic(roots):
+    def f(x):
+        return (x - roots[0]) * (x - roots[1]) * (x - roots[2])
+
+    return f
+
+
+class TestLockstepBisection:
+    def check(self, f, brackets, tol):
+        a, b = (np.array(side, dtype=float) for side in zip(*brackets))
+        got = bisect_root(f, a, b, f(a), f(b), tol)
+        want = [_scalar_bisect(f, ai, bi, f(ai), f(bi), tol) for ai, bi in brackets]
+        assert got.tolist() == want
+
+    @settings(max_examples=50, deadline=None)
+    @given(
+        roots=st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3, unique=True),
+        spreads=st.lists(st.floats(0.01, 0.99), min_size=6, max_size=6),
+        tol=st.sampled_from([1e-3, 1e-9, 1e-12, 1e-300]),
+    )
+    def test_matches_scalar_bisection(self, roots, spreads, tol):
+        roots = sorted(roots)
+        gaps = [math.inf] + [r1 - r0 for r0, r1 in zip(roots, roots[1:])] + [math.inf]
+        brackets = [
+            (r - spreads[2 * i] * min(gaps[i], 10.0) / 2, r + spreads[2 * i + 1] * min(gaps[i + 1], 10.0) / 2)
+            for i, r in enumerate(roots)
+        ]
+        brackets = [(lo, hi) for lo, hi in brackets if lo < hi]
+        self.check(_cubic(roots), brackets, tol)
+
+    def test_exact_zeros_at_endpoints_and_midpoint(self):
+        # roots 0, 1 and 5: endpoint zeros on two brackets, a midpoint zero on the third
+        f = _cubic([0.0, 1.0, 5.0])
+        self.check(f, [(0.0, 0.5), (0.7, 1.0), (4.0, 6.0), (-0.3, 0.4)], 1e-12)
+
+    def test_tol_below_midpoint_ulp(self):
+        f = _cubic([1e6 + 0.1, 2e6, 3e6])
+        self.check(f, [(1e6, 1e6 + 1.0), (1.5e6, 2.5e6)], 1e-300)
+
+    def test_step_cap(self):
+        # the width stays above 8 ulp(mid) for all 256 steps as mid approaches 0
+        self.check(lambda x: x, [(-1e300, 2e300)], 1e-320)
+
+    def test_empty_bracket_list(self):
+        def never(x):
+            raise AssertionError("no bracket, no evaluation")
+
+        assert bisect_root(never, [], [], [], [], 1e-12).size == 0
+
+    def test_same_sign_rejected(self):
+        with pytest.raises(ValueError, match="opposite signs"):
+            bisect_root(lambda x: x, [1.0, -1.0], [2.0, 1.0], [1.0, -1.0], [2.0, 1.0], 1e-12)

@@ -118,3 +118,28 @@ class TestLocalQ2:
     def test_unknown_region_rejected(self):
         with pytest.raises(ValueError):
             local_q2(make(TanhInner()), "nowhere", 1.0)
+
+
+class TestArrayValue:
+    ENERGIES = np.concatenate([np.linspace(-30.0, 30.0, 601), [-2.0, np.nextafter(-2.0, -np.inf), 0.0]])
+
+    @pytest.mark.parametrize(
+        "inner", [ConstantInner(-2.5), TanhInner(), StepInner(-2.0), ScaledInner(0.3)]
+    )
+    def test_elementwise_matches_scalar_calls(self, inner):
+        got = np.broadcast_to(inner.value(self.ENERGIES), self.ENERGIES.shape)
+        want = np.array([inner.value(float(e)) for e in self.ENERGIES])
+        # batched tanh may round differently from the scalar path in the last bit
+        ulps = 1 if isinstance(inner, TanhInner) else 0
+        assert np.all(np.abs(got - want) <= ulps * np.spacing(np.abs(want)))
+
+    def test_scalar_values_unchanged(self):
+        for e in self.ENERGIES.tolist():
+            tanh_value = TanhInner().value(e)
+            assert isinstance(tanh_value, float) and tanh_value == -math.tanh(e)
+        step = StepInner(-2.0)
+        assert step.value(-2.0) == -1.0
+        assert step.value(np.nextafter(-2.0, -np.inf)) == 1.0
+        assert isinstance(step.value(-2.0), float)
+        assert ConstantInner(-2.5).value(1.0) == -2.5
+        assert ScaledInner(0.5).value(1.0) == -4.0
