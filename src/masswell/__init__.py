@@ -21,7 +21,6 @@ from .profiles import (
 from .secular import (
     ConstantNegNeg,
     ConstantNegPos,
-    PoleProximityError,
     RootWindow,
     ScanResolutionError,
     SecularBranch,
@@ -60,7 +59,7 @@ __all__ = [
     "RootWindow", "SecularBranch", "ConstantNegPos", "ConstantNegNeg",
     "TanhPos", "TanhNeg", "StepNeg", "TwoParamNeg", "TwoParamReduced",
     "find_roots", "critical_betas", "reduced_kappa1",
-    "PoleProximityError", "ScanResolutionError",
+    "ScanResolutionError",
     "build_solution", "mismatch", "eigenvalues",
     "RegionSolution", "PiecewiseWavefunction", "evaluate", "count_nodes",
     "localization_fraction",

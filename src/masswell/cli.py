@@ -24,7 +24,6 @@ from ._rootscan import segments_between
 from .profiles import INNER_LAWS, MassProfile, WellGeometry
 from .secular import (
     BRANCHES,
-    PoleProximityError,
     RootWindow,
     ScanResolutionError,
     SecularBranch,
@@ -209,7 +208,7 @@ def _profile_dict(profile: MassProfile) -> dict:
     return {
         "L": profile.geometry.L,
         "a": profile.geometry.a,
-        "outer_mass": profile.outer_mass,
+        "outer_mass": 1.0,
         "inner": {"law": profile.inner.law, **asdict(profile.inner)},
     }
 
@@ -244,7 +243,7 @@ def _emit(text: str, out: Optional[str]) -> None:
 
 def _table_text(header: Sequence[str], columns: str, rows) -> str:
     lines = [*header, f"# columns: {columns}"]
-    lines += [",".join(_fmt(v) for v in row) for row in rows]
+    lines += [",".join([_fmt(v) for v in row]) for row in rows]
     return "\n".join(lines) + "\n"
 
 
@@ -344,26 +343,19 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
     roots = find_roots(branch, RootWindow(max(lo, 1e-9), hi, tol=tol))
 
-    lab1, lab2 = branch.curve_labels
-    lines = [
-        f"# masswell secular curves: {branch.describe()}",
-        f"# columns: t,{lab1},{lab2}",
-    ]
     total = sum(s1 - s0 for s0, s1 in segments)
+    rows = []
     for s0, s1 in segments:
         n = max(2, int(round(samples * (s1 - s0) / total)))
         ts = np.linspace(s0, s1, n)
-        c1, c2 = branch.curve_pair(ts)
-        c1 = np.broadcast_to(np.asarray(c1, dtype=float), ts.shape)
-        c2 = np.broadcast_to(np.asarray(c2, dtype=float), ts.shape)
-        for t, v1, v2 in zip(ts, c1, c2):
-            lines.append(f"{_fmt(float(t))},{_fmt(float(v1))},{_fmt(float(v2))}")
-        lines.append("")
-    lines.append("# roots")
-    for r in roots:
-        v1, v2 = branch.curve_pair(np.float64(r))
-        lines.append(f"{_fmt(float(r))},{_fmt(float(v1))},{_fmt(float(v2))}")
-    _emit("\n".join(lines) + "\n", cfg.get_str("out"))
+        c1, c2 = (np.broadcast_to(np.asarray(c, dtype=float), ts.shape) for c in branch.curve_pair(ts))
+        rows += zip(ts.tolist(), c1.tolist(), c2.tolist())
+        rows.append(())
+    rows.append(("# roots",))
+    rows += [(float(r), *(float(c) for c in branch.curve_pair(np.float64(r)))) for r in roots]
+    lab1, lab2 = branch.curve_labels
+    header = [f"# masswell secular curves: {branch.describe()}"]
+    _emit(_table_text(header, f"t,{lab1},{lab2}", rows), cfg.get_str("out"))
     return 0
 
 
@@ -517,7 +509,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ScanResolutionError, PoleProximityError, OverflowError) as exc:
+    except (ScanResolutionError, OverflowError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

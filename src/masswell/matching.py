@@ -76,7 +76,7 @@ def _basis_at(kind: str, q: float, t: float) -> tuple[float, float, float, float
 def _half_solution(profile: MassProfile, energy: float) -> tuple[RegionSolution, RegionSolution]:
     """Outer and inner pieces on [-L, 0] with psi(-L) = 0 and exact matching at -a."""
     geo = profile.geometry
-    kind_o, q_o = _solution_kind(profile.outer_mass * energy)
+    kind_o, q_o = _solution_kind(energy)
     outer = RegionSolution(kind_o, q_o, -geo.L, 0.0, 1.0, (-geo.L, -geo.a))
 
     # outer value and slope where the mass jumps
@@ -152,7 +152,7 @@ def seam_wronskian(profile: MassProfile, energies, parity: str) -> np.ndarray:
     sign = _parity_sign(parity)
     energies = np.asarray(energies, dtype=float)
     geo = profile.geometry
-    c_o, s_o, _ = _scaled_basis(profile.outer_mass * energies, geo.L - geo.a)
+    c_o, s_o, _ = _scaled_basis(energies, geo.L - geo.a)
     c_i, s_i, dc_i = _scaled_basis(profile.inner.value(energies) * energies, geo.a)
     # at -a the even center solution and its slope are (c_i, -dc_i), the odd ones (-s_i, c_i)
     if sign > 0.0:

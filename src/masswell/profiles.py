@@ -111,20 +111,11 @@ INNER_LAWS = {law.law: law for law in (ConstantInner, TanhInner, StepInner, Scal
 
 @dataclass(frozen=True)
 class MassProfile:
-    """Symmetric piecewise-constant mass over the well.
-
-    ``outer_mass`` is stored for clarity but pinned to 1: the closed-form
-    quantization conditions in :mod:`masswell.secular` assume a unit outer
-    mass, so anything else is rejected at construction.
-    """
+    """Symmetric piecewise-constant mass over the well: ``inner`` for
+    |x| < a and 1 in the outer region."""
 
     geometry: WellGeometry
     inner: InnerLaw
-    outer_mass: float = 1.0
-
-    def __post_init__(self) -> None:
-        if self.outer_mass != 1.0:
-            raise ValueError("outer mass is fixed to 1")
 
     @property
     def threshold(self) -> Optional[float]:
@@ -151,7 +142,7 @@ def mass_at(profile: MassProfile, x: float, energy: float) -> float:
         )
     if r < profile.geometry.a:
         return profile.inner.value(energy)
-    return profile.outer_mass
+    return 1.0
 
 
 def local_q2(profile: MassProfile, region: Region, energy: float) -> float:
@@ -163,5 +154,5 @@ def local_q2(profile: MassProfile, region: Region, energy: float) -> float:
     if region == "inner":
         return profile.inner.value(energy) * energy
     if region == "outer":
-        return profile.outer_mass * energy
+        return energy
     raise ValueError(f"unknown region {region!r}")

@@ -29,7 +29,6 @@ from .profiles import WellGeometry
 __all__ = [
     "DEFAULT_TOL",
     "DEFAULT_POLE_MARGIN",
-    "PoleProximityError",
     "ScanResolutionError",
     "RootWindow",
     "SecularBranch",
@@ -51,10 +50,6 @@ DEFAULT_TOL = 1e-12
 DEFAULT_POLE_MARGIN = 1e-8 * math.pi
 
 
-class PoleProximityError(ValueError):
-    """Residual evaluated inside the excluded neighborhood of a tangent pole."""
-
-
 @dataclass(frozen=True)
 class RootWindow:
     """Search window (lo, hi] with absolute tolerance."""
@@ -68,13 +63,6 @@ class RootWindow:
             raise ValueError(f"require 0 <= lo < hi < inf, got {self.lo!r}, {self.hi!r}")
         if not 0.0 < self.tol < math.inf:
             raise ValueError("tol must be positive and finite")
-
-
-def _tan_pole_distance(t, scale):
-    """Distance from t to the nearest pole of tan(scale * t)."""
-    y = np.asarray(t, dtype=float) * scale
-    u = y / math.pi - 0.5
-    return np.abs(u - np.round(u)) * math.pi / scale
 
 
 def _progression(point, j, lo, hi):
@@ -113,22 +101,9 @@ class SecularBranch:
         raise NotImplementedError
 
     def residual_raw(self, t):
+        """LHS - RHS of the branch equation; it also changes sign across each tangent pole."""
         g = self.geometry
         return self.inner(t) * self.outer(t * (g.L - g.a)) - self.rhs
-
-    def residual(self, t):
-        """LHS - RHS of the branch equation, guarded against pole proximity."""
-        arr = np.asarray(t, dtype=float)
-        if self.pole_scale is not None:
-            near = _tan_pole_distance(arr, self.pole_scale) < DEFAULT_POLE_MARGIN
-            if np.any(near):
-                bad = float(np.atleast_1d(arr)[np.atleast_1d(near)][0])
-                raise PoleProximityError(
-                    f"t = {bad!r} is within {DEFAULT_POLE_MARGIN!r} of a tangent pole "
-                    f"of branch {self.name}"
-                )
-        out = self.residual_raw(arr)
-        return float(out) if np.ndim(t) == 0 else out
 
     def poles_between(self, lo: float, hi: float) -> list[float]:
         """Tangent poles strictly inside (lo, hi), ascending."""

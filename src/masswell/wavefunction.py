@@ -232,9 +232,9 @@ def evaluate(psi: PiecewiseWavefunction, x):
         raise ValueError(f"position outside [-{half}, {half}]")
     out = np.zeros_like(arr)
     for region in psi.regions:
+        # only the region's own points: a hyperbolic piece overflows far outside its span
         mask = (arr >= region.span[0]) & (arr <= region.span[1])
-        if np.any(mask):
-            out = np.where(mask, region.value(arr), out)
+        out[mask] = region.value(arr[mask])
     if np.ndim(x) == 0:
         return float(out)
     return out
@@ -266,23 +266,14 @@ def count_nodes(psi: PiecewiseWavefunction) -> int:
 
     The candidate locations come from :func:`node_positions`, so they are
     exhaustive; psi keeps one sign on each gap between consecutive
-    candidates.  A candidate counts only if the signs on its two gaps
+    candidates.  All gap midpoints are evaluated in one call, and a
+    candidate counts only if the signs on its two gaps are nonzero and
     differ, which discards touching zeros of even multiplicity.
     """
     half = psi.half_width
-    zeros = node_positions(psi)
-    if not zeros:
-        return 0
-    probes = [-half] + zeros + [half]
-    gap_signs = []
-    for left, right in zip(probes, probes[1:]):
-        value = evaluate(psi, 0.5 * (left + right))
-        gap_signs.append(math.copysign(1.0, value) if value != 0.0 else 0.0)
-    count = 0
-    for s0, s1 in zip(gap_signs, gap_signs[1:]):
-        if s0 != 0.0 and s1 != 0.0 and s0 != s1:
-            count += 1
-    return count
+    probes = np.array([-half, *node_positions(psi), half])
+    signs = np.sign(evaluate(psi, 0.5 * (probes[:-1] + probes[1:])))
+    return int(np.count_nonzero(signs[:-1] * signs[1:] < 0.0))
 
 
 def localization_fraction(psi: PiecewiseWavefunction, a: Optional[float] = None) -> float:

@@ -30,10 +30,6 @@ class TestWellGeometry:
         with pytest.raises(ValueError):
             WellGeometry(L, a)
 
-    def test_outer_mass_pinned(self):
-        with pytest.raises(ValueError):
-            MassProfile(WellGeometry(2.0, 1.0), ConstantInner(-1.0), outer_mass=2.0)
-
     def test_scaled_inner_rejects_nonpositive_b(self):
         for b in (0.0, -0.5):
             with pytest.raises(ValueError):

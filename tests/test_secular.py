@@ -8,7 +8,6 @@ from masswell.secular import (
     BRANCHES,
     ConstantNegNeg,
     ConstantNegPos,
-    PoleProximityError,
     RootWindow,
     StepNeg,
     TanhNeg,
@@ -60,12 +59,12 @@ def oracle_bisect(f, a, b, it=300):
 class TestResidual:
     def test_constant_neg_neg_limit_at_zero(self):
         branch = ConstantNegNeg(G2)
-        assert branch.residual(1e-6) == pytest.approx(-1.0, abs=1e-10)
+        assert branch.residual_raw(1e-6) == pytest.approx(-1.0, abs=1e-10)
 
     def test_constant_neg_pos_spot_value(self):
         branch = ConstantNegPos(G2)
-        assert branch.residual(2.0) == pytest.approx(RES_NP_AT_2, abs=1e-15)
-        assert branch.residual(2.0) < 0.0
+        assert branch.residual_raw(2.0) == pytest.approx(RES_NP_AT_2, abs=1e-15)
+        assert branch.residual_raw(2.0) < 0.0
 
     def test_tanh_neg_residual_at_least_one(self):
         # nonnegative left side shifted by +1, checked on a dense grid
@@ -74,21 +73,12 @@ class TestResidual:
         values = branch.residual_raw(grid)
         assert float(values.min()) >= 1.0
 
-    def test_pole_proximity_raises(self):
-        branch = ConstantNegNeg(G2)
-        with pytest.raises(PoleProximityError):
-            branch.residual(math.pi / 2.0)
-        with pytest.raises(PoleProximityError):
-            branch.residual(math.pi / 2.0 + 1e-10)
-        with pytest.raises(PoleProximityError):
-            branch.residual(np.array([0.5, math.pi / 2.0 + 1e-10]))
-
     def test_vectorized_matches_scalar(self):
         branch = ConstantNegPos(G2)
         ts = np.array([0.5, 1.0, 2.0, 3.0])
-        vec = branch.residual(ts)
+        vec = branch.residual_raw(ts)
         for t, v in zip(ts, vec):
-            assert branch.residual(float(t)) == v
+            assert branch.residual_raw(float(t)) == v
 
 
 class TestFindRoots:

@@ -1,11 +1,19 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from masswell.matching import build_solution, eigenvalues
-from masswell.profiles import ConstantInner, MassProfile, StepInner, WellGeometry
+from masswell.profiles import (
+    ConstantInner,
+    MassProfile,
+    ScaledInner,
+    StepInner,
+    TanhInner,
+    WellGeometry,
+)
 from masswell.wavefunction import (
     PiecewiseWavefunction,
     RegionSolution,
@@ -44,6 +52,46 @@ def uniform_states(window, parity):
     return eigenvalues(profile, window, parity)
 
 
+# the five README presets
+PRESET_PROFILES = {
+    "constant-negative": MassProfile(G2, ConstantInner(-1.0)),
+    "uniform": MassProfile(G2, ConstantInner(1.0)),
+    "tanh": MassProfile(G2, TanhInner()),
+    "step": MassProfile(G2, StepInner(-4.0)),
+    "two-param": MassProfile(WellGeometry(2.0, 0.5), ScaledInner(0.5)),
+}
+
+
+def seam_states():
+    """Hand-built states with a zero on the seam x = 0.5: a vee that only
+    touches zero there, and a straight line that crosses it."""
+    left = RegionSolution("linear", 0.0, 0.0, 0.5, -1.0, (-2.0, 0.5))
+    right = RegionSolution("linear", 0.0, 0.0, -0.5, 1.0, (0.5, 2.0))
+    crossing = RegionSolution("linear", 0.0, 0.0, -0.5, 1.0, (-2.0, 0.5))
+    return (
+        PiecewiseWavefunction((left, right), "even", 0.0, 1.0),
+        PiecewiseWavefunction((crossing, right), "even", 0.0, 1.0),
+    )
+
+
+def reference_count_nodes(psi):
+    """The former count_nodes: one scalar evaluate per gap between candidates."""
+    half = psi.half_width
+    zeros = node_positions(psi)
+    if not zeros:
+        return 0
+    probes = [-half] + zeros + [half]
+    gap_signs = []
+    for left, right in zip(probes, probes[1:]):
+        value = evaluate(psi, 0.5 * (left + right))
+        gap_signs.append(math.copysign(1.0, value) if value != 0.0 else 0.0)
+    count = 0
+    for s0, s1 in zip(gap_signs, gap_signs[1:]):
+        if s0 != 0.0 and s1 != 0.0 and s0 != s1:
+            count += 1
+    return count
+
+
 def sampled_sign_changes(psi, n=100_001):
     half = psi.half_width
     xs = np.linspace(-half, half, n)[1:-1]
@@ -78,6 +126,31 @@ class TestEvaluate:
         xs = np.linspace(-2.0, 2.0, 41)
         expect = np.cos(math.pi * xs / 4.0) / math.sqrt(2.0)
         np.testing.assert_allclose(evaluate(psi, xs), expect, atol=1e-10)
+
+    def test_later_region_wins_on_shared_seam(self):
+        left = RegionSolution("linear", 0.0, 0.0, 1.0, 0.0, (-2.0, 0.5))
+        right = RegionSolution("linear", 0.0, 0.0, 3.0, 0.0, (0.5, 2.0))
+        psi = PiecewiseWavefunction((left, right), "even", 0.0, 1.0)
+        assert evaluate(psi, 0.5) == 3.0
+        assert isinstance(evaluate(psi, 0.5), float)
+        np.testing.assert_array_equal(evaluate(psi, np.array([0.0, 0.5, 1.0])), [1.0, 3.0, 3.0])
+
+    def test_deep_state_evaluates_each_region_on_its_own_points(self):
+        # q = 199 here: a hyperbolic outer piece evaluated over the whole
+        # grid overflows cosh/sinh, so any RuntimeWarning fails this test
+        profile = PRESET_PROFILES["constant-negative"]
+        levels = sorted(
+            (e, psi) for p in ("even", "odd") for e, psi in eigenvalues(profile, (-40000.0, -39000.0), p)
+        )
+        energy, psi = levels[0]
+        psi = psi.normalized()
+        kappa = math.sqrt(-energy)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            values = evaluate(psi, np.linspace(-2.0, 2.0, 401))
+            nodes = count_nodes(psi)
+        assert np.all(np.isfinite(values))
+        assert nodes == 2 * math.floor(kappa / math.pi + 0.5) == 126
 
     def test_inner_form_is_cosine_with_secular_wavenumber(self):
         kappa = KAPPA_NN_L2[0]
@@ -128,17 +201,25 @@ class TestCountNodes:
 
     def test_seam_touch_without_crossing_not_counted(self):
         # synthetic |x - 0.5|-like vee: zero at the seam but no sign change
-        left = RegionSolution("linear", 0.0, 0.0, 0.5, -1.0, (-2.0, 0.5))
-        right = RegionSolution("linear", 0.0, 0.0, -0.5, 1.0, (0.5, 2.0))
-        psi = PiecewiseWavefunction((left, right), "even", 0.0, 1.0)
+        psi, psi2 = seam_states()
         assert node_positions(psi) == pytest.approx([0.5], abs=1e-12)
         assert count_nodes(psi) == 0
         assert sampled_sign_changes(psi) == 0
         # the crossing version: straight line through the same seam
-        left2 = RegionSolution("linear", 0.0, 0.0, -0.5, 1.0, (-2.0, 0.5))
-        psi2 = PiecewiseWavefunction((left2, right), "even", 0.0, 1.0)
         assert count_nodes(psi2) == 1
         assert sampled_sign_changes(psi2) == 1
+
+    @pytest.mark.parametrize("preset", sorted(PRESET_PROFILES))
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_matches_per_gap_reference(self, preset, parity):
+        levels = eigenvalues(PRESET_PROFILES[preset], (-100.0, 100.0), parity)
+        assert levels
+        for _, psi in levels:
+            assert count_nodes(psi) == reference_count_nodes(psi)
+
+    def test_seam_states_match_per_gap_reference(self):
+        for psi in seam_states():
+            assert count_nodes(psi) == reference_count_nodes(psi)
 
     def test_hyper_and_linear_zero_rules(self):
         assert region_zeros(RegionSolution("hyper", 2.0, 0.0, 1.0, -2.0, (-1.0, 1.0)), -1.0, 1.0) == pytest.approx(
