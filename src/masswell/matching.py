@@ -1,20 +1,21 @@
 """Closed-form-free bound-state solver for arbitrary piecewise mass profiles.
 
-The half-well solution is grown from the wall: the outer piece vanishes
-at x = -L by construction and continuity of psi and psi' at the mass
-breakpoint x = -a fixes the inner piece.  Both psi and psi' are matched
+Two one-sided solutions meet at the mass breakpoint x = -a: the outer
+one grown from the wall (psi(-L) = 0) and the center one of the
+requested parity (cos/cosh/1 for even, sin/sinh/x for odd).  An energy
+is an eigenvalue when psi and psi' both match there.  They are matched
 plainly, with NO 1/m weighting of the derivative: these models match
 logarithmic derivatives directly, which deliberately departs from the
 BenDaniel-Duke current-continuity convention common elsewhere in the
 effective-mass literature.
 
 Eigenvalues are the zeros in energy of :func:`seam_wronskian`, the
-scaled Wronskian at x = -a of the wall solution and the center solution
-of the requested parity.  It takes an array of energies, never
-overflows, and is the residual that both the scan and the bisection
-evaluate.  :func:`mismatch`, the amplitude-normalized parity residual at
-the center of the grown state, has the same zeros and signs up to a
-parity-fixed flip; it is kept as the diagnostic.
+scaled Wronskian of the two solutions at x = -a.  It takes an array of
+energies, never overflows, and is the residual that both the scan and
+the bisection evaluate; :func:`mismatch` is its signed scalar form.
+:func:`build_solution` assembles the state from the same two solutions,
+so wall and parity hold exactly and only the seam sees the root
+tolerance.
 
 Because nothing here assumes a closed form for the quantization
 condition, this module doubles as the brute-force oracle for
@@ -29,7 +30,7 @@ import numpy as np
 
 from ._rootscan import ScanResolutionError, roots_in
 from .profiles import MassProfile
-from .wavefunction import PiecewiseWavefunction, RegionSolution, region_abs_max, region_l2
+from .wavefunction import PiecewiseWavefunction, RegionSolution
 
 __all__ = [
     "LINEAR_BAND",
@@ -62,66 +63,49 @@ def _solution_kind(q2: float) -> tuple[str, float]:
     return "linear", 0.0
 
 
-def _basis_at(kind: str, q: float, t: float) -> tuple[float, float, float, float]:
-    """(u, u', v, v') at local coordinate t, with u(0)=1, u'(0)=0, v(0)=0."""
-    if kind == "trig":
-        c, s = math.cos(q * t), math.sin(q * t)
-        return c, -q * s, s, q * c
-    if kind == "hyper":
-        ch, sh = math.cosh(q * t), math.sinh(q * t)
-        return ch, q * sh, sh, q * ch
-    return 1.0, 0.0, t, 1.0
+def build_solution(profile: MassProfile, energy: float, parity: str) -> PiecewiseWavefunction:
+    """Solution candidate at any real energy, the pieces :func:`seam_wronskian` matches.
 
-
-def _half_solution(profile: MassProfile, energy: float) -> tuple[RegionSolution, RegionSolution]:
-    """Outer and inner pieces on [-L, 0] with psi(-L) = 0 and exact matching at -a."""
+    The outer piece is grown from the wall (psi(-L) = 0) and mirrored by
+    parity onto (a, L); one inner piece, c times cos/cosh/1 (even) or
+    sin/sinh/x (odd) of qx, spans (-a, a).  Wall and parity hold exactly.
+    c makes psi continuous at -a, or psi' where the center solution's
+    value y there is below half of |y'|/q, so the seam carries the
+    leftover, which at an eigenvalue is the size of the root tolerance.
+    Where |y| and |y'|/q are close, as at every even uniform-well level,
+    psi continuity wins and psi stays single-valued at the seams.  The
+    state is unnormalized.  A cosh or sinh at the seam beyond the float
+    range raises ``OverflowError`` naming the energy.
+    """
+    sign = _parity_sign(parity)
     geo = profile.geometry
     kind_o, q_o = _solution_kind(energy)
     outer = RegionSolution(kind_o, q_o, -geo.L, 0.0, 1.0, (-geo.L, -geo.a))
-
-    # outer value and slope where the mass jumps
-    _, _, val, slo = _basis_at(kind_o, q_o, geo.L - geo.a)
-
     kind_i, q_i = _solution_kind(profile.inner.value(energy) * energy)
-    u, du, v, dv = _basis_at(kind_i, q_i, -geo.a)
-    wronskian = q_i if kind_i != "linear" else 1.0
-    a_in = (val * dv - slo * v) / wronskian
-    b_in = (slo * u - val * du) / wronskian
-    inner = RegionSolution(kind_i, q_i, 0.0, a_in, b_in, (-geo.a, 0.0))
-    return outer, inner
-
-
-def build_solution(profile: MassProfile, energy: float, parity: str) -> PiecewiseWavefunction:
-    """Solution candidate at any real energy, extended over (-L, L) by parity.
-
-    The wall condition at -L and the matching at -a hold exactly by
-    construction; the parity condition at x = 0 is in general violated,
-    and its residual is what :func:`mismatch` reports.  The returned
-    state is unnormalized; its ``norm`` field carries the L2 norm.
-    """
-    sign = _parity_sign(parity)
-    outer, inner = _half_solution(profile, energy)
-    regions = (outer, inner, inner.reflected(sign), outer.reflected(sign))
-    norm = math.sqrt(2.0 * (region_l2(outer) + region_l2(inner)))
-    return PiecewiseWavefunction(regions=regions, parity=parity, energy=energy, norm=norm)
+    unit = (1.0, 0.0) if sign > 0.0 else (0.0, 1.0)
+    center = RegionSolution(kind_i, q_i, 0.0, *unit, (-geo.a, geo.a))
+    try:
+        with np.errstate(over="raise"):
+            y, dy = center.value(-geo.a), center.slope(-geo.a)
+            # near a zero of y, dividing by it would amplify the seam leftover
+            if abs(dy) > 2.0 * q_i * abs(y):
+                c = outer.slope(-geo.a) / dy
+            else:
+                c = outer.value(-geo.a) / y
+    except FloatingPointError:
+        raise OverflowError(f"the state at E = {energy!r} overflows at the seam") from None
+    regions = (outer, center.scaled(float(c)), outer.reflected(sign))
+    return PiecewiseWavefunction(regions=regions, parity=parity, energy=energy)
 
 
 def mismatch(profile: MassProfile, energy: float, parity: str) -> float:
-    """Scaled parity residual at the center; zero exactly at eigenvalues.
+    """Signed seam residual at one energy; zero exactly at eigenvalues.
 
-    Even states require psi'(0) = 0 and odd states psi(0) = 0.  The raw
-    residual is divided by the maximum amplitude of the half-well
-    solution, so rescaling the solution leaves the zero set unchanged.
+    It is :func:`seam_wronskian` times -1 for even and +1 for odd parity,
+    which gives it the sign of psi'(0) (even) or psi(0) (odd) of the
+    wall-grown solution continued through the seam.
     """
-    _parity_sign(parity)
-    outer, inner = _half_solution(profile, energy)
-    if parity == "even":
-        scale_v = inner.q if inner.kind != "linear" else 1.0
-        residual = inner.b_coef * scale_v
-    else:
-        residual = inner.a_coef
-    amplitude = max(region_abs_max(outer), region_abs_max(inner))
-    return residual / amplitude
+    return float(-_parity_sign(parity) * seam_wronskian(profile, energy, parity))
 
 
 def _scaled_basis(q2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

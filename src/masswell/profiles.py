@@ -14,7 +14,6 @@ across threads.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar, Literal, Optional, Union
 
@@ -67,10 +66,6 @@ class TanhInner:
     law: ClassVar[str] = "tanh"
 
     def value(self, energy):
-        # math.tanh keeps scalar values identical to the reference states;
-        # numpy's tanh can differ from it in the last bit
-        if np.ndim(energy) == 0:
-            return -math.tanh(energy)
         return -np.tanh(energy)
 
 

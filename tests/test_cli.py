@@ -290,14 +290,21 @@ class TestOptionsPerCommand:
 
 
 class TestNumericFailureExitCode:
+    # what each failure must name, keyed by its window
+    MESSAGES = {
+        "--window=-1e6:10": "sign-change count",
+        "--window=126000:132000": "E = 127703.42819597",
+    }
+
     @pytest.mark.parametrize(
         "argv",
         [
             # levels crowd so deep that the sign-change count is still growing
             # at the finest rescan (ScanResolutionError)
             ["--window=-1e6:10"],
-            # the grown state's L2 norm is not finite, so it cannot be normalized
-            ["--window=37000:38500", "--parity", "even"],
+            # q a = 357 at the level, so sinh(2 q a) in the inner piece's L2
+            # integral overflows and the state cannot be normalized
+            ["--window=126000:132000", "--parity", "even"],
         ],
     )
     def test_overflow_maps_to_exit_3(self, argv, tmp_path, capsys):
@@ -305,7 +312,50 @@ class TestNumericFailureExitCode:
         code = main(["spectrum", "--preset", "constant-negative", *argv, "--out", str(out)])
         assert code == 3
         assert not out.exists()
-        assert capsys.readouterr().err.startswith("solver failure:")
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and self.MESSAGES[argv[0]] in err
+
+
+def closed_form_localization(energy, parity, L=2.0, a=1.0):
+    """Localization of the inner-mass -1 state at E = k^2 > 0: outer sin k(x+L),
+    inner c cosh(kx) (even) or c sinh(kx) (odd), c from psi continuity at -a."""
+    k = math.sqrt(energy)
+    s = math.sin(k * (L - a)) ** 2
+    if parity == "even":
+        inside = s * (a + math.sinh(2 * k * a) / (2 * k)) / math.cosh(k * a) ** 2
+    else:
+        inside = s * (math.sinh(2 * k * a) / (2 * k) - a) / math.sinh(k * a) ** 2
+    outside = (L - a) - math.sin(2 * k * (L - a)) / (2 * k)
+    return inside / (inside + outside)
+
+
+class TestDeepHyperbolicStates:
+    """Levels whose inner piece is cosh/sinh(q x) with q a far above 1."""
+
+    @staticmethod
+    def rows(argv, tmp_path):
+        out = tmp_path / "report.csv"
+        assert main(["spectrum", *argv, "--out", str(out)]) == 0
+        lines = out.read_text().splitlines()
+        return [line.split(",")[1:] for line in lines if line and not line.startswith("#")]
+
+    def test_tanh_nodes_and_localization(self, tmp_path):
+        # q a = 21.2 and -tanh(449.7) == -1.0, so the constant m0 = -1 closed form applies
+        rows = self.rows(["--preset", "tanh", "--window=440:470"], tmp_path)
+        assert [(parity, nodes) for _, parity, nodes, _ in rows] == [("even", "12"), ("odd", "13")]
+        for energy, parity, _, loc in rows:
+            want = closed_form_localization(float(energy), parity)
+            assert float(loc) == pytest.approx(want, rel=1e-10)
+            assert float(loc) == pytest.approx(0.0225167, rel=1e-5)
+
+    def test_state_with_q_a_194_normalizes(self, tmp_path):
+        # an inner piece anchored at x = 0 gives this level a NaN norm
+        (energy, parity, nodes, loc), = self.rows(
+            ["--preset", "constant-negative", "--window=37000:38500", "--parity", "even"], tmp_path
+        )
+        assert (parity, nodes) == ("even", "122")
+        assert nodes == str(2 * math.floor(math.sqrt(float(energy)) / math.pi))
+        assert float(loc) == pytest.approx(closed_form_localization(float(energy), "even"), rel=1e-10)
 
 
 class TestNonFiniteNumbers:
