@@ -22,7 +22,7 @@ def _scan(f, lo, hi, n):
     vs = np.asarray(f(ts), dtype=float)
     if vs.shape != ts.shape:
         raise ValueError("residual callable must evaluate elementwise")
-    exact = [float(t) for t, v in zip(ts, vs) if v == 0.0]
+    exact = ts[vs == 0.0].tolist()
     signs = np.sign(vs)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
     brackets = [

@@ -11,8 +11,9 @@ effective-mass literature.
 
 Eigenvalues are the zeros in energy of :func:`seam_wronskian`, the
 scaled Wronskian of the two solutions at x = -a.  It takes an array of
-energies, never overflows, and is the residual that both the scan and
-the bisection evaluate; :func:`mismatch` is its signed scalar form.
+energies, never overflows, and is the residual that the level scan (in
+s = sign(E) sqrt|E|, shared with the verdict in :mod:`masswell.spectrum`)
+and the bisection evaluate; :func:`mismatch` is its signed scalar form.
 :func:`build_solution` assembles the state from the same two solutions,
 so wall and parity hold exactly and only the seam sees the root
 tolerance.
@@ -47,6 +48,9 @@ __all__ = [
 LINEAR_BAND = 1e-12
 
 _PARITY_SIGN = {"even": 1.0, "odd": -1.0}
+
+#: samples per segment of the level scan, before the rescan guard refines
+_SCAN_SAMPLES = 512
 
 
 def _parity_sign(parity: str) -> float:
@@ -144,13 +148,23 @@ def seam_wronskian(profile: MassProfile, energies, parity: str) -> np.ndarray:
     return s_o * c_i + c_o * s_i
 
 
-def _segment_bounds(profile: MassProfile, lo: float, hi: float) -> list[tuple[float, float]]:
-    """Scan segments split where the residual can kink (E = 0) or jump (step).
+def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
+    """The level scan of [lo, hi]: its residual and segments in s = sign(E) sqrt|E|.
 
-    The step law takes its negative branch at the threshold itself, so
-    the segment above the threshold starts exactly there while the
-    segment below stops a hair earlier to stay on the positive branch.
+    Consecutive levels are about evenly spaced in s (Pruefer's angle
+    argument), so they cannot crowd into one sample cell toward E = 0 or
+    deep in the window.  The residual is :func:`seam_wronskian` at
+    E = s|s|.  Segments are split where it can kink (E = 0) or jump
+    (step).  The step law takes its negative branch at the threshold
+    itself, so the segment above the threshold starts exactly there while
+    the segment below stops a hair earlier to stay on the positive branch.
+    Each end is then mapped to s and stepped inward until s|s| lies in
+    its energy segment, so no sample crosses a cut.
     """
+
+    def residual(s):
+        return seam_wronskian(profile, s * np.abs(s), parity)
+
     cuts = {lo, hi}
     if lo < 0.0 < hi:
         cuts.add(0.0)
@@ -159,12 +173,17 @@ def _segment_bounds(profile: MassProfile, lo: float, hi: float) -> list[tuple[fl
         cuts.add(thr)
     bounds = sorted(cuts)
     segments = []
-    for s0, s1 in zip(bounds, bounds[1:]):
-        if thr is not None and s1 == thr:
-            s1 = thr - 1e-13 * max(1.0, abs(thr))
+    for e0, e1 in zip(bounds, bounds[1:]):
+        if e1 == thr:
+            e1 = thr - 1e-13 * max(1.0, abs(thr))
+        s0, s1 = math.copysign(math.sqrt(abs(e0)), e0), math.copysign(math.sqrt(abs(e1)), e1)
+        while s0 * abs(s0) < e0:
+            s0 = math.nextafter(s0, math.inf)
+        while s1 * abs(s1) > e1:
+            s1 = math.nextafter(s1, -math.inf)
         if s1 > s0:
             segments.append((s0, s1))
-    return segments
+    return residual, segments
 
 
 def eigenvalues(
@@ -175,10 +194,10 @@ def eigenvalues(
 ) -> list[tuple[float, PiecewiseWavefunction]]:
     """All eigenvalues in the window with their normalized wavefunctions.
 
-    Each window segment is scanned at 512 samples with the rescan
-    stability guard, and every isolated sign change of
-    :func:`seam_wronskian` is bisected to ``tol`` in energy (floored near
-    machine relative precision) through that same residual.  Returns
+    Each segment of :func:`_level_scan` is scanned at ``_SCAN_SAMPLES``
+    with the rescan stability guard, and every isolated sign change is
+    bisected in s to tol / (2 sqrt(max |E|)), so each energy is within
+    ``tol`` (floored near machine relative precision).  Returns
     (energy, state) pairs sorted by energy.
     """
     lo, hi = window
@@ -186,9 +205,7 @@ def eigenvalues(
         raise ValueError(f"require finite lo < hi, got {lo!r}, {hi!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-
-    def residual(es):
-        return seam_wronskian(profile, es, parity)
-
-    roots = roots_in(residual, _segment_bounds(profile, lo, hi), 512, tol)
+    residual, segments = _level_scan(profile, lo, hi, parity)
+    tol_s = tol / (2.0 * math.sqrt(max(abs(lo), abs(hi))))
+    roots = [s * abs(s) for s in roots_in(residual, segments, _SCAN_SAMPLES, tol_s)]
     return [(e, build_solution(profile, e, parity).normalized()) for e in roots]

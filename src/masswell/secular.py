@@ -316,16 +316,9 @@ def reduced_kappa1(b_over_nu: float, L: float, tol: float = DEFAULT_TOL) -> floa
     so a single crossing exists.  It is bracketed analytically between
     c = b/nu and c * coth(c L) and bisected to ``tol``.
     """
-    if not b_over_nu > 0.0:
-        raise ValueError(f"require b/nu > 0, got {b_over_nu!r}")
-    if not L > 0.0:
-        raise ValueError(f"require L > 0, got {L!r}")
+    branch = TwoParamReduced(L, b_over_nu)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     c = b_over_nu
-
-    def f(k):
-        return k - c / np.tanh(k * L)
-
-    # the bracket's signs are analytic; f(hi) is a rounding-sized number
-    return float(bisect_root(f, c, c / math.tanh(c * L), -1.0, 1.0, tol)[0])
+    # the bracket's signs are analytic; the residual at hi is rounding-sized
+    return float(bisect_root(branch.residual_raw, c, c / math.tanh(c * L), -1.0, 1.0, tol)[0])

@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from ._rootscan import isolate_sign_changes
-from .matching import build_solution, eigenvalues, seam_wronskian
+from .matching import _SCAN_SAMPLES, _level_scan, build_solution, eigenvalues
 from .profiles import ConstantInner, MassProfile, WellGeometry
 from .secular import (
     DEFAULT_TOL,
@@ -87,29 +87,17 @@ class DeltaLimitRow:
 
 def _negative_level_counts(profile: MassProfile, parity: str) -> tuple[int, int]:
     """Numbers of negative-energy levels with kappa = sqrt(-E) in
-    (0, PROBE_KAPPA_SMALL] and in (0, PROBE_KAPPA_LARGE], from one scan."""
-    thr = profile.threshold
-    beta = math.sqrt(-thr) if thr is not None and thr < 0.0 else None
-    cuts = {1e-6, PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE}
-    if beta is not None and 1e-6 < beta < PROBE_KAPPA_LARGE:
-        cuts.add(beta)
+    (0, PROBE_KAPPA_SMALL] and in (0, PROBE_KAPPA_LARGE]: the sign changes
+    of the eigenvalue level scan on (-K1^2, -1e-12) and (-K2^2, -K1^2),
+    K1 and K2 being those two probes."""
 
-    def residual(kaps):
-        return seam_wronskian(profile, -kaps * kaps, parity)
+    def count(lo, hi):
+        residual, segments = _level_scan(profile, lo, hi, parity)
+        scans = [isolate_sign_changes(residual, s0, s1, _SCAN_SAMPLES) for s0, s1 in segments]
+        return sum(len(brackets) + len(exact) for brackets, exact in scans)
 
-    small = large = 0
-    bounds = sorted(cuts)
-    for lo, hi in zip(bounds, bounds[1:]):
-        if lo == beta:
-            # kappa <= beta sits on the negative-mass side of the step, so
-            # the segment above it starts just past the jump
-            lo += 1e-13 * max(1.0, lo)
-        samples = max(64, int((hi - lo) / 0.05))
-        brackets, exact = isolate_sign_changes(residual, lo, hi, samples=samples)
-        large += len(brackets) + len(exact)
-        if hi <= PROBE_KAPPA_SMALL:
-            small = large
-    return small, large
+    small = count(-PROBE_KAPPA_SMALL**2, -1e-12)
+    return small, small + count(-PROBE_KAPPA_LARGE**2, -PROBE_KAPPA_SMALL**2)
 
 
 def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_levels: bool) -> Verdict:

@@ -292,15 +292,15 @@ class TestOptionsPerCommand:
 class TestNumericFailureExitCode:
     # what each failure must name, keyed by its window
     MESSAGES = {
-        "--window=-1e6:10": "sign-change count",
+        "--window=-1e6:10": "E = -999623.7594",
         "--window=126000:132000": "E = 127703.42819597",
     }
 
     @pytest.mark.parametrize(
         "argv",
         [
-            # levels crowd so deep that the sign-change count is still growing
-            # at the finest rescan (ScanResolutionError)
+            # all 319 even levels resolve, but the deepest one's inner cosh
+            # overflows at the seam when its state is built
             ["--window=-1e6:10"],
             # q a = 357 at the level, so sinh(2 q a) in the inner piece's L2
             # integral overflows and the state cannot be normalized

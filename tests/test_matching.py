@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from masswell._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes
-from masswell.matching import build_solution, eigenvalues, mismatch, seam_wronskian
+from masswell.matching import LINEAR_BAND, build_solution, eigenvalues, mismatch, seam_wronskian
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -24,7 +24,7 @@ from masswell.secular import (
     TwoParamNeg,
     find_roots,
 )
-from masswell.wavefunction import evaluate
+from masswell.wavefunction import RegionSolution, evaluate
 
 G2 = WellGeometry(2.0, 1.0)
 K_NP1_L2 = 2.347045566487087  # first root of tanh(k) tan(k) = -1
@@ -156,6 +156,16 @@ class TestEigenvaluesUniformWell:
         profile = MassProfile(G2, ConstantInner(1.0))
         for _, psi in eigenvalues(profile, (0.0, 20.0), "even"):
             assert psi.l2_norm() == pytest.approx(1.0, abs=1e-12)
+
+
+class TestCrowdedLevels:
+    def test_levels_crowding_toward_zero_found(self):
+        # inner spacing pi/(a sqrt 2.5) in kappa crowds the levels near E = 0
+        profile = MassProfile(WellGeometry(5.0, 3.25), ConstantInner(-2.5))
+        energies = [e for e, _ in eigenvalues(profile, (-1600.0, 0.0), "even")]
+        assert len(energies) == 66
+        for want in (-0.540165, -0.043147):
+            assert any(abs(e - want) < 1e-6 for e in energies), want
 
 
 class TestOracleEquivalence:
@@ -321,6 +331,15 @@ PROFILES = st.builds(
 )
 
 
+def _local_kind(q2):
+    """Region kind and wavenumber for a squared local wavenumber q2."""
+    if q2 > LINEAR_BAND:
+        return "trig", math.sqrt(q2)
+    if q2 < -LINEAR_BAND:
+        return "hyper", math.sqrt(-q2)
+    return "linear", 0.0
+
+
 class TestSeamWronskian:
     @settings(max_examples=30, deadline=None)
     @given(
@@ -329,12 +348,19 @@ class TestSeamWronskian:
         parity=st.sampled_from(["even", "odd"]),
     )
     def test_sign_follows_mismatch(self, profile, energies, parity):
-        w = seam_wronskian(profile, np.array(energies), parity)
-        flip = -1.0 if parity == "even" else 1.0
-        for e, we in zip(energies, w):
+        # continue the wall-grown solution through the seam by hand: mismatch
+        # is signed like psi'(0) (even) or psi(0) (odd) of that continuation
+        geo = profile.geometry
+        for e in energies:
             m = mismatch(profile, e, parity)
-            if abs(m) > 1e-9:
-                assert np.sign(we) == flip * np.sign(m), (e, we, m)
+            if abs(m) <= 1e-9:
+                continue
+            outer = RegionSolution(*_local_kind(e), -geo.L, 0.0, 1.0, (-geo.L, -geo.a))
+            kind, q = _local_kind(profile.inner.value(e) * e)
+            slope_coef = outer.slope(-geo.a) / (q if kind != "linear" else 1.0)
+            inner = RegionSolution(kind, q, -geo.a, outer.value(-geo.a), slope_coef, (-geo.a, geo.a))
+            center = inner.slope(0.0) if parity == "even" else inner.value(0.0)
+            assert np.sign(center) == np.sign(m), (e, center, m)
 
     @settings(max_examples=30, deadline=None)
     @given(profile=PROFILES, parity=st.sampled_from(["even", "odd"]))

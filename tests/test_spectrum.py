@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from masswell.matching import eigenvalues
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -146,6 +147,37 @@ class TestVerdictCounts:
             for kappa in (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE)
         )
         assert _negative_level_counts(MassProfile(geometry, profile), "even") == expected
+
+    def test_step_threshold_rounding_below_itself(self):
+        # -beta*beta rounds below e_thr here, onto the +1 branch; that jump is no level
+        profile = MassProfile(G2, StepInner(-407.169))
+        assert _negative_level_counts(profile, "even") == (3, 7)
+        assert _negative_level_counts(profile, "odd") == (3, 6)
+        assert run_scenario(profile, (-100.0, 100.0)).verdict.kind == "bounded_below"
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.floats(0.5, 5.0),
+        a_frac=st.floats(0.1, 0.9),
+        b=st.floats(0.2, 3.0),
+        e_thr=st.floats(-1700.0, -0.3),
+    )
+    def test_drawn_thresholds_and_scaled_levels(self, L, a_frac, b, e_thr):
+        geometry = WellGeometry(L, a_frac * L)
+        branch = StepNeg(geometry, beta=math.sqrt(-e_thr))
+        expected = tuple(
+            len(find_roots(branch, RootWindow(0.0, kappa)))
+            for kappa in (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE)
+        )
+        assert _negative_level_counts(MassProfile(geometry, StepInner(e_thr)), "even") == expected
+
+        window = (-PROBE_KAPPA_LARGE**2, -1e-12)
+        levels = [e for e, _ in eigenvalues(MassProfile(geometry, ScaledInner(b)), window, "even")]
+        kappas = find_roots(TwoParamNeg(geometry, b=b), RootWindow(0.0, PROBE_KAPPA_LARGE))
+        closed = sorted(-k * k for k in kappas)
+        assert len(levels) == len(closed)
+        for e, want in zip(levels, closed):
+            assert abs(e - want) <= 4e-12 * max(1.0, abs(want)), (e, want)
 
 
 class TestGroundStateStaircase:
