@@ -22,40 +22,40 @@ def _scan(f, lo, hi, n):
     vs = np.asarray(f(ts), dtype=float)
     if vs.shape != ts.shape:
         raise ValueError("residual callable must evaluate elementwise")
-    exact = ts[vs == 0.0].tolist()
     signs = np.sign(vs)
     flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
     brackets = [
         (float(ts[i]), float(ts[i + 1]), float(vs[i]), float(vs[i + 1]))
         for i in flips
     ]
-    return brackets, exact
+    return brackets + [(t, t, 0.0, 0.0) for t in ts[vs == 0.0].tolist()]
 
 
 def isolate_sign_changes(f, lo, hi, samples):
-    """Bracket every sign change of ``f`` on [lo, hi].
+    """Bracket every sign change and every sampled zero of ``f`` on [lo, hi].
 
     ``f`` must map a float ndarray to an ndarray elementwise.  The
     interval is scanned at ``samples`` cells and rescanned ``_REFINE``
-    times finer until the number of crossings stops growing; this turns
+    times finer until the number of brackets stops changing; this turns
     the assumption that the scan resolution suffices into a runtime
     check.  Instability at the deepest level raises
     :class:`ScanResolutionError`.
 
-    Returns ``(brackets, exact_zeros)`` where each bracket is a tuple
-    ``(a, b, f(a), f(b))`` with a single sign change and exact_zeros
-    collects sample points where f vanished identically.
+    Returns a list of brackets ``(a, b, f(a), f(b))``: one per sign
+    change between neighbouring samples, followed by a zero-width
+    bracket ``(t, t, 0.0, 0.0)`` for each sample t where f vanished
+    identically.  :func:`bisect_root` returns t for the latter as is.
     """
     if not hi > lo:
         raise ValueError(f"empty scan interval [{lo}, {hi}]")
     n = max(int(samples), 2)
-    brackets, exact = _scan(f, lo, hi, n)
+    brackets = _scan(f, lo, hi, n)
     for _ in range(_MAX_LEVELS):
         n *= _REFINE
         finer = _scan(f, lo, hi, n)
-        if len(finer[0]) + len(finer[1]) == len(brackets) + len(exact):
+        if len(finer) == len(brackets):
             return finer
-        brackets, exact = finer
+        brackets = finer
     raise ScanResolutionError(
         f"sign-change count on [{lo}, {hi}] still growing at {n} samples"
     )
@@ -108,17 +108,13 @@ def roots_in(f, segments, samples, tol):
     """Every root of the elementwise residual ``f`` on the segments, ascending.
 
     Each segment is bracketed by :func:`isolate_sign_changes` at
-    ``samples`` cells and all brackets are bisected to ``tol`` together by
-    :func:`bisect_root`.  Roots closer than four times the tolerance,
-    floored near machine relative precision, are one root.
+    ``samples`` cells and all brackets, zero-width ones included, are
+    bisected to ``tol`` together by :func:`bisect_root`.  Roots closer
+    than four times the tolerance, floored near machine relative
+    precision, are one root.
     """
-    roots, brackets = [], []
-    for lo, hi in segments:
-        found, exact = isolate_sign_changes(f, lo, hi, samples)
-        roots.extend(exact)
-        brackets.extend(found)
-    roots.extend(bisect_root(f, *np.reshape(brackets, (-1, 4)).T, tol).tolist())
-    roots.sort()
+    brackets = [b for lo, hi in segments for b in isolate_sign_changes(f, lo, hi, samples)]
+    roots = sorted(bisect_root(f, *np.reshape(brackets, (-1, 4)).T, tol).tolist())
     merged = []
     for r in roots:
         if not merged or r - merged[-1] > 4.0 * max(tol, 1e-15 * max(1.0, abs(r))):

@@ -2,8 +2,9 @@
 
 Config files are flat ``key = value`` text: one assignment per line,
 ``#`` starts a comment, unknown keys are rejected.  Command-line flags
-override config values.  Exit codes: 0 success, 2 bad config or request,
-3 solver diagnostic or numeric overflow.
+override config values.  Exit codes, set by ``main`` alone: 0 success,
+2 bad config or request (``ValueError``, ``OSError``), 3 solver
+diagnostic or numeric overflow (``RuntimeError``, ``OverflowError``).
 
 Floats are always written with 17 significant digits, so identical
 configs produce byte-identical output files.
@@ -25,7 +26,6 @@ from .profiles import INNER_LAWS, MassProfile, WellGeometry
 from .secular import (
     BRANCHES,
     RootWindow,
-    ScanResolutionError,
     SecularBranch,
     StepNeg,
     TwoParamNeg,
@@ -260,38 +260,29 @@ def _make_branch(name: str, cfg: ScenarioConfig) -> SecularBranch:
     branch = BRANCHES.get(name)
     if branch is None:
         raise ConfigError(f"unknown branch {name!r}; choose from {list(BRANCHES)}")
-    try:
-        if branch is TwoParamReduced:
-            return TwoParamReduced(cfg.get_float("L", "2"), cfg.get_float("b_over_nu", "1"))
-        geometry = cfg.geometry()
-        if branch is StepNeg:
-            e_thr = cfg.get_float("e_thr", "-4")
-            if not e_thr < 0.0:
-                raise ConfigError("step-neg requires e_thr < 0")
-            return StepNeg(geometry, beta=math.sqrt(-e_thr))
-        if branch is TwoParamNeg:
-            nu = cfg.get_str("nu")
-            return TwoParamNeg(
-                geometry,
-                b=cfg.get_float("b", "0.5"),
-                nu=None if nu is None else _parse_float(nu, "nu"),
-            )
-        return branch(geometry)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
+    if branch is TwoParamReduced:
+        return TwoParamReduced(cfg.get_float("L", "2"), cfg.get_float("b_over_nu", "1"))
+    geometry = cfg.geometry()
+    if branch is StepNeg:
+        e_thr = cfg.get_float("e_thr", "-4")
+        if not e_thr < 0.0:
+            raise ConfigError("step-neg requires e_thr < 0")
+        return StepNeg(geometry, beta=math.sqrt(-e_thr))
+    if branch is TwoParamNeg:
+        nu = cfg.get_str("nu")
+        return TwoParamNeg(
+            geometry,
+            b=cfg.get_float("b", "0.5"),
+            nu=None if nu is None else _parse_float(nu, "nu"),
+        )
+    return branch(geometry)
 
 
 def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     raw: dict[str, str] = {}
     if args.config:
-        try:
-            with open(args.config) as handle:
-                text = handle.read()
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from None
-        raw.update(parse_config(text))
+        with open(args.config) as handle:
+            raw.update(parse_config(handle.read()))
     for key, value in vars(args).items():
         if key in _KNOWN_KEYS and value is not None:
             raw[key] = str(value)
@@ -341,7 +332,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     margin = 1e-6
     segments = segments_between(max(lo, margin), hi, branch.curve_breaks(lo, hi), margin)
 
-    roots = find_roots(branch, RootWindow(max(lo, 1e-9), hi, tol=tol))
+    roots = find_roots(branch, RootWindow(lo, hi, tol=tol))
 
     total = sum(s1 - s0 for s0, s1 in segments)
     rows = []
@@ -414,10 +405,7 @@ def _cmd_delta_limit(args: argparse.Namespace) -> int:
     nus = [_parse_float(part, "nu_values") for part in raw.split(",") if part.strip()]
     if not nus:
         raise ConfigError("nu_values must contain at least one value")
-    try:
-        rows = delta_limit_study(b_over_nu, L, nus, tol=cfg.tol())
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    rows = delta_limit_study(b_over_nu, L, nus, tol=cfg.tol())
     fixed_point = rows[0].reduced_fixed_point
     columns = "nu,a,b,leftmost_root,second_root,pi_over_nu"
     table = [
@@ -506,10 +494,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except ConfigError as exc:
+    except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (ScanResolutionError, OverflowError) as exc:
+    except (RuntimeError, OverflowError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -288,8 +288,6 @@ def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
     """
     lo = max(window.lo, DEFAULT_POLE_MARGIN)
     hi = window.hi if branch.clip_hi is None else min(window.hi, branch.clip_hi)
-    if not hi > lo:
-        return []
     segments = segments_between(lo, hi, branch.poles_between(lo, hi), DEFAULT_POLE_MARGIN)
     return roots_in(branch.residual_raw, segments, 64, window.tol)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -93,8 +94,7 @@ def _negative_level_counts(profile: MassProfile, parity: str) -> tuple[int, int]
 
     def count(lo, hi):
         residual, segments = _level_scan(profile, lo, hi, parity)
-        scans = [isolate_sign_changes(residual, s0, s1, _SCAN_SAMPLES) for s0, s1 in segments]
-        return sum(len(brackets) + len(exact) for brackets, exact in scans)
+        return sum(len(isolate_sign_changes(residual, s0, s1, _SCAN_SAMPLES)) for s0, s1 in segments)
 
     small = count(-PROBE_KAPPA_SMALL**2, -1e-12)
     return small, small + count(-PROBE_KAPPA_LARGE**2, -PROBE_KAPPA_SMALL**2)
@@ -183,29 +183,20 @@ def ground_state_staircase(
     geometry = WellGeometry(L, 1.0)
     neg_roots = find_roots(ConstantNegNeg(geometry), RootWindow(0.0, beta_max, tol=tol))
 
-    # below threshold and at positive energy the step model has inner mass -1
+    # below threshold and at positive energy the step model has inner mass -1;
+    # nodes[n] belongs to the ground state once n negative roots are admitted
     frozen_profile = MassProfile(geometry, ConstantInner(-1.0))
     k_first = find_roots(
         ConstantNegPos(geometry), RootWindow(0.0, 2.0 * math.pi / (L - 1.0), tol=tol)
     )[0]
-    positive_ground_nodes = count_nodes(
-        build_solution(frozen_profile, k_first * k_first, "even").normalized()
-    )
+    energies = [k_first * k_first] + [-kappa * kappa for kappa in neg_roots]
+    nodes = [count_nodes(build_solution(frozen_profile, e, "even").normalized()) for e in energies]
 
-    nodes_at_root: dict[float, int] = {}
     rows: list[StaircaseStep] = []
     for i in range(1, steps + 1):
         beta = beta_max * i / steps
-        admissible = [r for r in neg_roots if r <= beta]
-        if admissible:
-            kappa_low = admissible[-1]
-            if kappa_low not in nodes_at_root:
-                psi = build_solution(frozen_profile, -kappa_low * kappa_low, "even")
-                nodes_at_root[kappa_low] = count_nodes(psi.normalized())
-            nodes = nodes_at_root[kappa_low]
-        else:
-            nodes = positive_ground_nodes
-        rows.append(StaircaseStep(beta=beta, negative_count=len(admissible), ground_state_nodes=nodes))
+        n = bisect.bisect_right(neg_roots, beta)
+        rows.append(StaircaseStep(beta=beta, negative_count=n, ground_state_nodes=nodes[n]))
     return rows
 
 

@@ -214,9 +214,9 @@ def node_positions(psi: PiecewiseWavefunction) -> list[float]:
     """Deduplicated interior zero locations of psi, ascending.
 
     Zeros are enumerated per region in closed form, with each span padded
-    by a hair so a zero sitting exactly on a region seam (or at x = 0 for
-    odd states) is seen by both neighbors and then merged into one.  The
-    wall zeros at +-L are excluded.
+    by a hair so a zero sitting exactly on a region seam (x = +-a) is seen
+    by both neighbors and then merged into one.  The wall zeros at +-L
+    are excluded.
     """
     half = psi.half_width
     pad = _SEAM_PAD * max(1.0, half)

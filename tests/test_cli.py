@@ -375,3 +375,62 @@ class TestNonFiniteNumbers:
         assert main([*argv, "--out", str(out)]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestFormerTracebacks:
+    def test_curves_range_below_pole_margin_has_no_roots(self, tmp_path):
+        out = tmp_path / "curves.csv"
+        code = main([
+            "curves", "--branch", "constant-neg-pos", "--range", "0:1e-10", "--out", str(out),
+        ])
+        assert code == 0
+        lines = out.read_text().splitlines()
+        assert lines[-2].startswith("# columns:") and lines[-1] == "# roots"
+
+    def test_delta_limit_without_second_root_exits_3(self, capsys):
+        assert main(["delta-limit", "--b-over-nu", "1e-300"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure:") and "expected at least two roots" in err
+
+    @pytest.mark.parametrize("target", ["missing/x.csv", "."])
+    def test_unwritable_out_exits_2(self, target, tmp_path, capsys):
+        out = tmp_path / target
+        assert main(["critical-beta", "--count", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not (tmp_path / "missing").exists()
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("spectrum", "preset = nope", "unknown preset"),
+            ("critical-beta", "count = 2.5", "not an integer"),
+            ("spectrum", "preset = uniform\nwindow = 1:2:3", "expected LO:HI"),
+            ("spectrum", "preset = uniform\nwindow = 5:1", "require LO < HI"),
+            ("spectrum", "preset = uniform\nparity = all", "parity must be"),
+            ("spectrum", "preset = uniform\ntol = -1", "tol must be positive"),
+            ("spectrum", "preset = uniform\nwindow = 0:1\nformat = xml", "format must be"),
+            ("spectrum", "inner = quartic", "unknown inner law"),
+            ("spectrum", "inner = step", "requires 'e_thr'"),
+            ("spectrum", "inner = scaled\nb = -1", "require b > 0"),
+            ("curves", "branch = step-neg\ne_thr = 1", "requires e_thr < 0"),
+            ("curves", "L = 2", "requires 'branch'"),
+            ("curves", "branch = constant-neg-pos\nrange = -1:2", "require 0 <= LO < HI"),
+            ("curves", "branch = constant-neg-pos\nsamples = 1", "samples must be"),
+            ("wavefunction", "preset = uniform\nlevel = 0", "1-based"),
+            ("delta-limit", "nu_values = ,", "at least one value"),
+        ],
+    )
+    def test_exits_2_without_output(self, command, text, message, tmp_path, capsys):
+        out = tmp_path / "never.txt"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{text}\nout = {out}\n")
+        assert main([command, "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+        assert not out.exists()
+
+    def test_unknown_preset_name_rejected(self):
+        with pytest.raises(ConfigError, match="unknown preset"):
+            preset_config("nope")

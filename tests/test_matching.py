@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masswell._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes
+from masswell._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes, roots_in
 from masswell.matching import LINEAR_BAND, build_solution, eigenvalues, mismatch, seam_wronskian
 from masswell.profiles import (
     ConstantInner,
@@ -294,9 +294,12 @@ class TestScanMachinery:
 
     def test_exact_zero_at_sample_point(self):
         f = lambda ts: np.asarray(ts) - 0.5
-        brackets, exact = isolate_sign_changes(f, 0.0, 1.0, samples=2)
-        assert exact == [0.5]
-        assert brackets == []
+        assert isolate_sign_changes(f, 0.0, 1.0, samples=2) == [(0.5, 0.5, 0.0, 0.0)]
+
+    def test_exact_zero_is_a_root(self):
+        # 0.5 is a sample and a zero; 0.8 is a sign change between samples
+        f = lambda ts: (np.asarray(ts) - 0.5) * (np.asarray(ts) - 0.8)
+        assert roots_in(f, [(0.0, 1.0)], 2, 1e-12) == pytest.approx([0.5, 0.8], abs=1e-12)
 
     def test_window_validation(self):
         profile = MassProfile(G2, ConstantInner(1.0))

@@ -104,6 +104,10 @@ class TestFindRoots:
     def test_empty_window_result_is_not_an_error(self):
         assert find_roots(ConstantNegNeg(G2), RootWindow(0.0, 0.5)) == []
 
+    def test_window_above_clip_is_empty(self):
+        # the step branch clips hi to beta, below the window's lo
+        assert find_roots(StepNeg(G2, beta=0.5), RootWindow(1.0, 5.0)) == []
+
     def test_window_subset(self):
         roots = find_roots(ConstantNegNeg(G2), RootWindow(2.0, 8.0))
         assert roots == pytest.approx(KAPPA_NN_L2[1:3], abs=1e-10)

@@ -276,6 +276,18 @@ class TestNormalization:
         clipped, _ = quad(lambda x: float(region.value(x)) ** 2, -1.7, -1.2)
         assert region_l2(region, -1.7, -1.2) == pytest.approx(clipped, rel=1e-12)
 
+    def test_linear_region_l2_closed_form(self):
+        # integral of (A + B t)^2 over t in [t1, t2] is ((A + B t2)^3 - (A + B t1)^3) / (3 B)
+        A, B, x_ref = 0.7, -1.9, -0.5
+        region = RegionSolution("linear", 0.0, x_ref, A, B, (-1.0, 1.0))
+
+        def exact(x1, x2):
+            t1, t2 = x1 - x_ref, x2 - x_ref
+            return ((A + B * t2) ** 3 - (A + B * t1) ** 3) / (3.0 * B)
+
+        assert region_l2(region) == pytest.approx(exact(-1.0, 1.0), rel=1e-14)
+        assert region_l2(region, -0.3, 2.0) == pytest.approx(exact(-0.3, 1.0), rel=1e-14)
+
 
 class TestStepModelStates:
     def test_newly_admitted_state_is_localized_oscillator(self):
