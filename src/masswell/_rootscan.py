@@ -4,9 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "ScanResolutionError", "isolate_sign_changes", "bisect_root", "roots_in", "segments_between",
-]
+__all__ = ["ScanResolutionError", "isolate_sign_changes", "bisect_root", "roots_in"]
 
 #: each rescan is _REFINE times finer than the last, up to _MAX_LEVELS rescans
 _REFINE = 4
@@ -94,14 +92,6 @@ def bisect_root(f, a, b, fa, fb, tol):
         live = live[fm != 0.0]
     roots[live] = 0.5 * (a[live] + b[live])
     return roots
-
-
-def segments_between(lo, hi, cuts, margin):
-    """The pieces of [lo, hi] left after removing ``margin`` either side of
-    each ascending cut; empty pieces are dropped."""
-    starts = [lo] + [c + margin for c in cuts]
-    ends = [c - margin for c in cuts] + [hi]
-    return [(s, e) for s, e in zip(starts, ends) if e > s]
 
 
 def roots_in(f, segments, samples, tol):

@@ -21,7 +21,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from ._rootscan import segments_between
 from .profiles import INNER_LAWS, MassProfile, WellGeometry
 from .secular import (
     BRANCHES,
@@ -329,8 +328,11 @@ def _cmd_curves(args: argparse.Namespace) -> int:
         raise ConfigError("samples must be at least 2")
     tol = cfg.tol()
 
-    margin = 1e-6
-    segments = segments_between(max(lo, margin), hi, branch.curve_breaks(lo, hi), margin)
+    # plot pieces keep 1e-6 clear of t = 0 and of each curve break
+    breaks = branch.curve_breaks(lo, hi)
+    starts = [max(lo, 1e-6)] + [c + 1e-6 for c in breaks]
+    ends = [c - 1e-6 for c in breaks] + [hi]
+    segments = [(s, e) for s, e in zip(starts, ends) if e > s]
 
     roots = find_roots(branch, RootWindow(lo, hi, tol=tol))
 

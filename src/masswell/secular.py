@@ -1,15 +1,15 @@
-"""Closed-form quantization conditions and a pole-aware bracketing root finder.
+"""Closed-form quantization conditions and a bracketing root finder.
 
 Each branch packages one transcendental equation in a single positive
 variable t (the wavenumber k for E = t**2, or kappa for E = -t**2) as a
-residual LHS - RHS whose sign changes locate eigenvalues.  Every branch
-but the deep-narrow limit has the form ``inner(t) * outer(t (L-a)) = rhs``
-and differs from the others only in that data.  Tangent poles
-are enumerated analytically, the open intervals between consecutive
-poles are clipped to the search window, scanned, and each isolated
-crossing is bisected.  Between poles every residual here crosses zero at
-most once; the rescan guard in :mod:`masswell._rootscan` checks that at
-runtime instead of trusting it.
+residual whose sign changes locate eigenvalues.  Every branch but the
+deep-narrow limit has the form ``inner(t) * outer(t (L-a)) = rhs`` and
+differs from the others only in that data.  Where a factor is a tangent,
+tan(u) * X = rhs is multiplied through by cos u: sin(u) X - rhs cos(u)
+equals +-X at a zero of cos u, and X > 0 for t > 0, so the residual has
+the same zeros and no poles.  Each window is scanned whole at a fixed
+number of cells per pi of u, with the rescan guard of
+:mod:`masswell._rootscan`, and every crossing is bisected.
 
 Branch forms reduce to the canonical a = 1 equations when the geometry
 has unit inner half-width; general ``a`` only rescales the arguments.
@@ -23,12 +23,11 @@ from typing import Optional
 
 import numpy as np
 
-from ._rootscan import ScanResolutionError, bisect_root, roots_in, segments_between
+from ._rootscan import ScanResolutionError, bisect_root, roots_in
 from .profiles import WellGeometry
 
 __all__ = [
     "DEFAULT_TOL",
-    "DEFAULT_POLE_MARGIN",
     "ScanResolutionError",
     "RootWindow",
     "SecularBranch",
@@ -46,8 +45,6 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-12
-#: width kept clear on either side of each tangent pole
-DEFAULT_POLE_MARGIN = 1e-8 * math.pi
 
 
 @dataclass(frozen=True)
@@ -86,8 +83,8 @@ class SecularBranch:
     name: str = "?"
     outer = np.tanh
     rhs: float
-    #: poles sit at t = (2j+1) pi / (2 pole_scale); None means pole-free
-    pole_scale: Optional[float] = None
+    #: one factor is tan(t * tan_scale); None means neither is a tangent
+    tan_scale: Optional[float] = None
     #: upper admissibility cut on t (step model); None means no cut
     clip_hi: Optional[float] = None
     curve_labels: tuple[str, str] = ("lhs", "rhs")
@@ -101,17 +98,14 @@ class SecularBranch:
         raise NotImplementedError
 
     def residual_raw(self, t):
-        """LHS - RHS of the branch equation; it also changes sign across each tangent pole."""
+        """LHS - RHS of the branch equation, times cos(t * tan_scale) when a
+        factor is that tangent."""
         g = self.geometry
-        return self.inner(t) * self.outer(t * (g.L - g.a)) - self.rhs
-
-    def poles_between(self, lo: float, hi: float) -> list[float]:
-        """Tangent poles strictly inside (lo, hi), ascending."""
-        if self.pole_scale is None:
-            return []
-        c = self.pole_scale
-        first = max(math.ceil((2.0 * c * lo / math.pi - 1.0) / 2.0), 0)
-        return _progression(lambda j: (2 * j + 1) * math.pi / (2.0 * c), first, lo, hi)
+        if self.tan_scale is None:
+            return self.inner(t) * self.outer(t * (g.L - g.a)) - self.rhs
+        cofactor = self.inner(t) if self.outer is np.tan else self.outer(t * (g.L - g.a))
+        u = t * self.tan_scale
+        return np.sin(u) * cofactor - self.rhs * np.cos(u)
 
     def curve_pair(self, t):
         """``inner`` and ``rhs / outer`` up to one common sign; they cross at the roots."""
@@ -120,11 +114,15 @@ class SecularBranch:
 
     def curve_breaks(self, lo: float, hi: float) -> list[float]:
         """Singular points of the curve pair strictly inside (lo, hi): the
-        zeros of a tan outer factor, otherwise the tangent poles."""
-        if self.outer is not np.tan:
-            return self.poles_between(lo, hi)
-        step = math.pi / (self.geometry.L - self.geometry.a)
-        return _progression(lambda j: j * step, max(math.ceil(lo / step), 1), lo, hi)
+        zeros of a tan outer factor, otherwise the poles of a tan inner one."""
+        c = self.tan_scale
+        if c is None:
+            return []
+        if self.outer is np.tan:
+            step = math.pi / c
+            return _progression(lambda j: j * step, max(math.ceil(lo / step), 1), lo, hi)
+        first = max(math.ceil((2.0 * c * lo / math.pi - 1.0) / 2.0), 0)
+        return _progression(lambda j: (2 * j + 1) * math.pi / (2.0 * c), first, lo, hi)
 
     def describe(self) -> str:
         g = self.geometry
@@ -133,13 +131,13 @@ class SecularBranch:
 
 
 class _PositiveBranch(SecularBranch):
-    """E = k^2: ``inner(k) * tan(k (L-a)) = -1``, with poles of the tangent."""
+    """E = k^2: ``inner(k) * tan(k (L-a)) = -1``."""
 
     outer = np.tan
     rhs = -1.0
 
     @property
-    def pole_scale(self) -> float:
+    def tan_scale(self) -> float:
         return self.geometry.L - self.geometry.a
 
 
@@ -167,7 +165,7 @@ class ConstantNegNeg(SecularBranch):
     rhs = 1.0
 
     @property
-    def pole_scale(self) -> float:
+    def tan_scale(self) -> float:
         return self.geometry.a
 
     def inner(self, t):
@@ -240,7 +238,7 @@ class TwoParamNeg(SecularBranch):
         self.nu = geometry.a / b if nu is None else nu
         if not self.nu > 0.0:
             raise ValueError(f"require nu > 0, got {self.nu!r}")
-        self.pole_scale = self.nu
+        self.tan_scale = self.nu
         self.rhs = b
 
     def inner(self, t):
@@ -280,16 +278,21 @@ BRANCHES = {
 def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
     """All roots of the branch residual inside the window, strictly increasing.
 
-    Brackets are the intervals between consecutive tangent poles clipped
-    to the window and shrunk by ``DEFAULT_POLE_MARGIN``; each is scanned
-    at 64 points with the rescan stability guard, then every crossing is
-    bisected to ``window.tol``.  An empty list is a legitimate outcome,
-    not an error.
+    The window, clipped to the branch's admissible t and floored just
+    above t = 0, is scanned at 8 cells per pi of the tangent phase and at
+    least 64 cells, in equal pieces of at most 2**14 cells so that the
+    scan arrays stay small.  Each piece gets the rescan stability guard,
+    then every crossing is bisected to ``window.tol``.  An empty list is
+    a legitimate outcome, not an error.
     """
-    lo = max(window.lo, DEFAULT_POLE_MARGIN)
+    lo = max(window.lo, 1e-12)  # the deep-narrow residual divides by tanh(t L)
     hi = window.hi if branch.clip_hi is None else min(window.hi, branch.clip_hi)
-    segments = segments_between(lo, hi, branch.poles_between(lo, hi), DEFAULT_POLE_MARGIN)
-    return roots_in(branch.residual_raw, segments, 64, window.tol)
+    if not hi > lo:
+        return []
+    cells = max(64, math.ceil(8.0 * (branch.tan_scale or 0.0) * (hi - lo) / math.pi))
+    pieces = math.ceil(cells / 2**14)
+    edges = np.linspace(lo, hi, pieces + 1).tolist()
+    return roots_in(branch.residual_raw, list(zip(edges, edges[1:])), math.ceil(cells / pieces), window.tol)
 
 
 def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL) -> list[float]:

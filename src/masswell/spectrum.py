@@ -181,7 +181,9 @@ def ground_state_staircase(
     if steps < 1:
         raise ValueError(f"require steps >= 1, got {steps!r}")
     geometry = WellGeometry(L, 1.0)
-    neg_roots = find_roots(ConstantNegNeg(geometry), RootWindow(0.0, beta_max, tol=tol))
+    # a beta placed on a root is known to tol, as the root is: 2 tol is the boundary
+    slack = 2.0 * tol
+    neg_roots = find_roots(ConstantNegNeg(geometry), RootWindow(0.0, beta_max + slack, tol=tol))
 
     # below threshold and at positive energy the step model has inner mass -1;
     # nodes[n] belongs to the ground state once n negative roots are admitted
@@ -195,7 +197,7 @@ def ground_state_staircase(
     rows: list[StaircaseStep] = []
     for i in range(1, steps + 1):
         beta = beta_max * i / steps
-        n = bisect.bisect_right(neg_roots, beta)
+        n = bisect.bisect_right(neg_roots, beta + slack)
         rows.append(StaircaseStep(beta=beta, negative_count=n, ground_state_nodes=nodes[n]))
     return rows
 

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from masswell.profiles import WellGeometry
+from masswell import _rootscan
+from masswell.matching import eigenvalues
+from masswell.profiles import ConstantInner, MassProfile, ScaledInner, TanhInner, WellGeometry
 from masswell.secular import (
     BRANCHES,
     ConstantNegNeg,
@@ -32,8 +35,6 @@ KAPPA_NN_L2 = [
 ]
 # roots of tanh(k) * tan(k) = -1 at L = 2
 K_NP_L2 = [2.347045566487087, 5.497770367437733, 8.639379766044119]
-# residual value at k = 2: tanh(2) tan(2) + 1
-RES_NP_AT_2 = -1.106438691749196
 # fixed points of k = c * coth(k L)
 RED_1_2 = 1.0326690694873524
 RED_1_1 = 1.199678640257734
@@ -62,9 +63,11 @@ class TestResidual:
         assert branch.residual_raw(1e-6) == pytest.approx(-1.0, abs=1e-10)
 
     def test_constant_neg_pos_spot_value(self):
+        # tanh(2) tan(2) + 1 multiplied through by cos(2)
         branch = ConstantNegPos(G2)
-        assert branch.residual_raw(2.0) == pytest.approx(RES_NP_AT_2, abs=1e-15)
-        assert branch.residual_raw(2.0) < 0.0
+        want = math.tanh(2.0) * math.sin(2.0) + math.cos(2.0)
+        assert branch.residual_raw(2.0) == pytest.approx(want, abs=1e-15)
+        assert branch.residual_raw(2.0) > 0.0
 
     def test_tanh_neg_residual_at_least_one(self):
         # nonnegative left side shifted by +1, checked on a dense grid
@@ -147,6 +150,50 @@ class TestFindRoots:
         with pytest.raises(ValueError):
             RootWindow(lo, hi, tol)
 
+    @pytest.mark.parametrize(
+        "branch, profile, hi, count",
+        [
+            # each root sits closer to a tangent pole than 1e-8 * pi
+            (TanhPos(WellGeometry(200.0, 0.01)), MassProfile(WellGeometry(200.0, 0.01), TanhInner()), 0.05, 3),
+            (
+                ConstantNegPos(WellGeometry(2.0, 1e-8)),
+                MassProfile(WellGeometry(2.0, 1e-8), ConstantInner(-1.0)),
+                3.0,
+                2,
+            ),
+        ],
+    )
+    def test_roots_next_to_a_pole(self, branch, profile, hi, count):
+        roots = find_roots(branch, RootWindow(0.0, hi))
+        levels = [e for e, _ in eigenvalues(profile, (0.0, hi * hi), "even", tol=1e-16)]
+        assert len(roots) == len(levels) == count
+        for k, e in zip(roots, levels):
+            assert k * k == pytest.approx(e, rel=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        L=st.floats(0.5, 4.0),
+        a_frac=st.floats(0.05, 0.95),
+        b=st.floats(0.3, 3.0),
+        hi=st.floats(2.0, 12.0),
+        name=st.sampled_from(["constant-neg-pos", "constant-neg-neg", "tanh-pos", "two-param-neg"]),
+    )
+    def test_roots_agree_with_matching(self, L, a_frac, b, hi, name):
+        geometry = WellGeometry(L, a_frac * L)
+        branch, inner, sign = {
+            "constant-neg-pos": (ConstantNegPos(geometry), ConstantInner(-1.0), 1.0),
+            "constant-neg-neg": (ConstantNegNeg(geometry), ConstantInner(-1.0), -1.0),
+            "tanh-pos": (TanhPos(geometry), TanhInner(), 1.0),
+            "two-param-neg": (TwoParamNeg(geometry, b=b), ScaledInner(b), -1.0),
+        }[name]
+        window = RootWindow(0.0, hi)
+        roots = find_roots(branch, window)
+        energies = sorted((0.0, sign * hi * hi))
+        levels = sorted(math.sqrt(abs(e)) for e, _ in eigenvalues(MassProfile(geometry, inner), energies, "even"))
+        assert len(roots) == len(levels)
+        for t, want in zip(roots, levels):
+            assert abs(t - want) <= 4.0 * window.tol
+
     @pytest.mark.parametrize("name", list(BRANCHES))
     def test_curves_meet_at_every_root(self, name):
         args = {"step-neg": (G2, 5.0), "two-param-neg": (G2, 0.5), "two-param-reduced": (2.0, 1.0)}
@@ -169,6 +216,19 @@ class TestCriticalBetas:
     def test_first_five_frozen(self):
         betas = critical_betas(G2, 5)
         assert betas == pytest.approx(KAPPA_NN_L2, abs=1e-10)
+
+    def test_scan_cost_is_a_few_capped_pieces(self, monkeypatch):
+        calls = []
+        isolate = _rootscan.isolate_sign_changes
+
+        def counting(f, lo, hi, samples):
+            calls.append(samples)
+            return isolate(f, lo, hi, samples)
+
+        monkeypatch.setattr(_rootscan, "isolate_sign_changes", counting)
+        assert len(critical_betas(WellGeometry(2.0, 1.0), 5000)) == 5000
+        assert 1 <= len(calls) <= 3
+        assert max(calls) <= 2**14
 
     def test_gaps_approach_pi(self):
         betas = critical_betas(G2, 4)
