@@ -7,17 +7,19 @@ override config values.  Exit codes, set by ``main`` alone: 0 success,
 diagnostic or numeric overflow (``RuntimeError``, ``OverflowError``).
 
 Floats are always written with 17 significant digits, so identical
-configs produce byte-identical output files.
+configs produce byte-identical output files.  Each table states its row
+template once (``%.17g`` per float column) and formats every row with it.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -48,6 +50,15 @@ PRESETS: dict[str, dict[str, str]] = {
     "tanh": {"inner": "tanh", "L": "2", "a": "1"},
     "step": {"inner": "step", "e_thr": "-4", "L": "2", "a": "1"},
     "two-param": {"inner": "scaled", "b": "0.5", "L": "2", "a": "0.5"},
+}
+
+#: each command's table row: %.17g per float column, %d per integer, %s per word
+_ROW_TEMPLATES = {
+    "spectrum": "%d,%.17g,%s,%d,%.17g",
+    "curves": "%.17g,%.17g,%.17g",
+    "wavefunction": "%.17g,%.17g",
+    "critical-beta": "%d,%.17g",
+    "delta-limit": "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
 }
 
 _KNOWN_KEYS = {
@@ -240,18 +251,21 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _table_text(header: Sequence[str], columns: str, rows) -> str:
-    lines = [*header, f"# columns: {columns}"]
-    lines += [",".join([_fmt(v) for v in row]) for row in rows]
-    return "\n".join(lines) + "\n"
+def _format_rows(command: str, rows) -> Iterator[str]:
+    """Each row tuple of ``command``'s table as text, by its row template."""
+    return map(_ROW_TEMPLATES[command].__mod__, rows)
 
 
-def _write(cfg: ScenarioConfig, header: Sequence[str], columns: str, rows, obj=None) -> None:
+def _table_text(header: Sequence[str], columns: str, lines) -> str:
+    return "\n".join([*header, f"# columns: {columns}", *lines]) + "\n"
+
+
+def _write(cfg: ScenarioConfig, command: str, header: Sequence[str], columns: str, rows, obj=None) -> None:
     """Emit ``obj`` as JSON when given and the config asks for JSON, else the table."""
     if obj is not None and cfg.out_format() == "json":
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     else:
-        text = _table_text(header, columns, rows)
+        text = _table_text(header, columns, _format_rows(command, rows))
     _emit(text, cfg.get_str("out"))
 
 
@@ -310,7 +324,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "verdict": {"kind": report.verdict.kind, "evidence": report.verdict.evidence},
         "levels": [dict(zip(columns.split(","), row)) for row in rows],
     }
-    _write(cfg, _report_header(report), columns, rows, obj)
+    _write(cfg, "spectrum", _report_header(report), columns, rows, obj)
     return 0
 
 
@@ -337,18 +351,20 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     roots = find_roots(branch, RootWindow(lo, hi, tol=tol))
 
     total = sum(s1 - s0 for s0, s1 in segments)
-    rows = []
+    lines: list[str] = []
     for s0, s1 in segments:
         n = max(2, int(round(samples * (s1 - s0) / total)))
         ts = np.linspace(s0, s1, n)
         c1, c2 = (np.broadcast_to(np.asarray(c, dtype=float), ts.shape) for c in branch.curve_pair(ts))
-        rows += zip(ts.tolist(), c1.tolist(), c2.tolist())
-        rows.append(())
-    rows.append(("# roots",))
-    rows += [(float(r), *(float(c) for c in branch.curve_pair(np.float64(r)))) for r in roots]
+        lines += _format_rows("curves", zip(ts.tolist(), c1.tolist(), c2.tolist()))
+        lines.append("")
+    lines.append("# roots")
+    lines += _format_rows(
+        "curves", [(float(r), *(float(c) for c in branch.curve_pair(np.float64(r)))) for r in roots]
+    )
     lab1, lab2 = branch.curve_labels
     header = [f"# masswell secular curves: {branch.describe()}"]
-    _emit(_table_text(header, f"t,{lab1},{lab2}", rows), cfg.get_str("out"))
+    _emit(_table_text(header, f"t,{lab1},{lab2}", lines), cfg.get_str("out"))
     return 0
 
 
@@ -378,7 +394,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         f"# nodes: {count_nodes(psi)}",
         f"# localization: {_fmt(localization_fraction(psi))}",
     ]
-    _write(cfg, header, "x,psi", zip(xs.tolist(), evaluate(psi, xs).tolist()))
+    _write(cfg, "wavefunction", header, "x,psi", zip(xs.tolist(), evaluate(psi, xs).tolist()))
     return 0
 
 
@@ -391,6 +407,7 @@ def _cmd_critical_beta(args: argparse.Namespace) -> int:
     betas = critical_betas(geometry, count, tol=cfg.tol())
     _write(
         cfg,
+        "critical-beta",
         [f"# masswell critical beta values: L={_fmt(geometry.L)} a={_fmt(geometry.a)}"],
         "index,beta",
         enumerate(betas, start=1),
@@ -416,6 +433,7 @@ def _cmd_delta_limit(args: argparse.Namespace) -> int:
     ]
     _write(
         cfg,
+        "delta-limit",
         [
             f"# masswell delta-limit study: b/nu={_fmt(b_over_nu)} L={_fmt(L)}",
             f"# reduced fixed point: {_fmt(fixed_point)}",
@@ -451,7 +469,9 @@ def _add_common(sub: argparse.ArgumentParser, *shared: str) -> None:
         sub.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call."""
     parser = argparse.ArgumentParser(
         prog="masswell",
         description="Bound states of square wells with piecewise, sign-indefinite, "

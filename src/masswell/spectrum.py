@@ -7,6 +7,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from ._rootscan import isolate_sign_changes
 from .matching import _SCAN_SAMPLES, _level_scan, build_solution, eigenvalues
 from .profiles import ConstantInner, MassProfile, WellGeometry
@@ -32,8 +34,9 @@ __all__ = [
     "delta_limit_study",
 ]
 
-# growth-probe windows in kappa for the boundedness verdict; the evidence
-# inequality itself is fixed, only these probe sizes are a choice
+# growth-probe windows in kappa for the boundedness verdict at the inner
+# level spacing pi (a sqrt|m| = 1); _probe_kappas scales them to the
+# spacing of the profile's own inner law
 PROBE_KAPPA_SMALL = 10.0
 PROBE_KAPPA_LARGE = 40.0
 
@@ -86,26 +89,47 @@ class DeltaLimitRow:
     reduced_fixed_point: float
 
 
+def _probe_kappas(profile: MassProfile) -> tuple[float, float, float]:
+    """The verdict's probes K1 < K2 in kappa = sqrt(-E) and the inner level spacing.
+
+    Where the inner mass m is negative at both default probe energies
+    -PROBE_KAPPA_SMALL^2 and -PROBE_KAPPA_LARGE^2, the inner levels are
+    spaced pi / (a sqrt|m|) in kappa, and each probe sits at its default
+    number of spacings: (10/pi) and (40/pi) of them.  Elsewhere, wherever
+    a sqrt|m| = 1 (every preset), and where -K2^2 would leave the float
+    range, the probes are 10 and 40.
+    """
+    mass = profile.inner.value(np.array([-PROBE_KAPPA_SMALL**2, -PROBE_KAPPA_LARGE**2]))
+    scale = 1.0
+    if np.all(mass < 0.0):
+        scale = profile.geometry.a * math.sqrt(-float(np.max(mass)))
+        k2 = PROBE_KAPPA_LARGE / scale
+        if not k2 * k2 < math.inf:
+            scale = 1.0
+    return PROBE_KAPPA_SMALL / scale, PROBE_KAPPA_LARGE / scale, math.pi / scale
+
+
 def _negative_level_counts(profile: MassProfile, parity: str) -> tuple[int, int]:
-    """Numbers of negative-energy levels with kappa = sqrt(-E) in
-    (0, PROBE_KAPPA_SMALL] and in (0, PROBE_KAPPA_LARGE]: the sign changes
-    of the eigenvalue level scan on (-K1^2, -1e-12) and (-K2^2, -K1^2),
-    K1 and K2 being those two probes."""
+    """Numbers of negative-energy levels with kappa = sqrt(-E) in (0, K1]
+    and in (0, K2], K1 < K2 being the probes of :func:`_probe_kappas`: the
+    sign changes of the eigenvalue level scan on (-K1^2, -1e-12) and
+    (-K2^2, -K1^2)."""
 
     def count(lo, hi):
         residual, segments = _level_scan(profile, lo, hi, parity)
         return sum(len(isolate_sign_changes(residual, s0, s1, _SCAN_SAMPLES)) for s0, s1 in segments)
 
-    small = count(-PROBE_KAPPA_SMALL**2, -1e-12)
-    return small, small + count(-PROBE_KAPPA_LARGE**2, -PROBE_KAPPA_SMALL**2)
+    k1, k2, _ = _probe_kappas(profile)
+    small = count(-k1 * k1, -1e-12)
+    return small, small + count(-k2 * k2, -k1 * k1)
 
 
 def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_levels: bool) -> Verdict:
-    k1, k2 = PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE
+    k1, k2, spacing = _probe_kappas(profile)
     counts = [_negative_level_counts(profile, p) for p in parities]
     c1 = sum(small for small, _ in counts)
     c2 = sum(large for _, large in counts)
-    required = math.floor((k2 - k1) / math.pi) - 1
+    required = math.floor((k2 - k1) / spacing) - 1
     if c2 - c1 >= required:
         return Verdict(
             "unbounded_below",

@@ -1,8 +1,16 @@
 import json
 import math
+import numbers
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from masswell import cli
 from masswell.cli import (
     ConfigError,
     PRESETS,
@@ -434,3 +442,100 @@ class TestConfigChecks:
     def test_unknown_preset_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             preset_config("nope")
+
+
+def _per_value_row(row):
+    """A table row as written before row templates: one format per value, joined."""
+    return ",".join(format(v, ".17g") if isinstance(v, float) else str(v) for v in row)
+
+
+_FLOATS = st.one_of(
+    st.floats(),  # with nan, +-inf, +-0.0 and subnormals
+    st.sampled_from(
+        [math.nan, math.inf, -math.inf, -0.0, 5e-324, -2.2250738585072e-308,
+         1.7976931348623157e308, -1.7976931348623157e308]
+    ),
+    st.floats().map(np.float64),
+)
+_STRATEGY = {
+    "%.17g": _FLOATS,
+    "%d": st.one_of(st.integers(), st.integers(-(2**63), 2**63 - 1).map(np.int64)),
+    "%s": st.text(),
+}
+# what each conversion must be given: %d of a float would truncate silently
+_COLUMN_TYPE = {"%.17g": float, "%d": numbers.Integral, "%s": str}
+
+
+class TestRowTemplates:
+    @pytest.mark.parametrize("command", sorted(cli._ROW_TEMPLATES))
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_template_bytes_equal_per_value_join(self, command, data):
+        template = cli._ROW_TEMPLATES[command]
+        row = tuple(data.draw(_STRATEGY[spec]) for spec in template.split(","))
+        assert template % row == _per_value_row(row)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["spectrum", "--preset", "step", "--window=-9:20"],
+            ["curves", "--branch", "tanh-pos", "--samples", "64"],
+            ["wavefunction", "--preset", "uniform", "--samples", "9"],
+            ["critical-beta", "--count", "3"],
+            ["delta-limit", "--nus", "0.1,0.01"],
+        ],
+    )
+    def test_rows_carry_the_template_column_types(self, argv, monkeypatch, capsys):
+        real = cli._format_rows
+        seen = []
+
+        def checked(command, rows):
+            rows = list(rows)
+            specs = cli._ROW_TEMPLATES[command].split(",")
+            seen.append((command, len(rows)))
+            for row in rows:
+                assert isinstance(row, tuple) and len(row) == len(specs), row
+                for value, spec in zip(row, specs):
+                    assert isinstance(value, _COLUMN_TYPE[spec]), (spec, value)
+                    assert not isinstance(value, bool), (spec, value)
+            return real(command, rows)
+
+        monkeypatch.setattr(cli, "_format_rows", checked)
+        assert main(argv) == 0
+        assert {command for command, _ in seen} == {argv[0]}
+        assert sum(n for _, n in seen) > 0
+
+
+_SRC = Path(cli.__file__).resolve().parent.parent
+
+
+def _stdout_of_fresh_process(args):
+    return subprocess.run(
+        [sys.executable, *args],
+        env={**os.environ, "PYTHONPATH": str(_SRC)},
+        capture_output=True,
+        check=True,
+    ).stdout
+
+
+class TestOneParserPerProcess:
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_requests_after_an_argparse_exit_match_fresh_processes(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["spectrum", "--no-such-flag"])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        for argv in (["spectrum", "--preset", "step"], ["curves", "--branch", "tanh-pos"]):
+            assert main(argv) == 0
+            alone = _stdout_of_fresh_process(
+                ["-c", f"import sys; from masswell.cli import main; sys.exit(main({argv!r}))"]
+            )
+            assert capsys.readouterr().out.encode() == alone
+
+    def test_python_dash_m_matches_in_process_main(self, capsys, tmp_path, monkeypatch):
+        argv = ["critical-beta", "--count", "3"]
+        assert main(argv) == 0
+        monkeypatch.chdir(tmp_path)
+        assert _stdout_of_fresh_process(["-m", "masswell", *argv]) == capsys.readouterr().out.encode()

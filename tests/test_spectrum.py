@@ -25,6 +25,7 @@ from masswell.spectrum import (
     PROBE_KAPPA_LARGE,
     PROBE_KAPPA_SMALL,
     _negative_level_counts,
+    _probe_kappas,
     delta_limit_study,
     ground_state_staircase,
     run_scenario,
@@ -131,22 +132,55 @@ class TestVerdictCounts:
         L=st.floats(0.5, 5.0),
         a_frac=st.floats(0.1, 0.9),
         b=st.floats(0.2, 3.0),
-        # beta below, between and above the two probes
+        # beta below, between and above the default probes 10 and 40
         beta=st.one_of(st.floats(0.5, 9.5), st.floats(10.5, 39.5), st.floats(40.5, 60.0)),
         law=st.sampled_from(["constant", "scaled", "step"]),
     )
     def test_counts_match_closed_form_roots(self, L, a_frac, b, beta, law):
         geometry = WellGeometry(L, a_frac * L)
-        profile, branch = {
+        inner, branch = {
             "constant": (ConstantInner(-1.0), ConstantNegNeg(geometry)),
             "scaled": (ScaledInner(b), TwoParamNeg(geometry, b=b)),
             "step": (StepInner(-beta * beta), StepNeg(geometry, beta=beta)),
         }[law]
+        profile = MassProfile(geometry, inner)
         expected = tuple(
-            len(find_roots(branch, RootWindow(0.0, kappa)))
-            for kappa in (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE)
+            len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in _probe_kappas(profile)[:2]
         )
-        assert _negative_level_counts(MassProfile(geometry, profile), "even") == expected
+        assert _negative_level_counts(profile, "even") == expected
+
+    @pytest.mark.parametrize(
+        "inner, a",
+        [(ConstantInner(-1.0), 0.1), (ConstantInner(-0.01), 1.0), (ScaledInner(3.0), 1.0)],
+    )
+    def test_probes_follow_the_inner_spacing(self, inner, a):
+        # a sqrt|m| = 0.1, 0.1 and 1/3: probes fixed at 10 and 40 saw 6 levels
+        # and their growth fell short of 8, so these read bounded_below
+        report = run_scenario(MassProfile(WellGeometry(2.0, a), inner), (-10.0, 10.0))
+        assert report.verdict.kind == "unbounded_below"
+        ev = report.verdict.evidence
+        assert (ev["count_small"], ev["count_large"], ev["required_growth"]) == (6, 25, 8)
+        assert ev["kappa_window_large"] == 4.0 * ev["kappa_window_small"]
+
+    def test_probes_stay_in_the_float_range(self):
+        # a sqrt|m| ~ 1e-155 would put -K2^2 past -1.8e308
+        profile = MassProfile(G2, ConstantInner(-1e-310))
+        assert _probe_kappas(profile) == (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE, math.pi)
+        run_scenario(profile, (-1.0, 1.0))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        L=st.floats(0.5, 5.0),
+        a_frac=st.floats(0.05, 0.95),
+        m0=st.one_of(st.floats(-4.0, -0.01), st.floats(0.01, 4.0)),
+        b=st.floats(0.2, 5.0),
+        law=st.sampled_from(["constant", "scaled"]),
+    )
+    def test_verdict_follows_the_sign_of_the_inner_mass(self, L, a_frac, m0, b, law):
+        # unbounded below exactly when the inner mass stays negative as E -> -inf
+        inner = ConstantInner(m0) if law == "constant" else ScaledInner(b)
+        report = run_scenario(MassProfile(WellGeometry(L, a_frac * L), inner), (-1.0, 1.0))
+        assert (report.verdict.kind == "unbounded_below") == (inner.value(-1.0) < 0.0)
 
     def test_step_threshold_rounding_below_itself(self):
         # -beta*beta rounds below e_thr here, onto the +1 branch; that jump is no level
@@ -165,11 +199,11 @@ class TestVerdictCounts:
     def test_drawn_thresholds_and_scaled_levels(self, L, a_frac, b, e_thr):
         geometry = WellGeometry(L, a_frac * L)
         branch = StepNeg(geometry, beta=math.sqrt(-e_thr))
+        profile = MassProfile(geometry, StepInner(e_thr))
         expected = tuple(
-            len(find_roots(branch, RootWindow(0.0, kappa)))
-            for kappa in (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE)
+            len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in _probe_kappas(profile)[:2]
         )
-        assert _negative_level_counts(MassProfile(geometry, StepInner(e_thr)), "even") == expected
+        assert _negative_level_counts(profile, "even") == expected
 
         window = (-PROBE_KAPPA_LARGE**2, -1e-12)
         levels = [e for e, _ in eigenvalues(MassProfile(geometry, ScaledInner(b)), window, "even")]
