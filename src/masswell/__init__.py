@@ -15,8 +15,6 @@ from .profiles import (
     StepInner,
     TanhInner,
     WellGeometry,
-    local_q2,
-    mass_at,
 )
 from .secular import (
     ConstantNegNeg,
@@ -55,7 +53,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "WellGeometry", "ConstantInner", "TanhInner", "StepInner", "ScaledInner",
-    "InnerLaw", "MassProfile", "mass_at", "local_q2",
+    "InnerLaw", "MassProfile",
     "RootWindow", "SecularBranch", "ConstantNegPos", "ConstantNegNeg",
     "TanhPos", "TanhNeg", "StepNeg", "TwoParamNeg", "TwoParamReduced",
     "find_roots", "critical_betas", "reduced_kappa1",

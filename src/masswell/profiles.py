@@ -15,7 +15,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import ClassVar, Literal, Optional, Union
+from typing import ClassVar, Optional, Union
 
 import numpy as np
 
@@ -28,12 +28,7 @@ __all__ = [
     "InnerLaw",
     "INNER_LAWS",
     "MassProfile",
-    "Region",
-    "mass_at",
-    "local_q2",
 ]
-
-Region = Literal["inner", "outer"]
 
 
 @dataclass(frozen=True)
@@ -121,33 +116,3 @@ class MassProfile:
         """One-line label: the inner law and its parameters, then L and a."""
         params = {**asdict(self.inner), "L": self.geometry.L, "a": self.geometry.a}
         return " ".join([f"inner={self.inner.law}"] + [f"{k}={v:.17g}" for k, v in params.items()])
-
-
-def mass_at(profile: MassProfile, x: float, energy: float) -> float:
-    """Effective mass at position ``x`` and energy ``energy``.
-
-    Exactly even in ``x`` because only |x| enters.  The breakpoint
-    |x| = a belongs to the outer region; |x| >= L is outside the well
-    and raises ``ValueError``.
-    """
-    r = abs(x)
-    if r >= profile.geometry.L:
-        raise ValueError(
-            f"|x| = {r!r} is outside the open well (L = {profile.geometry.L!r})"
-        )
-    if r < profile.geometry.a:
-        return profile.inner.value(energy)
-    return 1.0
-
-
-def local_q2(profile: MassProfile, region: Region, energy: float) -> float:
-    """Squared local wavenumber m * E of the requested region.
-
-    Positive values select oscillatory solutions, negative values
-    hyperbolic ones, and zero the linear limit.
-    """
-    if region == "inner":
-        return profile.inner.value(energy) * energy
-    if region == "outer":
-        return energy
-    raise ValueError(f"unknown region {region!r}")

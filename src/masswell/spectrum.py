@@ -216,7 +216,7 @@ def ground_state_staircase(
         ConstantNegPos(geometry), RootWindow(0.0, 2.0 * math.pi / (L - 1.0), tol=tol)
     )[0]
     energies = [k_first * k_first] + [-kappa * kappa for kappa in neg_roots]
-    nodes = [count_nodes(build_solution(frozen_profile, e, "even").normalized()) for e in energies]
+    nodes = [count_nodes(build_solution(frozen_profile, e, "even")) for e in energies]
 
     rows: list[StaircaseStep] = []
     for i in range(1, steps + 1):

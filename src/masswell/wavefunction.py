@@ -5,7 +5,10 @@ coordinate t = x - x_ref: trig A cos(q t) + B sin(q t), hyperbolic
 A cosh(q t) + B sinh(q t), or linear A + B t.  Zeros and L2 integrals
 of each form have elementary expressions, so node counting and
 localization never rely on sampling; dense sampling appears only in the
-test suite as an independent cross-check.
+test suite as an independent cross-check.  A node count costs O(1) per
+region: a trig piece's zeros are counted from its phase at the two ends
+of its span, a hyperbolic or linear piece has at most one, and each seam
+is one sign test.
 """
 
 from __future__ import annotations
@@ -26,8 +29,9 @@ __all__ = [
     "region_l2",
 ]
 
-#: relative scale used when deduplicating zeros that meet at region seams
-_SEAM_PAD = 1e-9
+#: half-width of the window about each region seam, relative to max(1, L);
+#: a zero inside it is counted once, by the seam's sign test
+_SEAM_WINDOW = 1e-9
 
 
 @dataclass(frozen=True)
@@ -210,40 +214,42 @@ def evaluate(psi: PiecewiseWavefunction, x):
     return out
 
 
-def node_positions(psi: PiecewiseWavefunction) -> list[float]:
-    """Deduplicated interior zero locations of psi, ascending.
+def _inside_count(region: RegionSolution, lo: float, hi: float) -> int:
+    """Number of zeros of the region's closed form strictly inside (lo, hi).
 
-    Zeros are enumerated per region in closed form, with each span padded
-    by a hair so a zero sitting exactly on a region seam (x = +-a) is seen
-    by both neighbors and then merged into one.  The wall zeros at +-L
-    are excluded.
+    A trig piece R cos(q t - phi) vanishes where its phase
+    u = (q t - phi - pi/2) / pi is an integer, so it has
+    ceil(u(hi)) - floor(u(lo)) - 1 zeros there; the other kinds have at
+    most one, found by :func:`region_zeros`.
     """
-    half = psi.half_width
-    pad = _SEAM_PAD * max(1.0, half)
-    zeros: list[float] = []
-    for region in psi.regions:
-        zeros.extend(region_zeros(region, region.span[0] - pad, region.span[1] + pad))
-    zeros = sorted(z for z in zeros if abs(z) < half - pad)
-    merged: list[float] = []
-    for z in zeros:
-        if not merged or z - merged[-1] > 4.0 * pad:
-            merged.append(z)
-    return merged
+    if region.kind != "trig":
+        return len(region_zeros(region, lo, hi))
+    if not hi > lo or region.a_coef == region.b_coef == 0.0:
+        return 0
+    shift = math.atan2(region.b_coef, region.a_coef) + math.pi / 2.0
+    u_lo = (region.q * (lo - region.x_ref) - shift) / math.pi
+    u_hi = (region.q * (hi - region.x_ref) - shift) / math.pi
+    return max(0, math.ceil(u_hi) - math.floor(u_lo) - 1)
 
 
 def count_nodes(psi: PiecewiseWavefunction) -> int:
     """Number of strict sign changes of psi inside the open well (-L, L).
 
-    The candidate locations come from :func:`node_positions`, so they are
-    exhaustive; psi keeps one sign on each gap between consecutive
-    candidates.  All gap midpoints are evaluated in one call, and a
-    candidate counts only if the signs on its two gaps are nonzero and
-    differ, which discards touching zeros of even multiplicity.
+    Each region counts its zeros strictly inside its span shrunk by the
+    seam window at both ends (:func:`_inside_count`).  Each interior seam
+    adds one node when the regions on its two sides have opposite signs
+    at the window's edges, so a zero on or near a seam (x = +-a) is
+    counted once, and a zero that psi only touches there is not counted.
+    Zeros within the window of a wall are not nodes.  The cost is O(1)
+    per region, whatever the number of nodes.
     """
-    half = psi.half_width
-    probes = np.array([-half, *node_positions(psi), half])
-    signs = np.sign(evaluate(psi, 0.5 * (probes[:-1] + probes[1:])))
-    return int(np.count_nonzero(signs[:-1] * signs[1:] < 0.0))
+    pad = _SEAM_WINDOW * max(1.0, psi.half_width)
+    nodes = sum(_inside_count(r, r.span[0] + pad, r.span[1] - pad) for r in psi.regions)
+    for left, right in zip(psi.regions, psi.regions[1:]):
+        seam = left.span[1]
+        before, after = left.value(seam - pad), right.value(seam + pad)
+        nodes += bool(before < 0.0 < after or after < 0.0 < before)
+    return nodes
 
 
 def localization_fraction(psi: PiecewiseWavefunction, a: Optional[float] = None) -> float:

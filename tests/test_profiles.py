@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from masswell.matching import build_solution
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -11,9 +12,8 @@ from masswell.profiles import (
     StepInner,
     TanhInner,
     WellGeometry,
-    local_q2,
-    mass_at,
 )
+from masswell.wavefunction import RegionSolution
 
 
 def make(inner, L=2.0, a=1.0):
@@ -36,84 +36,95 @@ class TestWellGeometry:
                 ScaledInner(b)
 
 
+def assert_mirror_even(psi, x):
+    """The even state at |x|: both outer pieces agree, and so does the inner piece at +-x."""
+    left, inner, right = psi.regions
+    assert left.value(-abs(x)) == right.value(abs(x))
+    assert inner.value(x) == inner.value(-x)
+
+
 class TestMassAt:
+    """The mass each law gives at an energy: the inner law's ``value``, and
+    the unit outer mass seen through the pieces ``build_solution`` assembles."""
+
     def test_outer_region_unit_mass(self):
         profile = make(ConstantInner(-1.0))
-        assert mass_at(profile, 1.5, 0.0) == 1.0
-        assert mass_at(profile, 1.5, -37.2) == 1.0
+        outer = build_solution(profile, 4.0, "even").regions[0]
+        assert (outer.kind, outer.q) == ("trig", 2.0)
+        outer = build_solution(profile, -37.2, "even").regions[0]
+        assert (outer.kind, outer.q) == ("hyper", math.sqrt(37.2))
 
     def test_tanh_at_zero_energy(self):
-        profile = make(TanhInner())
-        assert mass_at(profile, 0.0, 0.0) == 0.0
+        assert TanhInner().value(0.0) == 0.0
 
     def test_step_takes_negative_branch_at_threshold(self):
-        profile = make(StepInner(-4.0))
-        assert mass_at(profile, 0.0, -4.0) == -1.0
-        assert mass_at(profile, 0.0, -4.0 - 1e-12) == 1.0
-
-    def test_outside_well_rejected(self):
-        profile = make(ConstantInner(-1.0))
-        for x in (2.0, -2.0, 5.0):
-            with pytest.raises(ValueError):
-                mass_at(profile, x, 0.0)
-
-    def test_breakpoint_belongs_to_outer(self):
-        profile = make(ConstantInner(-1.0))
-        assert mass_at(profile, 1.0, 10.0) == 1.0
-        assert mass_at(profile, math.nextafter(1.0, 0.0), 10.0) == -1.0
+        # the threshold branch is closed from above
+        step = StepInner(-4.0)
+        assert step.value(-4.0) == -1.0
+        assert step.value(-4.0 - 1e-12) == 1.0
+        assert step.value(math.nextafter(-4.0, -math.inf)) == 1.0
 
     @given(
         x=st.floats(-1.999, 1.999, allow_nan=False),
-        energy=st.floats(-1e6, 1e6, allow_nan=False),
+        energy=st.floats(-1e4, 1e4, allow_nan=False),
     )
     def test_even_in_x(self, x, energy):
-        profile = make(StepInner(-2.0))
-        assert mass_at(profile, x, energy) == mass_at(profile, -x, energy)
+        # the law acts on the whole of |x| < a, so the even state mirrors exactly
+        assert_mirror_even(build_solution(make(StepInner(-2.0)), energy, "even"), x)
 
     def test_even_on_random_grid(self):
-        # 1e4 random (x, E) pairs, exact equality
+        # 200 random (x, E) pairs, exact equality
         rng = np.random.default_rng(42)
         profile = make(TanhInner())
-        xs = rng.uniform(-2.0, 2.0, size=10_000) * 0.9999
-        es = rng.uniform(-50.0, 50.0, size=10_000)
+        xs = rng.uniform(-2.0, 2.0, size=200) * 0.9999
+        es = rng.uniform(-50.0, 50.0, size=200)
         for x, e in zip(xs, es):
-            assert mass_at(profile, float(x), float(e)) == mass_at(profile, -float(x), float(e))
+            assert_mirror_even(build_solution(profile, float(e), "even"), float(x))
 
     def test_tanh_limits(self):
-        profile = make(TanhInner())
-        assert abs(mass_at(profile, 0.0, -50.0) - 1.0) <= 1e-15
-        assert abs(mass_at(profile, 0.0, 50.0) + 1.0) <= 1e-15
+        inner = TanhInner()
+        assert abs(inner.value(-50.0) - 1.0) <= 1e-15
+        assert abs(inner.value(50.0) + 1.0) <= 1e-15
 
     def test_step_agrees_with_constants_on_both_sides(self):
-        step = make(StepInner(-9.0))
-        neg = make(ConstantInner(-1.0))
-        pos = make(ConstantInner(1.0))
+        step = StepInner(-9.0)
+        neg = ConstantInner(-1.0)
+        pos = ConstantInner(1.0)
         for e in np.linspace(-9.0, 80.0, 97):
-            assert mass_at(step, 0.3, float(e)) == mass_at(neg, 0.3, float(e))
+            assert step.value(float(e)) == neg.value(float(e))
         for e in np.linspace(-80.0, -9.0, 97)[:-1]:
-            assert mass_at(step, 0.3, float(e)) == mass_at(pos, 0.3, float(e))
+            assert step.value(float(e)) == pos.value(float(e))
 
 
 class TestLocalQ2:
+    """The squared local wavenumber m * E of each region, as the kind and
+    wavenumber of the pieces ``build_solution`` assembles."""
+
     def test_outer_is_energy(self):
-        profile = make(ConstantInner(-1.0))
-        assert local_q2(profile, "outer", 4.0) == 4.0
+        outer = build_solution(make(ConstantInner(-1.0)), 4.0, "odd").regions[0]
+        assert outer.kind == "trig"
+        assert outer.q * outer.q == 4.0
 
     def test_tanh_inner_matches_interpolating_wavenumber(self):
         # for E = k^2 the inner q^2 equals -(k sqrt(tanh k^2))^2
-        profile = make(TanhInner())
-        q2 = local_q2(profile, "inner", 1.0)
+        inner = TanhInner()
+        q2 = inner.value(1.0) * 1.0
         assert q2 == pytest.approx(-0.7615941559557649, abs=1e-15)
         lam = 1.0 * math.sqrt(math.tanh(1.0))
         assert q2 == pytest.approx(-lam * lam, abs=1e-15)
+        center = build_solution(make(inner), 1.0, "even").regions[1]
+        assert center.kind == "hyper"
+        assert center.q == pytest.approx(lam, abs=1e-15)
 
     def test_step_below_threshold_sign_bookkeeping(self):
-        profile = make(StepInner(0.0))
-        assert local_q2(profile, "inner", -1.0) == -1.0
+        step = StepInner(0.0)
+        assert step.value(-1.0) * -1.0 == -1.0
+        center = build_solution(make(step), -1.0, "even").regions[1]
+        assert (center.kind, center.q) == ("hyper", 1.0)
 
     def test_unknown_region_rejected(self):
         with pytest.raises(ValueError):
-            local_q2(make(TanhInner()), "nowhere", 1.0)
+            RegionSolution("nowhere", 1.0, 0.0, 1.0, 0.0, (-1.0, 1.0))
 
 
 class TestArrayValue:

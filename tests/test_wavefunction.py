@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 from masswell.matching import build_solution, eigenvalues
@@ -21,7 +21,6 @@ from masswell.wavefunction import (
     count_nodes,
     evaluate,
     localization_fraction,
-    node_positions,
     region_l2,
     region_zeros,
 )
@@ -74,8 +73,36 @@ def seam_states():
     )
 
 
+#: relative scale used by node_positions when merging zeros that meet at seams
+_SEAM_PAD = 1e-9
+
+
+def node_positions(psi):
+    """Deduplicated interior zero locations of psi, ascending: the zero list
+    of the former node counter, kept here as the oracle's candidates.
+
+    Zeros are enumerated per region in closed form, with each span padded
+    by a hair so a zero sitting exactly on a region seam (x = +-a) is seen
+    by both neighbors and then merged into one.  The wall zeros at +-L
+    are excluded.
+    """
+    half = psi.half_width
+    pad = _SEAM_PAD * max(1.0, half)
+    zeros = []
+    for region in psi.regions:
+        zeros.extend(region_zeros(region, region.span[0] - pad, region.span[1] + pad))
+    zeros = sorted(z for z in zeros if abs(z) < half - pad)
+    merged = []
+    for z in zeros:
+        if not merged or z - merged[-1] > 4.0 * pad:
+            merged.append(z)
+    return merged
+
+
 def reference_count_nodes(psi):
-    """The former count_nodes: one scalar evaluate per gap between candidates."""
+    """The former node counter: psi evaluated once per gap between the
+    candidates of :func:`node_positions`, a node wherever the nonzero signs
+    on consecutive gaps differ."""
     half = psi.half_width
     zeros = node_positions(psi)
     if not zeros:
@@ -174,7 +201,8 @@ class TestCountNodes:
     def test_first_excited_odd_has_center_node(self):
         (_, psi), = uniform_states((0.0, 3.0), "odd")
         assert count_nodes(psi) == 1
-        assert node_positions(psi) == pytest.approx([0.0], abs=1e-12)
+        zeros = [z for region in psi.regions for z in region_zeros(region, *region.span)]
+        assert zeros == pytest.approx([0.0], abs=1e-12)
 
     def test_uniform_ladder(self):
         profile = MassProfile(G2, ConstantInner(1.0))
@@ -202,7 +230,9 @@ class TestCountNodes:
     def test_seam_touch_without_crossing_not_counted(self):
         # synthetic |x - 0.5|-like vee: zero at the seam but no sign change
         psi, psi2 = seam_states()
-        assert node_positions(psi) == pytest.approx([0.5], abs=1e-12)
+        left, right = psi.regions
+        assert left.value(0.5) == right.value(0.5) == 0.0
+        assert region_zeros(left, *left.span) == region_zeros(right, *right.span) == []
         assert count_nodes(psi) == 0
         assert sampled_sign_changes(psi) == 0
         # the crossing version: straight line through the same seam
@@ -227,6 +257,75 @@ class TestCountNodes:
         )
         assert region_zeros(RegionSolution("hyper", 2.0, 0.0, 2.0, 1.0, (-1.0, 1.0)), -1.0, 1.0) == []
         assert region_zeros(RegionSolution("linear", 0.0, 0.0, 1.0, 0.0, (-1.0, 1.0)), -1.0, 1.0) == []
+
+
+class TestCountNodesAgainstReference:
+    """count_nodes against the test-local zero-list counter, reference_count_nodes."""
+
+    # uniform-well levels k = J pi / (2L) with a zero on the seam x = -a:
+    # sin(k a) = 0 for odd parity, cos(k a) = 0 for even; J - 1 nodes each
+    @pytest.mark.parametrize(
+        "L,a,parity,J",
+        [(2.0, 1.0, "odd", 4), (2.0, 1.0, "odd", 8), (3.0, 1.0, "even", 3),
+         (3.0, 1.0, "even", 9), (1.5, 0.5, "even", 3), (1.5, 0.5, "odd", 6)],
+    )
+    def test_zero_on_the_seam_counted_once(self, L, a, parity, J):
+        profile = MassProfile(WellGeometry(L, a), ConstantInner(1.0))
+        k = J * math.pi / (2.0 * L)
+        half_gap = 0.25 * math.pi * k / L
+        (energy, psi), = eigenvalues(profile, (k * k - half_gap, k * k + half_gap), parity)
+        assert energy == pytest.approx(k * k, rel=1e-12)
+        assert abs(psi.regions[0].value(-a)) <= 1e-9
+        assert count_nodes(psi) == reference_count_nodes(psi) == J - 1
+        exact = build_solution(profile, k * k, parity)
+        assert count_nodes(exact) == reference_count_nodes(exact) == J - 1
+
+    # s = sign(E) sqrt|E| runs over about `spacings` level spacings of one
+    # parity, pi / (L - a) at E > 0 and pi / (a sqrt|m|) at E < 0, ending at
+    # most at s = +-cap; the cap keeps every hyperbolic piece below e^350
+    # (q (L - a) outside where E < 0, q a inside where m E < 0), so its L2
+    # integral stays finite
+    @settings(max_examples=20, deadline=None)
+    @given(
+        L=st.floats(1.0, 4.0),
+        a_frac=st.floats(0.1, 0.9),
+        law=st.sampled_from(["constant", "tanh", "step", "scaled"]),
+        m0=st.floats(-3.0, 3.0),
+        b=st.floats(0.3, 3.0),
+        e_thr=st.floats(-1e4, 1e4),
+        parity=st.sampled_from(["even", "odd"]),
+        f=st.floats(-1.0, 1.0),
+        spacings=st.floats(0.75, 1.5),
+    )
+    # deep hyperbolic levels of constant-negative near E = -1e5, and high
+    # trig levels of the uniform well near E = 1e5
+    @example(L=2.0, a_frac=0.5, law="constant", m0=-1.0, b=1.0, e_thr=0.0, parity="even", f=-1.0, spacings=1.5)
+    @example(L=2.0, a_frac=0.5, law="constant", m0=-1.0, b=1.0, e_thr=0.0, parity="odd", f=-1.0, spacings=1.5)
+    @example(L=2.0, a_frac=0.5, law="constant", m0=1.0, b=1.0, e_thr=0.0, parity="even", f=1.0, spacings=1.5)
+    @example(L=2.0, a_frac=0.5, law="constant", m0=1.0, b=1.0, e_thr=0.0, parity="odd", f=1.0, spacings=1.5)
+    def test_equals_reference_over_random_wells(self, L, a_frac, law, m0, b, e_thr, parity, f, spacings):
+        a = a_frac * L
+        inner, m_max = {
+            "constant": (ConstantInner(m0), abs(m0)),
+            "tanh": (TanhInner(), 1.0),
+            "step": (StepInner(e_thr), 1.0),
+            "scaled": (ScaledInner(b), 1.0 / (b * b)),
+        }[law]
+        profile = MassProfile(WellGeometry(L, a), inner)
+        cap = min(math.sqrt(1e5), 350.0 / (a * math.sqrt(m_max)) if m_max > 0.0 else math.inf)
+        if f < 0.0:
+            cap = min(cap, 350.0 / (L - a))
+        spacing = math.pi / max(L - a if f > 0.0 else a * math.sqrt(m_max), 0.1)
+        width = min(spacings * spacing, cap)
+        s0 = f * cap
+        s1 = min(s0 + width, cap)
+        s0 = s1 - width
+        levels = eigenvalues(profile, (s0 * abs(s0), s1 * abs(s1)), parity)
+        for energy, psi in levels:
+            nodes = count_nodes(psi)
+            assert nodes == reference_count_nodes(psi)
+            # a positive rescale cannot change a sign count
+            assert count_nodes(build_solution(profile, energy, parity)) == nodes
 
 
 class TestLocalization:
