@@ -8,7 +8,7 @@ localization never rely on sampling; dense sampling appears only in the
 test suite as an independent cross-check.  A node count costs O(1) per
 region: a trig piece's zeros are counted from its phase at the two ends
 of its span, a hyperbolic or linear piece has at most one, and each seam
-is one sign test.
+is one sign test across a window that spans any jump of psi there.
 """
 
 from __future__ import annotations
@@ -29,8 +29,8 @@ __all__ = [
     "region_l2",
 ]
 
-#: half-width of the window about each region seam, relative to max(1, L);
-#: a zero inside it is counted once, by the seam's sign test
+#: least half-width of the window about each region seam, and the width
+#: next to each wall where zeros are not nodes, relative to max(1, L)
 _SEAM_WINDOW = 1e-9
 
 
@@ -114,19 +114,13 @@ def region_zeros(region: RegionSolution, lo: float, hi: float) -> list[float]:
             return []
         t0 = math.atanh(-a / b) / q
         return [t0 + region.x_ref] if t1 < t0 < t2 else []
-    r = math.hypot(a, b)
-    if r == 0.0:
+    if a == b == 0.0:
         return []
-    # A cos + B sin = R cos(q t - phi); zeros at q t - phi = pi/2 + n pi
-    phi = math.atan2(b, a)
-    n_lo = math.ceil((q * t1 - phi - math.pi / 2.0) / math.pi) - 1
-    n_hi = math.floor((q * t2 - phi - math.pi / 2.0) / math.pi) + 1
-    zeros = []
-    for n in range(n_lo, n_hi + 1):
-        t0 = (phi + math.pi / 2.0 + n * math.pi) / q
-        if t1 < t0 < t2:
-            zeros.append(t0 + region.x_ref)
-    return zeros
+    # A cos + B sin = R cos(q t - phi); zeros at q t = phi + pi/2 + n pi
+    shift = math.atan2(b, a) + math.pi / 2.0
+    n_lo, n_hi = math.ceil((q * t1 - shift) / math.pi) - 1, math.floor((q * t2 - shift) / math.pi) + 1
+    zeros = ((shift + n * math.pi) / q for n in range(n_lo, n_hi + 1))
+    return [t0 + region.x_ref for t0 in zeros if t1 < t0 < t2]
 
 
 def _l2_antiderivative(region: RegionSolution, t: float) -> float:
@@ -232,22 +226,53 @@ def _inside_count(region: RegionSolution, lo: float, hi: float) -> int:
     return max(0, math.ceil(u_hi) - math.floor(u_lo) - 1)
 
 
+def _value_slope(region: RegionSolution, x: float) -> tuple[float, float]:
+    """Scalar (value, slope) of the region's closed form at x."""
+    a, b, q = region.a_coef, region.b_coef, region.q
+    t = x - region.x_ref
+    if region.kind == "trig":
+        c, s = math.cos(q * t), math.sin(q * t)
+        return a * c + b * s, q * (b * c - a * s)
+    if region.kind == "hyper":
+        c, s = math.cosh(q * t), math.sinh(q * t)
+        return a * c + b * s, q * (b * c + a * s)
+    return a + b * t, b
+
+
+def _seam_window(left: RegionSolution, right: RegionSolution, pad: float) -> float:
+    """Half-width of the window about the seam between two pieces.
+
+    psi may jump at a seam by about the root tolerance, which can put a
+    zero of each piece on either side of it, within jump / slope.  The
+    window is twice that and at least ``pad``, capped at a quarter of
+    either span and of pi / q so that it holds no other zero.  Off an
+    eigenvalue the jump can be as large as psi, and the window may then
+    hide two of the sign changes psi has about the seam.
+    """
+    q = max(left.q, right.q)
+    cap = 0.25 * min(left.span[1] - left.span[0], right.span[1] - right.span[0], math.pi / q if q else math.inf)
+    (y_left, dy_left), (y_right, dy_right) = (_value_slope(r, left.span[1]) for r in (left, right))
+    slope = max(abs(dy_left), abs(dy_right))
+    return max(pad, min(2.0 * abs(y_left - y_right) / slope if slope > 0.0 else cap, cap))
+
+
 def count_nodes(psi: PiecewiseWavefunction) -> int:
     """Number of strict sign changes of psi inside the open well (-L, L).
 
-    Each region counts its zeros strictly inside its span shrunk by the
-    seam window at both ends (:func:`_inside_count`).  Each interior seam
-    adds one node when the regions on its two sides have opposite signs
-    at the window's edges, so a zero on or near a seam (x = +-a) is
-    counted once, and a zero that psi only touches there is not counted.
-    Zeros within the window of a wall are not nodes.  The cost is O(1)
-    per region, whatever the number of nodes.
+    Each region counts its zeros strictly inside its span shrunk at both
+    ends by a window (:func:`_inside_count`): ``_SEAM_WINDOW`` at a wall,
+    :func:`_seam_window` at an interior seam.  Each seam adds one node
+    when the pieces on its two sides have opposite signs at its window's
+    edges, so a zero on or beside a seam (x = +-a) counts once, even
+    where psi jumps there, and a zero psi only touches counts not at all.
+    The cost is O(1) per region, whatever the number of nodes.
     """
+    regions = psi.regions
     pad = _SEAM_WINDOW * max(1.0, psi.half_width)
-    nodes = sum(_inside_count(r, r.span[0] + pad, r.span[1] - pad) for r in psi.regions)
-    for left, right in zip(psi.regions, psi.regions[1:]):
-        seam = left.span[1]
-        before, after = left.value(seam - pad), right.value(seam + pad)
+    windows = [pad] + [_seam_window(l, r, pad) for l, r in zip(regions, regions[1:])] + [pad]
+    nodes = sum(_inside_count(r, r.span[0] + w0, r.span[1] - w1) for r, w0, w1 in zip(regions, windows, windows[1:]))
+    for left, right, w in zip(regions, regions[1:], windows[1:]):
+        before, after = _value_slope(left, left.span[1] - w)[0], _value_slope(right, left.span[1] + w)[0]
         nodes += bool(before < 0.0 < after or after < 0.0 < before)
     return nodes
 

@@ -37,15 +37,19 @@ class TestWellGeometry:
 
 
 def assert_mirror_even(psi, x):
-    """The even state at |x|: both outer pieces agree, and so does the inner piece at +-x."""
+    """The even state at |x| (scalar or array): both outer pieces agree, and
+    so does the inner piece at +-x."""
     left, inner, right = psi.regions
-    assert left.value(-abs(x)) == right.value(abs(x))
-    assert inner.value(x) == inner.value(-x)
+    assert np.all(left.value(-np.abs(x)) == right.value(np.abs(x)))
+    assert np.all(inner.value(x) == inner.value(np.negative(x)))
 
 
 class TestMassAt:
-    """The mass each law gives at an energy: the inner law's ``value``, and
-    the unit outer mass seen through the pieces ``build_solution`` assembles."""
+    """The mass of each region at an energy.  For |x| < a it is the inner
+    law's ``value``, which takes no position, so it is even in x; the outer
+    mass is 1, seen only as the wavenumber q = sqrt|E| of the wall-grown
+    piece.  The class keeps the name of the position lookup these laws were
+    once read through."""
 
     def test_outer_region_unit_mass(self):
         profile = make(ConstantInner(-1.0))
@@ -73,13 +77,12 @@ class TestMassAt:
         assert_mirror_even(build_solution(make(StepInner(-2.0)), energy, "even"), x)
 
     def test_even_on_random_grid(self):
-        # 200 random (x, E) pairs, exact equality
+        # 1e4 random (x, E) pairs, 500 positions per energy, exact equality
         rng = np.random.default_rng(42)
         profile = make(TanhInner())
-        xs = rng.uniform(-2.0, 2.0, size=200) * 0.9999
-        es = rng.uniform(-50.0, 50.0, size=200)
-        for x, e in zip(xs, es):
-            assert_mirror_even(build_solution(profile, float(e), "even"), float(x))
+        for e in rng.uniform(-50.0, 50.0, size=20):
+            xs = rng.uniform(-2.0, 2.0, size=500) * 0.9999
+            assert_mirror_even(build_solution(profile, float(e), "even"), xs)
 
     def test_tanh_limits(self):
         inner = TanhInner()
@@ -97,8 +100,8 @@ class TestMassAt:
 
 
 class TestLocalQ2:
-    """The squared local wavenumber m * E of each region, as the kind and
-    wavenumber of the pieces ``build_solution`` assembles."""
+    """The squared local wavenumber m * E of each region: E outside, and the
+    inner law's value times E inside."""
 
     def test_outer_is_energy(self):
         outer = build_solution(make(ConstantInner(-1.0)), 4.0, "odd").regions[0]
@@ -107,20 +110,13 @@ class TestLocalQ2:
 
     def test_tanh_inner_matches_interpolating_wavenumber(self):
         # for E = k^2 the inner q^2 equals -(k sqrt(tanh k^2))^2
-        inner = TanhInner()
-        q2 = inner.value(1.0) * 1.0
+        q2 = TanhInner().value(1.0) * 1.0
         assert q2 == pytest.approx(-0.7615941559557649, abs=1e-15)
         lam = 1.0 * math.sqrt(math.tanh(1.0))
         assert q2 == pytest.approx(-lam * lam, abs=1e-15)
-        center = build_solution(make(inner), 1.0, "even").regions[1]
-        assert center.kind == "hyper"
-        assert center.q == pytest.approx(lam, abs=1e-15)
 
     def test_step_below_threshold_sign_bookkeeping(self):
-        step = StepInner(0.0)
-        assert step.value(-1.0) * -1.0 == -1.0
-        center = build_solution(make(step), -1.0, "even").regions[1]
-        assert (center.kind, center.q) == ("hyper", 1.0)
+        assert StepInner(0.0).value(-1.0) * -1.0 == -1.0
 
     def test_unknown_region_rejected(self):
         with pytest.raises(ValueError):

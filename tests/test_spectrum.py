@@ -238,6 +238,15 @@ class TestGroundStateStaircase:
             nodes_by_count.setdefault(row.negative_count, row.ground_state_nodes)
         assert nodes_by_count == {0: 0, 1: 0, 2: 2, 3: 4, 4: 6, 5: 8}
 
+    def test_nodes_past_the_l2_range(self):
+        # betas up to 500 admit roots with kappa (L - a) between 355 and 710,
+        # where the state's L2 integral overflows; the count does not need it
+        # and keeps the law of the shallow staircase, 2 n - 2 nodes
+        rows = ground_state_staircase(2.0, 500.0, 4)
+        assert [r.negative_count for r in rows] == [40, 80, 120, 159]
+        for row in rows:
+            assert row.ground_state_nodes == 2 * row.negative_count - 2
+
     def test_boundary_beta_admitted(self):
         # a grid point exactly on a critical value counts the new state
         crit = critical_betas(G2, 1)[0]
