@@ -1,4 +1,4 @@
-"""Sign-change isolation and bisection for smooth one-dimensional residuals."""
+"""Sign-change isolation and bracketed root refinement for one-dimensional residuals."""
 
 from __future__ import annotations
 
@@ -63,34 +63,74 @@ def bisect_root(f, a, b, fa, fb, tol):
     """Shrink sign-change brackets [a, b] until each is at most 2*tol wide.
 
     Takes arrays of endpoints and their residuals (scalars are one
-    bracket) and bisects every bracket in lockstep: one call of the
-    elementwise ``f`` per step, on the midpoints of the open brackets.
-    Each bracket takes exactly the steps it would take alone.  The width
-    is floored near machine precision of the midpoint, so very small
-    absolute tolerances degrade gracefully to full relative precision
-    instead of looping.  Returns one root per bracket as a float array.
+    bracket) and refines every bracket in lockstep by the Illinois form
+    of regula falsi (Dowell and Jarratt, BIT 11, 1971): one call of the
+    elementwise ``f`` per step, on two points per open bracket.  They
+    lie max(tol, 4 ulp) / 2 either side of the bracket's secant point,
+    in which a residual that stayed at its end for two steps running is
+    halved, so a secant point within that distance of the root closes
+    the bracket at once, with the secant point as its midpoint.  A
+    secant point that rounds onto an end is kept: the root then lies
+    within rounding of that end.  The midpoint replaces the secant point
+    where that is not finite or outside the bracket, and wherever the
+    width has not halved over the last two steps, so a bracket of width
+    w needs at most 3 ceil(log2(w / 2 tol')) + 2 steps, with
+    tol' = max(tol, 4 ulp) at the root, however useless interpolation
+    is; no bracket takes more than 256.  Each bracket takes exactly the
+    steps it would take alone.
+
+    Each root is the midpoint of a sign-change bracket at most 2*tol
+    wide, or a point where ``f`` is exactly zero.  The width is floored
+    at 8 ulp of the midpoint, so very small absolute tolerances degrade
+    gracefully to full relative precision instead of looping.  ``fa``
+    and ``fb`` are used for their signs and as interpolation weights.
+    Returns one root per bracket as a float array.
     """
     a, b, fa, fb = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(a, b, fa, fb))
     if np.any((fa != 0.0) & (fb != 0.0) & ((fa < 0.0) == (fb < 0.0))):
         raise ValueError("bracket endpoints must have opposite signs")
     roots = np.where(fa == 0.0, a, b)
     live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
+    a, b, fa, fb = a[live], b[live], fa[live], fb[live]
+    neg_a = fa < 0.0
+    # the end each bracket kept on its last step, and its widths one and two steps ago
+    kept_a = kept_b = np.zeros(live.size, dtype=bool)
+    width_1 = width_2 = np.full(live.size, np.inf)
     for _ in range(256):
-        mid = 0.5 * (a[live] + b[live])
-        width = b[live] - a[live]
-        done = (width <= 2.0 * tol) | (width <= 8.0 * np.spacing(np.abs(mid)))
-        done |= (mid <= a[live]) | (mid >= b[live])
-        roots[live[done]] = mid[done]
-        live, mid = live[~done], mid[~done]
+        width = b - a
+        mid = 0.5 * (a + b)
+        done = (width <= 2.0 * tol) | (width <= 8.0 * np.spacing(np.abs(mid))) | (mid <= a) | (mid >= b)
+        if done.any():
+            roots[live[done]] = mid[done]
+            keep = ~done
+            live, a, b, fa, fb, neg_a, kept_a, kept_b, width, width_1, width_2, mid = (
+                v[keep] for v in (live, a, b, fa, fb, neg_a, kept_a, kept_b, width, width_1, width_2, mid)
+            )
         if live.size == 0:
             return roots
-        fm = np.asarray(f(mid), dtype=float)
-        roots[live[fm == 0.0]] = mid[fm == 0.0]
-        lower = (fm < 0.0) == (fa[live] < 0.0)
-        a[live[lower]], fa[live[lower]] = mid[lower], fm[lower]
-        b[live[~lower]] = mid[~lower]
-        live = live[fm != 0.0]
-    roots[live] = 0.5 * (a[live] + b[live])
+        with np.errstate(all="ignore"):
+            x = a + width * (fa / (fa - fb))
+        x = np.where((x >= a) & (x <= b) & (width <= 0.5 * width_2), x, mid)
+        half = np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(x)))
+        lo = np.maximum(x - half, a)
+        hi = np.minimum(x + half, b)
+        f_both = np.asarray(f(np.concatenate((lo, hi))), dtype=float)
+        f_lo, f_hi = f_both[: live.size], f_both[live.size :]
+        # the first of [a, lo], [lo, hi], [hi, b] whose ends differ in sign
+        past_lo = (f_lo < 0.0) == neg_a
+        past_hi = past_lo & ((f_hi < 0.0) == neg_a)
+        a, b, fa, fb = (
+            np.where(past_lo, np.where(past_hi, hi, lo), a),
+            np.where(past_lo, np.where(past_hi, b, hi), lo),
+            np.where(past_lo, np.where(past_hi, f_hi, f_lo), np.where(kept_a, 0.5 * fa, fa)),
+            np.where(past_lo, np.where(past_hi, np.where(kept_b, 0.5 * fb, fb), f_hi), f_lo),
+        )
+        kept_a, kept_b = ~past_lo, past_hi
+        width_1, width_2 = width, width_1
+        if not f_both.all():
+            zero = (f_lo == 0.0) | (f_hi == 0.0)
+            a[zero] = b[zero] = np.where(f_lo == 0.0, lo, hi)[zero]
+    roots[live] = 0.5 * (a + b)
     return roots
 
 
@@ -99,7 +139,7 @@ def roots_in(f, segments, samples, tol):
 
     Each segment is bracketed by :func:`isolate_sign_changes` at
     ``samples`` cells and all brackets, zero-width ones included, are
-    bisected to ``tol`` together by :func:`bisect_root`.  Roots closer
+    refined to ``tol`` together by :func:`bisect_root`.  Roots closer
     than four times the tolerance, floored near machine relative
     precision, are one root.
     """

@@ -13,7 +13,7 @@ Eigenvalues are the zeros in energy of :func:`seam_wronskian`, the
 scaled Wronskian of the two solutions at x = -a.  It takes an array of
 energies, never overflows, and is the residual that the level scan (in
 s = sign(E) sqrt|E|, shared with the verdict in :mod:`masswell.spectrum`)
-and the bisection evaluate; :func:`mismatch` is its signed scalar form.
+and the root refinement evaluate; :func:`mismatch` is its signed scalar form.
 :func:`build_solution` assembles the state from the same two solutions,
 so wall and parity hold exactly and only the seam sees the root
 tolerance.
@@ -196,7 +196,7 @@ def eigenvalues(
 
     Each segment of :func:`_level_scan` is scanned at ``_SCAN_SAMPLES``
     with the rescan stability guard, and every isolated sign change is
-    bisected in s to tol / (2 sqrt(max |E|)), so each energy is within
+    refined in s to tol / (2 sqrt(max |E|)), so each energy is within
     ``tol`` (floored near machine relative precision).  Returns
     (energy, state) pairs sorted by energy.
     """

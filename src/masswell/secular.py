@@ -9,7 +9,7 @@ tan(u) * X = rhs is multiplied through by cos u: sin(u) X - rhs cos(u)
 equals +-X at a zero of cos u, and X > 0 for t > 0, so the residual has
 the same zeros and no poles.  Each window is scanned whole at a fixed
 number of cells per pi of u, with the rescan guard of
-:mod:`masswell._rootscan`, and every crossing is bisected.
+:mod:`masswell._rootscan`, and every crossing is refined to the tolerance.
 
 Branch forms reduce to the canonical a = 1 equations when the geometry
 has unit inner half-width; general ``a`` only rescales the arguments.
@@ -282,7 +282,7 @@ def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
     above t = 0, is scanned at 8 cells per pi of the tangent phase and at
     least 64 cells, in equal pieces of at most 2**14 cells so that the
     scan arrays stay small.  Each piece gets the rescan stability guard,
-    then every crossing is bisected to ``window.tol``.  An empty list is
+    then every crossing is refined to ``window.tol``.  An empty list is
     a legitimate outcome, not an error.
     """
     lo = max(window.lo, 1e-12)  # the deep-narrow residual divides by tanh(t L)
@@ -315,11 +315,20 @@ def reduced_kappa1(b_over_nu: float, L: float, tol: float = DEFAULT_TOL) -> floa
 
     The left side is increasing and the right side decreasing in kappa,
     so a single crossing exists.  It is bracketed analytically between
-    c = b/nu and c * coth(c L) and bisected to ``tol``.
+    c = b/nu and c * coth(c L) and refined to ``tol`` by
+    :func:`masswell._rootscan.bisect_root` from the residuals at both
+    ends.  Where the residual at c * coth(c L) rounds to zero or below
+    (c L above about 10), that end is the root to the float floor and is
+    returned as is.
     """
     branch = TwoParamReduced(L, b_over_nu)
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     c = b_over_nu
-    # the bracket's signs are analytic; the residual at hi is rounding-sized
-    return float(bisect_root(branch.residual_raw, c, c / math.tanh(c * L), -1.0, 1.0, tol)[0])
+    lo, hi = c, c / math.tanh(c * L)
+    # residual(lo) = -c (coth(c L) - 1) <= 0; residual(hi) > 0 analytically,
+    # but only by about 8 u exp(-4 u) c with u = c L, which rounding swallows
+    f_lo, f_hi = branch.residual_raw(np.array([lo, hi]))
+    if not f_hi > 0.0:
+        return hi
+    return float(bisect_root(branch.residual_raw, lo, hi, f_lo, f_hi, tol)[0])

@@ -3,7 +3,9 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.optimize import brentq
 
+from masswell import _rootscan
 from masswell._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes, roots_in
 from masswell.matching import LINEAR_BAND, build_solution, eigenvalues, mismatch, seam_wronskian
 from masswell.profiles import (
@@ -22,6 +24,7 @@ from masswell.secular import (
     TanhNeg,
     TanhPos,
     TwoParamNeg,
+    critical_betas,
     find_roots,
 )
 from masswell.wavefunction import RegionSolution, evaluate
@@ -389,27 +392,6 @@ class TestSeamWronskian:
             seam_wronskian(MassProfile(G2, TanhInner()), [1.0], "both")
 
 
-def _scalar_bisect(f, a, b, fa, fb, tol):
-    """The one-bracket-at-a-time bisection the lockstep routine must reproduce."""
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
-    for _ in range(256):
-        mid = 0.5 * (a + b)
-        width = b - a
-        if width <= 2.0 * tol or width <= 8.0 * math.ulp(mid) or mid <= a or mid >= b:
-            return mid
-        fm = f(mid)
-        if fm == 0.0:
-            return mid
-        if (fm < 0.0) == (fa < 0.0):
-            a, fa = mid, fm
-        else:
-            b, fb = mid, fm
-    return 0.5 * (a + b)
-
-
 def _cubic(roots):
     def f(x):
         return (x - roots[0]) * (x - roots[1]) * (x - roots[2])
@@ -417,12 +399,33 @@ def _cubic(roots):
     return f
 
 
+def _counted(f):
+    """``f`` with a running count of its calls in ``.calls``."""
+
+    def g(x):
+        g.calls += 1
+        return f(x)
+
+    g.calls = 0
+    return g
+
+
 class TestLockstepBisection:
     def check(self, f, brackets, tol):
         a, b = (np.array(side, dtype=float) for side in zip(*brackets))
-        got = bisect_root(f, a, b, f(a), f(b), tol)
-        want = [_scalar_bisect(f, ai, bi, f(ai), f(bi), tol) for ai, bi in brackets]
-        assert got.tolist() == want
+        fa, fb = f(a), f(b)
+        got = bisect_root(f, a, b, fa, fb, tol)
+        # a bracket refined in a batch takes exactly the steps it takes alone
+        alone = [bisect_root(f, *bracket, tol)[0] for bracket in zip(a, b, fa, fb)]
+        assert got.tolist() == alone
+        for root, lo, hi, f_lo, f_hi in zip(got, a, b, fa, fb):
+            assert lo <= root <= hi
+            want = lo if f_lo == 0.0 else hi if f_hi == 0.0 else brentq(f, lo, hi, xtol=1e-15)
+            # brentq is itself exact only to xtol + 4 eps |x| (at a root at 0 it
+            # returns 7e-23 where the refinement finds the exact zero)
+            slack = 1e-15 + 4.0 * np.finfo(float).eps * abs(want)
+            assert abs(root - want) <= max(tol, 8.0 * math.ulp(want)) + slack
+        return got
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -430,7 +433,7 @@ class TestLockstepBisection:
         spreads=st.lists(st.floats(0.01, 0.99), min_size=6, max_size=6),
         tol=st.sampled_from([1e-3, 1e-9, 1e-12, 1e-300]),
     )
-    def test_matches_scalar_bisection(self, roots, spreads, tol):
+    def test_batch_independent_and_within_tol_of_brentq(self, roots, spreads, tol):
         roots = sorted(roots)
         gaps = [math.inf] + [r1 - r0 for r0, r1 in zip(roots, roots[1:])] + [math.inf]
         brackets = [
@@ -443,15 +446,63 @@ class TestLockstepBisection:
     def test_exact_zeros_at_endpoints_and_midpoint(self):
         # roots 0, 1 and 5: endpoint zeros on two brackets, a midpoint zero on the third
         f = _cubic([0.0, 1.0, 5.0])
-        self.check(f, [(0.0, 0.5), (0.7, 1.0), (4.0, 6.0), (-0.3, 0.4)], 1e-12)
+        got = self.check(f, [(0.0, 0.5), (0.7, 1.0), (4.0, 6.0), (-0.3, 0.4)], 1e-12)
+        assert got[:2].tolist() == [0.0, 1.0]
+
+    def test_exact_zero_at_a_refinement_point(self):
+        # f vanishes on (-0.25, 0.25), where both brackets' first points lie
+        f = _counted(lambda x: np.where(np.abs(x) < 0.25, 0.0, x))
+        roots = bisect_root(f, [-1.0, -1.0], [1.0, 3.0], -1.0, [1.0, 3.0], 1e-12)
+        assert f.calls == 1 and np.all(f(roots) == 0.0)
 
     def test_tol_below_midpoint_ulp(self):
         f = _cubic([1e6 + 0.1, 2e6, 3e6])
         self.check(f, [(1e6, 1e6 + 1.0), (1.5e6, 2.5e6)], 1e-300)
 
     def test_step_cap(self):
-        # the width stays above 8 ulp(mid) for all 256 steps as mid approaches 0
-        self.check(lambda x: x, [(-1e300, 2e300)], 1e-320)
+        # a jump at 0: the width stays above 8 ulp(mid) for all 256 steps
+        f = _counted(lambda x: np.where(x < 0.0, -1.0, 1.0))
+        brackets = [(-1e300, 2e300), (-2e300, 1e300)]
+        got = bisect_root(f, *zip(*brackets), -1.0, 1.0, 1e-320)
+        assert f.calls == 256
+        assert all(lo < root < hi for root, (lo, hi) in zip(got, brackets))
+        assert got.tolist() == [bisect_root(f, lo, hi, -1.0, 1.0, 1e-320)[0] for lo, hi in brackets]
+
+    # residuals on which the secant point is useless: the midpoint guard
+    # must still close the bracket within the documented step bound
+    @pytest.mark.parametrize(
+        "law",
+        [
+            lambda x, r: np.where(x < r, -1e-300, 1e300),
+            lambda x, r: 1.0 / (x - r),
+            lambda x, r: (x - r) ** 21,
+        ],
+        ids=["jump", "pole", "flat-then-steep"],
+    )
+    @pytest.mark.parametrize("tol", [1e-3, 1e-12, 1e-300])
+    @pytest.mark.parametrize("r,lo,hi", [(0.3, -0.4, 2.2), (math.pi, 3.0, 10.0), (-7.1, -60.0, -7.0999)])
+    def test_worst_case_step_bound(self, law, tol, r, lo, hi):
+        def residual(x):
+            with np.errstate(divide="ignore", under="ignore"):
+                return law(np.asarray(x, dtype=float), r)
+
+        f = _counted(residual)
+        (root,) = bisect_root(f, lo, hi, residual(lo), residual(hi), tol)
+        tol_floor = max(tol, 4.0 * math.ulp(r))
+        assert f.calls <= 3 * math.ceil(math.log2((hi - lo) / (2.0 * tol_floor))) + 2
+        # a flat residual may underflow to an exact zero beside r
+        assert abs(root - r) <= max(tol, 8.0 * math.ulp(r)) or residual(root) == 0.0
+
+    # smooth residuals on which plain regula falsi keeps one end for many
+    # steps: halving that end's residual (Illinois) takes 17 calls here,
+    # plain regula falsi with the same midpoint guard 25 and 26
+    @pytest.mark.parametrize("law,lo,hi", [(np.log, 0.01, 100.0), (lambda x: x ** 5 - 0.3, 0.0, 4.0)])
+    def test_illinois_frees_a_stuck_end(self, law, lo, hi):
+        f = _counted(law)
+        (root,) = bisect_root(f, lo, hi, law(lo), law(hi), 1e-12)
+        assert f.calls <= 20
+        want = brentq(law, lo, hi, xtol=1e-15)
+        assert abs(root - want) <= 1e-12 + 1e-15 + 4.0 * np.finfo(float).eps * want
 
     def test_empty_bracket_list(self):
         def never(x):
@@ -462,3 +513,25 @@ class TestLockstepBisection:
     def test_same_sign_rejected(self):
         with pytest.raises(ValueError, match="opposite signs"):
             bisect_root(lambda x: x, [1.0, -1.0], [2.0, 1.0], [1.0, -1.0], [2.0, 1.0], 1e-12)
+
+
+def test_refinement_step_budget(monkeypatch):
+    """Residual calls per bisect_root call on the solvers' own brackets.
+
+    Secant steps need about 4 to 6 where midpoint bisection needs about 37,
+    so a silent fallback to bisection fails this count on any machine.
+    """
+    steps = []
+
+    def counting(f, *args):
+        residual = _counted(f)
+        roots = bisect_root(residual, *args)
+        steps.append(residual.calls)
+        return roots
+
+    monkeypatch.setattr(_rootscan, "bisect_root", counting)
+    uniform = MassProfile(G2, ConstantInner(1.0))
+    levels = [len(eigenvalues(uniform, (-100.0, 1e4), parity)) for parity in ("even", "odd")]
+    betas = critical_betas(G2, 500)
+    assert levels == [64, 63] and len(betas) == 500
+    assert len(steps) == 3 and sum(steps) <= 14 * len(steps), steps

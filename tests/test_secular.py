@@ -2,7 +2,8 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from scipy.optimize import brentq
 
 from masswell import _rootscan
 from masswell.matching import eigenvalues
@@ -260,6 +261,22 @@ class TestReducedKappa1:
         for bad in ((0.0, 2.0), (1.0, 0.0), (-1.0, 2.0)):
             with pytest.raises(ValueError):
                 reduced_kappa1(*bad)
+
+    # c L runs from 1e-5 to 3e4, across c L ~ 10 where the residual at the
+    # bracket's upper end c coth(c L) rounds to zero (first example) or below
+    @settings(max_examples=60, deadline=None)
+    @given(
+        c=st.floats(-3.0, 3.0).map(lambda v: 10.0 ** v),
+        L=st.floats(-2.0, math.log10(30.0)).map(lambda v: 10.0 ** v),
+    )
+    @example(c=12.589254117941687, L=0.817366229057692)
+    @example(c=5.011872336272725, L=2.223600929639877)
+    def test_agrees_with_brentq(self, c, L):
+        residual = TwoParamReduced(L, c).residual_raw
+        # an independent bracket: residual(c / 2) < 0 < residual(2 c coth(c L))
+        want = brentq(residual, 0.5 * c, 2.0 * c / math.tanh(c * L), xtol=1e-15)
+        slack = 1e-15 + 4.0 * np.finfo(float).eps * want  # brentq's own accuracy
+        assert abs(reduced_kappa1(c, L) - want) <= max(1e-12, 8.0 * math.ulp(want)) + slack
 
     def test_reduced_branch_find_roots_agrees(self):
         branch = TwoParamReduced(2.0, 1.0)

@@ -318,18 +318,26 @@ class TestCountNodesAgainstReference:
         assert outer.value(-a) != center.value(-a)
         assert count_nodes(psi) == J - 1
 
-    # spectrum --preset uniform --window=9:11 --parity odd at a loose tol: the
-    # root lands above k = pi at 1e-6, where each piece has its own zero beside
-    # x = -1, and below it at 1e-4, where psi changes sign there only across
-    # the jump; the zero-list counter read 0 nodes for the latter
-    @pytest.mark.parametrize("tol,pieces_cross", [(1e-6, True), (1e-4, False)])
-    def test_loose_tolerance_level_at_a_seam_zero(self, tol, pieces_cross):
+    # spectrum --preset uniform --window=9:11 --parity odd at a loose tol:
+    # which side of k = pi the root lands on is up to the refinement
+    @pytest.mark.parametrize("tol", [1e-6, 1e-4])
+    def test_loose_tolerance_level_at_a_seam_zero(self, tol):
         profile = MassProfile(G2, ConstantInner(1.0))
         (energy, psi), = eigenvalues(profile, (9.0, 11.0), "odd", tol=tol)
         assert abs(energy - math.pi ** 2) <= tol
+        assert count_nodes(psi) == 3
+
+    # the same level a root-tolerance-sized error off pi^2 on either side:
+    # above, each piece has its own zero beside x = -1; below, psi changes
+    # sign there only across the jump, which the zero-list counter read as
+    # 0 nodes
+    @pytest.mark.parametrize("d_energy", [1e-6, 1e-4, -1e-6, -1e-4])
+    def test_level_beside_a_seam_zero(self, d_energy):
+        psi = build_solution(MassProfile(G2, ConstantInner(1.0)), math.pi ** 2 + d_energy, "odd")
         outer, center, _ = psi.regions
         near = bool(region_zeros(outer, -1.0 - 1e-3, -1.0)) and bool(region_zeros(center, -1.0, -1.0 + 1e-3))
-        assert near == pieces_cross
+        assert near == (d_energy > 0.0)
+        assert (outer.value(-1.0) < 0.0) != (center.value(-1.0) < 0.0)
         assert count_nodes(psi) == 3
 
     def test_deep_levels_past_the_l2_range(self):
