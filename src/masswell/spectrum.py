@@ -149,13 +149,31 @@ def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_lev
 def _states_by_energy(
     profile: MassProfile, window: tuple[float, float], parities: Sequence[str], tol: float
 ) -> list[tuple[float, str, PiecewiseWavefunction]]:
-    """(energy, parity, state) for every level in the window, stably sorted by energy."""
-    found = [
-        (energy, parity, psi)
-        for parity in parities
-        for energy, psi in eigenvalues(profile, window, parity, tol=tol)
-    ]
-    return sorted(found, key=lambda item: item[0])
+    """(energy, parity, state) for every level in the window, sorted by energy.
+
+    Each energy is within ``tol`` of its level, floored at 8 ulp in
+    s = sign(E) sqrt|E|, so two computed energies closer than
+    max(2 tol, 32 ulp(E)) may sit in either order whatever the levels'
+    own order (a deep even/odd pair split by 1e-17, say).  Each run of
+    levels that close prints in the order of ``parities`` instead, which
+    the root refinement cannot change.
+    """
+    found = sorted(
+        (
+            (energy, parity, psi)
+            for parity in parities
+            for energy, psi in eigenvalues(profile, window, parity, tol=tol)
+        ),
+        key=lambda item: item[0],
+    )
+    rank = {parity: i for i, parity in enumerate(parities)}
+    run, previous, keys = 0, -math.inf, []
+    for energy, parity, _ in found:
+        if energy - previous > max(2.0 * tol, 32.0 * math.ulp(energy)):
+            run += 1
+        previous = energy
+        keys.append((run, rank[parity]))
+    return [item for _, item in sorted(zip(keys, found), key=lambda pair: pair[0])]
 
 
 def run_scenario(

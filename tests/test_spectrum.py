@@ -63,6 +63,13 @@ class TestRunScenario:
             assert level.nodes >= 0
             assert 0.0 <= level.localization <= 1.0
 
+    @pytest.mark.parametrize("parities", [("even", "odd"), ("odd", "even")])
+    def test_levels_closer_than_tol_follow_the_parity_order(self, parities):
+        # a deep even/odd pair split by about 3e-17, far below tol
+        report = run_scenario(MassProfile(G2, TanhInner()), (440.0, 470.0), parities=parities)
+        assert [level.parity for level in report.levels] == list(parities)
+        assert report.levels[0].energy == pytest.approx(report.levels[1].energy, abs=2e-12)
+
     @pytest.mark.parametrize("L", [1.5, 2.0, 3.0])
     def test_tanh_bounded_below_with_positive_levels_only(self, L):
         report = run_scenario(
