@@ -8,7 +8,8 @@ diagnostic or numeric overflow (``RuntimeError``, ``OverflowError``).
 
 Floats are always written with 17 significant digits, so identical
 configs produce byte-identical output files.  Each table states its row
-template once (``%.17g`` per float column) and formats every row with it.
+template once (``%.17g`` per float column) and formats every row with it;
+header lines write their floats the same way.
 """
 
 from __future__ import annotations
@@ -66,12 +67,6 @@ _KNOWN_KEYS = {
     "window", "parity", "tol", "format", "out", "samples", "level",
     "branch", "count", "b_over_nu", "nu_values", "range",
 }
-
-
-def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".17g")
-    return str(value)
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -228,7 +223,7 @@ def _report_header(report: SpectrumReport) -> list[str]:
         "# masswell spectrum report",
         f"# scenario: {report.scenario}",
         f"# model: {report.profile.describe()}",
-        f"# window: {_fmt(report.window[0])}:{_fmt(report.window[1])}",
+        f"# window: {report.window[0]:.17g}:{report.window[1]:.17g}",
         f"# parities: {','.join(report.parities)}",
         f"# verdict: {report.verdict.kind}",
     ]
@@ -236,8 +231,8 @@ def _report_header(report: SpectrumReport) -> list[str]:
         ev = report.verdict.evidence
         lines.append(
             "# evidence: negative-level count "
-            f"{ev['count_small']} for kappa in (0,{_fmt(ev['kappa_window_small'])}], "
-            f"{ev['count_large']} for kappa in (0,{_fmt(ev['kappa_window_large'])}], "
+            f"{ev['count_small']} for kappa in (0,{ev['kappa_window_small']:.17g}], "
+            f"{ev['count_large']} for kappa in (0,{ev['kappa_window_large']:.17g}], "
             f"required growth {ev['required_growth']}"
         )
     return lines
@@ -389,10 +384,10 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         "# masswell wavefunction dump",
         f"# model: {profile.describe()}",
         f"# level: {level_index}",
-        f"# energy: {_fmt(energy)}",
+        f"# energy: {energy:.17g}",
         f"# parity: {parity}",
         f"# nodes: {count_nodes(psi)}",
-        f"# localization: {_fmt(localization_fraction(psi))}",
+        f"# localization: {localization_fraction(psi):.17g}",
     ]
     _write(cfg, "wavefunction", header, "x,psi", zip(xs.tolist(), evaluate(psi, xs).tolist()))
     return 0
@@ -408,7 +403,7 @@ def _cmd_critical_beta(args: argparse.Namespace) -> int:
     _write(
         cfg,
         "critical-beta",
-        [f"# masswell critical beta values: L={_fmt(geometry.L)} a={_fmt(geometry.a)}"],
+        [f"# masswell critical beta values: L={geometry.L:.17g} a={geometry.a:.17g}"],
         "index,beta",
         enumerate(betas, start=1),
         {"L": geometry.L, "a": geometry.a, "critical_betas": betas},
@@ -435,8 +430,8 @@ def _cmd_delta_limit(args: argparse.Namespace) -> int:
         cfg,
         "delta-limit",
         [
-            f"# masswell delta-limit study: b/nu={_fmt(b_over_nu)} L={_fmt(L)}",
-            f"# reduced fixed point: {_fmt(fixed_point)}",
+            f"# masswell delta-limit study: b/nu={b_over_nu:.17g} L={L:.17g}",
+            f"# reduced fixed point: {fixed_point:.17g}",
         ],
         columns,
         table,

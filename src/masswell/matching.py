@@ -31,7 +31,7 @@ import numpy as np
 
 from ._rootscan import ScanResolutionError, roots_in
 from .profiles import MassProfile
-from .wavefunction import PiecewiseWavefunction, RegionSolution
+from .wavefunction import PiecewiseWavefunction, RegionSolution, _value_slope
 
 __all__ = [
     "LINEAR_BAND",
@@ -73,32 +73,33 @@ def build_solution(profile: MassProfile, energy: float, parity: str) -> Piecewis
     The outer piece is grown from the wall (psi(-L) = 0) and mirrored by
     parity onto (a, L); one inner piece, c times cos/cosh/1 (even) or
     sin/sinh/x (odd) of qx, spans (-a, a).  Wall and parity hold exactly.
+    A hyperbolic piece is stored anchored at its span ends (see
+    :class:`RegionSolution`), so every piece and slope stays within the
+    float range at any energy: outside as (1, -e^(-q (L - a))), a multiple
+    of sinh q(x + L), inside as c (1, +-1), a multiple of cosh or sinh qx.
     c makes psi continuous at -a, or psi' where the center solution's
     value y there is below half of |y'|/q, so the seam carries the
     leftover, which at an eigenvalue is the size of the root tolerance.
     Where |y| and |y'|/q are close, as at every even uniform-well level,
     psi continuity wins and psi stays single-valued at the seams.  The
-    state is unnormalized.  A cosh or sinh at the seam beyond the float
-    range raises ``OverflowError`` naming the energy.
+    state is unnormalized.
     """
     sign = _parity_sign(parity)
     geo = profile.geometry
     kind_o, q_o = _solution_kind(energy)
-    outer = RegionSolution(kind_o, q_o, -geo.L, 0.0, 1.0, (-geo.L, -geo.a))
+    # np.exp, as in RegionSolution.value, so psi(-L) is exactly 0
+    wall = (1.0, -float(np.exp(-q_o * (geo.L - geo.a)))) if kind_o == "hyper" else (0.0, 1.0)
+    outer = RegionSolution(kind_o, q_o, -geo.L, *wall, (-geo.L, -geo.a))
     kind_i, q_i = _solution_kind(profile.inner.value(energy) * energy)
-    unit = (1.0, 0.0) if sign > 0.0 else (0.0, 1.0)
+    if kind_i == "hyper":
+        unit = (1.0, sign)
+    else:
+        unit = (1.0, 0.0) if sign > 0.0 else (0.0, 1.0)
     center = RegionSolution(kind_i, q_i, 0.0, *unit, (-geo.a, geo.a))
-    try:
-        with np.errstate(over="raise"):
-            y, dy = center.value(-geo.a), center.slope(-geo.a)
-            # near a zero of y, dividing by it would amplify the seam leftover
-            if abs(dy) > 2.0 * q_i * abs(y):
-                c = outer.slope(-geo.a) / dy
-            else:
-                c = outer.value(-geo.a) / y
-    except FloatingPointError:
-        raise OverflowError(f"the state at E = {energy!r} overflows at the seam") from None
-    regions = (outer, center.scaled(float(c)), outer.reflected(sign))
+    (y_o, dy_o), (y, dy) = _value_slope(outer, -geo.a), _value_slope(center, -geo.a)
+    # near a zero of y, dividing by it would amplify the seam leftover
+    c = dy_o / dy if abs(dy) > 2.0 * q_i * abs(y) else y_o / y
+    regions = (outer, center.scaled(c), outer.reflected(sign))
     return PiecewiseWavefunction(regions=regions, parity=parity, energy=energy)
 
 

@@ -1,14 +1,18 @@
 """Piecewise wavefunctions: evaluation, exact node counts, exact integrals.
 
-Every region solution is one of three closed forms in the local
-coordinate t = x - x_ref: trig A cos(q t) + B sin(q t), hyperbolic
-A cosh(q t) + B sinh(q t), or linear A + B t.  Zeros and L2 integrals
-of each form have elementary expressions, so node counting and
-localization never rely on sampling; dense sampling appears only in the
-test suite as an independent cross-check.  A node count costs O(1) per
-region: a trig piece's zeros are counted from its phase at the two ends
-of its span, a hyperbolic or linear piece has at most one, and each seam
-is one sign test across a window that spans any jump of psi there.
+Every region solution is one of three closed forms: trig
+A cos(q t) + B sin(q t) or linear A + B t in the local coordinate
+t = x - x_ref, or hyperbolic A e^(q (x - x_right)) + B e^(-q (x - x_left)),
+two exponentials anchored at the ends of the span (x_left, x_right).
+Each exponential is at most 1 on the span, so a hyperbolic piece, its
+slope and its L2 integral stay within the float range however large q
+times the width grows.  Zeros and L2 integrals of each form have
+elementary expressions, so node counting and localization never rely on
+sampling; dense sampling appears only in the test suite as an
+independent cross-check.  A node count costs O(1) per region: a trig
+piece's zeros are counted from its phase at the two ends of its span, a
+hyperbolic or linear piece has at most one, and each seam is one sign
+test across a window that spans any jump of psi there.
 """
 
 from __future__ import annotations
@@ -39,9 +43,12 @@ class RegionSolution:
     """One closed-form solution piece on the span ``(x_left, x_right)``.
 
     ``kind`` is "trig", "hyper" or "linear"; ``q`` is the local
-    wavenumber (0 for linear).  The value is
-    ``a_coef * u(q (x - x_ref)) + b_coef * v(q (x - x_ref))`` with
-    (u, v) = (cos, sin), (cosh, sinh) or (1, t).
+    wavenumber (0 for linear).  A trig or linear piece is
+    ``a_coef * u(q t) + b_coef * v(q t)`` with t = x - x_ref and
+    (u, v) = (cos, sin) or (1, t).  A hyperbolic piece is
+    ``a_coef * exp(q (x - x_right)) + b_coef * exp(-q (x - x_left))``,
+    anchored at its span ends and not at ``x_ref``, so
+    |value| <= |a_coef| + |b_coef| on the span.
     """
 
     kind: str
@@ -58,24 +65,14 @@ class RegionSolution:
             raise ValueError(f"empty span {self.span!r}")
 
     def value(self, x):
+        if self.kind == "hyper":
+            x_left, x_right = self.span
+            grow = np.exp(self.q * np.subtract(x, x_right))
+            return self.a_coef * grow + self.b_coef * np.exp(-self.q * np.subtract(x, x_left))
         t = np.subtract(x, self.x_ref)
         if self.kind == "trig":
             return self.a_coef * np.cos(self.q * t) + self.b_coef * np.sin(self.q * t)
-        if self.kind == "hyper":
-            return self.a_coef * np.cosh(self.q * t) + self.b_coef * np.sinh(self.q * t)
         return self.a_coef + self.b_coef * t
-
-    def slope(self, x):
-        t = np.subtract(x, self.x_ref)
-        if self.kind == "trig":
-            return self.q * (
-                -self.a_coef * np.sin(self.q * t) + self.b_coef * np.cos(self.q * t)
-            )
-        if self.kind == "hyper":
-            return self.q * (
-                self.a_coef * np.sinh(self.q * t) + self.b_coef * np.cosh(self.q * t)
-            )
-        return self.b_coef * np.ones_like(t)
 
     def scaled(self, factor: float) -> "RegionSolution":
         return replace(self, a_coef=self.a_coef * factor, b_coef=self.b_coef * factor)
@@ -83,17 +80,16 @@ class RegionSolution:
     def reflected(self, parity_sign: float) -> "RegionSolution":
         """Mirror image under x -> -x, multiplied by ``parity_sign``.
 
-        u is even and v odd in every basis, so the coefficients map to
-        (s*A, -s*B) with the reference point and span negated.
+        The span and reference point are negated.  cos and 1 are even,
+        sin and t odd, so trig and linear coefficients map to
+        (s*A, -s*B); the two anchored exponentials of a hyperbolic piece
+        trade places, so its coefficients map to (s*B, s*A).
         """
-        return RegionSolution(
-            kind=self.kind,
-            q=self.q,
-            x_ref=-self.x_ref,
-            a_coef=parity_sign * self.a_coef,
-            b_coef=-parity_sign * self.b_coef,
-            span=(-self.span[1], -self.span[0]),
-        )
+        if self.kind == "hyper":
+            coefs = (parity_sign * self.b_coef, parity_sign * self.a_coef)
+        else:
+            coefs = (parity_sign * self.a_coef, -parity_sign * self.b_coef)
+        return RegionSolution(self.kind, self.q, -self.x_ref, *coefs, (-self.span[1], -self.span[0]))
 
 
 def region_zeros(region: RegionSolution, lo: float, hi: float) -> list[float]:
@@ -101,18 +97,18 @@ def region_zeros(region: RegionSolution, lo: float, hi: float) -> list[float]:
     if not hi > lo:
         return []
     a, b, q = region.a_coef, region.b_coef, region.q
+    if region.kind == "hyper":
+        # A e^(q (x - x_right)) = -B e^(-q (x - x_left)) has one root when A B < 0
+        if not (a < 0.0 < b or b < 0.0 < a):
+            return []
+        x0 = 0.5 * (region.span[0] + region.span[1]) + (math.log(abs(b)) - math.log(abs(a))) / (2.0 * q)
+        return [x0] if lo < x0 < hi else []
     t1 = lo - region.x_ref
     t2 = hi - region.x_ref
     if region.kind == "linear":
         if b == 0.0:
             return []
         t0 = -a / b
-        return [t0 + region.x_ref] if t1 < t0 < t2 else []
-    if region.kind == "hyper":
-        # A cosh + B sinh vanishes only where tanh(q t) = -A/B, so |A| < |B|
-        if b == 0.0 or abs(a) >= abs(b):
-            return []
-        t0 = math.atanh(-a / b) / q
         return [t0 + region.x_ref] if t1 < t0 < t2 else []
     if a == b == 0.0:
         return []
@@ -133,14 +129,6 @@ def _l2_antiderivative(region: RegionSolution, t: float) -> float:
             + (a * a - b * b) * s2 / (4.0 * q)
             - a * b * c2 / (2.0 * q)
         )
-    if region.kind == "hyper":
-        sh2 = math.sinh(2.0 * q * t)
-        ch2 = math.cosh(2.0 * q * t)
-        return (
-            0.5 * (a * a - b * b) * t
-            + (a * a + b * b) * sh2 / (4.0 * q)
-            + a * b * ch2 / (2.0 * q)
-        )
     return a * a * t + a * b * t * t + b * b * t ** 3 / 3.0
 
 
@@ -150,9 +138,15 @@ def region_l2(region: RegionSolution, lo: Optional[float] = None, hi: Optional[f
     x2 = region.span[1] if hi is None else min(hi, region.span[1])
     if not x2 > x1:
         return 0.0
-    t1 = x1 - region.x_ref
-    t2 = x2 - region.x_ref
-    return _l2_antiderivative(region, t2) - _l2_antiderivative(region, t1)
+    if region.kind == "hyper":
+        # each squared exponential integrates to its square at its larger end times
+        # (1 - e^(-2 q h)) / (2 q), which expm1 keeps accurate however small q h is
+        a, b, q = region.a_coef, region.b_coef, region.q
+        x_left, x_right = region.span
+        grow, decay = a * math.exp(q * (x2 - x_right)), b * math.exp(-q * (x1 - x_left))
+        length = -math.expm1(-2.0 * q * (x2 - x1)) / (2.0 * q)
+        return (grow * grow + decay * decay) * length + 2.0 * a * b * math.exp(-q * (x_right - x_left)) * (x2 - x1)
+    return _l2_antiderivative(region, x2 - region.x_ref) - _l2_antiderivative(region, x1 - region.x_ref)
 
 
 @dataclass(frozen=True)
@@ -180,14 +174,9 @@ class PiecewiseWavefunction:
 
     def normalized(self) -> "PiecewiseWavefunction":
         """Copy rescaled to unit L2 norm on (-L, L)."""
-        try:
-            current = self.l2_norm()
-        except OverflowError:  # math.sinh in a deep hyperbolic piece's integral
-            current = math.inf
+        current = self.l2_norm()
         if current == 0.0:
             raise ValueError("cannot normalize the zero solution")
-        if not math.isfinite(current):
-            raise OverflowError(f"L2 norm of the state at E = {self.energy!r} is {current!r}")
         factor = 1.0 / current
         return replace(self, regions=tuple(r.scaled(factor) for r in self.regions))
 
@@ -234,8 +223,8 @@ def _value_slope(region: RegionSolution, x: float) -> tuple[float, float]:
         c, s = math.cos(q * t), math.sin(q * t)
         return a * c + b * s, q * (b * c - a * s)
     if region.kind == "hyper":
-        c, s = math.cosh(q * t), math.sinh(q * t)
-        return a * c + b * s, q * (b * c + a * s)
+        grow, decay = a * math.exp(q * (x - region.span[1])), b * math.exp(-q * (x - region.span[0]))
+        return grow + decay, q * (grow - decay)
     return a + b * t, b
 
 
@@ -277,16 +266,14 @@ def count_nodes(psi: PiecewiseWavefunction) -> int:
     return nodes
 
 
-def localization_fraction(psi: PiecewiseWavefunction, a: Optional[float] = None) -> float:
-    """Probability fraction inside |x| < a (defaults to the profile's a).
+def localization_fraction(psi: PiecewiseWavefunction) -> float:
+    """Probability fraction inside the inner region |x| < a.
 
-    Computed from the exact per-region antiderivatives, so the result is
-    independent of the overall normalization and always lies in [0, 1].
+    Computed from the exact per-region integrals of :func:`region_l2`, so
+    the result is independent of the overall normalization and always lies
+    in [0, 1].
     """
-    if a is None:
-        a = psi.inner_half_width
-    if not 0.0 < a <= psi.half_width:
-        raise ValueError(f"inner half-width {a!r} outside (0, {psi.half_width}]")
+    a = psi.inner_half_width
     inner = sum(region_l2(r, -a, a) for r in psi.regions)
     total = sum(region_l2(r) for r in psi.regions)
     return inner / total

@@ -27,7 +27,7 @@ from masswell.profiles import (
     TanhInner,
     WellGeometry,
 )
-from masswell.secular import ConstantNegNeg, RootWindow, find_roots
+from masswell.secular import ConstantNegNeg, RootWindow, ScanResolutionError, find_roots
 
 
 class TestConfigGrammar:
@@ -137,18 +137,22 @@ class TestSpectrumCommand:
 
 
 class TestSolverFailureExitCode:
-    def test_scan_diagnostic_maps_to_exit_3(self, monkeypatch, tmp_path):
+    # no request is known to overflow, so the OverflowError mapping is raised by hand
+    @pytest.mark.parametrize(
+        "error", [ScanResolutionError("synthetic diagnostic"), OverflowError("synthetic overflow")]
+    )
+    def test_solver_failure_maps_to_exit_3(self, error, monkeypatch, tmp_path, capsys):
         from masswell import cli as cli_module
-        from masswell.secular import ScanResolutionError
 
         def explode(*args, **kwargs):
-            raise ScanResolutionError("synthetic diagnostic")
+            raise error
 
         monkeypatch.setattr(cli_module, "run_scenario", explode)
         out = tmp_path / "never.csv"
         code = main(["spectrum", "--preset", "uniform", "--out", str(out)])
         assert code == 3
         assert not out.exists()
+        assert capsys.readouterr().err == f"solver failure: {error}\n"
 
 
 class TestCurvesCommand:
@@ -297,48 +301,38 @@ class TestOptionsPerCommand:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
-class TestNumericFailureExitCode:
-    # what each failure must name, keyed by its window
-    MESSAGES = {
-        "--window=-1e6:10": "E = -999623.7594",
-        "--window=126000:132000": "E = 127703.42819597",
-    }
-
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            # all 319 even levels resolve, but the deepest one's inner cosh
-            # overflows at the seam when its state is built
-            ["--window=-1e6:10"],
-            # q a = 357 at the level, so sinh(2 q a) in the inner piece's L2
-            # integral overflows and the state cannot be normalized
-            ["--window=126000:132000", "--parity", "even"],
-        ],
-    )
-    def test_overflow_maps_to_exit_3(self, argv, tmp_path, capsys):
-        out = tmp_path / "never.csv"
-        code = main(["spectrum", "--preset", "constant-negative", *argv, "--out", str(out)])
-        assert code == 3
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert err.startswith("solver failure:") and self.MESSAGES[argv[0]] in err
-
-
 def closed_form_localization(energy, parity, L=2.0, a=1.0):
     """Localization of the inner-mass -1 state at E = k^2 > 0: outer sin k(x+L),
-    inner c cosh(kx) (even) or c sinh(kx) (odd), c from psi continuity at -a."""
+    inner c cosh(kx) (even) or c sinh(kx) (odd), c from psi continuity at -a.
+    Written through t = tanh ka, so it stays finite at any k a."""
     k = math.sqrt(energy)
     s = math.sin(k * (L - a)) ** 2
+    t = math.tanh(k * a)
     if parity == "even":
-        inside = s * (a + math.sinh(2 * k * a) / (2 * k)) / math.cosh(k * a) ** 2
+        inside = s * (a * (1.0 - t * t) + t / k)  # (a + sinh(2ka)/(2k)) / cosh^2(ka)
     else:
-        inside = s * (math.sinh(2 * k * a) / (2 * k) - a) / math.sinh(k * a) ** 2
+        inside = s * (1.0 / (k * t) - a * (1.0 / (t * t) - 1.0))  # (sinh(2ka)/(2k) - a) / sinh^2(ka)
     outside = (L - a) - math.sin(2 * k * (L - a)) / (2 * k)
     return inside / (inside + outside)
 
 
+def closed_form_negative_localization(kappa, k, L=2.0, a=1.0):
+    """Localization of the level at E = -kappa^2 with outer sinh kappa(x+L) and
+    inner cos kx (even) or sin kx (odd).  With t = tanh kappa(L-a), the seam
+    condition k tan ka = kappa / t (even) or -k cot ka = kappa / t (odd) gives
+    both parities inner / psi(-a)^2 = a (1 + (kappa/(k t))^2) + kappa / (k^2 t)
+    and, per side, outer / psi(-a)^2 = 1/(2 kappa t) - (L-a)(1/t^2 - 1)/2, finite
+    at any kappa.  At k = kappa, L = 2 a = 2 it is
+    (1 + tanh 2kappa/(2kappa)) / (1 + tanh 2kappa/kappa - sech 2kappa)."""
+    t = math.tanh(kappa * (L - a))
+    inside = a * (1.0 + (kappa / (k * t)) ** 2) + kappa / (k * k * t)
+    outside = 1.0 / (2.0 * kappa * t) - (L - a) * (1.0 / (t * t) - 1.0) / 2.0
+    return inside / (inside + 2.0 * outside)
+
+
 class TestDeepHyperbolicStates:
-    """Levels whose inner piece is cosh/sinh(q x) with q a far above 1."""
+    """Levels with a hyperbolic piece whose q times width is far above 1,
+    some past where cosh or sinh leaves the float range."""
 
     @staticmethod
     def rows(argv, tmp_path):
@@ -356,14 +350,36 @@ class TestDeepHyperbolicStates:
             assert float(loc) == pytest.approx(want, rel=1e-10)
             assert float(loc) == pytest.approx(0.0225167, rel=1e-5)
 
-    def test_state_with_q_a_194_normalizes(self, tmp_path):
-        # an inner piece anchored at x = 0 gives this level a NaN norm
-        (energy, parity, nodes, loc), = self.rows(
-            ["--preset", "constant-negative", "--window=37000:38500", "--parity", "even"], tmp_path
-        )
-        assert (parity, nodes) == ("even", "122")
-        assert nodes == str(2 * math.floor(math.sqrt(float(energy)) / math.pi))
-        assert float(loc) == pytest.approx(closed_form_localization(float(energy), "even"), rel=1e-10)
+    # q a = 194: an inner piece anchored at x = 0 gives the level a NaN norm;
+    # q a = 357: sinh(2 q a) of a cosh inner piece's L2 integral is past the float range
+    @pytest.mark.parametrize("window,nodes", [("37000:38500", ["122"]), ("126000:132000", ["226", "228"])])
+    def test_deep_positive_levels_normalize(self, window, nodes, tmp_path):
+        rows = self.rows(["--preset", "constant-negative", f"--window={window}", "--parity", "even"], tmp_path)
+        assert [(parity, n) for _, parity, n, _ in rows] == [("even", n) for n in nodes]
+        for energy, _, n, loc in rows:
+            assert n == str(2 * math.floor(math.sqrt(float(energy)) / math.pi))
+            assert float(loc) == pytest.approx(closed_form_localization(float(energy), "even"), rel=1e-10)
+
+    # inner wavenumber k = kappa sqrt(-m): 1 for constant-negative, 2 for two-param
+    @pytest.mark.parametrize(
+        "preset,window,parity,k_per_kappa,count",
+        [
+            ("constant-negative", "-1e6:10", "even", 1.0, 319),
+            ("two-param", "-1e5:-1e4", "even", 2.0, 69),
+            ("two-param", "-1e5:-1e4", "odd", 2.0, 69),
+        ],
+    )
+    def test_deep_negative_levels_match_closed_form(self, preset, window, parity, k_per_kappa, count, tmp_path):
+        rows = self.rows(["--preset", preset, f"--window={window}", "--parity", parity], tmp_path)
+        negative = [(float(e), int(nodes), float(loc)) for e, _, nodes, loc in rows if float(e) < 0.0]
+        assert len(negative) == count
+        L, a = float(PRESETS[preset]["L"]), float(PRESETS[preset]["a"])
+        for energy, nodes, loc in negative:
+            kappa = math.sqrt(-energy)
+            k = k_per_kappa * kappa
+            # 2 floor(kappa / pi) for constant-negative
+            assert nodes == math.floor(2.0 * k * a / math.pi), energy
+            assert abs(loc - closed_form_negative_localization(kappa, k, L, a)) <= 1e-12, energy
 
 
 class TestNonFiniteNumbers:

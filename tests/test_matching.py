@@ -27,7 +27,7 @@ from masswell.secular import (
     critical_betas,
     find_roots,
 )
-from masswell.wavefunction import RegionSolution, evaluate
+from masswell.wavefunction import RegionSolution, _value_slope, evaluate
 
 G2 = WellGeometry(2.0, 1.0)
 K_NP1_L2 = 2.347045566487087  # first root of tanh(k) tan(k) = -1
@@ -88,11 +88,15 @@ class TestBuildSolution:
         assert outer.value(-profile.geometry.L) == 0.0
         assert mirror == outer.reflected(1.0 if parity == "even" else -1.0)
         assert (inner.x_ref, inner.span) == (0.0, (-a, a))
-        assert (inner.b_coef if parity == "even" else inner.a_coef) == 0.0
+        if inner.kind == "hyper":
+            # A (e^(q (x - a)) +- e^(-q (x + a))): a multiple of cosh (even) or sinh (odd)
+            assert inner.b_coef == (inner.a_coef if parity == "even" else -inner.a_coef)
+        else:
+            assert (inner.b_coef if parity == "even" else inner.a_coef) == 0.0
         q = max(inner.q, outer.q, 1.0)
-        scale = max(abs(outer.value(-a)), abs(outer.slope(-a)) / q)
-        jumps = (abs(outer.value(-a) - inner.value(-a)), abs(outer.slope(-a) - inner.slope(-a)) / q)
-        assert min(jumps) <= 1e-14 * scale
+        (y_out, dy_out), (y_in, dy_in) = _value_slope(outer, -a), _value_slope(inner, -a)
+        scale = max(abs(y_out), abs(dy_out) / q)
+        assert min(abs(y_out - y_in), abs(dy_out - dy_in) / q) <= 1e-14 * scale
 
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_seam_leftover_at_eigenvalues(self, parity):
@@ -108,9 +112,10 @@ class TestBuildSolution:
             for energy, psi in levels:
                 outer, inner, _ = psi.regions
                 q = max(inner.q, outer.q, 1.0)
-                scale = max(abs(outer.value(-a)), abs(outer.slope(-a)) / q)
-                assert abs(outer.value(-a) - inner.value(-a)) <= 1e-10 * scale, energy
-                assert abs(outer.slope(-a) - inner.slope(-a)) <= 1e-10 * q * scale, energy
+                (y_out, dy_out), (y_in, dy_in) = _value_slope(outer, -a), _value_slope(inner, -a)
+                scale = max(abs(y_out), abs(dy_out) / q)
+                assert abs(y_out - y_in) <= 1e-10 * scale, energy
+                assert abs(dy_out - dy_in) <= 1e-10 * q * scale, energy
 
     def test_parity_reflection(self):
         profile = MassProfile(G2, ConstantInner(-1.0))
@@ -361,11 +366,18 @@ class TestSeamWronskian:
             m = mismatch(profile, e, parity)
             if abs(m) <= 1e-9:
                 continue
-            outer = RegionSolution(*_local_kind(e), -geo.L, 0.0, 1.0, (-geo.L, -geo.a))
+            # sin k(x + L), x + L or, anchored at -L and -a, a multiple of sinh q(x + L)
+            kind, q = _local_kind(e)
+            wall = (1.0, -math.exp(-q * (geo.L - geo.a))) if kind == "hyper" else (0.0, 1.0)
+            y, dy = _value_slope(RegionSolution(kind, q, -geo.L, *wall, (-geo.L, -geo.a)), -geo.a)
             kind, q = _local_kind(profile.inner.value(e) * e)
-            slope_coef = outer.slope(-geo.a) / (q if kind != "linear" else 1.0)
-            inner = RegionSolution(kind, q, -geo.a, outer.value(-geo.a), slope_coef, (-geo.a, geo.a))
-            center = inner.slope(0.0) if parity == "even" else inner.value(0.0)
+            if kind == "hyper":
+                # anchored on (-a, 0), the value at -a is A e^(-q a) + B and the slope q (A e^(-q a) - B)
+                coefs = (0.5 * (y + dy / q) * math.exp(q * geo.a), 0.5 * (y - dy / q))
+            else:
+                coefs = (y, dy / q if kind == "trig" else dy)
+            y0, dy0 = _value_slope(RegionSolution(kind, q, -geo.a, *coefs, (-geo.a, 0.0)), 0.0)
+            center = dy0 if parity == "even" else y0
             assert np.sign(center) == np.sign(m), (e, center, m)
 
     @settings(max_examples=30, deadline=None)

@@ -245,12 +245,16 @@ class TestGroundStateStaircase:
             nodes_by_count.setdefault(row.negative_count, row.ground_state_nodes)
         assert nodes_by_count == {0: 0, 1: 0, 2: 2, 3: 4, 4: 6, 5: 8}
 
-    def test_nodes_past_the_l2_range(self):
-        # betas up to 500 admit roots with kappa (L - a) between 355 and 710,
-        # where the state's L2 integral overflows; the count does not need it
-        # and keeps the law of the shallow staircase, 2 n - 2 nodes
-        rows = ground_state_staircase(2.0, 500.0, 4)
-        assert [r.negative_count for r in rows] == [40, 80, 120, 159]
+    # betas up to 500 admit roots with kappa (L - a) between 355 and 710, where
+    # sinh(2 kappa (L - a)) is past the float range, and up to 800 roots past
+    # 710, where sinh(kappa (L - a)) is too; the counts keep the law of the
+    # shallow staircase, 2 n - 2 nodes
+    @pytest.mark.parametrize(
+        "beta_max,counts", [(500.0, [40, 80, 120, 159]), (800.0, [64, 128, 191, 255])]
+    )
+    def test_nodes_past_the_float_range(self, beta_max, counts):
+        rows = ground_state_staircase(2.0, beta_max, 4)
+        assert [r.negative_count for r in rows] == counts
         for row in rows:
             assert row.ground_state_nodes == 2 * row.negative_count - 2
 

@@ -164,11 +164,11 @@ class TestEvaluate:
         np.testing.assert_array_equal(evaluate(psi, np.array([0.0, 0.5, 1.0])), [1.0, 3.0, 3.0])
 
     def test_deep_state_evaluates_each_region_on_its_own_points(self):
-        # q = 199 here: a hyperbolic outer piece evaluated over the whole
-        # grid overflows cosh/sinh, so any RuntimeWarning fails this test
+        # q = 249 here: a hyperbolic outer piece evaluated over the whole
+        # grid reaches e^(3 q) and overflows, so any RuntimeWarning fails this test
         profile = PRESET_PROFILES["constant-negative"]
         levels = sorted(
-            (e, psi) for p in ("even", "odd") for e, psi in eigenvalues(profile, (-40000.0, -39000.0), p)
+            (e, psi) for p in ("even", "odd") for e, psi in eigenvalues(profile, (-62500.0, -61500.0), p)
         )
         energy, psi = levels[0]
         psi = psi.normalized()
@@ -178,7 +178,7 @@ class TestEvaluate:
             values = evaluate(psi, np.linspace(-2.0, 2.0, 401))
             nodes = count_nodes(psi)
         assert np.all(np.isfinite(values))
-        assert nodes == 2 * math.floor(kappa / math.pi + 0.5) == 126
+        assert nodes == 2 * math.floor(kappa / math.pi + 0.5) == 158
 
     def test_inner_form_is_cosine_with_secular_wavenumber(self):
         kappa = KAPPA_NN_L2[0]
@@ -271,10 +271,17 @@ class TestCountNodes:
         assert hidden in (0, 2, 4)
 
     def test_hyper_and_linear_zero_rules(self):
-        assert region_zeros(RegionSolution("hyper", 2.0, 0.0, 1.0, -2.0, (-1.0, 1.0)), -1.0, 1.0) == pytest.approx(
-            [math.atanh(0.5) / 2.0], abs=1e-15
+        # A e^(q (x - 1)) + B e^(-q (x + 1)) vanishes once, at ln(-B / A) / (2 q), when A B < 0
+        hyper = RegionSolution("hyper", 2.0, 0.0, 1.0, -2.0, (-1.0, 1.0))
+        zeros = region_zeros(hyper, -1.0, 1.0)
+        assert zeros == pytest.approx([math.log(2.0) / 4.0], abs=1e-15)
+        assert abs(hyper.value(zeros[0])) <= 1e-15
+        assert region_zeros(hyper, -1.0, 0.1) == []
+        assert region_zeros(RegionSolution("hyper", 2.0, 0.0, -2.0, 1.0, (-1.0, 1.0)), -1.0, 1.0) == pytest.approx(
+            [-math.log(2.0) / 4.0], abs=1e-15
         )
         assert region_zeros(RegionSolution("hyper", 2.0, 0.0, 2.0, 1.0, (-1.0, 1.0)), -1.0, 1.0) == []
+        assert region_zeros(RegionSolution("hyper", 2.0, 0.0, 0.0, -1.0, (-1.0, 1.0)), -1.0, 1.0) == []
         assert region_zeros(RegionSolution("linear", 0.0, 0.0, 1.0, 0.0, (-1.0, 1.0)), -1.0, 1.0) == []
 
 
@@ -341,22 +348,21 @@ class TestCountNodesAgainstReference:
         assert count_nodes(psi) == 3
 
     def test_deep_levels_past_the_l2_range(self):
-        # kappa (L - a) between 355 and 710: the state's L2 integral overflows,
-        # its pieces do not, and the count needs neither
+        # kappa (L - a) between 355 and 710, where sinh(2 kappa (L - a)) is past
+        # the float range: the anchored pieces still normalize and count
         profile = MassProfile(G2, ConstantInner(-1.0))
         kappas = find_roots(ConstantNegNeg(G2), RootWindow(400.0, 410.0))
         assert len(kappas) == 3
         for kappa in kappas:
             psi = build_solution(profile, -kappa * kappa, "even")
-            with pytest.raises(OverflowError):
-                psi.normalized()
+            assert psi.normalized().l2_norm() == pytest.approx(1.0, abs=1e-14)
+            assert 0.0 <= localization_fraction(psi) <= 1.0
             assert count_nodes(psi) == reference_count_nodes(psi)
 
     # s = sign(E) sqrt|E| runs over about `spacings` level spacings of one
     # parity, pi / (L - a) at E > 0 and pi / (a sqrt|m|) at E < 0, ending at
-    # most at s = +-cap; the cap keeps every hyperbolic piece below e^350
-    # (q (L - a) outside where E < 0, q a inside where m E < 0), so its L2
-    # integral stays finite
+    # most at |E| = 1e5, where q (L - a) or q a of a hyperbolic piece reaches
+    # about 1,100
     @settings(max_examples=20, deadline=None)
     @given(
         L=st.floats(1.0, 4.0),
@@ -389,9 +395,7 @@ class TestCountNodesAgainstReference:
             "scaled": (ScaledInner(b), 1.0 / (b * b)),
         }[law]
         profile = MassProfile(WellGeometry(L, a), inner)
-        cap = min(math.sqrt(1e5), 350.0 / (a * math.sqrt(m_max)) if m_max > 0.0 else math.inf)
-        if f < 0.0:
-            cap = min(cap, 350.0 / (L - a))
+        cap = math.sqrt(1e5)
         spacing = math.pi / max(L - a if f > 0.0 else a * math.sqrt(m_max), 0.1)
         width = min(spacings * spacing, cap)
         s0 = f * cap
@@ -412,7 +416,7 @@ class TestLocalization:
     def test_uniform_ground_state_exact(self):
         (_, psi), = uniform_states((0.0, 1.0), "even")
         exact = 0.5 + 1.0 / math.pi
-        assert localization_fraction(psi, 1.0) == pytest.approx(exact, abs=1e-10)
+        assert localization_fraction(psi) == pytest.approx(exact, abs=1e-10)
 
     def test_negative_states_increasing_toward_one(self):
         fracs = [localization_fraction(neg_state(k)) for k in KAPPA_NN_L2]
@@ -429,15 +433,6 @@ class TestLocalization:
             oracle = (c2 + S) / (c2 + 2.0 * S - 1.0)
             assert localization_fraction(neg_state(kappa)) == pytest.approx(oracle, abs=1e-10)
 
-    def test_bounds_and_validation(self):
-        (_, psi), = uniform_states((0.0, 1.0), "even")
-        assert 0.0 < localization_fraction(psi, 0.3) < localization_fraction(psi, 1.9) < 1.0
-        assert localization_fraction(psi, 2.0) == pytest.approx(1.0, abs=1e-14)
-        with pytest.raises(ValueError):
-            localization_fraction(psi, 0.0)
-        with pytest.raises(ValueError):
-            localization_fraction(psi, 2.5)
-
 
 class TestNormalization:
     @pytest.mark.parametrize("kappa", KAPPA_NN_L2[:4])
@@ -447,6 +442,31 @@ class TestNormalization:
                           points=[-1.0, 0.0, 1.0], limit=200)
         assert total == pytest.approx(1.0, abs=1e-12)
         assert psi.l2_norm() == pytest.approx(1.0, abs=1e-12)
+
+    # |E| from 1e-3 to 1e12 puts q times a width past 1e6: the anchored
+    # hyperbolic pieces stay within the float range at any energy
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=st.floats(0.5, 4.0),
+        a_frac=st.floats(0.05, 0.95),
+        law=st.sampled_from(["constant", "tanh", "step", "scaled"]),
+        m0=st.floats(-3.0, 3.0),
+        b=st.floats(0.3, 3.0),
+        e_thr=st.floats(-1e4, 1e4),
+        log_e=st.floats(-3.0, 12.0),
+        sign=st.sampled_from([-1.0, 1.0]),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    def test_finite_norm_at_any_energy(self, L, a_frac, law, m0, b, e_thr, log_e, sign, parity):
+        inner = {
+            "constant": ConstantInner(m0), "tanh": TanhInner(), "step": StepInner(e_thr), "scaled": ScaledInner(b),
+        }[law]
+        profile = MassProfile(WellGeometry(L, a_frac * L), inner)
+        psi = build_solution(profile, sign * 10.0 ** log_e, parity).normalized()
+        # where q times a width is near 1e-3, the norm of a hyperbolic piece is a
+        # difference of terms about 1e6 times as large
+        assert psi.l2_norm() == pytest.approx(1.0, rel=1e-9)
+        assert 0.0 <= localization_fraction(psi) <= 1.0
 
     def test_region_l2_matches_quadrature(self):
         region = RegionSolution("hyper", 1.3, -2.0, 0.4, 1.1, (-2.0, -1.0))
