@@ -26,6 +26,7 @@ condition, this module doubles as the brute-force oracle for
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
@@ -72,11 +73,13 @@ def build_solution(profile: MassProfile, energy: float, parity: str) -> Piecewis
 
     The outer piece is grown from the wall (psi(-L) = 0) and mirrored by
     parity onto (a, L); one inner piece, c times cos/cosh/1 (even) or
-    sin/sinh/x (odd) of qx, spans (-a, a).  Wall and parity hold exactly.
-    A hyperbolic piece is stored anchored at its span ends (see
-    :class:`RegionSolution`), so every piece and slope stays within the
-    float range at any energy: outside as (1, -e^(-q (L - a))), a multiple
-    of sinh q(x + L), inside as c (1, +-1), a multiple of cosh or sinh qx.
+    sin/sinh/x (odd) of qx, spans (-a, a).  A hyperbolic piece is stored
+    anchored at its span ends (see :class:`RegionSolution`), so every piece
+    and slope stays within the float range at any energy: outside as
+    (1, -e^(-q (L - a))), a multiple of sinh q(x + L), inside as
+    c (1, +-1), a multiple of cosh or sinh qx.  Parity holds exactly, and
+    so does psi(-L) = 0 unless e^(-q (L - a)) is subnormal: then psi(-L)
+    is that number, and the outer piece has no zero of its own.
     c makes psi continuous at -a, or psi' where the center solution's
     value y there is below half of |y'|/q, so the seam carries the
     leftover, which at an eigenvalue is the size of the root tolerance.
@@ -87,8 +90,10 @@ def build_solution(profile: MassProfile, energy: float, parity: str) -> Piecewis
     sign = _parity_sign(parity)
     geo = profile.geometry
     kind_o, q_o = _solution_kind(energy)
-    # np.exp, as in RegionSolution.value, so psi(-L) is exactly 0
-    wall = (1.0, -float(np.exp(-q_o * (geo.L - geo.a)))) if kind_o == "hyper" else (0.0, 1.0)
+    # np.exp, as in RegionSolution.value, so psi(-L) is exactly 0; a subnormal is
+    # off by up to half of itself, which would move that zero into the well
+    decay = float(np.exp(-q_o * (geo.L - geo.a)))
+    wall = (1.0, -(decay if decay >= sys.float_info.min else 0.0)) if kind_o == "hyper" else (0.0, 1.0)
     outer = RegionSolution(kind_o, q_o, -geo.L, *wall, (-geo.L, -geo.a))
     kind_i, q_i = _solution_kind(profile.inner.value(energy) * energy)
     if kind_i == "hyper":

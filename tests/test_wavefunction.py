@@ -180,6 +180,37 @@ class TestEvaluate:
         assert np.all(np.isfinite(values))
         assert nodes == 2 * math.floor(kappa / math.pi + 0.5) == 158
 
+    # A hyperbolic piece with small q w (w its width) holds a sinh-like value
+    # as a difference of two exponentials near 1, so psi is off by about
+    # eps / (q w) of its peak, up to 1e-10 just outside the linear band; the
+    # cosh/sinh form it replaced was exact here.  Pinned so the loss is
+    # tracked: the odd tanh center c sinh(q x) and the uniform well's outer
+    # sinh q(x + L), against references from math.sin and math.sinh.
+    @pytest.mark.parametrize("energy", [1e-3, 1e-5, 3e-6, 1.01e-6])
+    def test_small_q_width_hyperbolic_error_is_eps_over_q_width(self, energy):
+        k, q = math.sqrt(energy), math.sqrt(math.tanh(energy) * energy)
+        y, dy = -math.sinh(q), q * math.cosh(q)
+        c = k * math.cos(k) / dy if abs(dy) > 2.0 * q * abs(y) else math.sin(k) / y
+        self.check_against(build_solution(PRESET_PROFILES["tanh"], energy, "odd"),
+                           lambda x: np.where(x < -1.0, np.sin(k * (x + 2.0)), c * np.sinh(q * x)))
+
+    @pytest.mark.parametrize("energy", [-1e-3, -1e-6, -1e-9, -1.1e-12])
+    def test_small_q_width_outer_error_is_eps_over_q_width(self, energy):
+        q = math.sqrt(-energy)
+        y, dy = math.cosh(q), -q * math.sinh(q)
+        c = q * math.cosh(q) / dy if abs(dy) > 2.0 * q * abs(y) else math.sinh(q) / y
+        self.check_against(build_solution(PRESET_PROFILES["uniform"], energy, "even"),
+                           lambda x: np.where(x < -1.0, np.sinh(q * (x + 2.0)), c * np.cosh(q * x)))
+
+    @staticmethod
+    def check_against(psi, reference):
+        xs = np.linspace(-1.999, -0.001, 41)
+        got, want = evaluate(psi, xs), reference(xs)
+        want *= np.dot(got, want) / np.dot(want, want)
+        q_w = min(r.q * (r.span[1] - r.span[0]) for r in psi.regions if r.kind == "hyper")
+        # measured up to 1.05 eps / (q w)
+        assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps / q_w * np.max(np.abs(got))
+
     def test_inner_form_is_cosine_with_secular_wavenumber(self):
         kappa = KAPPA_NN_L2[0]
         psi = neg_state(kappa)
@@ -357,6 +388,25 @@ class TestCountNodesAgainstReference:
             psi = build_solution(profile, -kappa * kappa, "even")
             assert psi.normalized().l2_norm() == pytest.approx(1.0, abs=1e-14)
             assert 0.0 <= localization_fraction(psi) <= 1.0
+            assert count_nodes(psi) == reference_count_nodes(psi)
+
+    # kappa (L - a) from about 708 to 745, where e^(-kappa (L - a)) is a
+    # subnormal that rounds by up to half of itself: kept as the outer
+    # piece's coefficient, it put a zero of that piece and of its mirror
+    # just inside the walls, two extra nodes of unchanged parity
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_levels_with_a_subnormal_wall_coefficient(self, parity):
+        levels = eigenvalues(PRESET_PROFILES["constant-negative"], (-560000.0, -530000.0), parity)
+        assert len(levels) in (6, 7)
+        for energy, psi in levels:
+            kappa = math.sqrt(-energy)
+            assert count_nodes(psi) == 2 * math.floor(kappa / math.pi) + (parity == "odd")
+
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_subnormal_wall_coefficient_off_levels(self, parity):
+        profile = PRESET_PROFILES["constant-negative"]
+        for q in np.linspace(700.0, 746.0, 47):
+            psi = build_solution(profile, -q * q, parity)
             assert count_nodes(psi) == reference_count_nodes(psi)
 
     # s = sign(E) sqrt|E| runs over about `spacings` level spacings of one
