@@ -378,6 +378,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
             f"level {level_index} out of range: only {len(found)} level(s) in window"
         )
     energy, parity, psi = found[level_index - 1]
+    psi = psi.normalized()
     half = psi.half_width
     xs = np.linspace(-half, half, samples)
     header = [

@@ -26,7 +26,6 @@ condition, this module doubles as the brute-force oracle for
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
@@ -71,15 +70,12 @@ def _solution_kind(q2: float) -> tuple[str, float]:
 def build_solution(profile: MassProfile, energy: float, parity: str) -> PiecewiseWavefunction:
     """Solution candidate at any real energy, the pieces :func:`seam_wronskian` matches.
 
-    The outer piece is grown from the wall (psi(-L) = 0) and mirrored by
-    parity onto (a, L); one inner piece, c times cos/cosh/1 (even) or
-    sin/sinh/x (odd) of qx, spans (-a, a).  A hyperbolic piece is stored
-    anchored at its span ends (see :class:`RegionSolution`), so every piece
-    and slope stays within the float range at any energy: outside as
-    (1, -e^(-q (L - a))), a multiple of sinh q(x + L), inside as
-    c (1, +-1), a multiple of cosh or sinh qx.  Parity holds exactly, and
-    so does psi(-L) = 0 unless e^(-q (L - a)) is subnormal: then psi(-L)
-    is that number, and the outer piece has no zero of its own.
+    The outer piece, sin k(x + L), x + L or sinh q(x + L) / sinh q(L - a),
+    each stored as (0, 1), is mirrored by parity onto (a, L); one inner
+    piece, c times cos/cosh/1 (even) or sin/sinh/x (odd) of qx, spans
+    (-a, a), a hyperbolic one stored by its end values c (+-1, 1) (see
+    :class:`RegionSolution`).  So psi(-L) = 0 and parity hold exactly at
+    every energy, and every piece and slope stays within the float range.
     c makes psi continuous at -a, or psi' where the center solution's
     value y there is below half of |y'|/q, so the seam carries the
     leftover, which at an eigenvalue is the size of the root tolerance.
@@ -89,15 +85,10 @@ def build_solution(profile: MassProfile, energy: float, parity: str) -> Piecewis
     """
     sign = _parity_sign(parity)
     geo = profile.geometry
-    kind_o, q_o = _solution_kind(energy)
-    # np.exp, as in RegionSolution.value, so psi(-L) is exactly 0; a subnormal is
-    # off by up to half of itself, which would move that zero into the well
-    decay = float(np.exp(-q_o * (geo.L - geo.a)))
-    wall = (1.0, -(decay if decay >= sys.float_info.min else 0.0)) if kind_o == "hyper" else (0.0, 1.0)
-    outer = RegionSolution(kind_o, q_o, -geo.L, *wall, (-geo.L, -geo.a))
+    outer = RegionSolution(*_solution_kind(energy), -geo.L, 0.0, 1.0, (-geo.L, -geo.a))
     kind_i, q_i = _solution_kind(profile.inner.value(energy) * energy)
     if kind_i == "hyper":
-        unit = (1.0, sign)
+        unit = (sign, 1.0)
     else:
         unit = (1.0, 0.0) if sign > 0.0 else (0.0, 1.0)
     center = RegionSolution(kind_i, q_i, 0.0, *unit, (-geo.a, geo.a))
@@ -198,13 +189,15 @@ def eigenvalues(
     parity: str,
     tol: float = 1e-12,
 ) -> list[tuple[float, PiecewiseWavefunction]]:
-    """All eigenvalues in the window with their normalized wavefunctions.
+    """All eigenvalues in the window with their states from :func:`build_solution`.
 
     Each segment of :func:`_level_scan` is scanned at ``_SCAN_SAMPLES``
     with the rescan stability guard, and every isolated sign change is
     refined in s to tol / (2 sqrt(max |E|)), so each energy is within
     ``tol`` (floored near machine relative precision).  Returns
-    (energy, state) pairs sorted by energy.
+    (energy, state) pairs sorted by energy.  The states are unnormalized:
+    node counts and localization do not depend on the scale, so only a
+    caller that needs a unit norm pays for ``.normalized()``.
     """
     lo, hi = window
     if not -math.inf < lo < hi < math.inf:
@@ -214,4 +207,4 @@ def eigenvalues(
     residual, segments = _level_scan(profile, lo, hi, parity)
     tol_s = tol / (2.0 * math.sqrt(max(abs(lo), abs(hi))))
     roots = [s * abs(s) for s in roots_in(residual, segments, _SCAN_SAMPLES, tol_s)]
-    return [(e, build_solution(profile, e, parity).normalized()) for e in roots]
+    return [(e, build_solution(profile, e, parity)) for e in roots]

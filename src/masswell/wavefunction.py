@@ -2,24 +2,23 @@
 
 Every region solution is one of three closed forms: trig
 A cos(q t) + B sin(q t) or linear A + B t in the local coordinate
-t = x - x_ref, or hyperbolic A e^(q (x - x_right)) + B e^(-q (x - x_left)),
-two exponentials anchored at the ends of the span (x_left, x_right).
-Each exponential is at most 1 on the span, so a hyperbolic piece, its
-slope and its L2 integral stay within the float range however large q
-times the width grows.  Zeros and L2 integrals of each form have
-elementary expressions, so node counting and localization never rely on
-sampling; dense sampling appears only in the test suite as an
-independent cross-check.  A node count costs O(1) per region: a trig
-piece's zeros are counted from its phase at the two ends of its span, a
-hyperbolic or linear piece has at most one, and each seam is one sign
-test across a window that spans any jump of psi there.
+t = x - x_ref, or hyperbolic y_l S(x_right - x) + y_r S(x - x_left) by
+its end values on a span of width w, S(d) = sinh(q d) / sinh(q w).  S is
+e^(q (d - w)) expm1(-2 q d) / expm1(-2 q w), at most 1 on the span and,
+through expm1, exact as q w -> 0, so a hyperbolic piece, its slope and
+its L2 integral are exact and finite at any q w.  Zeros and L2
+integrals of each form have elementary expressions, so node counting and
+localization never rely on sampling; dense sampling appears only in the
+test suite as an independent cross-check.  A node count costs O(1) per
+region: a trig piece's zeros are counted from its phase at the two ends
+of its span, a hyperbolic or linear piece has at most one, and each seam
+is one sign test across a window that spans any jump of psi there.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Optional
 
 import numpy as np
 
@@ -46,9 +45,10 @@ class RegionSolution:
     wavenumber (0 for linear).  A trig or linear piece is
     ``a_coef * u(q t) + b_coef * v(q t)`` with t = x - x_ref and
     (u, v) = (cos, sin) or (1, t).  A hyperbolic piece is
-    ``a_coef * exp(q (x - x_right)) + b_coef * exp(-q (x - x_left))``,
-    anchored at its span ends and not at ``x_ref``, so
-    |value| <= |a_coef| + |b_coef| on the span.
+    ``a_coef * S(x_right - x) + b_coef * S(x - x_left)``, with
+    S(d) = sinh(q d) / sinh(q w) for the span width w: stored by its values
+    at the span ends, it does not read ``x_ref``, and |value| is at most
+    max(|a_coef|, |b_coef|) on the span.
     """
 
     kind: str
@@ -66,9 +66,12 @@ class RegionSolution:
 
     def value(self, x):
         if self.kind == "hyper":
+            # each exponent is the distance from its own end, so S is exact beside that end
             x_left, x_right = self.span
-            grow = np.exp(self.q * np.subtract(x, x_right))
-            return self.a_coef * grow + self.b_coef * np.exp(-self.q * np.subtract(x, x_left))
+            q, near_left, near_right = self.q, np.subtract(x, x_left), np.subtract(x_right, x)
+            m_w = math.expm1(-2.0 * q * (x_right - x_left))
+            left = self.a_coef * np.exp(-q * near_left) * (np.expm1(-2.0 * q * near_right) / m_w)
+            return left + self.b_coef * np.exp(-q * near_right) * (np.expm1(-2.0 * q * near_left) / m_w)
         t = np.subtract(x, self.x_ref)
         if self.kind == "trig":
             return self.a_coef * np.cos(self.q * t) + self.b_coef * np.sin(self.q * t)
@@ -82,8 +85,8 @@ class RegionSolution:
 
         The span and reference point are negated.  cos and 1 are even,
         sin and t odd, so trig and linear coefficients map to
-        (s*A, -s*B); the two anchored exponentials of a hyperbolic piece
-        trade places, so its coefficients map to (s*B, s*A).
+        (s*A, -s*B); the two end values of a hyperbolic piece trade
+        places, so its coefficients map to (s*B, s*A).
         """
         if self.kind == "hyper":
             coefs = (parity_sign * self.b_coef, parity_sign * self.a_coef)
@@ -93,30 +96,27 @@ class RegionSolution:
 
 
 def region_zeros(region: RegionSolution, lo: float, hi: float) -> list[float]:
-    """Zeros of the region's closed form strictly inside (lo, hi), ascending."""
-    if not hi > lo:
-        return []
+    """The zero of a hyperbolic or linear piece strictly inside (lo, hi), if any."""
     a, b, q = region.a_coef, region.b_coef, region.q
     if region.kind == "hyper":
-        # A e^(q (x - x_right)) = -B e^(-q (x - x_left)) has one root when A B < 0
+        # y_l sinh q(x_right - x) + y_r sinh q(x - x_left) has one root when y_l y_r < 0,
+        # where tanh(q t) = z at the distance t from the midpoint
         if not (a < 0.0 < b or b < 0.0 < a):
             return []
-        x0 = 0.5 * (region.span[0] + region.span[1]) + (math.log(abs(b)) - math.log(abs(a))) / (2.0 * q)
+        x_left, x_right = region.span
+        z = (a + b) / (a - b) * math.tanh(0.5 * q * (x_right - x_left))
+        if abs(z) < 0.5:
+            t = math.atanh(z) / q
+        else:
+            # near an end, ln((1 + z) / (1 - z)) / 2 from the end values: each sum is of like signs
+            e = math.exp(-q * (x_right - x_left))
+            t = math.log((a - b * e) / (a * e - b)) / (2.0 * q)
+        x0 = 0.5 * (x_left + x_right) + t
         return [x0] if lo < x0 < hi else []
-    t1 = lo - region.x_ref
-    t2 = hi - region.x_ref
-    if region.kind == "linear":
-        if b == 0.0:
-            return []
-        t0 = -a / b
-        return [t0 + region.x_ref] if t1 < t0 < t2 else []
-    if a == b == 0.0:
+    if b == 0.0:
         return []
-    # A cos + B sin = R cos(q t - phi); zeros at q t = phi + pi/2 + n pi
-    shift = math.atan2(b, a) + math.pi / 2.0
-    n_lo, n_hi = math.ceil((q * t1 - shift) / math.pi) - 1, math.floor((q * t2 - shift) / math.pi) + 1
-    zeros = ((shift + n * math.pi) / q for n in range(n_lo, n_hi + 1))
-    return [t0 + region.x_ref for t0 in zeros if t1 < t0 < t2]
+    t0 = -a / b
+    return [t0 + region.x_ref] if lo - region.x_ref < t0 < hi - region.x_ref else []
 
 
 def _l2_antiderivative(region: RegionSolution, t: float) -> float:
@@ -132,21 +132,26 @@ def _l2_antiderivative(region: RegionSolution, t: float) -> float:
     return a * a * t + a * b * t * t + b * b * t ** 3 / 3.0
 
 
-def region_l2(region: RegionSolution, lo: Optional[float] = None, hi: Optional[float] = None) -> float:
-    """Exact integral of value**2 over span intersected with [lo, hi]."""
-    x1 = region.span[0] if lo is None else max(lo, region.span[0])
-    x2 = region.span[1] if hi is None else min(hi, region.span[1])
-    if not x2 > x1:
-        return 0.0
+def region_l2(region: RegionSolution) -> float:
+    """Exact integral of value**2 over the region's span."""
+    x_left, x_right = region.span
     if region.kind == "hyper":
-        # each squared exponential integrates to its square at its larger end times
-        # (1 - e^(-2 q h)) / (2 q), which expm1 keeps accurate however small q h is
-        a, b, q = region.a_coef, region.b_coef, region.q
-        x_left, x_right = region.span
-        grow, decay = a * math.exp(q * (x2 - x_right)), b * math.exp(-q * (x1 - x_left))
-        length = -math.expm1(-2.0 * q * (x2 - x1)) / (2.0 * q)
-        return (grow * grow + decay * decay) * length + 2.0 * a * b * math.exp(-q * (x_right - x_left)) * (x2 - x1)
-    return _l2_antiderivative(region, x2 - region.x_ref) - _l2_antiderivative(region, x1 - region.x_ref)
+        # the parts even and odd about the midpoint, (y_l + y_r)/2 cosh(q s) / cosh(z/2) and
+        # (y_r - y_l)/2 sinh(q s) / sinh(z/2) with z = q w, are orthogonal and square to
+        # w / (2 cosh^2(z/2)) + tanh(z/2) / q and (sinh z - z) / (2 q sinh^2(z/2)), written
+        # in e^(-z) so neither overflows; below z = 1, sinh z - z is its series through z^17
+        q, w = region.q, x_right - x_left
+        z, e = q * w, math.exp(-q * w)
+        even = 2.0 * w * e / (1.0 + e) ** 2 + math.tanh(0.5 * z) / q
+        if z < 1.0:
+            series = 1.0
+            for k in range(8, 1, -1):
+                series = 1.0 + series * z * z / (2 * k * (2 * k + 1))
+            odd = z ** 3 / 6.0 * series / (2.0 * q * math.sinh(0.5 * z) ** 2)
+        else:
+            odd = 1.0 / (q * math.tanh(0.5 * z)) - 2.0 * w * e / (1.0 - e) ** 2
+        return (0.5 * (region.a_coef + region.b_coef)) ** 2 * even + (0.5 * (region.b_coef - region.a_coef)) ** 2 * odd
+    return _l2_antiderivative(region, x_right - region.x_ref) - _l2_antiderivative(region, x_left - region.x_ref)
 
 
 @dataclass(frozen=True)
@@ -164,10 +169,6 @@ class PiecewiseWavefunction:
     @property
     def half_width(self) -> float:
         return -self.regions[0].span[0]
-
-    @property
-    def inner_half_width(self) -> float:
-        return -self.regions[0].span[1]
 
     def l2_norm(self) -> float:
         return math.sqrt(sum(region_l2(r) for r in self.regions))
@@ -218,13 +219,19 @@ def _inside_count(region: RegionSolution, lo: float, hi: float) -> int:
 def _value_slope(region: RegionSolution, x: float) -> tuple[float, float]:
     """Scalar (value, slope) of the region's closed form at x."""
     a, b, q = region.a_coef, region.b_coef, region.q
+    if region.kind == "hyper":
+        # as in RegionSolution.value; S'(d) = q e^(q (d - w)) (1 + e^(-2 q d)) / -expm1(-2 q w)
+        x_left, x_right = region.span
+        near_left, near_right = x - x_left, x_right - x
+        e_left, e_right = math.exp(-q * near_left), math.exp(-q * near_right)
+        m_w = math.expm1(-2.0 * q * (x_right - x_left))
+        value = a * e_left * (math.expm1(-2.0 * q * near_right) / m_w)
+        value += b * e_right * (math.expm1(-2.0 * q * near_left) / m_w)
+        return value, q * (a * e_left * (1.0 + e_right * e_right) - b * e_right * (1.0 + e_left * e_left)) / m_w
     t = x - region.x_ref
     if region.kind == "trig":
         c, s = math.cos(q * t), math.sin(q * t)
         return a * c + b * s, q * (b * c - a * s)
-    if region.kind == "hyper":
-        grow, decay = a * math.exp(q * (x - region.span[1])), b * math.exp(-q * (x - region.span[0]))
-        return grow + decay, q * (grow - decay)
     return a + b * t, b
 
 
@@ -269,11 +276,9 @@ def count_nodes(psi: PiecewiseWavefunction) -> int:
 def localization_fraction(psi: PiecewiseWavefunction) -> float:
     """Probability fraction inside the inner region |x| < a.
 
-    Computed from the exact per-region integrals of :func:`region_l2`, so
-    the result is independent of the overall normalization and always lies
-    in [0, 1].
+    That is the span of the center piece ``psi.regions[1]``, so this is its
+    exact :func:`region_l2` over the sum of all pieces': independent of
+    the normalization and always in [0, 1].
     """
-    a = psi.inner_half_width
-    inner = sum(region_l2(r, -a, a) for r in psi.regions)
-    total = sum(region_l2(r) for r in psi.regions)
-    return inner / total
+    l2 = [region_l2(r) for r in psi.regions]
+    return l2[1] / sum(l2)

@@ -85,12 +85,13 @@ class TestBuildSolution:
         psi = build_solution(profile, energy, parity)
         outer, inner, mirror = psi.regions
         a = profile.geometry.a
+        assert (outer.a_coef, outer.b_coef) == (0.0, 1.0)
         assert outer.value(-profile.geometry.L) == 0.0
         assert mirror == outer.reflected(1.0 if parity == "even" else -1.0)
         assert (inner.x_ref, inner.span) == (0.0, (-a, a))
         if inner.kind == "hyper":
-            # A (e^(q (x - a)) +- e^(-q (x + a))): a multiple of cosh (even) or sinh (odd)
-            assert inner.b_coef == (inner.a_coef if parity == "even" else -inner.a_coef)
+            # end values y_l = +-y_r: a multiple of cosh (even) or sinh (odd)
+            assert inner.a_coef == (inner.b_coef if parity == "even" else -inner.b_coef)
         else:
             assert (inner.b_coef if parity == "even" else inner.a_coef) == 0.0
         q = max(inner.q, outer.q, 1.0)
@@ -163,7 +164,7 @@ class TestEigenvaluesUniformWell:
     def test_states_are_normalized(self):
         profile = MassProfile(G2, ConstantInner(1.0))
         for _, psi in eigenvalues(profile, (0.0, 20.0), "even"):
-            assert psi.l2_norm() == pytest.approx(1.0, abs=1e-12)
+            assert psi.normalized().l2_norm() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestCrowdedLevels:
@@ -366,14 +367,13 @@ class TestSeamWronskian:
             m = mismatch(profile, e, parity)
             if abs(m) <= 1e-9:
                 continue
-            # sin k(x + L), x + L or, anchored at -L and -a, a multiple of sinh q(x + L)
+            # sin k(x + L), x + L or, by its end values 0 and 1, a multiple of sinh q(x + L)
             kind, q = _local_kind(e)
-            wall = (1.0, -math.exp(-q * (geo.L - geo.a))) if kind == "hyper" else (0.0, 1.0)
-            y, dy = _value_slope(RegionSolution(kind, q, -geo.L, *wall, (-geo.L, -geo.a)), -geo.a)
+            y, dy = _value_slope(RegionSolution(kind, q, -geo.L, 0.0, 1.0, (-geo.L, -geo.a)), -geo.a)
             kind, q = _local_kind(profile.inner.value(e) * e)
             if kind == "hyper":
-                # anchored on (-a, 0), the value at -a is A e^(-q a) + B and the slope q (A e^(-q a) - B)
-                coefs = (0.5 * (y + dy / q) * math.exp(q * geo.a), 0.5 * (y - dy / q))
+                # by its end values on (-a, 0): y at -a and y cosh(q a) + (dy / q) sinh(q a) at 0
+                coefs = (y, y * math.cosh(q * geo.a) + dy / q * math.sinh(q * geo.a))
             else:
                 coefs = (y, dy / q if kind == "trig" else dy)
             y0, dy0 = _value_slope(RegionSolution(kind, q, -geo.a, *coefs, (-geo.a, 0.0)), 0.0)

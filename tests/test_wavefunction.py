@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -78,6 +79,23 @@ def seam_states():
 _SEAM_PAD = 1e-9
 
 
+def zeros_in(region, lo, hi):
+    """Zeros of any region's closed form strictly inside (lo, hi), ascending:
+    :func:`region_zeros` for hyperbolic and linear pieces, each zero of a
+    trig piece enumerated here."""
+    if region.kind != "trig":
+        return region_zeros(region, lo, hi)
+    a, b, q = region.a_coef, region.b_coef, region.q
+    if not hi > lo or a == b == 0.0:
+        return []
+    t1, t2 = lo - region.x_ref, hi - region.x_ref
+    # A cos + B sin = R cos(q t - phi); zeros at q t = phi + pi/2 + n pi
+    shift = math.atan2(b, a) + math.pi / 2.0
+    n_lo, n_hi = math.ceil((q * t1 - shift) / math.pi) - 1, math.floor((q * t2 - shift) / math.pi) + 1
+    zeros = ((shift + n * math.pi) / q for n in range(n_lo, n_hi + 1))
+    return [t0 + region.x_ref for t0 in zeros if t1 < t0 < t2]
+
+
 def node_positions(psi):
     """Deduplicated interior zero locations of psi, ascending: the zero list
     of the former node counter, kept here as the oracle's candidates.
@@ -91,7 +109,7 @@ def node_positions(psi):
     pad = _SEAM_PAD * max(1.0, half)
     zeros = []
     for region in psi.regions:
-        zeros.extend(region_zeros(region, region.span[0] - pad, region.span[1] + pad))
+        zeros.extend(zeros_in(region, region.span[0] - pad, region.span[1] + pad))
     zeros = sorted(z for z in zeros if abs(z) < half - pad)
     merged = []
     for z in zeros:
@@ -103,7 +121,9 @@ def node_positions(psi):
 def reference_count_nodes(psi):
     """The former node counter: psi evaluated once per gap between the
     candidates of :func:`node_positions`, a node wherever the nonzero signs
-    on consecutive gaps differ."""
+    on consecutive gaps differ.  A gap whose midpoint value underflows to 0
+    (a deep hyperbolic center, e^(-808) at x = 0 say) is probed a quarter
+    of the gap in from each end instead."""
     half = psi.half_width
     zeros = node_positions(psi)
     if not zeros:
@@ -112,6 +132,8 @@ def reference_count_nodes(psi):
     gap_signs = []
     for left, right in zip(probes, probes[1:]):
         value = evaluate(psi, 0.5 * (left + right))
+        if value == 0.0:
+            value = max(evaluate(psi, [0.75 * left + 0.25 * right, 0.25 * left + 0.75 * right]), key=abs)
         gap_signs.append(math.copysign(1.0, value) if value != 0.0 else 0.0)
     count = 0
     for s0, s1 in zip(gap_signs, gap_signs[1:]):
@@ -153,7 +175,7 @@ class TestEvaluate:
         (_, psi), = uniform_states((0.0, 1.0), "even")
         xs = np.linspace(-2.0, 2.0, 41)
         expect = np.cos(math.pi * xs / 4.0) / math.sqrt(2.0)
-        np.testing.assert_allclose(evaluate(psi, xs), expect, atol=1e-10)
+        np.testing.assert_allclose(evaluate(psi.normalized(), xs), expect, atol=1e-10)
 
     def test_later_region_wins_on_shared_seam(self):
         left = RegionSolution("linear", 0.0, 0.0, 1.0, 0.0, (-2.0, 0.5))
@@ -180,14 +202,14 @@ class TestEvaluate:
         assert np.all(np.isfinite(values))
         assert nodes == 2 * math.floor(kappa / math.pi + 0.5) == 158
 
-    # A hyperbolic piece with small q w (w its width) holds a sinh-like value
-    # as a difference of two exponentials near 1, so psi is off by about
-    # eps / (q w) of its peak, up to 1e-10 just outside the linear band; the
-    # cosh/sinh form it replaced was exact here.  Pinned so the loss is
-    # tracked: the odd tanh center c sinh(q x) and the uniform well's outer
-    # sinh q(x + L), against references from math.sin and math.sinh.
+    # A hyperbolic piece with small q w (w its width), down to just outside
+    # the linear band, is as exact as one with large q w: its ratios
+    # sinh(q d) / sinh(q w) go through expm1, which keeps its relative
+    # precision as q w -> 0.  The odd tanh center c sinh(q x) and the
+    # uniform well's outer sinh q(x + L), against references from np.sin
+    # and np.sinh.
     @pytest.mark.parametrize("energy", [1e-3, 1e-5, 3e-6, 1.01e-6])
-    def test_small_q_width_hyperbolic_error_is_eps_over_q_width(self, energy):
+    def test_small_q_width_hyperbolic_error_is_a_few_eps(self, energy):
         k, q = math.sqrt(energy), math.sqrt(math.tanh(energy) * energy)
         y, dy = -math.sinh(q), q * math.cosh(q)
         c = k * math.cos(k) / dy if abs(dy) > 2.0 * q * abs(y) else math.sin(k) / y
@@ -195,7 +217,7 @@ class TestEvaluate:
                            lambda x: np.where(x < -1.0, np.sin(k * (x + 2.0)), c * np.sinh(q * x)))
 
     @pytest.mark.parametrize("energy", [-1e-3, -1e-6, -1e-9, -1.1e-12])
-    def test_small_q_width_outer_error_is_eps_over_q_width(self, energy):
+    def test_small_q_width_outer_error_is_a_few_eps(self, energy):
         q = math.sqrt(-energy)
         y, dy = math.cosh(q), -q * math.sinh(q)
         c = q * math.cosh(q) / dy if abs(dy) > 2.0 * q * abs(y) else math.sinh(q) / y
@@ -207,9 +229,8 @@ class TestEvaluate:
         xs = np.linspace(-1.999, -0.001, 41)
         got, want = evaluate(psi, xs), reference(xs)
         want *= np.dot(got, want) / np.dot(want, want)
-        q_w = min(r.q * (r.span[1] - r.span[0]) for r in psi.regions if r.kind == "hyper")
-        # measured up to 1.05 eps / (q w)
-        assert np.max(np.abs(got - want)) <= 2.0 * np.finfo(float).eps / q_w * np.max(np.abs(got))
+        # measured up to 2 eps
+        assert np.max(np.abs(got - want)) <= 4.0 * np.finfo(float).eps * np.max(np.abs(got))
 
     def test_inner_form_is_cosine_with_secular_wavenumber(self):
         kappa = KAPPA_NN_L2[0]
@@ -225,6 +246,51 @@ class TestEvaluate:
         )
 
 
+#: end values of a hyperbolic piece: zero, or of either sign down to 1e-6 of the peak
+END_VALUES = st.one_of(st.just(0.0), st.floats(1e-6, 1.0), st.floats(-1.0, -1e-6))
+
+
+class TestEndValuePieces:
+    """Hyperbolic pieces against a 50-digit mpmath reference of
+    y_l sinh(q (x_right - x)) / sinh(q w) + y_r sinh(q (x - x_left)) / sinh(q w)."""
+
+    # measured over 2,000 random pieces: values to 2.7 eps of the peak,
+    # L2 integrals to 1.1e-15 relative, zeros to 1.9 eps
+    @settings(max_examples=60, deadline=None)
+    @given(
+        log_q=st.floats(-7.0, math.log10(300.0)),
+        x_left=st.floats(-3.0, 1.0),
+        ends=st.one_of(st.sampled_from([(1.0, 1.0), (-1.0, 1.0), (0.0, 1.0)]), st.tuples(END_VALUES, END_VALUES)),
+    )
+    def test_values_integral_and_zero_match_mpmath(self, log_q, x_left, ends):
+        q, span = 10.0 ** log_q, (x_left, x_left + 2.0)
+        region = RegionSolution("hyper", q, 0.0, *ends, span)
+        eps = np.finfo(float).eps
+        with mpmath.workdps(50):
+            y_l, y_r, q_mp, x_l, x_r = map(mpmath.mpf, (*ends, q, *span))
+            z = q_mp * (x_r - x_l)
+
+            def psi(x):
+                return (y_l * mpmath.sinh(q_mp * (x_r - x)) + y_r * mpmath.sinh(q_mp * (x - x_l))) / mpmath.sinh(z)
+
+            xs = np.linspace(*span, 41)
+            want = np.array([float(psi(mpmath.mpf(x))) for x in xs])
+            square = (mpmath.sinh(2 * z) - 2 * z) / (4 * q_mp * mpmath.sinh(z) ** 2)
+            cross = (z * mpmath.cosh(z) - mpmath.sinh(z)) / (2 * q_mp * mpmath.sinh(z) ** 2)
+            l2 = float((y_l ** 2 + y_r ** 2) * square + 2 * y_l * y_r * cross)
+            crossing = y_l * y_r < 0
+            if crossing:
+                zero = float(mpmath.atanh((y_l + y_r) / (y_l - y_r) * mpmath.tanh(z / 2)) / q_mp + (x_l + x_r) / 2)
+        peak = max(abs(y) for y in ends)
+        assert np.max(np.abs(region.value(xs) - want)) <= 4.0 * eps * peak
+        assert region_l2(region) == pytest.approx(l2, rel=1e-13)
+        if crossing:
+            (got,) = region_zeros(region, *span)
+            assert abs(got - zero) <= 4.0 * eps * max(1.0, abs(zero))
+        else:
+            assert region_zeros(region, *span) == []
+
+
 class TestCountNodes:
     def test_uniform_ground_state_nodeless(self):
         (_, psi), = uniform_states((0.0, 1.0), "even")
@@ -233,7 +299,7 @@ class TestCountNodes:
     def test_first_excited_odd_has_center_node(self):
         (_, psi), = uniform_states((0.0, 3.0), "odd")
         assert count_nodes(psi) == 1
-        zeros = [z for region in psi.regions for z in region_zeros(region, *region.span)]
+        zeros = [z for region in psi.regions for z in zeros_in(region, *region.span)]
         assert zeros == pytest.approx([0.0], abs=1e-12)
 
     def test_uniform_ladder(self):
@@ -256,7 +322,7 @@ class TestCountNodes:
     def test_region_zeros_cosine_spot_check(self):
         # cos(4 x) on (-1, 1): zeros at +-pi/8 only
         region = RegionSolution("trig", 4.0, 0.0, 1.0, 0.0, (-1.0, 1.0))
-        zeros = region_zeros(region, -1.0, 1.0)
+        zeros = zeros_in(region, -1.0, 1.0)
         assert zeros == pytest.approx([-math.pi / 8.0, math.pi / 8.0], abs=1e-14)
 
     def test_seam_touch_without_crossing_not_counted(self):
@@ -302,15 +368,17 @@ class TestCountNodes:
         assert hidden in (0, 2, 4)
 
     def test_hyper_and_linear_zero_rules(self):
-        # A e^(q (x - 1)) + B e^(-q (x + 1)) vanishes once, at ln(-B / A) / (2 q), when A B < 0
+        # end values y_l, y_r on (-1, 1): y_l sinh(q (1 - x)) + y_r sinh(q (x + 1)) vanishes once,
+        # at atanh((y_l + y_r) / (y_l - y_r) tanh q) / q, when y_l y_r < 0
         hyper = RegionSolution("hyper", 2.0, 0.0, 1.0, -2.0, (-1.0, 1.0))
         zeros = region_zeros(hyper, -1.0, 1.0)
-        assert zeros == pytest.approx([math.log(2.0) / 4.0], abs=1e-15)
+        assert zeros == pytest.approx([math.atanh(-math.tanh(2.0) / 3.0) / 2.0], abs=1e-15)
         assert abs(hyper.value(zeros[0])) <= 1e-15
-        assert region_zeros(hyper, -1.0, 0.1) == []
-        assert region_zeros(RegionSolution("hyper", 2.0, 0.0, -2.0, 1.0, (-1.0, 1.0)), -1.0, 1.0) == pytest.approx(
-            [-math.log(2.0) / 4.0], abs=1e-15
-        )
+        assert region_zeros(hyper, 0.0, 1.0) == []
+        assert region_zeros(RegionSolution("hyper", 2.0, 0.0, -2.0, 1.0, (-1.0, 1.0)), -1.0, 1.0) == [-zeros[0]]
+        # q w = 60 and y_r / y_l = -1e-5: the zero sits where e^(-q (x + 1)) = 1e-5 e^(-q (1 - x)), near x = 1
+        far = RegionSolution("hyper", 30.0, 0.0, 1.0, -1e-5, (-1.0, 1.0))
+        assert region_zeros(far, -1.0, 1.0) == pytest.approx([math.log(1e5) / 60.0], abs=1e-16)
         assert region_zeros(RegionSolution("hyper", 2.0, 0.0, 2.0, 1.0, (-1.0, 1.0)), -1.0, 1.0) == []
         assert region_zeros(RegionSolution("hyper", 2.0, 0.0, 0.0, -1.0, (-1.0, 1.0)), -1.0, 1.0) == []
         assert region_zeros(RegionSolution("linear", 0.0, 0.0, 1.0, 0.0, (-1.0, 1.0)), -1.0, 1.0) == []
@@ -373,14 +441,14 @@ class TestCountNodesAgainstReference:
     def test_level_beside_a_seam_zero(self, d_energy):
         psi = build_solution(MassProfile(G2, ConstantInner(1.0)), math.pi ** 2 + d_energy, "odd")
         outer, center, _ = psi.regions
-        near = bool(region_zeros(outer, -1.0 - 1e-3, -1.0)) and bool(region_zeros(center, -1.0, -1.0 + 1e-3))
+        near = bool(zeros_in(outer, -1.0 - 1e-3, -1.0)) and bool(zeros_in(center, -1.0, -1.0 + 1e-3))
         assert near == (d_energy > 0.0)
         assert (outer.value(-1.0) < 0.0) != (center.value(-1.0) < 0.0)
         assert count_nodes(psi) == 3
 
     def test_deep_levels_past_the_l2_range(self):
         # kappa (L - a) between 355 and 710, where sinh(2 kappa (L - a)) is past
-        # the float range: the anchored pieces still normalize and count
+        # the float range: the end-value pieces still normalize and count
         profile = MassProfile(G2, ConstantInner(-1.0))
         kappas = find_roots(ConstantNegNeg(G2), RootWindow(400.0, 410.0))
         assert len(kappas) == 3
@@ -391,9 +459,9 @@ class TestCountNodesAgainstReference:
             assert count_nodes(psi) == reference_count_nodes(psi)
 
     # kappa (L - a) from about 708 to 745, where e^(-kappa (L - a)) is a
-    # subnormal that rounds by up to half of itself: kept as the outer
-    # piece's coefficient, it put a zero of that piece and of its mirror
-    # just inside the walls, two extra nodes of unchanged parity
+    # subnormal that rounds by up to half of itself: an outer piece whose
+    # wall value is computed from it, rather than stored as 0, has a zero
+    # just inside each wall, two extra nodes of unchanged parity
     @pytest.mark.parametrize("parity", ["even", "odd"])
     def test_levels_with_a_subnormal_wall_coefficient(self, parity):
         levels = eigenvalues(PRESET_PROFILES["constant-negative"], (-560000.0, -530000.0), parity)
@@ -432,6 +500,8 @@ class TestCountNodesAgainstReference:
     @example(L=2.0, a_frac=0.5, law="constant", m0=-1.0, b=1.0, e_thr=0.0, parity="odd", f=-1.0, spacings=1.5, log_tol=-4.0)
     @example(L=2.0, a_frac=0.5, law="constant", m0=1.0, b=1.0, e_thr=0.0, parity="even", f=1.0, spacings=1.5, log_tol=-12.0)
     @example(L=2.0, a_frac=0.5, law="constant", m0=1.0, b=1.0, e_thr=0.0, parity="odd", f=1.0, spacings=1.5, log_tol=-4.0)
+    # E = 94787.68: the hyperbolic center underflows to 0 at x = 0, the reference's midpoint probe there
+    @example(L=3.0, a_frac=0.875, law="constant", m0=-1.0, b=1.0, e_thr=0.0, parity="even", f=1.0, spacings=1.0, log_tol=-4.0)
     def test_equals_reference_over_random_wells(self, L, a_frac, law, m0, b, e_thr, parity, f, spacings, log_tol):
         """Each level at tol = 10**log_tol has the count of the same level at
         tol = 1e-12, which equals the reference's.  The reference is taken at
@@ -493,7 +563,7 @@ class TestNormalization:
         assert total == pytest.approx(1.0, abs=1e-12)
         assert psi.l2_norm() == pytest.approx(1.0, abs=1e-12)
 
-    # |E| from 1e-3 to 1e12 puts q times a width past 1e6: the anchored
+    # |E| from 1e-3 to 1e12 puts q times a width past 1e6: the end-value
     # hyperbolic pieces stay within the float range at any energy
     @settings(max_examples=60, deadline=None)
     @given(
@@ -507,14 +577,14 @@ class TestNormalization:
         sign=st.sampled_from([-1.0, 1.0]),
         parity=st.sampled_from(["even", "odd"]),
     )
+    # m E = -1e-11, just outside the linear band: an odd center with q a = 1.6e-6
+    @example(L=1.0, a_frac=0.5, law="constant", m0=1e-12, b=1.0, e_thr=0.0, log_e=1.0, sign=-1.0, parity="odd")
     def test_finite_norm_at_any_energy(self, L, a_frac, law, m0, b, e_thr, log_e, sign, parity):
         inner = {
             "constant": ConstantInner(m0), "tanh": TanhInner(), "step": StepInner(e_thr), "scaled": ScaledInner(b),
         }[law]
         profile = MassProfile(WellGeometry(L, a_frac * L), inner)
         psi = build_solution(profile, sign * 10.0 ** log_e, parity).normalized()
-        # where q times a width is near 1e-3, the norm of a hyperbolic piece is a
-        # difference of terms about 1e6 times as large
         assert psi.l2_norm() == pytest.approx(1.0, rel=1e-9)
         assert 0.0 <= localization_fraction(psi) <= 1.0
 
@@ -522,8 +592,6 @@ class TestNormalization:
         region = RegionSolution("hyper", 1.3, -2.0, 0.4, 1.1, (-2.0, -1.0))
         total, _ = quad(lambda x: float(region.value(x)) ** 2, -2.0, -1.0)
         assert region_l2(region) == pytest.approx(total, rel=1e-12)
-        clipped, _ = quad(lambda x: float(region.value(x)) ** 2, -1.7, -1.2)
-        assert region_l2(region, -1.7, -1.2) == pytest.approx(clipped, rel=1e-12)
 
     def test_linear_region_l2_closed_form(self):
         # integral of (A + B t)^2 over t in [t1, t2] is ((A + B t2)^3 - (A + B t1)^3) / (3 B)
@@ -535,7 +603,6 @@ class TestNormalization:
             return ((A + B * t2) ** 3 - (A + B * t1) ** 3) / (3.0 * B)
 
         assert region_l2(region) == pytest.approx(exact(-1.0, 1.0), rel=1e-14)
-        assert region_l2(region, -0.3, 2.0) == pytest.approx(exact(-0.3, 1.0), rel=1e-14)
 
 
 class TestStepModelStates:
