@@ -5,14 +5,16 @@ A cos(q t) + B sin(q t) or linear A + B t in the local coordinate
 t = x - x_ref, or hyperbolic y_l S(x_right - x) + y_r S(x - x_left) by
 its end values on a span of width w, S(d) = sinh(q d) / sinh(q w).  S is
 e^(q (d - w)) expm1(-2 q d) / expm1(-2 q w), at most 1 on the span and,
-through expm1, exact as q w -> 0, so a hyperbolic piece, its slope and
-its L2 integral are exact and finite at any q w.  Zeros and L2
-integrals of each form have elementary expressions, so node counting and
-localization never rely on sampling; dense sampling appears only in the
-test suite as an independent cross-check.  A node count costs O(1) per
-region: a trig piece's zeros are counted from its phase at the two ends
-of its span, a hyperbolic or linear piece has at most one, and each seam
-is one sign test across a window that spans any jump of psi there.
+through expm1, exact as q w -> 0, so a hyperbolic piece and its slope
+are exact and finite at any q w.  A piece's L2 integral sums those of
+its orthogonal parts even and odd about the span midpoint, where nothing
+cancels.  Zeros and L2 integrals of each form are elementary, so node
+counting and localization never rely on sampling; dense sampling appears
+only in the test suite as an independent cross-check.  A node count
+costs O(1) per region: a trig piece's zeros are counted from its phase
+at the two ends of its span, a hyperbolic or linear piece has at most
+one, and each seam is one sign test across a window that spans any jump
+of psi there.
 """
 
 from __future__ import annotations
@@ -119,39 +121,36 @@ def region_zeros(region: RegionSolution, lo: float, hi: float) -> list[float]:
     return [t0 + region.x_ref] if lo - region.x_ref < t0 < hi - region.x_ref else []
 
 
-def _l2_antiderivative(region: RegionSolution, t: float) -> float:
-    a, b, q = region.a_coef, region.b_coef, region.q
-    if region.kind == "trig":
-        s2 = math.sin(2.0 * q * t)
-        c2 = math.cos(2.0 * q * t)
-        return (
-            0.5 * (a * a + b * b) * t
-            + (a * a - b * b) * s2 / (4.0 * q)
-            - a * b * c2 / (2.0 * q)
-        )
-    return a * a * t + a * b * t * t + b * b * t ** 3 / 3.0
+def _odd_series(z2: float) -> float:
+    """6 (sinh z - z) / z^3 at z2 = z^2, 6 (z - sin z) / z^3 at z2 = -z^2; eps-exact for |z2| < 1."""
+    series = 1.0
+    for k in range(8, 1, -1):
+        series = 1.0 + series * z2 / (2 * k * (2 * k + 1))
+    return series
 
 
 def region_l2(region: RegionSolution) -> float:
-    """Exact integral of value**2 over the region's span."""
+    """Integral of value**2 over the region's span, the sum of those of its parts even and
+    odd about the span midpoint: they are orthogonal, so nothing cancels at any q w."""
     x_left, x_right = region.span
+    q, w = region.q, x_right - x_left
+    z = q * w
     if region.kind == "hyper":
-        # the parts even and odd about the midpoint, (y_l + y_r)/2 cosh(q s) / cosh(z/2) and
-        # (y_r - y_l)/2 sinh(q s) / sinh(z/2) with z = q w, are orthogonal and square to
+        # (y_l + y_r)/2 cosh(q s) / cosh(z/2) and (y_r - y_l)/2 sinh(q s) / sinh(z/2) square to
         # w / (2 cosh^2(z/2)) + tanh(z/2) / q and (sinh z - z) / (2 q sinh^2(z/2)), written
-        # in e^(-z) so neither overflows; below z = 1, sinh z - z is its series through z^17
-        q, w = region.q, x_right - x_left
-        z, e = q * w, math.exp(-q * w)
+        # in e^(-z) so neither overflows
+        e = math.exp(-z)
         even = 2.0 * w * e / (1.0 + e) ** 2 + math.tanh(0.5 * z) / q
         if z < 1.0:
-            series = 1.0
-            for k in range(8, 1, -1):
-                series = 1.0 + series * z * z / (2 * k * (2 * k + 1))
-            odd = z ** 3 / 6.0 * series / (2.0 * q * math.sinh(0.5 * z) ** 2)
+            odd = z ** 3 / 6.0 * _odd_series(z * z) / (2.0 * q * math.sinh(0.5 * z) ** 2)
         else:
             odd = 1.0 / (q * math.tanh(0.5 * z)) - 2.0 * w * e / (1.0 - e) ** 2
         return (0.5 * (region.a_coef + region.b_coef)) ** 2 * even + (0.5 * (region.b_coef - region.a_coef)) ** 2 * odd
-    return _l2_antiderivative(region, x_right - region.x_ref) - _l2_antiderivative(region, x_left - region.x_ref)
+    # y C(s) + y' S(s) by the value and slope at the midpoint, C = cos(q s) and S = sin(q s) / q
+    # (1 and s at q = 0); S^2 integrates to (z - sin z) / (2 q^3), and C^2 = 1 - q^2 S^2
+    y, dy = _value_slope(region, 0.5 * (x_left + x_right))
+    odd = w ** 3 / 12.0 * _odd_series(-z * z) if z < 1.0 else (w - math.sin(z) / q) / (2.0 * q * q)
+    return y * y * (w - q * q * odd) + dy * dy * odd
 
 
 @dataclass(frozen=True)
