@@ -10,53 +10,101 @@ __all__ = ["ScanResolutionError", "isolate_sign_changes", "bisect_root", "roots_
 _REFINE = 4
 _MAX_LEVELS = 4
 
+#: the most points one call of a residual takes: one 2**14-cell piece at 4x
+_MAX_POINTS = 2**16 + 1
+
 
 class ScanResolutionError(RuntimeError):
     """Sign-change isolation kept finding new crossings at maximum refinement."""
 
 
-def _scan(f, lo, hi, n):
-    ts = np.linspace(lo, hi, n + 1)
-    vs = np.asarray(f(ts), dtype=float)
-    if vs.shape != ts.shape:
-        raise ValueError("residual callable must evaluate elementwise")
+def _grid_values(f, lo, hi, cells):
+    """Each row's ``np.linspace(lo, hi, cells + 1)``, and ``f`` on it.
+
+    ``f`` gets the grids' points as one flat array, in calls of at most
+    ``_MAX_POINTS`` points.
+    """
+    flat = np.concatenate([np.linspace(a, b, cells + 1) for a, b in zip(lo.tolist(), hi.tolist())])
+    vs = []
+    for start in range(0, flat.size, _MAX_POINTS):
+        points = flat[start : start + _MAX_POINTS]
+        values = np.asarray(f(points), dtype=float)
+        if values.shape != points.shape:
+            raise ValueError("residual callable must evaluate elementwise")
+        vs.append(values)
+    return flat.reshape(lo.size, cells + 1), np.concatenate(vs).reshape(lo.size, cells + 1)
+
+
+def _sign_changes(vs):
+    """Per row, the cells whose end values differ in sign, and the zero values."""
     signs = np.sign(vs)
-    flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-    brackets = [
-        (float(ts[i]), float(ts[i + 1]), float(vs[i]), float(vs[i + 1]))
-        for i in flips
-    ]
-    return brackets + [(t, t, 0.0, 0.0) for t in ts[vs == 0.0].tolist()]
+    return signs[:, :-1] * signs[:, 1:] < 0.0, vs == 0.0
+
+
+def _count(flips, zeros):
+    return np.count_nonzero(flips, axis=1) + np.count_nonzero(zeros, axis=1)
 
 
 def isolate_sign_changes(f, lo, hi, samples):
-    """Bracket every sign change and every sampled zero of ``f`` on [lo, hi].
+    """Bracket every sign change and every sampled zero of ``f`` on each [lo, hi].
 
-    ``f`` must map a float ndarray to an ndarray elementwise.  The
-    interval is scanned at ``samples`` cells and rescanned ``_REFINE``
-    times finer until the number of brackets stops changing; this turns
-    the assumption that the scan resolution suffices into a runtime
-    check.  Instability at the deepest level raises
-    :class:`ScanResolutionError`.
+    ``lo`` and ``hi`` are the ends of one segment (scalars) or of several
+    (arrays that broadcast together), and ``f`` must map a flat float
+    ndarray to an ndarray elementwise.  Each segment is scanned at
+    ``samples`` cells and rescanned ``_REFINE`` times finer until the
+    number of brackets stops changing; this turns the assumption that
+    the scan resolution suffices into a runtime check.  Instability at
+    the deepest level raises :class:`ScanResolutionError`, naming the
+    first such segment.
 
-    Returns a list of brackets ``(a, b, f(a), f(b))``: one per sign
-    change between neighbouring samples, followed by a zero-width
-    bracket ``(t, t, 0.0, 0.0)`` for each sample t where f vanished
-    identically.  :func:`bisect_root` returns t for the latter as is.
+    The finest grid comes first.  Every segment's grid of ``_REFINE``
+    times ``samples`` cells, ``np.linspace`` of its ends, is evaluated in
+    one call of ``f``, and the count at ``samples`` cells is read from
+    every ``_REFINE``-th point of it, which is the coarse grid bit for
+    bit.  Only the segments whose two counts differ are evaluated again,
+    ``_REFINE`` times finer, all in one call per level, and compared
+    with their last grid the same way.  No call takes more than
+    ``_MAX_POINTS`` points; grids that would are evaluated in several.
+
+    Returns arrays ``(a, b, fa, fb, segment)`` with one entry per
+    bracket: segment by segment, one bracket per sign change between
+    neighbouring samples, followed by a zero-width bracket
+    ``(t, t, 0.0, 0.0)`` for each sample t where f vanished identically,
+    and the bracket's segment index.  :func:`bisect_root` takes the
+    first four as they are and returns t for a zero-width bracket.
     """
-    if not hi > lo:
-        raise ValueError(f"empty scan interval [{lo}, {hi}]")
-    n = max(int(samples), 2)
-    brackets = _scan(f, lo, hi, n)
+    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi))
+    empty = np.flatnonzero(~(hi > lo))
+    if empty.size:
+        raise ValueError(f"empty scan interval [{lo[empty[0]]}, {hi[empty[0]]}]")
+    cells = max(int(samples), 2)
+    rows = np.arange(lo.size)
+    # per group of brackets: sort key (segment, zero-width last), segment, a, b, fa, fb
+    found = [(np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 4]
     for _ in range(_MAX_LEVELS):
-        n *= _REFINE
-        finer = _scan(f, lo, hi, n)
-        if len(finer) == len(brackets):
-            return finer
-        brackets = finer
-    raise ScanResolutionError(
-        f"sign-change count on [{lo}, {hi}] still growing at {n} samples"
-    )
+        cells *= _REFINE
+        per_call = max(1, _MAX_POINTS // (cells + 1))
+        unstable = [rows[:0]]
+        for start in range(0, rows.size, per_call):
+            chunk = rows[start : start + per_call]
+            ts, vs = _grid_values(f, lo[chunk], hi[chunk], cells)
+            flips, zeros = _sign_changes(vs)
+            stable = _count(flips, zeros) == _count(*_sign_changes(vs[:, ::_REFINE]))
+            r, i = np.nonzero(flips & stable[:, None])
+            found.append((2 * chunk[r], chunk[r], ts[r, i], ts[r, i + 1], vs[r, i], vs[r, i + 1]))
+            r, i = np.nonzero(zeros & stable[:, None])
+            found.append((2 * chunk[r] + 1, chunk[r], ts[r, i], ts[r, i], np.zeros(r.size), np.zeros(r.size)))
+            unstable.append(chunk[~stable])
+        rows = np.concatenate(unstable)
+        if not rows.size:
+            break
+    else:
+        raise ScanResolutionError(
+            f"sign-change count on [{float(lo[rows[0]])}, {float(hi[rows[0]])}] still growing at {cells} samples"
+        )
+    key, segment, a, b, fa, fb = (np.concatenate(column) for column in zip(*found))
+    order = np.argsort(key, kind="stable")
+    return a[order], b[order], fa[order], fb[order], segment[order]
 
 
 def bisect_root(f, a, b, fa, fb, tol):
@@ -137,14 +185,15 @@ def bisect_root(f, a, b, fa, fb, tol):
 def roots_in(f, segments, samples, tol):
     """Every root of the elementwise residual ``f`` on the segments, ascending.
 
-    Each segment is bracketed by :func:`isolate_sign_changes` at
-    ``samples`` cells and all brackets, zero-width ones included, are
+    All segments are bracketed by one :func:`isolate_sign_changes` call
+    at ``samples`` cells and all brackets, zero-width ones included, are
     refined to ``tol`` together by :func:`bisect_root`.  Roots closer
     than four times the tolerance, floored near machine relative
     precision, are one root.
     """
-    brackets = [b for lo, hi in segments for b in isolate_sign_changes(f, lo, hi, samples)]
-    roots = sorted(bisect_root(f, *np.reshape(brackets, (-1, 4)).T, tol).tolist())
+    lo, hi = np.reshape(segments, (-1, 2)).T
+    a, b, fa, fb, _ = isolate_sign_changes(f, lo, hi, samples)
+    roots = sorted(bisect_root(f, a, b, fa, fb, tol).tolist())
     merged = []
     for r in roots:
         if not merged or r - merged[-1] > 4.0 * max(tol, 1e-15 * max(1.0, abs(r))):

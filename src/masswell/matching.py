@@ -114,14 +114,21 @@ def _scaled_basis(q2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.
     the solutions with C(0) = 1, S'(0) = 1 and C' = -q2 S, S' = C.
 
     Hyperbolic values are divided by cosh(qt) > 0, so they enter only
-    through tanh and stay bounded.  Kinds follow :func:`_solution_kind`.
+    through tanh and stay bounded.  Kinds follow :func:`_solution_kind`,
+    and each kind's functions are evaluated on its own entries only.
     """
+    q2 = np.asarray(q2, dtype=float)
     trig, hyper = q2 > LINEAR_BAND, q2 < -LINEAR_BAND
+    solved = trig | hyper
     q = np.sqrt(np.abs(q2))
-    q_nonzero = np.where(trig | hyper, q, 1.0)
-    c = np.where(trig, np.cos(q * t), 1.0)
-    s = np.where(trig, np.sin(q * t), np.where(hyper, np.tanh(q * t), t)) / q_nonzero
-    return c, s, np.where(trig | hyper, -q2 * s, 0.0)
+    qt = q * t
+    c, s, dc = np.ones_like(q2), np.full_like(q2, t), np.zeros_like(q2)
+    np.cos(qt, out=c, where=trig)
+    np.sin(qt, out=s, where=trig)
+    np.tanh(qt, out=s, where=hyper)
+    np.divide(s, q, out=s, where=solved)
+    np.multiply(-q2, s, out=dc, where=solved)
+    return c, s, dc
 
 
 def seam_wronskian(profile: MassProfile, energies, parity: str) -> np.ndarray:

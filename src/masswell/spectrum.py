@@ -113,15 +113,15 @@ def _negative_level_counts(profile: MassProfile, parity: str) -> tuple[int, int]
     """Numbers of negative-energy levels with kappa = sqrt(-E) in (0, K1]
     and in (0, K2], K1 < K2 being the probes of :func:`_probe_kappas`: the
     sign changes of the eigenvalue level scan on (-K1^2, -1e-12) and
-    (-K2^2, -K1^2)."""
-
-    def count(lo, hi):
-        residual, segments = _level_scan(profile, lo, hi, parity)
-        return sum(len(isolate_sign_changes(residual, s0, s1, _SCAN_SAMPLES)) for s0, s1 in segments)
-
+    (-K2^2, -K1^2), both scanned in one :func:`isolate_sign_changes` call.
+    A bracket counts for the window its segment belongs to, so a zero on
+    the shared end -K1^2 counts in both."""
     k1, k2, _ = _probe_kappas(profile)
-    small = count(-k1 * k1, -1e-12)
-    return small, small + count(-k2 * k2, -k1 * k1)
+    residual, small = _level_scan(profile, -k1 * k1, -1e-12, parity)
+    _, large = _level_scan(profile, -k2 * k2, -k1 * k1, parity)
+    lo, hi = np.reshape(small + large, (-1, 2)).T
+    segment = isolate_sign_changes(residual, lo, hi, _SCAN_SAMPLES)[4]
+    return int(np.count_nonzero(segment < len(small))), int(segment.size)
 
 
 def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_levels: bool) -> Verdict:

@@ -80,7 +80,7 @@ class RegionSolution:
         return self.a_coef + self.b_coef * t
 
     def scaled(self, factor: float) -> "RegionSolution":
-        return replace(self, a_coef=self.a_coef * factor, b_coef=self.b_coef * factor)
+        return RegionSolution(self.kind, self.q, self.x_ref, self.a_coef * factor, self.b_coef * factor, self.span)
 
     def reflected(self, parity_sign: float) -> "RegionSolution":
         """Mirror image under x -> -x, multiplied by ``parity_sign``.

@@ -7,7 +7,15 @@ from scipy.optimize import brentq
 
 from masswell import _rootscan
 from masswell._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes, roots_in
-from masswell.matching import LINEAR_BAND, build_solution, eigenvalues, mismatch, seam_wronskian
+from masswell.matching import (
+    LINEAR_BAND,
+    _level_scan,
+    _scaled_basis,
+    build_solution,
+    eigenvalues,
+    mismatch,
+    seam_wronskian,
+)
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -303,7 +311,8 @@ class TestScanMachinery:
 
     def test_exact_zero_at_sample_point(self):
         f = lambda ts: np.asarray(ts) - 0.5
-        assert isolate_sign_changes(f, 0.0, 1.0, samples=2) == [(0.5, 0.5, 0.0, 0.0)]
+        a, b, fa, fb, _ = isolate_sign_changes(f, 0.0, 1.0, samples=2)
+        assert np.column_stack((a, b, fa, fb)).tolist() == [[0.5, 0.5, 0.0, 0.0]]
 
     def test_exact_zero_is_a_root(self):
         # 0.5 is a sample and a zero; 0.8 is a sign change between samples
@@ -319,6 +328,11 @@ class TestScanMachinery:
         with pytest.raises(ValueError):
             eigenvalues(profile, (0.0, 1.0), "sideways")
 
+    def test_unresolvable_segment_among_resolvable_ones_is_named(self):
+        f = lambda ts: np.sin(1.0 / np.asarray(ts))
+        with pytest.raises(ScanResolutionError, match=r"\[0\.0001, 0\.1\]"):
+            isolate_sign_changes(f, [0.2, 1e-4, 0.5], [0.5, 0.1, 1.0], samples=64)
+
     @pytest.mark.parametrize(
         "window, tol",
         [((-math.inf, 10.0), 1e-12), ((0.0, math.inf), 1e-12), ((math.nan, 1.0), 1e-12), ((0.0, 30.0), math.inf)],
@@ -327,6 +341,109 @@ class TestScanMachinery:
         profile = MassProfile(G2, ConstantInner(-1.0))
         with pytest.raises(ValueError):
             eigenvalues(profile, window, "even", tol=tol)
+
+
+def _plain_isolate(f, lo, hi, samples):
+    """The guard one grid at a time: scan at ``samples`` cells, rescan 4x finer
+    until the bracket count repeats; brackets as (a, b, fa, fb) tuples."""
+
+    def scan(n):
+        ts = np.linspace(lo, hi, n + 1)
+        vs = f(ts)
+        signs = np.sign(vs)
+        flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+        brackets = [(ts[i], ts[i + 1], vs[i], vs[i + 1]) for i in flips]
+        return brackets + [(t, t, 0.0, 0.0) for t in ts[vs == 0.0]]
+
+    n = samples
+    brackets = scan(n)
+    for _ in range(4):
+        n *= 4
+        finer = scan(n)
+        if len(finer) == len(brackets):
+            return finer
+        brackets = finer
+    raise ScanResolutionError(f"unresolved on [{lo}, {hi}]")
+
+
+def _spy(f):
+    """``f`` that records the number of points of each call in ``.sizes``."""
+
+    def g(ts):
+        g.sizes.append(ts.size)
+        return f(ts)
+
+    g.sizes = []
+    return g
+
+
+class TestBatchedScan:
+    """Several segments in one isolate_sign_changes call, finest grid first."""
+
+    @staticmethod
+    def _check_against_one_at_a_time(f, segments, samples):
+        lo, hi = np.transpose(segments)
+        *got, segment = isolate_sign_changes(f, lo, hi, samples)
+        alone = [isolate_sign_changes(f, s0, s1, samples) for s0, s1 in segments]
+        for column, parts in zip(got, zip(*alone)):
+            assert column.tobytes() == np.concatenate(parts).tobytes()
+        assert segment.tolist() == [i for i, one in enumerate(alone) for _ in one[0]]
+        plain = [b for s0, s1 in segments for b in _plain_isolate(f, s0, s1, samples)]
+        assert np.column_stack(got).tobytes() == np.array(plain, dtype=float).reshape(-1, 4).tobytes()
+        return segment
+
+    def test_matching_residual_with_a_sampled_zero(self):
+        profile = MassProfile(G2, StepInner(-30.0))
+        residual, segments = _level_scan(profile, -100.0, 100.0, "even")
+        assert len(segments) == 3
+        # one grid point of the last segment made an exact zero
+        pin = np.linspace(*segments[-1], 4 * 512 + 1)[1000]
+        f = lambda s: np.where(s == pin, 0.0, residual(s))
+        segment = self._check_against_one_at_a_time(f, segments, 512)
+        # the inner mass is +1 below the threshold, so the first segment has no level
+        assert set(segment.tolist()) == {1, 2}
+
+    def test_secular_residual_over_pieces(self):
+        branch = ConstantNegNeg(G2)
+        edges = np.linspace(1e-12, 60.0, 6).tolist()
+        pin = np.linspace(edges[2], edges[3], 4 * 64 + 1)[7]
+        f = lambda t: np.where(t == pin, 0.0, branch.residual_raw(t))
+        segment = self._check_against_one_at_a_time(f, list(zip(edges, edges[1:])), 64)
+        assert len(set(segment.tolist())) == 5
+
+    def test_one_call_per_guard_level(self):
+        # a close pair of roots around 33/64 that 16 cells on [0, 1] miss and 64 resolve
+        f = _spy(lambda t: (t - 0.51) * (t - 0.52) * (t - 1.7))
+        *_, segment = isolate_sign_changes(f, [0.0, 1.0], [1.0, 2.0], 16)
+        assert f.sizes == [2 * 65, 257]
+        assert segment.tolist() == [0, 0, 1]
+
+    def test_eigenvalue_scan_is_one_call(self):
+        profile = MassProfile(G2, StepInner(-30.0))
+        residual, segments = _level_scan(profile, -100.0, 100.0, "odd")
+        f = _spy(residual)
+        isolate_sign_changes(f, *np.transpose(segments), 512)
+        assert f.sizes == [len(segments) * (4 * 512 + 1)]
+
+    def test_calls_stay_under_the_cap(self, monkeypatch):
+        sizes = []
+        isolate = _rootscan.isolate_sign_changes
+
+        def spying(f, lo, hi, samples):
+            g = _spy(f)
+            result = isolate(g, lo, hi, samples)
+            sizes.append(g.sizes)
+            return result
+
+        monkeypatch.setattr(_rootscan, "isolate_sign_changes", spying)
+        assert len(critical_betas(WellGeometry(2.0, 1.0), 5000)) == 5000
+        # one isolate call; each of its pieces, at most 2**14 cells, is one call
+        (calls,) = sizes
+        assert len(calls) > 1 and calls == [calls[0]] * len(calls) and calls[0] <= 2**16 + 1
+        # a grid of more than 2**16 cells is split across calls
+        f = _spy(np.sin)
+        isolate(f, 0.0, 1.0, 2**15)
+        assert f.sizes == [2**16 + 1, 2**16]
 
 
 LAWS = st.one_of(
@@ -392,6 +509,20 @@ class TestSeamWronskian:
             m = mismatch(profile, -1e6, parity)
             assert isinstance(m, float) and math.isfinite(m)
             assert m == -sign * seam_wronskian(profile, [-1e6], parity)[0]
+
+    @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
+    def test_kernel_entries_match_one_at_a_time(self, t):
+        # trig, hyperbolic, inside +-LINEAR_BAND, exact zeros, and q t above 1e3
+        q2 = np.array([3.0, -3.0, 0.4 * LINEAR_BAND, -0.4 * LINEAR_BAND, 0.0, -0.0, 2e6, -2e6, 1e-3, -1e-3, 7.5e7, -7.5e7])
+        got = _scaled_basis(q2, t)
+        for column, parts in zip(got, zip(*(_scaled_basis(x, t) for x in q2))):
+            assert column.tobytes() == np.array(parts).tobytes()
+
+    def test_mismatch_of_a_python_float_is_a_float(self):
+        for profile in (MassProfile(G2, ConstantInner(-1.0)), MassProfile(G2, TanhInner())):
+            for energy in (-50.0, 0.0, 1e-13, 7.0):
+                for parity in ("even", "odd"):
+                    assert type(mismatch(profile, energy, parity)) is float
 
     def test_zero_at_secular_root(self):
         k = K_NP1_L2

@@ -3,7 +3,9 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from masswell.matching import eigenvalues
+from masswell._rootscan import isolate_sign_changes
+from masswell.cli import ScenarioConfig, preset_config
+from masswell.matching import _SCAN_SAMPLES, _level_scan, eigenvalues
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -188,6 +190,32 @@ class TestVerdictCounts:
         inner = ConstantInner(m0) if law == "constant" else ScaledInner(b)
         report = run_scenario(MassProfile(WellGeometry(L, a_frac * L), inner), (-1.0, 1.0))
         assert (report.verdict.kind == "unbounded_below") == (inner.value(-1.0) < 0.0)
+
+    @pytest.mark.parametrize(
+        "preset, even, odd",
+        [
+            ("constant-negative", (3, 13), (3, 12)),
+            ("uniform", (0, 0), (0, 0)),
+            ("tanh", (0, 0), (0, 0)),
+            ("step", (1, 1), (0, 0)),
+            ("two-param", (4, 13), (3, 13)),
+        ],
+    )
+    def test_one_call_counts_equal_window_by_window_counts(self, preset, even, odd):
+        profile = ScenarioConfig.from_text(preset_config(preset)).profile()
+        k1, k2, _ = _probe_kappas(profile)
+
+        def count(lo, hi, parity):
+            residual, segments = _level_scan(profile, lo, hi, parity)
+            return sum(isolate_sign_changes(residual, s0, s1, _SCAN_SAMPLES)[0].size for s0, s1 in segments)
+
+        for parity, want in (("even", even), ("odd", odd)):
+            small = count(-k1 * k1, -1e-12, parity)
+            assert (small, small + count(-k2 * k2, -k1 * k1, parity)) == want
+            assert _negative_level_counts(profile, parity) == want
+        if preset == "step":
+            # the threshold splits the small window into two segments
+            assert len(_level_scan(profile, -k1 * k1, -1e-12, "even")[1]) == 2
 
     def test_step_threshold_rounding_below_itself(self):
         # -beta*beta rounds below e_thr here, onto the +1 branch; that jump is no level

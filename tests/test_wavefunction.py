@@ -283,7 +283,7 @@ class TestEndValuePieces:
                 zero = float(mpmath.atanh((y_l + y_r) / (y_l - y_r) * mpmath.tanh(z / 2)) / q_mp + (x_l + x_r) / 2)
         peak = max(abs(y) for y in ends)
         assert np.max(np.abs(region.value(xs) - want)) <= 4.0 * eps * peak
-        assert region_l2(region) == pytest.approx(l2, rel=1e-13)
+        assert region_l2(region) == pytest.approx(l2, rel=1e-13, abs=0.0)
         if crossing:
             (got,) = region_zeros(region, *span)
             assert abs(got - zero) <= 4.0 * eps * max(1.0, abs(zero))
