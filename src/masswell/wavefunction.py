@@ -6,11 +6,13 @@ t = x - x_ref, or hyperbolic y_l S(x_right - x) + y_r S(x - x_left) by
 its end values on a span of width w, S(d) = sinh(q d) / sinh(q w).  S is
 e^(q (d - w)) expm1(-2 q d) / expm1(-2 q w), at most 1 on the span and,
 through expm1, exact as q w -> 0, so a hyperbolic piece and its slope
-are exact and finite at any q w.  A piece's L2 integral sums those of
-its orthogonal parts even and odd about the span midpoint, where nothing
-cancels.  Zeros and L2 integrals of each form are elementary, so node
-counting and localization never rely on sampling; dense sampling appears
-only in the test suite as an independent cross-check.  A node count
+are exact and finite at any q w.  Each kind's value and slope are
+written once, in ``_value_slope``, for a float or an array.  A piece's
+L2 integral sums those of its orthogonal parts even and odd about the
+span midpoint, where nothing cancels.  Zeros and L2 integrals of each
+form are elementary, so node counting and localization never rely on
+sampling; dense sampling appears only in the test suite as an
+independent cross-check.  A node count
 costs O(1) per region: a trig piece's zeros are counted from its phase
 at the two ends of its span, a hyperbolic or linear piece has at most
 one, and each seam is one sign test across a window that spans any jump
@@ -67,17 +69,8 @@ class RegionSolution:
             raise ValueError(f"empty span {self.span!r}")
 
     def value(self, x):
-        if self.kind == "hyper":
-            # each exponent is the distance from its own end, so S is exact beside that end
-            x_left, x_right = self.span
-            q, near_left, near_right = self.q, np.subtract(x, x_left), np.subtract(x_right, x)
-            m_w = math.expm1(-2.0 * q * (x_right - x_left))
-            left = self.a_coef * np.exp(-q * near_left) * (np.expm1(-2.0 * q * near_right) / m_w)
-            return left + self.b_coef * np.exp(-q * near_right) * (np.expm1(-2.0 * q * near_left) / m_w)
-        t = np.subtract(x, self.x_ref)
-        if self.kind == "trig":
-            return self.a_coef * np.cos(self.q * t) + self.b_coef * np.sin(self.q * t)
-        return self.a_coef + self.b_coef * t
+        """psi at x, elementwise over an array: :func:`_value_slope` through numpy."""
+        return _value_slope(self, np.asarray(x, dtype=float), np)[0]
 
     def scaled(self, factor: float) -> "RegionSolution":
         return RegionSolution(self.kind, self.q, self.x_ref, self.a_coef * factor, self.b_coef * factor, self.span)
@@ -185,7 +178,7 @@ def evaluate(psi: PiecewiseWavefunction, x):
     """Pointwise value of psi; accepts scalars or arrays on [-L, L]."""
     arr = np.asarray(x, dtype=float)
     half = psi.half_width
-    if np.any(np.abs(arr) > half):
+    if not np.all(np.abs(arr) <= half):
         raise ValueError(f"position outside [-{half}, {half}]")
     out = np.zeros_like(arr)
     for region in psi.regions:
@@ -215,21 +208,23 @@ def _inside_count(region: RegionSolution, lo: float, hi: float) -> int:
     return max(0, math.ceil(u_hi) - math.floor(u_lo) - 1)
 
 
-def _value_slope(region: RegionSolution, x: float) -> tuple[float, float]:
-    """Scalar (value, slope) of the region's closed form at x."""
+def _value_slope(region: RegionSolution, x, xp=math) -> tuple:
+    """(value, slope) of the region's closed form at x, the only copy of each kind's: ``xp`` is
+    math for a float, or numpy elementwise over an array; a linear slope is the scalar b."""
     a, b, q = region.a_coef, region.b_coef, region.q
     if region.kind == "hyper":
-        # as in RegionSolution.value; S'(d) = q e^(q (d - w)) (1 + e^(-2 q d)) / -expm1(-2 q w)
+        # each exponent is the distance from its own end, so S is exact beside that end;
+        # S'(d) = q e^(q (d - w)) (1 + e^(-2 q d)) / -expm1(-2 q w)
         x_left, x_right = region.span
         near_left, near_right = x - x_left, x_right - x
-        e_left, e_right = math.exp(-q * near_left), math.exp(-q * near_right)
+        e_left, e_right = xp.exp(-q * near_left), xp.exp(-q * near_right)
         m_w = math.expm1(-2.0 * q * (x_right - x_left))
-        value = a * e_left * (math.expm1(-2.0 * q * near_right) / m_w)
-        value += b * e_right * (math.expm1(-2.0 * q * near_left) / m_w)
+        value = a * e_left * (xp.expm1(-2.0 * q * near_right) / m_w)
+        value += b * e_right * (xp.expm1(-2.0 * q * near_left) / m_w)
         return value, q * (a * e_left * (1.0 + e_right * e_right) - b * e_right * (1.0 + e_left * e_left)) / m_w
     t = x - region.x_ref
     if region.kind == "trig":
-        c, s = math.cos(q * t), math.sin(q * t)
+        c, s = xp.cos(q * t), xp.sin(q * t)
         return a * c + b * s, q * (b * c - a * s)
     return a + b * t, b
 
@@ -239,16 +234,17 @@ def _seam_window(left: RegionSolution, right: RegionSolution, pad: float) -> flo
 
     psi may jump at a seam by about the root tolerance, which can put a
     zero of each piece on either side of it, within jump / slope.  The
-    window is twice that and at least ``pad``, capped at a quarter of
-    either span and of pi / q so that it holds no other zero.  Off an
-    eigenvalue the jump can be as large as psi, and the window may then
-    hide two of the sign changes psi has about the seam.
+    window is twice that and at least ``pad``, then capped, even below
+    ``pad``, at a quarter of either span and of pi / q so that it holds no
+    other zero and reads no piece off its span.  Off an eigenvalue the
+    jump can be as large as psi, and the window may then hide two of the
+    sign changes psi has about the seam.
     """
     q = max(left.q, right.q)
     cap = 0.25 * min(left.span[1] - left.span[0], right.span[1] - right.span[0], math.pi / q if q else math.inf)
     (y_left, dy_left), (y_right, dy_right) = (_value_slope(r, left.span[1]) for r in (left, right))
     slope = max(abs(dy_left), abs(dy_right))
-    return max(pad, min(2.0 * abs(y_left - y_right) / slope if slope > 0.0 else cap, cap))
+    return min(max(pad, 2.0 * abs(y_left - y_right) / slope if slope > 0.0 else cap), cap)
 
 
 def count_nodes(psi: PiecewiseWavefunction) -> int:
