@@ -109,14 +109,14 @@ def _probe_kappas(profile: MassProfile) -> tuple[float, float, float]:
     return PROBE_KAPPA_SMALL / scale, PROBE_KAPPA_LARGE / scale, math.pi / scale
 
 
-def _negative_level_counts(profile: MassProfile, parity: str) -> tuple[int, int]:
+def _negative_level_counts(profile: MassProfile, parity: str, probes: tuple[float, float]) -> tuple[int, int]:
     """Numbers of negative-energy levels with kappa = sqrt(-E) in (0, K1]
-    and in (0, K2], K1 < K2 being the probes of :func:`_probe_kappas`: the
-    sign changes of the eigenvalue level scan on (-K1^2, -1e-12) and
+    and in (0, K2] for the probes (K1, K2), K1 < K2, of :func:`_probe_kappas`:
+    the sign changes of the eigenvalue level scan on (-K1^2, -1e-12) and
     (-K2^2, -K1^2), both scanned in one :func:`isolate_sign_changes` call.
     A bracket counts for the window its segment belongs to, so a zero on
     the shared end -K1^2 counts in both."""
-    k1, k2, _ = _probe_kappas(profile)
+    k1, k2 = probes
     residual, small = _level_scan(profile, -k1 * k1, -1e-12, parity)
     _, large = _level_scan(profile, -k2 * k2, -k1 * k1, parity)
     lo, hi = np.reshape(small + large, (-1, 2)).T
@@ -126,7 +126,7 @@ def _negative_level_counts(profile: MassProfile, parity: str) -> tuple[int, int]
 
 def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_levels: bool) -> Verdict:
     k1, k2, spacing = _probe_kappas(profile)
-    counts = [_negative_level_counts(profile, p) for p in parities]
+    counts = [_negative_level_counts(profile, p, (k1, k2)) for p in parities]
     c1 = sum(small for small, _ in counts)
     c2 = sum(large for _, large in counts)
     required = math.floor((k2 - k1) / spacing) - 1

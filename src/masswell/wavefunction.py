@@ -9,14 +9,11 @@ through expm1, exact as q w -> 0, so a hyperbolic piece and its slope
 are exact and finite at any q w.  Each kind's value and slope are
 written once, in ``_value_slope``, for a float or an array.  A piece's
 L2 integral sums those of its orthogonal parts even and odd about the
-span midpoint, where nothing cancels.  Zeros and L2 integrals of each
-form are elementary, so node counting and localization never rely on
-sampling; dense sampling appears only in the test suite as an
-independent cross-check.  A node count
-costs O(1) per region: a trig piece's zeros are counted from its phase
-at the two ends of its span, a hyperbolic or linear piece has at most
-one, and each seam is one sign test across a window that spans any jump
-of psi there.
+span midpoint, where nothing cancels.  Node counts come from phases and
+signs, never from sampling, at O(1) cost per region: a trig piece's
+zeros from its phase, a hyperbolic or linear piece's (monotone where it
+vanishes) from its signs, and each seam's from one sign test across a
+window that spans any jump of psi there.
 """
 
 from __future__ import annotations
@@ -32,12 +29,10 @@ __all__ = [
     "evaluate",
     "count_nodes",
     "localization_fraction",
-    "region_zeros",
     "region_l2",
 ]
 
-#: least half-width of the window about each region seam, and the width
-#: next to each wall where zeros are not nodes, relative to max(1, L)
+#: half-width of the window about each wall, and the least about each seam, relative to max(1, L)
 _SEAM_WINDOW = 1e-9
 
 
@@ -88,30 +83,6 @@ class RegionSolution:
         else:
             coefs = (parity_sign * self.a_coef, -parity_sign * self.b_coef)
         return RegionSolution(self.kind, self.q, -self.x_ref, *coefs, (-self.span[1], -self.span[0]))
-
-
-def region_zeros(region: RegionSolution, lo: float, hi: float) -> list[float]:
-    """The zero of a hyperbolic or linear piece strictly inside (lo, hi), if any."""
-    a, b, q = region.a_coef, region.b_coef, region.q
-    if region.kind == "hyper":
-        # y_l sinh q(x_right - x) + y_r sinh q(x - x_left) has one root when y_l y_r < 0,
-        # where tanh(q t) = z at the distance t from the midpoint
-        if not (a < 0.0 < b or b < 0.0 < a):
-            return []
-        x_left, x_right = region.span
-        z = (a + b) / (a - b) * math.tanh(0.5 * q * (x_right - x_left))
-        if abs(z) < 0.5:
-            t = math.atanh(z) / q
-        else:
-            # near an end, ln((1 + z) / (1 - z)) / 2 from the end values: each sum is of like signs
-            e = math.exp(-q * (x_right - x_left))
-            t = math.log((a - b * e) / (a * e - b)) / (2.0 * q)
-        x0 = 0.5 * (x_left + x_right) + t
-        return [x0] if lo < x0 < hi else []
-    if b == 0.0:
-        return []
-    t0 = -a / b
-    return [t0 + region.x_ref] if lo - region.x_ref < t0 < hi - region.x_ref else []
 
 
 def _odd_series(z2: float) -> float:
@@ -193,19 +164,24 @@ def evaluate(psi: PiecewiseWavefunction, x):
 def _inside_count(region: RegionSolution, lo: float, hi: float) -> int:
     """Number of zeros of the region's closed form strictly inside (lo, hi).
 
-    A trig piece R cos(q t - phi) vanishes where its phase
-    u = (q t - phi - pi/2) / pi is an integer, so it has
-    ceil(u(hi)) - floor(u(lo)) - 1 zeros there; the other kinds have at
-    most one, found by :func:`region_zeros`.
+    A trig piece R cos(q t - phi) has ceil(u(hi)) - floor(u(lo)) - 1 zeros
+    there, its phase u = (q t - phi - pi/2) / pi being an integer at each.  A
+    hyperbolic or linear piece, monotone wherever it has a zero, has one
+    exactly when psi(lo) and psi(hi) have opposite signs, and none if
+    hyperbolic with end values of like signs or a zero.
     """
-    if region.kind != "trig":
-        return len(region_zeros(region, lo, hi))
-    if not hi > lo or region.a_coef == region.b_coef == 0.0:
+    a, b = region.a_coef, region.b_coef
+    if not hi > lo or a == b == 0.0:
         return 0
-    shift = math.atan2(region.b_coef, region.a_coef) + math.pi / 2.0
-    u_lo = (region.q * (lo - region.x_ref) - shift) / math.pi
-    u_hi = (region.q * (hi - region.x_ref) - shift) / math.pi
-    return max(0, math.ceil(u_hi) - math.floor(u_lo) - 1)
+    if region.kind == "trig":
+        shift = math.atan2(b, a) + math.pi / 2.0
+        u_lo = (region.q * (lo - region.x_ref) - shift) / math.pi
+        u_hi = (region.q * (hi - region.x_ref) - shift) / math.pi
+        return max(0, math.ceil(u_hi) - math.floor(u_lo) - 1)
+    if region.kind == "hyper" and not (a < 0.0 < b or b < 0.0 < a):
+        return 0
+    y_lo, y_hi = _value_slope(region, lo)[0], _value_slope(region, hi)[0]
+    return int(y_lo < 0.0 < y_hi or y_hi < 0.0 < y_lo)
 
 
 def _value_slope(region: RegionSolution, x, xp=math) -> tuple:
@@ -221,7 +197,11 @@ def _value_slope(region: RegionSolution, x, xp=math) -> tuple:
         m_w = math.expm1(-2.0 * q * (x_right - x_left))
         value = a * e_left * (xp.expm1(-2.0 * q * near_right) / m_w)
         value += b * e_right * (xp.expm1(-2.0 * q * near_left) / m_w)
-        return value, q * (a * e_left * (1.0 + e_right * e_right) - b * e_right * (1.0 + e_left * e_left)) / m_w
+        if not (a < 0.0 and b < 0.0 or a > 0.0 and b > 0.0):
+            return value, q * (a * e_left * (1.0 + e_right * e_right) - b * e_right * (1.0 + e_left * e_left)) / m_w
+        # like-signed ends cancel there as q w -> 0 (others add): sum the slopes of the ends' mean and half-difference
+        m_half, diff = math.expm1(-q * (x_right - x_left)), xp.expm1(-q * near_left) - xp.expm1(-q * near_right)
+        return value, q * (0.5 * (a - b) * (e_left + e_right) / m_half - 0.5 * (a + b) * diff / (2.0 + m_half))
     t = x - region.x_ref
     if region.kind == "trig":
         c, s = xp.cos(q * t), xp.sin(q * t)
@@ -234,15 +214,15 @@ def _seam_window(left: RegionSolution, right: RegionSolution, pad: float) -> flo
 
     psi may jump at a seam by about the root tolerance, which can put a
     zero of each piece on either side of it, within jump / slope.  The
-    window is twice that and at least ``pad``, then capped, even below
-    ``pad``, at a quarter of either span and of pi / q so that it holds no
-    other zero and reads no piece off its span.  Off an eigenvalue the
-    jump can be as large as psi, and the window may then hide two of the
-    sign changes psi has about the seam.
+    window is twice that and at least ``pad``, capped at a quarter of
+    pi / q, so that it holds no other zero, and of the wider span.  Off an
+    eigenvalue the jump can be as large as psi, and the window may then
+    hide two of the sign changes psi has about the seam.
     """
     q = max(left.q, right.q)
-    cap = 0.25 * min(left.span[1] - left.span[0], right.span[1] - right.span[0], math.pi / q if q else math.inf)
-    (y_left, dy_left), (y_right, dy_right) = (_value_slope(r, left.span[1]) for r in (left, right))
+    cap = 0.25 * min(math.pi / q if q else math.inf, max(left.span[1] - left.span[0], right.span[1] - right.span[0]))
+    y_left, dy_left = _value_slope(left, left.span[1])
+    y_right, dy_right = _value_slope(right, left.span[1])
     slope = max(abs(dy_left), abs(dy_right))
     return min(max(pad, 2.0 * abs(y_left - y_right) / slope if slope > 0.0 else cap), cap)
 
@@ -250,21 +230,31 @@ def _seam_window(left: RegionSolution, right: RegionSolution, pad: float) -> flo
 def count_nodes(psi: PiecewiseWavefunction) -> int:
     """Number of strict sign changes of psi inside the open well (-L, L).
 
-    Each region counts its zeros strictly inside its span shrunk at both
-    ends by a window (:func:`_inside_count`): ``_SEAM_WINDOW`` at a wall,
-    :func:`_seam_window` at an interior seam.  Each seam adds one node
-    when the pieces on its two sides have opposite signs at its window's
-    edges, so a zero on or beside a seam (x = +-a) counts once, even
-    where psi jumps there, and a zero psi only touches counts not at all.
-    The cost is O(1) per region, whatever the number of nodes.
+    Each wall and seam has a window, ``_SEAM_WINDOW`` max(1, L) about a wall
+    and :func:`_seam_window` about a seam, and windows that overlap merge.
+    One beside a wall holds no node; any other adds one when psi has
+    opposite signs at its edges, so a zero on or beside a seam counts once,
+    even where psi jumps there or the span beyond is narrower than the
+    window, and a zero psi only touches counts not at all.  Between windows
+    each region counts its zeros (:func:`_inside_count`).
     """
-    regions = psi.regions
-    pad = _SEAM_WINDOW * max(1.0, psi.half_width)
-    windows = [pad] + [_seam_window(l, r, pad) for l, r in zip(regions, regions[1:])] + [pad]
-    nodes = sum(_inside_count(r, r.span[0] + w0, r.span[1] - w1) for r, w0, w1 in zip(regions, windows, windows[1:]))
-    for left, right, w in zip(regions, regions[1:], windows[1:]):
-        before, after = _value_slope(left, left.span[1] - w)[0], _value_slope(right, left.span[1] + w)[0]
-        nodes += bool(before < 0.0 < after or after < 0.0 < before)
+    regions, half = psi.regions, psi.half_width
+    pad = _SEAM_WINDOW * max(1.0, half)
+    marks = [(l.span[1], _seam_window(l, r, pad)) for l, r in zip(regions, regions[1:])] + [(half, pad)]
+    # (lo, hi, first, last): a run of overlapping windows, of walls and seams first to last (walls 0, len(regions))
+    windows = [(-half - pad, pad - half, 0, 0)]
+    for last, (x, w) in enumerate(marks, 1):
+        lo, hi, first = x - w, x + w, last
+        while windows and lo <= windows[-1][1]:
+            prev_lo, prev_hi, first, _ = windows.pop()
+            lo, hi = min(lo, prev_lo), max(hi, prev_hi)
+        windows.append((lo, hi, first, last))
+    nodes = 0
+    for (_, gap_lo, _, _), (lo, hi, first, last) in zip(windows, windows[1:]):
+        nodes += _inside_count(regions[first - 1], gap_lo, lo)
+        if last < len(regions):
+            before, after = _value_slope(regions[first - 1], lo)[0], _value_slope(regions[last], hi)[0]
+            nodes += bool(before < 0.0 < after or after < 0.0 < before)
     return nodes
 
 

@@ -153,10 +153,9 @@ class TestVerdictCounts:
             "step": (StepInner(-beta * beta), StepNeg(geometry, beta=beta)),
         }[law]
         profile = MassProfile(geometry, inner)
-        expected = tuple(
-            len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in _probe_kappas(profile)[:2]
-        )
-        assert _negative_level_counts(profile, "even") == expected
+        probes = _probe_kappas(profile)[:2]
+        expected = tuple(len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in probes)
+        assert _negative_level_counts(profile, "even", probes) == expected
 
     @pytest.mark.parametrize(
         "inner, a",
@@ -212,7 +211,7 @@ class TestVerdictCounts:
         for parity, want in (("even", even), ("odd", odd)):
             small = count(-k1 * k1, -1e-12, parity)
             assert (small, small + count(-k2 * k2, -k1 * k1, parity)) == want
-            assert _negative_level_counts(profile, parity) == want
+            assert _negative_level_counts(profile, parity, (k1, k2)) == want
         if preset == "step":
             # the threshold splits the small window into two segments
             assert len(_level_scan(profile, -k1 * k1, -1e-12, "even")[1]) == 2
@@ -220,8 +219,9 @@ class TestVerdictCounts:
     def test_step_threshold_rounding_below_itself(self):
         # -beta*beta rounds below e_thr here, onto the +1 branch; that jump is no level
         profile = MassProfile(G2, StepInner(-407.169))
-        assert _negative_level_counts(profile, "even") == (3, 7)
-        assert _negative_level_counts(profile, "odd") == (3, 6)
+        probes = _probe_kappas(profile)[:2]
+        assert _negative_level_counts(profile, "even", probes) == (3, 7)
+        assert _negative_level_counts(profile, "odd", probes) == (3, 6)
         assert run_scenario(profile, (-100.0, 100.0)).verdict.kind == "bounded_below"
 
     @settings(max_examples=40, deadline=None)
@@ -235,10 +235,9 @@ class TestVerdictCounts:
         geometry = WellGeometry(L, a_frac * L)
         branch = StepNeg(geometry, beta=math.sqrt(-e_thr))
         profile = MassProfile(geometry, StepInner(e_thr))
-        expected = tuple(
-            len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in _probe_kappas(profile)[:2]
-        )
-        assert _negative_level_counts(profile, "even") == expected
+        probes = _probe_kappas(profile)[:2]
+        expected = tuple(len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in probes)
+        assert _negative_level_counts(profile, "even", probes) == expected
 
         window = (-PROBE_KAPPA_LARGE**2, -1e-12)
         levels = [e for e, _ in eigenvalues(MassProfile(geometry, ScaledInner(b)), window, "even")]

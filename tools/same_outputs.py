@@ -1,0 +1,102 @@
+#!/usr/bin/env python3
+"""Compare the CLI outputs of two checkouts of masswell, request by request.
+
+    python3 tools/same_outputs.py PARENT CHANGE
+
+PARENT and CHANGE are checkout directories.  Each checkout's ``src/`` is
+imported in one fresh interpreter, which runs every request of
+:func:`requests` through ``masswell.cli.main`` and records its stdout,
+stderr and exit code.  Each request whose record differs between the two
+is printed with the parts that differ.  The exit code is 1 if any request
+differs, else 0.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+PRESETS = ("constant-negative", "uniform", "tanh", "step", "two-param")
+
+#: scenario configs for the wells no preset covers: name -> key = value text
+CONFIGS = {
+    # spans narrower than the seam window's 1e-9 floor
+    "narrow-inner": "inner = constant\nm0 = 1\nL = 2\na = 1e-10\n",
+    "narrow-outer": "inner = constant\nm0 = 1\nL = 2\na = 1.9999999999\n",
+    "narrow-scaled": "inner = scaled\nb = 1e-5\nL = 2\na = 1e-10\n",
+    "scaled-wide": "inner = scaled\nb = 0.5\nL = 4\na = 3\n",
+}
+
+#: runs in the child interpreter: argv[1] is the checkout's src/, stdin the requests
+CHILD = r"""
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+from masswell import cli
+records = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    records.append({"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code})
+json.dump(records, sys.stdout)
+"""
+
+
+def requests(config_dir: str) -> list[list[str]]:
+    """The fixed request list; config-file requests read from ``config_dir``."""
+    out = []
+    for preset in PRESETS:
+        for window in ("-100:100", "-1600:3000", "-1e5:-1e4"):
+            out.append(["spectrum", "--preset", preset, f"--window={window}"])
+        out.append(["spectrum", "--preset", preset, "--window=-100:100", "--format", "json"])
+        for window, level in (("-100:100", 1), ("-100:100", 2), ("-100:100", 5), ("-1e5:-1e4", 3)):
+            argv = ["wavefunction", "--preset", preset, f"--window={window}", "--level", str(level)]
+            out.append(argv + ["--samples", "401"])
+    for name in ("narrow-inner", "narrow-outer", "narrow-scaled"):
+        for parity in ("even", "odd"):
+            out.append(["spectrum", "--config", os.path.join(config_dir, name), "--window=0.5:30", "--parity", parity])
+    out.append(["spectrum", "--preset", "constant-negative", "--window=-1e6:10"])
+    out.append(["spectrum", "--config", os.path.join(config_dir, "scaled-wide"), "--window=9e4:1.1e5"])
+    return out
+
+
+def run_checkout(checkout: str, argvs: list[list[str]]) -> list[dict]:
+    """Records of every request in one fresh interpreter on ``checkout``'s source."""
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    src = os.path.join(os.path.abspath(checkout), "src")
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, src], input=json.dumps(argvs), capture_output=True, text=True, env=env
+    )
+    if done.returncode != 0:
+        sys.exit(f"{checkout}: the request runner failed:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/same_outputs.py PARENT CHANGE", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as config_dir:
+        for name, text in CONFIGS.items():
+            with open(os.path.join(config_dir, name), "w") as handle:
+                handle.write(text)
+        argvs = requests(config_dir)
+        before, after = (run_checkout(checkout, argvs) for checkout in argv)
+        differing = 0
+        for args, old, new in zip(argvs, before, after):
+            parts = [key for key in ("stdout", "stderr", "exit") if old[key] != new[key]]
+            if parts:
+                differing += 1
+                print(f"differs in {', '.join(parts)}: {' '.join(args).replace(config_dir + os.sep, '')}")
+    print(f"{differing} of {len(argvs)} requests differ")
+    return 1 if differing else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
