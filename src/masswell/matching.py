@@ -12,8 +12,7 @@ effective-mass literature.
 Eigenvalues are the zeros in energy of :func:`seam_wronskian`, the
 scaled Wronskian of the two solutions at x = -a.  It takes an array of
 energies, never overflows, and is the residual that the level scan (in
-s = sign(E) sqrt|E|, shared with the verdict in :mod:`masswell.spectrum`)
-and the root refinement evaluate; :func:`mismatch` is its signed scalar form.
+s = sign(E) sqrt|E|) and the root refinement evaluate; :func:`mismatch` is its signed scalar form.
 :func:`build_solution` assembles the state from the same two solutions,
 so wall and parity hold exactly and only the seam sees the root
 tolerance.
@@ -158,10 +157,10 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
     Consecutive levels are about evenly spaced in s (Pruefer's angle
     argument), so they cannot crowd into one sample cell toward E = 0 or
     deep in the window.  The residual is :func:`seam_wronskian` at
-    E = s|s|.  Segments are split where it can kink (E = 0) or jump
-    (step).  The step law takes its negative branch at the threshold
-    itself, so the segment above the threshold starts exactly there while
-    the segment below stops a hair earlier to stay on the positive branch.
+    E = s|s|.  Segments are split where it can kink (E = 0) or jump (at
+    each of the inner law's ``breaks``).  A law takes its value from above
+    at a break, so the segment above a break starts exactly there while
+    the segment below stops a hair earlier to stay on the lower branch.
     Each end is then mapped to s and stepped inward until s|s| lies in
     its energy segment, so no sample crosses a cut.
     """
@@ -169,17 +168,12 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
     def residual(s):
         return seam_wronskian(profile, s * np.abs(s), parity)
 
-    cuts = {lo, hi}
-    if lo < 0.0 < hi:
-        cuts.add(0.0)
-    thr = profile.threshold
-    if thr is not None and lo < thr < hi:
-        cuts.add(thr)
-    bounds = sorted(cuts)
+    breaks = profile.inner.breaks
+    bounds = sorted({lo, hi, *(e for e in (0.0, *breaks) if lo < e < hi)})
     segments = []
     for e0, e1 in zip(bounds, bounds[1:]):
-        if e1 == thr:
-            e1 = thr - 1e-13 * max(1.0, abs(thr))
+        if e1 in breaks:
+            e1 -= 1e-13 * max(1.0, abs(e1))
         s0, s1 = math.copysign(math.sqrt(abs(e0)), e0), math.copysign(math.sqrt(abs(e1)), e1)
         while s0 * abs(s0) < e0:
             s0 = math.nextafter(s0, math.inf)

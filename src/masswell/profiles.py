@@ -6,7 +6,8 @@ equals 1 in the outer region a < |x| < L and follows one of the inner
 laws below for |x| < a.  Inner laws may depend on the energy and may be
 negative.  Units fix hbar^2/2 = 1, so the squared local wavenumber of a
 region is simply m * E.  Every inner law's ``value`` also takes an array
-of energies and works elementwise.
+of energies and works elementwise.  ``breaks`` lists where it jumps, taking
+its value from above; at E < 0 a negative value is constant between breaks.
 
 All profile values are immutable after construction and safe to share
 across threads.
@@ -15,7 +16,7 @@ across threads.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import ClassVar, Optional, Union
+from typing import ClassVar, Union
 
 import numpy as np
 
@@ -48,6 +49,7 @@ class ConstantInner:
     """Energy-independent inner mass ``m0``."""
 
     law: ClassVar[str] = "constant"
+    breaks: ClassVar[tuple[float, ...]] = ()
     m0: float = -1.0
 
     def value(self, energy: float) -> float:
@@ -59,6 +61,7 @@ class TanhInner:
     """Inner mass -tanh(E): tends to +1 far below E = 0 and to -1 far above."""
 
     law: ClassVar[str] = "tanh"
+    breaks: ClassVar[tuple[float, ...]] = ()
 
     def value(self, energy):
         return -np.tanh(energy)
@@ -75,6 +78,10 @@ class StepInner:
     law: ClassVar[str] = "step"
     e_thr: float
 
+    @property
+    def breaks(self) -> tuple[float, ...]:
+        return (self.e_thr,)
+
     def value(self, energy):
         return np.where(np.asarray(energy) >= self.e_thr, -1.0, 1.0)[()]
 
@@ -84,6 +91,7 @@ class ScaledInner:
     """Inner mass -1/b**2 with a constant scale ``b > 0``."""
 
     law: ClassVar[str] = "scaled"
+    breaks: ClassVar[tuple[float, ...]] = ()
     b: float
 
     def __post_init__(self) -> None:
@@ -106,11 +114,6 @@ class MassProfile:
 
     geometry: WellGeometry
     inner: InnerLaw
-
-    @property
-    def threshold(self) -> Optional[float]:
-        """Energy where the inner law jumps, if it has one."""
-        return getattr(self.inner, "e_thr", None)
 
     def describe(self) -> str:
         """One-line label: the inner law and its parameters, then L and a."""

@@ -7,10 +7,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-import numpy as np
-
-from ._rootscan import isolate_sign_changes
-from .matching import _SCAN_SAMPLES, _level_scan, build_solution, eigenvalues
+from .matching import build_solution, eigenvalues
 from .profiles import ConstantInner, MassProfile, WellGeometry
 from .secular import (
     DEFAULT_TOL,
@@ -34,9 +31,9 @@ __all__ = [
     "delta_limit_study",
 ]
 
-# growth-probe windows in kappa for the boundedness verdict at the inner
-# level spacing pi (a sqrt|m| = 1); _probe_kappas scales them to the
-# spacing of the profile's own inner law
+# growth-probe windows in kappa for the boundedness verdict at the inner level
+# spacing pi (a sqrt|m| = 1); _probe_kappas scales them to the spacing of the
+# profile's own inner law and moves them past its lowest break
 PROBE_KAPPA_SMALL = 10.0
 PROBE_KAPPA_LARGE = 40.0
 
@@ -92,52 +89,66 @@ class DeltaLimitRow:
 def _probe_kappas(profile: MassProfile) -> tuple[float, float, float]:
     """The verdict's probes K1 < K2 in kappa = sqrt(-E) and the inner level spacing.
 
-    Where the inner mass m is negative at both default probe energies
-    -PROBE_KAPPA_SMALL^2 and -PROBE_KAPPA_LARGE^2, the inner levels are
-    spaced pi / (a sqrt|m|) in kappa, and each probe sits at its default
-    number of spacings: (10/pi) and (40/pi) of them.  Elsewhere, wherever
+    Both probes lie past kappa_0 = kappa_b (1 + 1e-9), where -kappa_b^2 is
+    the inner law's lowest break below E = 0 (kappa_b = 0 if none), by
+    10/pi and 40/pi inner level spacings pi / (a sqrt|m|), with the inner
+    mass m read once at E = -(kappa_0 + 10)^2.  Where m >= 0, wherever
     a sqrt|m| = 1 (every preset), and where -K2^2 would leave the float
-    range, the probes are 10 and 40.
+    range, the probes are kappa_0 + 10 and kappa_0 + 40.
     """
-    mass = profile.inner.value(np.array([-PROBE_KAPPA_SMALL**2, -PROBE_KAPPA_LARGE**2]))
-    scale = 1.0
-    if np.all(mass < 0.0):
-        scale = profile.geometry.a * math.sqrt(-float(np.max(mass)))
-        k2 = PROBE_KAPPA_LARGE / scale
+    kappa_0 = math.sqrt(-min((0.0, *profile.inner.breaks))) * (1.0 + 1e-9)
+    probe = kappa_0 + PROBE_KAPPA_SMALL
+    mass, scale = profile.inner.value(-probe * probe), 1.0
+    if mass < 0.0:
+        scale = profile.geometry.a * math.sqrt(-mass)
+        k2 = kappa_0 + PROBE_KAPPA_LARGE / scale
         if not k2 * k2 < math.inf:
             scale = 1.0
-    return PROBE_KAPPA_SMALL / scale, PROBE_KAPPA_LARGE / scale, math.pi / scale
+    return kappa_0 + PROBE_KAPPA_SMALL / scale, kappa_0 + PROBE_KAPPA_LARGE / scale, math.pi / scale
 
 
 def _negative_level_counts(profile: MassProfile, parity: str, probes: tuple[float, float]) -> tuple[int, int]:
     """Numbers of negative-energy levels with kappa = sqrt(-E) in (0, K1]
-    and in (0, K2] for the probes (K1, K2), K1 < K2, of :func:`_probe_kappas`:
-    the sign changes of the eigenvalue level scan on (-K1^2, -1e-12) and
-    (-K2^2, -K1^2), both scanned in one :func:`isolate_sign_changes` call.
-    A bracket counts for the window its segment belongs to, so a zero on
-    the shared end -K1^2 counts in both."""
-    k1, k2 = probes
-    residual, small = _level_scan(profile, -k1 * k1, -1e-12, parity)
-    _, large = _level_scan(profile, -k2 * k2, -k1 * k1, parity)
-    lo, hi = np.reshape(small + large, (-1, 2)).T
-    segment = isolate_sign_changes(residual, lo, hi, _SCAN_SAMPLES)[4]
-    return int(np.count_nonzero(segment < len(small))), int(segment.size)
+    and in (0, K2] for the probes (K1, K2) of :func:`_probe_kappas`.
+
+    The inner law's breaks cut kappa into pieces, each closed at its break
+    (the law takes its value from above there).  On a piece a negative
+    inner mass m is constant, and with plain derivatives and
+    theta = kappa a sqrt|m| the levels solve sqrt|m| tan(theta) (even) or
+    -sqrt|m| cot(theta) (odd) = coth(kappa (L - a)).  Each half-branch where
+    the left side is positive holds exactly one level, as the left side
+    rises and the right side falls; m >= 0 holds none.
+    """
+    geo = profile.geometry
+
+    def levels(kappa: float, root: float) -> int:
+        # with root = sqrt|m|: complete half-branches below kappa, then one comparison on the partial one
+        j, r = divmod(kappa * geo.a * root - (math.pi / 2.0 if parity == "odd" else 0.0), math.pi)
+        return int(j) + (r >= math.pi / 2.0 or root * math.tan(r) * math.tanh(kappa * (geo.L - geo.a)) >= 1.0)
+
+    breaks = sorted((e for e in profile.inner.breaks if e < 0.0), reverse=True)
+    edges = [0.0, *(math.sqrt(-e) for e in breaks), math.inf]
+    # each piece's mass at its own break, the last one's below the lowest break
+    masses = [profile.inner.value(e) for e in (*breaks, 2.0 * min((0.0, *breaks)) - 1.0)]
+    pieces = [(lo, hi, math.sqrt(-m)) for lo, hi, m in zip(edges, edges[1:], masses) if m < 0.0]
+    return tuple(
+        sum(levels(min(k, hi), root) - levels(min(k, lo), root) for lo, hi, root in pieces) for k in probes
+    )
 
 
 def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_levels: bool) -> Verdict:
     k1, k2, spacing = _probe_kappas(profile)
     counts = [_negative_level_counts(profile, p, (k1, k2)) for p in parities]
-    c1 = sum(small for small, _ in counts)
-    c2 = sum(large for _, large in counts)
-    required = math.floor((k2 - k1) / spacing) - 1
-    if c2 - c1 >= required:
+    # past kappa ~ 1e18 the probes round together, and no growth is no evidence
+    required = max(1, math.floor((k2 - k1) / spacing) - 1)
+    if counts and all(large - small >= required for small, large in counts):
         return Verdict(
             "unbounded_below",
             evidence={
                 "kappa_window_small": k1,
-                "count_small": c1,
+                "count_small": sum(small for small, _ in counts),
                 "kappa_window_large": k2,
-                "count_large": c2,
+                "count_large": sum(large for _, large in counts),
                 "required_growth": required,
             },
         )

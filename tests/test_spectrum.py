@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from masswell._rootscan import isolate_sign_changes
 from masswell.cli import ScenarioConfig, preset_config
@@ -34,6 +35,16 @@ from masswell.spectrum import (
 )
 
 G2 = WellGeometry(2.0, 1.0)
+
+
+def _scan_count(profile, lo, hi, parity):
+    """Sign changes of the eigenvalue level scan on [lo, hi], segment by segment."""
+    residual, segments = _level_scan(profile, lo, hi, parity)
+    return sum(isolate_sign_changes(residual, s0, s1, _SCAN_SAMPLES)[0].size for s0, s1 in segments)
+
+
+#: a or L - a log-uniform from 1e-3 L to L / 2
+SPAN_FRAC = st.floats(-3.0, math.log10(0.5)).map(lambda u: 10.0**u)
 CRITICALS_L2 = [
     0.9375520343559807,
     3.9273787191188063,
@@ -136,7 +147,7 @@ class TestRunScenario:
 
 
 class TestVerdictCounts:
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=30, deadline=None)
     @given(
         L=st.floats(0.5, 5.0),
         a_frac=st.floats(0.1, 0.9),
@@ -144,8 +155,11 @@ class TestVerdictCounts:
         # beta below, between and above the default probes 10 and 40
         beta=st.one_of(st.floats(0.5, 9.5), st.floats(10.5, 39.5), st.floats(40.5, 60.0)),
         law=st.sampled_from(["constant", "scaled", "step"]),
+        parity=st.sampled_from(["even", "odd"]),
+        # a step's own probes lie past its break; these put K1 on either side of it
+        around=st.one_of(st.none(), st.tuples(st.floats(0.5, 1.5), st.floats(0.5, 40.0))),
     )
-    def test_counts_match_closed_form_roots(self, L, a_frac, b, beta, law):
+    def test_counts_match_closed_form_roots(self, L, a_frac, b, beta, law, parity, around):
         geometry = WellGeometry(L, a_frac * L)
         inner, branch = {
             "constant": (ConstantInner(-1.0), ConstantNegNeg(geometry)),
@@ -154,8 +168,14 @@ class TestVerdictCounts:
         }[law]
         profile = MassProfile(geometry, inner)
         probes = _probe_kappas(profile)[:2]
-        expected = tuple(len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in probes)
-        assert _negative_level_counts(profile, "even", probes) == expected
+        if law == "step" and around is not None:
+            probes = (beta * around[0], beta * around[0] + around[1])
+        if parity == "even":
+            expected = tuple(len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in probes)
+        else:
+            # secular has no odd branch: the level scan is the oracle
+            expected = tuple(_scan_count(profile, -kappa * kappa, -1e-12, "odd") for kappa in probes)
+        assert _negative_level_counts(profile, parity, probes) == expected
 
     @pytest.mark.parametrize(
         "inner, a",
@@ -176,19 +196,32 @@ class TestVerdictCounts:
         assert _probe_kappas(profile) == (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE, math.pi)
         run_scenario(profile, (-1.0, 1.0))
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     @given(
         L=st.floats(0.5, 5.0),
-        a_frac=st.floats(0.05, 0.95),
-        m0=st.one_of(st.floats(-4.0, -0.01), st.floats(0.01, 4.0)),
-        b=st.floats(0.2, 5.0),
-        law=st.sampled_from(["constant", "scaled"]),
+        span=SPAN_FRAC,
+        inner_span=st.booleans(),
+        inner=st.one_of(
+            st.builds(ConstantInner, st.one_of(st.floats(-4.0, -0.01), st.floats(0.01, 4.0))),
+            st.builds(ScaledInner, st.floats(0.2, 5.0)),
+            st.just(TanhInner()),
+            st.builds(StepInner, st.one_of(st.floats(-1.0, 6.0).map(lambda u: -(10.0**u)), st.floats(0.0, 100.0))),
+        ),
+        parities=st.sampled_from([("even", "odd"), ("even",), ("odd",)]),
     )
-    def test_verdict_follows_the_sign_of_the_inner_mass(self, L, a_frac, m0, b, law):
-        # unbounded below exactly when the inner mass stays negative as E -> -inf
-        inner = ConstantInner(m0) if law == "constant" else ScaledInner(b)
-        report = run_scenario(MassProfile(WellGeometry(L, a_frac * L), inner), (-1.0, 1.0))
-        assert (report.verdict.kind == "unbounded_below") == (inner.value(-1.0) < 0.0)
+    # deep thresholds read unbounded_below when the probes ignored the break
+    # and the parities' counts were summed against one parity's growth
+    @example(L=2.0, span=0.5, inner_span=True, inner=StepInner(-500.0), parities=("even", "odd"))
+    @example(L=2.0, span=0.5, inner_span=True, inner=StepInner(-1000.0), parities=("even", "odd"))
+    @example(L=2.0, span=0.5, inner_span=True, inner=StepInner(-2000.0), parities=("even",))
+    # past kappa ~ 1e18 the probes round together
+    @example(L=2.0, span=0.5, inner_span=True, inner=StepInner(-1e40), parities=("odd",))
+    def test_verdict_follows_the_sign_of_the_inner_mass(self, L, span, inner_span, inner, parities):
+        # unbounded below exactly when the inner mass is negative below the lowest break
+        a = span * L if inner_span else L - span * L
+        report = run_scenario(MassProfile(WellGeometry(L, a), inner), (-1.0, 1.0), parities)
+        deep = 2.0 * min((0.0, *inner.breaks)) - 1.0
+        assert (report.verdict.kind == "unbounded_below") == (inner.value(deep) < 0.0)
 
     @pytest.mark.parametrize(
         "preset, even, odd",
@@ -203,14 +236,9 @@ class TestVerdictCounts:
     def test_one_call_counts_equal_window_by_window_counts(self, preset, even, odd):
         profile = ScenarioConfig.from_text(preset_config(preset)).profile()
         k1, k2, _ = _probe_kappas(profile)
-
-        def count(lo, hi, parity):
-            residual, segments = _level_scan(profile, lo, hi, parity)
-            return sum(isolate_sign_changes(residual, s0, s1, _SCAN_SAMPLES)[0].size for s0, s1 in segments)
-
         for parity, want in (("even", even), ("odd", odd)):
-            small = count(-k1 * k1, -1e-12, parity)
-            assert (small, small + count(-k2 * k2, -k1 * k1, parity)) == want
+            small = _scan_count(profile, -k1 * k1, -1e-12, parity)
+            assert (small, small + _scan_count(profile, -k2 * k2, -k1 * k1, parity)) == want
             assert _negative_level_counts(profile, parity, (k1, k2)) == want
         if preset == "step":
             # the threshold splits the small window into two segments
@@ -219,7 +247,7 @@ class TestVerdictCounts:
     def test_step_threshold_rounding_below_itself(self):
         # -beta*beta rounds below e_thr here, onto the +1 branch; that jump is no level
         profile = MassProfile(G2, StepInner(-407.169))
-        probes = _probe_kappas(profile)[:2]
+        probes = (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE)
         assert _negative_level_counts(profile, "even", probes) == (3, 7)
         assert _negative_level_counts(profile, "odd", probes) == (3, 6)
         assert run_scenario(profile, (-100.0, 100.0)).verdict.kind == "bounded_below"
@@ -246,6 +274,47 @@ class TestVerdictCounts:
         assert len(levels) == len(closed)
         for e, want in zip(levels, closed):
             assert abs(e - want) <= 4e-12 * max(1.0, abs(want)), (e, want)
+
+
+LAWS = [
+    ConstantInner(-1.0),
+    ConstantInner(2.0),
+    ScaledInner(0.5),
+    TanhInner(),
+    StepInner(-30.0),
+    StepInner(-1e6),
+    StepInner(0.0),
+    StepInner(5.0),
+]
+
+
+class TestLawBreaks:
+    """What the verdict's closed-form count reads from each law's ``breaks``."""
+
+    @pytest.mark.parametrize("inner", LAWS, ids=repr)
+    def test_level_scan_splits_at_every_break(self, inner):
+        lo, hi = -2e6, 100.0
+        _, segments = _level_scan(MassProfile(G2, inner), lo, hi, "even")
+        cuts = [e for e in (0.0, *inner.breaks) if lo < e < hi]
+        assert len(segments) == 1 + len(set(cuts))
+        # a law takes its value from above at a break, so no segment holds
+        # energies on both sides, counting the break itself as above
+        for s0, s1 in segments:
+            assert not any(s0 * abs(s0) < e <= s1 * abs(s1) for e in inner.breaks)
+            assert not s0 < 0.0 < s1
+
+    @pytest.mark.parametrize("inner", LAWS, ids=repr)
+    def test_negative_mass_is_constant_between_breaks(self, inner):
+        edges = [-math.inf, *sorted({0.0, *(e for e in inner.breaks if e < 0.0)})]
+        for lo, hi in zip(edges, edges[1:]):
+            # each piece [lo, hi) at both ends and spread inside it
+            if lo == -math.inf:
+                inside = hi - np.geomspace(1e-6, 1e12, 97)
+            else:
+                inside = np.append(np.linspace(lo, hi, 97, endpoint=False), np.nextafter(hi, -math.inf))
+            values = np.asarray(inner.value(inside)) * np.ones_like(inside)
+            if np.any(values < 0.0):
+                assert np.all(values == values[0]), (lo, hi)
 
 
 class TestGroundStateStaircase:

@@ -28,6 +28,8 @@ CONFIGS = {
     "narrow-outer": "inner = constant\nm0 = 1\nL = 2\na = 1.9999999999\n",
     "narrow-scaled": "inner = scaled\nb = 1e-5\nL = 2\na = 1e-10\n",
     "scaled-wide": "inner = scaled\nb = 0.5\nL = 4\na = 3\n",
+    # a threshold deeper than the verdict's default probes
+    "step-deep": "inner = step\ne_thr = -1000\nL = 2\na = 1\n",
 }
 
 #: runs in the child interpreter: argv[1] is the checkout's src/, stdin the requests
@@ -63,6 +65,8 @@ def requests(config_dir: str) -> list[list[str]]:
             out.append(["spectrum", "--config", os.path.join(config_dir, name), "--window=0.5:30", "--parity", parity])
     out.append(["spectrum", "--preset", "constant-negative", "--window=-1e6:10"])
     out.append(["spectrum", "--config", os.path.join(config_dir, "scaled-wide"), "--window=9e4:1.1e5"])
+    for extra in ([], ["--parity", "even"], ["--format", "json"]):
+        out.append(["spectrum", "--config", os.path.join(config_dir, "step-deep"), "--window=-100:100", *extra])
     return out
 
 
