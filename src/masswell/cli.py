@@ -8,8 +8,9 @@ diagnostic or numeric overflow (``RuntimeError``, ``OverflowError``).
 
 Floats are always written with 17 significant digits, so identical
 configs produce byte-identical output files.  Each table states its row
-template once (``%.17g`` per float column) and formats every row with it;
-header lines write their floats the same way.
+template once (``%.17g`` per float column) and formats its flat list of
+values by one ``%`` per chunk of rows, which writes the same bytes as one
+``%`` per row; header lines write their floats the same way.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import json
 import math
 import sys
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -246,21 +247,26 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _format_rows(command: str, rows) -> Iterator[str]:
-    """Each row tuple of ``command``'s table as text, by its row template."""
-    return map(_ROW_TEMPLATES[command].__mod__, rows)
+def _format_rows(command: str, values: list) -> list[str]:
+    """The rows of ``command``'s table, given as one flat list of values, as text:
+    one ``%`` of the row template repeated per row for each chunk of up to
+    2048 rows, which bounds the memory one ``%`` takes."""
+    template = _ROW_TEMPLATES[command]
+    width = template.count("%")
+    chunks = (values[i : i + 2048 * width] for i in range(0, len(values), 2048 * width))
+    return ["\n".join([template] * (len(chunk) // width)) % tuple(chunk) for chunk in chunks]
 
 
 def _table_text(header: Sequence[str], columns: str, lines) -> str:
     return "\n".join([*header, f"# columns: {columns}", *lines]) + "\n"
 
 
-def _write(cfg: ScenarioConfig, command: str, header: Sequence[str], columns: str, rows, obj=None) -> None:
-    """Emit ``obj`` as JSON when given and the config asks for JSON, else the table."""
+def _write(cfg: ScenarioConfig, command: str, header: Sequence[str], columns: str, values, obj=None) -> None:
+    """Emit ``obj`` as JSON when given and the config asks for JSON, else the table of ``values``."""
     if obj is not None and cfg.out_format() == "json":
         text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     else:
-        text = _table_text(header, columns, _format_rows(command, rows))
+        text = _table_text(header, columns, _format_rows(command, values))
     _emit(text, cfg.get_str("out"))
 
 
@@ -319,7 +325,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
         "verdict": {"kind": report.verdict.kind, "evidence": report.verdict.evidence},
         "levels": [dict(zip(columns.split(","), row)) for row in rows],
     }
-    _write(cfg, "spectrum", _report_header(report), columns, rows, obj)
+    _write(cfg, "spectrum", _report_header(report), columns, [v for row in rows for v in row], obj)
     return 0
 
 
@@ -345,18 +351,18 @@ def _cmd_curves(args: argparse.Namespace) -> int:
 
     roots = find_roots(branch, RootWindow(lo, hi, tol=tol))
 
-    total = sum(s1 - s0 for s0, s1 in segments)
+    # each piece sampled as np.linspace samples it; all pieces, then the roots, in one array
+    s0, s1 = np.array(segments, dtype=float).reshape(-1, 2).T
+    n = np.maximum(2, np.rint(samples * (s1 - s0) / sum((s1 - s0).tolist())).astype(int))
+    stop = np.cumsum(n)
+    ts = (np.arange(n.sum()) - np.repeat(stop - n, n)) * np.repeat((s1 - s0) / (n - 1), n) + np.repeat(s0, n)
+    ts[stop - 1] = s1
+    t = np.concatenate((ts, roots))
+    table = np.column_stack((t, *branch.curve_pair(t)))
     lines: list[str] = []
-    for s0, s1 in segments:
-        n = max(2, int(round(samples * (s1 - s0) / total)))
-        ts = np.linspace(s0, s1, n)
-        c1, c2 = (np.broadcast_to(np.asarray(c, dtype=float), ts.shape) for c in branch.curve_pair(ts))
-        lines += _format_rows("curves", zip(ts.tolist(), c1.tolist(), c2.tolist()))
-        lines.append("")
-    lines.append("# roots")
-    lines += _format_rows(
-        "curves", [(float(r), *(float(c) for c in branch.curve_pair(np.float64(r)))) for r in roots]
-    )
+    for first, end in zip([0, *stop.tolist()], stop.tolist()):
+        lines += [*_format_rows("curves", table[first:end].ravel().tolist()), ""]
+    lines += ["# roots", *_format_rows("curves", table[ts.size :].ravel().tolist())]
     lab1, lab2 = branch.curve_labels
     header = [f"# masswell secular curves: {branch.describe()}"]
     _emit(_table_text(header, f"t,{lab1},{lab2}", lines), cfg.get_str("out"))
@@ -390,7 +396,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
         f"# nodes: {count_nodes(psi)}",
         f"# localization: {localization_fraction(psi):.17g}",
     ]
-    _write(cfg, "wavefunction", header, "x,psi", zip(xs.tolist(), evaluate(psi, xs).tolist()))
+    _write(cfg, "wavefunction", header, "x,psi", np.column_stack((xs, evaluate(psi, xs))).ravel().tolist())
     return 0
 
 
@@ -406,7 +412,7 @@ def _cmd_critical_beta(args: argparse.Namespace) -> int:
         "critical-beta",
         [f"# masswell critical beta values: L={geometry.L:.17g} a={geometry.a:.17g}"],
         "index,beta",
-        enumerate(betas, start=1),
+        [v for row in enumerate(betas, start=1) for v in row],
         {"L": geometry.L, "a": geometry.a, "critical_betas": betas},
     )
     return 0
@@ -435,7 +441,7 @@ def _cmd_delta_limit(args: argparse.Namespace) -> int:
             f"# reduced fixed point: {fixed_point:.17g}",
         ],
         columns,
-        table,
+        [v for row in table for v in row],
         {
             "b_over_nu": b_over_nu,
             "L": L,

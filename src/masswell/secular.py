@@ -298,16 +298,30 @@ def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
 def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL) -> list[float]:
     """First ``count`` threshold strengths at which a new lowest state appears.
 
-    These are exactly the first roots of the :class:`ConstantNegNeg`
-    residual (the same equation, evaluated through the same object), in
-    increasing order.
+    These are the first roots of the :class:`ConstantNegNeg` residual, in
+    increasing order.  tan(kappa a) = coth(kappa (L-a)) > 1 has exactly
+    one root on each branch ((j pi + pi/4) / a, (j pi + pi/2) / a), so
+    every bracket is analytic and one :func:`bisect_root` call refines
+    them all to ``tol``, with no scan.  The root lies about
+    exp(-2 kappa (L-a)) / a above the left end: where the residual there
+    rounds to zero or to the right end's sign (coth rounds to 1 past
+    kappa (L-a) of about 19), the left end is the root to the float floor
+    and is returned as is, and so is a right end whose residual rounds to
+    zero or to the left end's sign.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    # tan(kappa a) = coth(kappa (L-a)) > 1 has exactly one root on each
-    # branch (j pi + pi/4, j pi + pi/2) / a, so this window holds count + 1
-    hi = (count + 1) * math.pi / geometry.a
-    return find_roots(ConstantNegNeg(geometry), RootWindow(0.0, hi, tol=tol))[:count]
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    branch = ConstantNegNeg(geometry)
+    j = np.arange(count)
+    lo, hi = (j * math.pi + math.pi / 4.0) / geometry.a, (j * math.pi + math.pi / 2.0) / geometry.a
+    f_lo, f_hi = np.split(branch.residual_raw(np.concatenate((lo, hi))), 2)
+    # the residual rises from the left end to the right on even branches, falls on odd
+    sign = np.where(j % 2 == 0, 1.0, -1.0)
+    f_lo = np.where(f_lo * sign < 0.0, f_lo, 0.0)
+    f_hi = np.where(f_hi * sign > 0.0, f_hi, 0.0)
+    return bisect_root(branch.residual_raw, lo, hi, f_lo, f_hi, tol).tolist()
 
 
 def reduced_kappa1(b_over_nu: float, L: float, tol: float = DEFAULT_TOL) -> float:

@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
+
+import numpy as np
 
 from .matching import build_solution, eigenvalues
 from .profiles import ConstantInner, MassProfile, WellGeometry
 from .secular import (
     DEFAULT_TOL,
-    ConstantNegNeg,
     ConstantNegPos,
     RootWindow,
     TwoParamNeg,
+    critical_betas,
     find_roots,
     reduced_kappa1,
 )
@@ -226,8 +227,9 @@ def ground_state_staircase(
 
     Uses the canonical inner half-width a = 1.  The admissibility rule is
     kappa <= beta with the boundary admitted, so counts jump exactly at
-    the critical beta values.  For beta below the first critical value
-    the ground state is the lowest positive-energy state.
+    the critical beta values, those of :func:`critical_betas`.  For beta
+    below the first critical value the ground state is the lowest
+    positive-energy state.
     """
     if not beta_max > 0.0:
         raise ValueError(f"require beta_max > 0, got {beta_max!r}")
@@ -236,7 +238,9 @@ def ground_state_staircase(
     geometry = WellGeometry(L, 1.0)
     # a beta placed on a root is known to tol, as the root is: 2 tol is the boundary
     slack = 2.0 * tol
-    neg_roots = find_roots(ConstantNegNeg(geometry), RootWindow(0.0, beta_max + slack, tol=tol))
+    # critical value j lies on (j pi + pi/4, j pi + pi/2)
+    branches = math.floor((beta_max + slack) / math.pi - 0.25) + 1
+    neg_roots = critical_betas(geometry, branches, tol=tol) if branches > 0 else []
 
     # below threshold and at positive energy the step model has inner mass -1;
     # nodes[n] belongs to the ground state once n negative roots are admitted
@@ -245,14 +249,11 @@ def ground_state_staircase(
         ConstantNegPos(geometry), RootWindow(0.0, 2.0 * math.pi / (L - 1.0), tol=tol)
     )[0]
     energies = [k_first * k_first] + [-kappa * kappa for kappa in neg_roots]
-    nodes = [count_nodes(build_solution(frozen_profile, e, "even")) for e in energies]
+    nodes = np.array([count_nodes(build_solution(frozen_profile, e, "even")) for e in energies])
 
-    rows: list[StaircaseStep] = []
-    for i in range(1, steps + 1):
-        beta = beta_max * i / steps
-        n = bisect.bisect_right(neg_roots, beta + slack)
-        rows.append(StaircaseStep(beta=beta, negative_count=n, ground_state_nodes=nodes[n]))
-    return rows
+    betas = beta_max * np.arange(1, steps + 1) / steps
+    counts = np.searchsorted(neg_roots, betas + slack, side="right")
+    return list(map(StaircaseStep, betas.tolist(), counts.tolist(), nodes[counts].tolist()))
 
 
 def delta_limit_study(

@@ -505,16 +505,15 @@ class TestRowTemplates:
         real = cli._format_rows
         seen = []
 
-        def checked(command, rows):
-            rows = list(rows)
+        def checked(command, values):
             specs = cli._ROW_TEMPLATES[command].split(",")
-            seen.append((command, len(rows)))
-            for row in rows:
-                assert isinstance(row, tuple) and len(row) == len(specs), row
-                for value, spec in zip(row, specs):
-                    assert isinstance(value, _COLUMN_TYPE[spec]), (spec, value)
-                    assert not isinstance(value, bool), (spec, value)
-            return real(command, rows)
+            assert isinstance(values, list) and len(values) % len(specs) == 0
+            seen.append((command, len(values) // len(specs)))
+            for i, value in enumerate(values):
+                spec = specs[i % len(specs)]
+                assert isinstance(value, _COLUMN_TYPE[spec]), (spec, value)
+                assert not isinstance(value, bool), (spec, value)
+            return real(command, values)
 
         monkeypatch.setattr(cli, "_format_rows", checked)
         assert main(argv) == 0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from masswell import _rootscan
+from masswell import _rootscan, secular
 from masswell._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes, roots_in
 from masswell.matching import (
     LINEAR_BAND,
@@ -436,7 +436,9 @@ class TestBatchedScan:
             return result
 
         monkeypatch.setattr(_rootscan, "isolate_sign_changes", spying)
-        assert len(critical_betas(WellGeometry(2.0, 1.0), 5000)) == 5000
+        geometry = WellGeometry(2.0, 1.0)
+        # the scan critical_betas(geometry, 5000) made: one root per branch below 5001 pi / a
+        assert len(find_roots(ConstantNegNeg(geometry), RootWindow(0.0, 5001 * math.pi / geometry.a))) == 5001
         # one isolate call; each of its pieces, at most 2**14 cells, is one call
         (calls,) = sizes
         assert len(calls) > 1 and calls == [calls[0]] * len(calls) and calls[0] <= 2**16 + 1
@@ -673,6 +675,7 @@ def test_refinement_step_budget(monkeypatch):
         return roots
 
     monkeypatch.setattr(_rootscan, "bisect_root", counting)
+    monkeypatch.setattr(secular, "bisect_root", counting)
     uniform = MassProfile(G2, ConstantInner(1.0))
     levels = [len(eigenvalues(uniform, (-100.0, 1e4), parity)) for parity in ("even", "odd")]
     betas = critical_betas(G2, 500)

@@ -10,6 +10,7 @@ from masswell.matching import eigenvalues
 from masswell.profiles import ConstantInner, MassProfile, ScaledInner, TanhInner, WellGeometry
 from masswell.secular import (
     BRANCHES,
+    DEFAULT_TOL,
     ConstantNegNeg,
     ConstantNegPos,
     RootWindow,
@@ -204,15 +205,53 @@ class TestFindRoots:
             assert c1 == pytest.approx(c2, rel=1e-9, abs=1e-9)
 
 
+@st.composite
+def _geometries(draw):
+    """L log-uniform on [0.1, 100], then a or L - a log-uniform on [1e-3 L, L / 2]."""
+    L = 10.0 ** draw(st.floats(-1.0, 2.0))
+    narrow = L * 10.0 ** draw(st.floats(-3.0, math.log10(0.5)))
+    return WellGeometry(L, narrow if draw(st.booleans()) else L - narrow)
+
+
 class TestCriticalBetas:
     def test_count_validated(self):
         with pytest.raises(ValueError):
             critical_betas(G2, 0)
 
-    def test_matches_negative_branch_roots_exactly(self):
-        betas = critical_betas(G2, 3)
-        roots = find_roots(ConstantNegNeg(G2), RootWindow(0.0, 4.0 * math.pi))[:3]
-        assert betas == roots  # same residual object, same brackets, bitwise equal
+    @settings(max_examples=40, deadline=None)
+    @given(geometry=_geometries(), count=st.integers(1, 2000), tol=st.sampled_from([1e-12, 1e-8, 1e-4]))
+    @example(geometry=WellGeometry(1.939, 1.0), count=5000, tol=1e-12)
+    def test_one_root_per_branch(self, geometry, count, tol):
+        branch = ConstantNegNeg(geometry)
+        betas = np.array(critical_betas(geometry, count, tol))
+        j = np.arange(count)
+        left = (j * math.pi + math.pi / 4.0) / geometry.a
+        assert betas.size == count
+        assert np.all((left <= betas) & (betas <= (j * math.pi + math.pi / 2.0) / geometry.a))
+        # the residual rises through each root on even branches and falls on odd
+        # ones, except at a left end taken as the root where coth rounds to 1
+        h = np.maximum(tol, 4.0 * np.spacing(betas))
+        sign = np.where(j % 2 == 0, 1.0, -1.0)
+        crosses = (branch.residual_raw(betas - h) * sign <= 0.0) & (branch.residual_raw(betas + h) * sign >= 0.0)
+        at_left = (betas == left) & (np.tanh(betas * (geometry.L - geometry.a)) == 1.0)
+        assert np.all(crosses | at_left)
+        window = RootWindow(0.0, (count + 1) * math.pi / geometry.a, tol=tol)
+        want = np.array(find_roots(branch, window)[:count])
+        assert np.all(np.abs(betas - want) <= np.maximum(2.0 * tol, 16.0 * np.spacing(want)))
+
+    def test_left_end_taken_as_the_root(self):
+        # kappa (L-a) is at least 7800 here: coth is 1, the root is the left end
+        # (j pi + pi/4) / a, and the residual there is rounding noise of either sign
+        geometry = WellGeometry(100.0, 0.01)
+        betas = np.array(critical_betas(geometry, 50))
+        j = np.arange(50)
+        left = (j * math.pi + math.pi / 4.0) / geometry.a
+        rounded_past = ConstantNegNeg(geometry).residual_raw(left) * np.where(j % 2 == 0, 1.0, -1.0) >= 0.0
+        assert rounded_past.any() and np.all(betas[rounded_past] == left[rounded_past])
+        assert np.all(np.abs(betas - left) <= DEFAULT_TOL + 16.0 * np.spacing(left))
+
+    def test_count_one(self):
+        assert critical_betas(G2, 1) == pytest.approx(KAPPA_NN_L2[:1], abs=1e-12)
 
     def test_first_five_frozen(self):
         betas = critical_betas(G2, 5)
@@ -228,8 +267,8 @@ class TestCriticalBetas:
 
         monkeypatch.setattr(_rootscan, "isolate_sign_changes", counting)
         assert len(critical_betas(WellGeometry(2.0, 1.0), 5000)) == 5000
-        assert 1 <= len(calls) <= 3
-        assert max(calls) <= 2**14
+        # every root has an analytic bracket: nothing is scanned
+        assert calls == []
 
     def test_gaps_approach_pi(self):
         betas = critical_betas(G2, 4)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from masswell import spectrum
 from masswell._rootscan import isolate_sign_changes
 from masswell.cli import ScenarioConfig, preset_config
 from masswell.matching import _SCAN_SAMPLES, _level_scan, eigenvalues
@@ -360,6 +361,15 @@ class TestGroundStateStaircase:
         rows = ground_state_staircase(2.0, crit, 1)
         assert rows[0].beta == crit
         assert rows[0].negative_count == 1
+
+    def test_below_the_first_branch(self, monkeypatch):
+        # beta_max < pi/4 lies below every branch (j pi + pi/4, j pi + pi/2)
+        def no_branch(geometry, count, tol):
+            raise AssertionError(f"critical_betas asked for {count}")
+
+        monkeypatch.setattr(spectrum, "critical_betas", no_branch)
+        rows = ground_state_staircase(2.0, 0.7, 7)
+        assert [(r.negative_count, r.ground_state_nodes) for r in rows] == [(0, 0)] * 7
 
     def test_validation(self):
         with pytest.raises(ValueError):

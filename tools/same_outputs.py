@@ -7,7 +7,8 @@ PARENT and CHANGE are checkout directories.  Each checkout's ``src/`` is
 imported in one fresh interpreter, which runs every request of
 :func:`requests` through ``masswell.cli.main`` and records its stdout,
 stderr and exit code.  Each request whose record differs between the two
-is printed with the parts that differ.  The exit code is 1 if any request
+is printed with the parts that differ and, where only numbers differ, the
+largest absolute difference between them.  The exit code is 1 if any request
 differs, else 0.  Standard library only.
 """
 
@@ -15,11 +16,16 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
 
 PRESETS = ("constant-negative", "uniform", "tanh", "step", "two-param")
+
+CURVE_BRANCHES = (
+    "constant-neg-pos", "constant-neg-neg", "tanh-pos", "tanh-neg", "step-neg", "two-param-neg", "two-param-reduced",
+)
 
 #: scenario configs for the wells no preset covers: name -> key = value text
 CONFIGS = {
@@ -67,6 +73,13 @@ def requests(config_dir: str) -> list[list[str]]:
     out.append(["spectrum", "--config", os.path.join(config_dir, "scaled-wide"), "--window=9e4:1.1e5"])
     for extra in ([], ["--parity", "even"], ["--format", "json"]):
         out.append(["spectrum", "--config", os.path.join(config_dir, "step-deep"), "--window=-100:100", *extra])
+    # the sweep benchmark's commands
+    for branch in CURVE_BRANCHES:
+        out.append(["curves", "--branch", branch, "--range", "0.05:199.653", "--samples", "20000"])
+    out.append(["curves", "--branch", "constant-neg-pos", "--range", "0:1e-10"])
+    for extra in ([], ["--format", "json"]):
+        out.append(["critical-beta", "--L", "1.939", "--count", "5000", *extra])
+    out.append(["delta-limit"])
     return out
 
 
@@ -80,6 +93,21 @@ def run_checkout(checkout: str, argvs: list[list[str]]) -> list[dict]:
     if done.returncode != 0:
         sys.exit(f"{checkout}: the request runner failed:\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def worst_delta(old: str, new: str):
+    """The largest |new - old| over the tokens that differ, if all are numbers, else None."""
+    tokens = [re.split(r"[\s,\[\]{}]+", text) for text in (old, new)]
+    if len(tokens[0]) != len(tokens[1]):
+        return None
+    worst = 0.0
+    for a, b in zip(*tokens):
+        if a != b:
+            try:
+                worst = max(worst, abs(float(b) - float(a)))
+            except ValueError:
+                return None
+    return worst
 
 
 def main(argv: list[str]) -> int:
@@ -97,7 +125,9 @@ def main(argv: list[str]) -> int:
             parts = [key for key in ("stdout", "stderr", "exit") if old[key] != new[key]]
             if parts:
                 differing += 1
-                print(f"differs in {', '.join(parts)}: {' '.join(args).replace(config_dir + os.sep, '')}")
+                delta = worst_delta(old["stdout"], new["stdout"]) if parts == ["stdout"] else None
+                worst = "" if delta is None else f" (worst |delta| {delta:.3g})"
+                print(f"differs in {', '.join(parts)}: {' '.join(args).replace(config_dir + os.sep, '')}{worst}")
     print(f"{differing} of {len(argvs)} requests differ")
     return 1 if differing else 0
 
