@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ScanResolutionError", "isolate_sign_changes", "bisect_root", "roots_in"]
+__all__ = ["ScanResolutionError", "isolate_sign_changes", "bisect_root", "bracket_roots", "roots_in"]
 
 #: each rescan is _REFINE times finer than the last, up to _MAX_LEVELS rescans
 _REFINE = 4
@@ -66,12 +66,11 @@ def isolate_sign_changes(f, lo, hi, samples):
     with their last grid the same way.  No call takes more than
     ``_MAX_POINTS`` points; grids that would are evaluated in several.
 
-    Returns arrays ``(a, b, fa, fb, segment)`` with one entry per
-    bracket: segment by segment, one bracket per sign change between
-    neighbouring samples, followed by a zero-width bracket
-    ``(t, t, 0.0, 0.0)`` for each sample t where f vanished identically,
-    and the bracket's segment index.  :func:`bisect_root` takes the
-    first four as they are and returns t for a zero-width bracket.
+    Returns arrays ``(a, b, fa, fb)`` with one entry per bracket, in no
+    promised order: one bracket per sign change between neighbouring
+    samples and a zero-width bracket ``(t, t, 0.0, 0.0)`` for each sample
+    t where f vanished identically.  :func:`bisect_root` takes them as
+    they are and returns t for a zero-width bracket.
     """
     lo, hi = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi))
     empty = np.flatnonzero(~(hi > lo))
@@ -79,8 +78,7 @@ def isolate_sign_changes(f, lo, hi, samples):
         raise ValueError(f"empty scan interval [{lo[empty[0]]}, {hi[empty[0]]}]")
     cells = max(int(samples), 2)
     rows = np.arange(lo.size)
-    # per group of brackets: sort key (segment, zero-width last), segment, a, b, fa, fb
-    found = [(np.empty(0, dtype=int),) * 2 + (np.empty(0),) * 4]
+    found = [(np.empty(0),) * 4]
     for _ in range(_MAX_LEVELS):
         cells *= _REFINE
         per_call = max(1, _MAX_POINTS // (cells + 1))
@@ -91,9 +89,9 @@ def isolate_sign_changes(f, lo, hi, samples):
             flips, zeros = _sign_changes(vs)
             stable = _count(flips, zeros) == _count(*_sign_changes(vs[:, ::_REFINE]))
             r, i = np.nonzero(flips & stable[:, None])
-            found.append((2 * chunk[r], chunk[r], ts[r, i], ts[r, i + 1], vs[r, i], vs[r, i + 1]))
+            found.append((ts[r, i], ts[r, i + 1], vs[r, i], vs[r, i + 1]))
             r, i = np.nonzero(zeros & stable[:, None])
-            found.append((2 * chunk[r] + 1, chunk[r], ts[r, i], ts[r, i], np.zeros(r.size), np.zeros(r.size)))
+            found.append((ts[r, i], ts[r, i], np.zeros(r.size), np.zeros(r.size)))
             unstable.append(chunk[~stable])
         rows = np.concatenate(unstable)
         if not rows.size:
@@ -102,9 +100,7 @@ def isolate_sign_changes(f, lo, hi, samples):
         raise ScanResolutionError(
             f"sign-change count on [{float(lo[rows[0]])}, {float(hi[rows[0]])}] still growing at {cells} samples"
         )
-    key, segment, a, b, fa, fb = (np.concatenate(column) for column in zip(*found))
-    order = np.argsort(key, kind="stable")
-    return a[order], b[order], fa[order], fb[order], segment[order]
+    return tuple(np.concatenate(column) for column in zip(*found))
 
 
 def bisect_root(f, a, b, fa, fb, tol):
@@ -182,6 +178,28 @@ def bisect_root(f, a, b, fa, fb, tol):
     return roots
 
 
+def bracket_roots(f, lo, hi, rising, tol):
+    """The root of ``f`` in each bracket [lo, hi] that holds exactly one, refined to ``tol``.
+
+    ``rising`` says per bracket whether ``f`` crosses from negative at lo
+    to positive at hi, or the other way.  Both ends of every bracket are
+    evaluated in one call of the elementwise ``f``.  An end whose
+    residual is zero or has the sign of the far side of the root, which
+    only rounding near the root can give it, is that root to the float
+    floor and is returned as is (the left end where both are).  The other
+    brackets are refined together by one :func:`bisect_root` call, with
+    no scan.
+    """
+    if not 0.0 < tol < np.inf:
+        raise ValueError("tol must be positive and finite")
+    lo, hi, rising = (np.array(v, ndmin=1) for v in np.broadcast_arrays(lo, hi, rising))
+    f_lo, f_hi = np.split(np.asarray(f(np.concatenate((lo, hi))), dtype=float), 2)
+    sign = np.where(rising, 1.0, -1.0)
+    f_lo = np.where(f_lo * sign < 0.0, f_lo, 0.0)
+    f_hi = np.where(f_hi * sign > 0.0, f_hi, 0.0)
+    return bisect_root(f, lo, hi, f_lo, f_hi, tol)
+
+
 def roots_in(f, segments, samples, tol):
     """Every root of the elementwise residual ``f`` on the segments, ascending.
 
@@ -192,7 +210,7 @@ def roots_in(f, segments, samples, tol):
     precision, are one root.
     """
     lo, hi = np.reshape(segments, (-1, 2)).T
-    a, b, fa, fb, _ = isolate_sign_changes(f, lo, hi, samples)
+    a, b, fa, fb = isolate_sign_changes(f, lo, hi, samples)
     roots = sorted(bisect_root(f, a, b, fa, fb, tol).tolist())
     merged = []
     for r in roots:

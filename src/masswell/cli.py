@@ -303,8 +303,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
     return ScenarioConfig(raw)
 
 
-def _cmd_spectrum(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def _cmd_spectrum(cfg: ScenarioConfig) -> int:
     report = run_scenario(
         cfg.profile(),
         cfg.window(),
@@ -329,8 +328,7 @@ def _cmd_spectrum(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_curves(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def _cmd_curves(cfg: ScenarioConfig) -> int:
     name = cfg.get_str("branch")
     if name is None:
         raise ConfigError("curves requires 'branch'")
@@ -369,8 +367,7 @@ def _cmd_curves(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_wavefunction(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def _cmd_wavefunction(cfg: ScenarioConfig) -> int:
     profile = cfg.profile()
     samples = cfg.get_int("samples", "401")
     if samples < 2:
@@ -400,8 +397,7 @@ def _cmd_wavefunction(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_critical_beta(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def _cmd_critical_beta(cfg: ScenarioConfig) -> int:
     count = cfg.get_int("count", "5")
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -418,8 +414,7 @@ def _cmd_critical_beta(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_delta_limit(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+def _cmd_delta_limit(cfg: ScenarioConfig) -> int:
     b_over_nu = cfg.get_float("b_over_nu", "1")
     L = cfg.get_float("L", "2")
     raw = cfg.get_str("nu_values", "0.1,0.01,0.001") or ""
@@ -517,7 +512,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        return args.handler(_load_config(args))
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -7,9 +7,11 @@ deep-narrow limit has the form ``inner(t) * outer(t (L-a)) = rhs`` and
 differs from the others only in that data.  Where a factor is a tangent,
 tan(u) * X = rhs is multiplied through by cos u: sin(u) X - rhs cos(u)
 equals +-X at a zero of cos u, and X > 0 for t > 0, so the residual has
-the same zeros and no poles.  Each window is scanned whole at a fixed
-number of cells per pi of u, with the rescan guard of
-:mod:`masswell._rootscan`, and every crossing is refined to the tolerance.
+the same zeros and no poles.  :func:`find_roots` scans each window whole
+at a fixed number of cells per pi of u, with the rescan guard of
+:mod:`masswell._rootscan`, and refines every crossing to the tolerance;
+:func:`critical_betas` and :func:`reduced_kappa1` know one analytic
+bracket per root and refine those without a scan.
 
 Branch forms reduce to the canonical a = 1 equations when the geometry
 has unit inner half-width; general ``a`` only rescales the arguments.
@@ -23,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rootscan import ScanResolutionError, bisect_root, roots_in
+from ._rootscan import ScanResolutionError, bracket_roots, roots_in
 from .profiles import WellGeometry
 
 __all__ = [
@@ -300,28 +302,18 @@ def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL)
 
     These are the first roots of the :class:`ConstantNegNeg` residual, in
     increasing order.  tan(kappa a) = coth(kappa (L-a)) > 1 has exactly
-    one root on each branch ((j pi + pi/4) / a, (j pi + pi/2) / a), so
-    every bracket is analytic and one :func:`bisect_root` call refines
-    them all to ``tol``, with no scan.  The root lies about
-    exp(-2 kappa (L-a)) / a above the left end: where the residual there
-    rounds to zero or to the right end's sign (coth rounds to 1 past
-    kappa (L-a) of about 19), the left end is the root to the float floor
-    and is returned as is, and so is a right end whose residual rounds to
-    zero or to the left end's sign.
+    one root on each branch ((j pi + pi/4) / a, (j pi + pi/2) / a), where
+    the residual rises on even branches and falls on odd ones, so
+    :func:`masswell._rootscan.bracket_roots` refines them all to ``tol``
+    with no scan.  The root lies about exp(-2 kappa (L-a)) / a above the
+    left end, so where coth rounds to 1 (kappa (L-a) past about 19) the
+    left end is the root to the float floor.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
-    if not 0.0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    branch = ConstantNegNeg(geometry)
     j = np.arange(count)
     lo, hi = (j * math.pi + math.pi / 4.0) / geometry.a, (j * math.pi + math.pi / 2.0) / geometry.a
-    f_lo, f_hi = np.split(branch.residual_raw(np.concatenate((lo, hi))), 2)
-    # the residual rises from the left end to the right on even branches, falls on odd
-    sign = np.where(j % 2 == 0, 1.0, -1.0)
-    f_lo = np.where(f_lo * sign < 0.0, f_lo, 0.0)
-    f_hi = np.where(f_hi * sign > 0.0, f_hi, 0.0)
-    return bisect_root(branch.residual_raw, lo, hi, f_lo, f_hi, tol).tolist()
+    return bracket_roots(ConstantNegNeg(geometry).residual_raw, lo, hi, j % 2 == 0, tol).tolist()
 
 
 def reduced_kappa1(b_over_nu: float, L: float, tol: float = DEFAULT_TOL) -> float:
@@ -329,20 +321,12 @@ def reduced_kappa1(b_over_nu: float, L: float, tol: float = DEFAULT_TOL) -> floa
 
     The left side is increasing and the right side decreasing in kappa,
     so a single crossing exists.  It is bracketed analytically between
-    c = b/nu and c * coth(c L) and refined to ``tol`` by
-    :func:`masswell._rootscan.bisect_root` from the residuals at both
-    ends.  Where the residual at c * coth(c L) rounds to zero or below
-    (c L above about 10), that end is the root to the float floor and is
-    returned as is.
+    c = b/nu, where the residual is -c (coth(c L) - 1) <= 0, and
+    c * coth(c L), where it is positive by only about 8 u exp(-4 u) c with
+    u = c L, and refined to ``tol`` by
+    :func:`masswell._rootscan.bracket_roots`.  Where rounding swallows that
+    (c L above about 10), the upper end is the root to the float floor.
     """
     branch = TwoParamReduced(L, b_over_nu)
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     c = b_over_nu
-    lo, hi = c, c / math.tanh(c * L)
-    # residual(lo) = -c (coth(c L) - 1) <= 0; residual(hi) > 0 analytically,
-    # but only by about 8 u exp(-4 u) c with u = c L, which rounding swallows
-    f_lo, f_hi = branch.residual_raw(np.array([lo, hi]))
-    if not f_hi > 0.0:
-        return hi
-    return float(bisect_root(branch.residual_raw, lo, hi, f_lo, f_hi, tol)[0])
+    return float(bracket_roots(branch.residual_raw, c, c / math.tanh(c * L), True, tol)[0])

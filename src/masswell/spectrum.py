@@ -4,21 +4,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
+from ._rootscan import bracket_roots
 from .matching import build_solution, eigenvalues
 from .profiles import ConstantInner, MassProfile, WellGeometry
-from .secular import (
-    DEFAULT_TOL,
-    ConstantNegPos,
-    RootWindow,
-    TwoParamNeg,
-    critical_betas,
-    find_roots,
-    reduced_kappa1,
-)
+from .secular import DEFAULT_TOL, ConstantNegPos, TwoParamNeg, critical_betas, reduced_kappa1
 from .wavefunction import PiecewiseWavefunction, count_nodes, localization_fraction
 
 __all__ = [
@@ -70,8 +63,7 @@ class SpectrumReport:
     verdict: Verdict
 
 
-@dataclass(frozen=True)
-class StaircaseStep:
+class StaircaseStep(NamedTuple):
     beta: float
     negative_count: int
     ground_state_nodes: int
@@ -229,7 +221,12 @@ def ground_state_staircase(
     kappa <= beta with the boundary admitted, so counts jump exactly at
     the critical beta values, those of :func:`critical_betas`.  For beta
     below the first critical value the ground state is the lowest
-    positive-energy state.
+    positive-energy state, the one root of the :class:`ConstantNegPos`
+    residual sin(u) tanh(k) + cos(u), u = k (L - 1), with u in
+    (pi/2, pi): the residual is positive on (0, pi/2] and equals
+    -sin(u) g(u) past it, where g(u) = -cot(u) - tanh(r u) with
+    r = 1 / (L - 1) rises (g' >= 1 - max_r r sech^2(r pi/2) > 0.7).
+    :func:`masswell._rootscan.bracket_roots` refines it with no scan.
     """
     if not beta_max > 0.0:
         raise ValueError(f"require beta_max > 0, got {beta_max!r}")
@@ -245,9 +242,8 @@ def ground_state_staircase(
     # below threshold and at positive energy the step model has inner mass -1;
     # nodes[n] belongs to the ground state once n negative roots are admitted
     frozen_profile = MassProfile(geometry, ConstantInner(-1.0))
-    k_first = find_roots(
-        ConstantNegPos(geometry), RootWindow(0.0, 2.0 * math.pi / (L - 1.0), tol=tol)
-    )[0]
+    residual, span = ConstantNegPos(geometry).residual_raw, L - 1.0
+    (k_first,) = bracket_roots(residual, 0.5 * math.pi / span, math.pi / span, False, tol).tolist()
     energies = [k_first * k_first] + [-kappa * kappa for kappa in neg_roots]
     nodes = np.array([count_nodes(build_solution(frozen_profile, e, "even")) for e in energies])
 
@@ -267,7 +263,13 @@ def delta_limit_study(
 
     Each nu gives (a, b) = (b_over_nu * nu**2, b_over_nu * nu).  The
     leftmost root converges to the reduced fixed point while the second
-    root grows like pi/nu and escapes to infinity.
+    root grows like pi/nu and escapes to infinity.  On each branch
+    (j pi, j pi + pi/2) / nu, tan(kappa nu) rises from 0 to infinity while
+    b coth(kappa (L - a)) falls, and tan(kappa nu) < 0 between these
+    branches, so the two roots are the ones on (0, pi/2) / nu, where the
+    :class:`TwoParamNeg` residual rises, and (pi, 3 pi/2) / nu, where it
+    falls.  :func:`masswell._rootscan.bracket_roots` refines both with no
+    scan.
     """
     if not b_over_nu > 0.0:
         raise ValueError(f"require b/nu > 0, got {b_over_nu!r}")
@@ -280,23 +282,8 @@ def delta_limit_study(
         a = nu * b
         if not a < L:
             raise ValueError(f"inner half-width a = {a!r} does not fit inside L = {L!r}")
-        branch = TwoParamNeg(WellGeometry(L, a), b=b, nu=nu)
-        # tan(kappa nu) > 0 holds one root per branch (j pi, (j + 1/2) pi) / nu,
-        # so the second root lies below 3 pi / (2 nu) and the third above 2 pi / nu
-        hi = 2.0 * math.pi / nu
-        roots = find_roots(branch, RootWindow(0.0, hi, tol=tol))
-        if len(roots) < 2:
-            raise RuntimeError(
-                f"expected at least two roots below {hi!r} for nu = {nu!r}, found {len(roots)}"
-            )
-        rows.append(
-            DeltaLimitRow(
-                nu=nu,
-                a=a,
-                b=b,
-                leftmost_root=roots[0],
-                second_root=roots[1],
-                reduced_fixed_point=kappa1,
-            )
-        )
+        residual = TwoParamNeg(WellGeometry(L, a), b=b, nu=nu).residual_raw
+        lo, hi = np.array([0.0, math.pi]) / nu, np.array([0.5 * math.pi, 1.5 * math.pi]) / nu
+        first, second = bracket_roots(residual, lo, hi, [True, False], tol).tolist()
+        rows.append(DeltaLimitRow(nu, a, b, first, second, kappa1))
     return rows

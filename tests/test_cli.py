@@ -411,10 +411,13 @@ class TestFormerTracebacks:
         lines = out.read_text().splitlines()
         assert lines[-2].startswith("# columns:") and lines[-1] == "# roots"
 
-    def test_delta_limit_without_second_root_exits_3(self, capsys):
-        assert main(["delta-limit", "--b-over-nu", "1e-300"]) == 3
-        err = capsys.readouterr().err
-        assert err.startswith("solver failure:") and "expected at least two roots" in err
+    def test_delta_limit_tiny_ratio_finds_both_roots(self, capsys):
+        # the first root, near sqrt(b / (nu L)) ~ 1e-150, lies far below any scan's floor
+        assert main(["delta-limit", "--b-over-nu", "1e-300"]) == 0
+        rows = [[float(v) for v in line.split(",")] for line in capsys.readouterr().out.splitlines()[3:]]
+        assert [row[0] for row in rows] == [0.1, 0.01, 0.001]
+        for nu, _, _, first, second, _ in rows:
+            assert 0.0 < first < 0.5 * math.pi / nu and math.pi / nu <= second < 1.5 * math.pi / nu
 
     @pytest.mark.parametrize("target", ["missing/x.csv", "."])
     def test_unwritable_out_exits_2(self, target, tmp_path, capsys):

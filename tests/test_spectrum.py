@@ -2,9 +2,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from masswell import spectrum
+from masswell import _rootscan, spectrum
 from masswell._rootscan import isolate_sign_changes
 from masswell.cli import ScenarioConfig, preset_config
 from masswell.matching import _SCAN_SAMPLES, _level_scan, eigenvalues
@@ -18,6 +18,7 @@ from masswell.profiles import (
 )
 from masswell.secular import (
     ConstantNegNeg,
+    ConstantNegPos,
     RootWindow,
     StepNeg,
     TwoParamNeg,
@@ -36,6 +37,15 @@ from masswell.spectrum import (
 )
 
 G2 = WellGeometry(2.0, 1.0)
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0**u)
+
+
+def _close(got, want, tol):
+    """|got - want| within the 2 tol of two roots each known to tol, or 16 ulp."""
+    return abs(got - want) <= max(2.0 * tol, 16.0 * math.ulp(want))
 
 
 def _scan_count(profile, lo, hi, parity):
@@ -371,11 +381,41 @@ class TestGroundStateStaircase:
         rows = ground_state_staircase(2.0, 0.7, 7)
         assert [(r.negative_count, r.ground_state_nodes) for r in rows] == [(0, 0)] * 7
 
+    # L - a log-uniform from 1e-8 to 30; beta_max below pi/4 asks for no critical beta
+    @settings(max_examples=60, deadline=None)
+    @given(span=_log_uniform(1e-8, 30.0), tol=st.sampled_from([1e-12, 1e-10, 1e-6]))
+    def test_first_positive_root_matches_the_scan(self, span, tol):
+        L = 1.0 + span
+        found = []
+        refine = spectrum.bracket_roots
+
+        def spying(*args):
+            found.append(refine(*args))
+            return found[-1]
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(spectrum, "bracket_roots", spying)
+            (row,) = ground_state_staircase(L, 0.7, 1, tol=tol)
+        (k_first,) = np.concatenate(found).tolist()
+        assert (row.negative_count, row.ground_state_nodes) == (0, 0)
+        want = find_roots(ConstantNegPos(WellGeometry(L, 1.0)), RootWindow(0.0, 2.0 * math.pi / (L - 1.0), tol))[0]
+        assert _close(k_first, want, tol), (k_first, want)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             ground_state_staircase(2.0, 0.0, 10)
         with pytest.raises(ValueError):
             ground_state_staircase(2.0, 5.0, 0)
+
+
+def test_staircase_and_delta_limit_do_not_scan(monkeypatch):
+    def scan(*args):
+        raise AssertionError("isolate_sign_changes was called")
+
+    monkeypatch.setattr(_rootscan, "isolate_sign_changes", scan)
+    # every root of both has an analytic bracket
+    assert ground_state_staircase(2.0, 14.0, 280)[-1].negative_count == 5
+    assert len(delta_limit_study(1.0, 2.0, [0.1, 0.01, 0.001])) == 3
 
 
 class TestDeltaLimitStudy:
@@ -411,6 +451,22 @@ class TestDeltaLimitStudy:
         roots = find_roots(branch, RootWindow(0.0, 2.5 * math.pi / nu))
         assert row.second_root == pytest.approx(roots[1], abs=1e-9)
         assert 1.45 * math.pi / nu < row.second_root < 1.5 * math.pi / nu
+
+    # a = (b/nu) nu^2 must fit inside L
+    @settings(max_examples=80, deadline=None)
+    @given(
+        ratio=_log_uniform(1e-3, 1e3),
+        L=_log_uniform(0.3, 30.0),
+        nu=_log_uniform(1e-4, 1.0),
+        tol=st.sampled_from([1e-12, 1e-10, 1e-6]),
+    )
+    def test_pair_matches_the_scan(self, ratio, L, nu, tol):
+        assume(ratio * nu * nu < L)
+        (row,) = delta_limit_study(ratio, L, [nu], tol=tol)
+        branch = TwoParamNeg(WellGeometry(L, row.a), b=row.b, nu=nu)
+        want = find_roots(branch, RootWindow(0.0, 2.0 * math.pi / nu, tol))[:2]
+        assert len(want) == 2
+        assert _close(row.leftmost_root, want[0], tol) and _close(row.second_root, want[1], tol), (row, want)
 
     def test_validation(self):
         with pytest.raises(ValueError):

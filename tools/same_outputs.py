@@ -8,7 +8,8 @@ imported in one fresh interpreter, which runs every request of
 :func:`requests` through ``masswell.cli.main`` and records its stdout,
 stderr and exit code.  Each request whose record differs between the two
 is printed with the parts that differ and, where only numbers differ, the
-largest absolute difference between them.  The exit code is 1 if any request
+largest absolute difference between them, and each checkout's
+``src/masswell`` line count is printed.  The exit code is 1 if any request
 differs, else 0.  Standard library only.
 """
 
@@ -80,6 +81,8 @@ def requests(config_dir: str) -> list[list[str]]:
     for extra in ([], ["--format", "json"]):
         out.append(["critical-beta", "--L", "1.939", "--count", "5000", *extra])
     out.append(["delta-limit"])
+    # a first root near 1e-150, below the 1e-12 floor of a window scan
+    out.append(["delta-limit", "--b-over-nu", "1e-300"])
     return out
 
 
@@ -93,6 +96,17 @@ def run_checkout(checkout: str, argvs: list[list[str]]) -> list[dict]:
     if done.returncode != 0:
         sys.exit(f"{checkout}: the request runner failed:\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def source_lines(checkout: str) -> int:
+    """Lines of the Python files in ``checkout``'s ``src/masswell``."""
+    package = os.path.join(checkout, "src", "masswell")
+    total = 0
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name)) as handle:
+                total += sum(1 for _ in handle)
+    return total
 
 
 def worst_delta(old: str, new: str):
@@ -118,6 +132,8 @@ def main(argv: list[str]) -> int:
         for name, text in CONFIGS.items():
             with open(os.path.join(config_dir, name), "w") as handle:
                 handle.write(text)
+        for checkout in argv:
+            print(f"{checkout}: src/masswell has {source_lines(checkout)} lines")
         argvs = requests(config_dir)
         before, after = (run_checkout(checkout, argvs) for checkout in argv)
         differing = 0
