@@ -1,10 +1,12 @@
 """Command-line front end: scenario configs, presets, CSV/JSON emission.
 
 Config files are flat ``key = value`` text: one assignment per line,
-``#`` starts a comment, unknown keys are rejected.  Command-line flags
-override config values.  Exit codes, set by ``main`` alone: 0 success,
-2 bad config or request (``ValueError``, ``OSError``), 3 solver
-diagnostic or numeric overflow (``RuntimeError``, ``OverflowError``).
+``#`` starts a comment, unknown keys are rejected.  Each command-line
+flag sets one config key (``_FLAGS``) over the file's value and stays the
+string typed, so ``ScenarioConfig``'s readers check flags and files by
+the same rules.  Exit codes, set by ``main`` alone: 0 success, 2 bad
+config or request (``ValueError``, ``OSError``), 3 solver diagnostic or
+numeric overflow (``RuntimeError``, ``OverflowError``).
 
 Floats are always written with 17 significant digits, so identical
 configs produce byte-identical output files.  Each table states its row
@@ -20,7 +22,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields
+from dataclasses import MISSING, asdict, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -39,7 +41,7 @@ from .secular import (
 from .spectrum import SpectrumReport, _states_by_energy, delta_limit_study, run_scenario
 from .wavefunction import count_nodes, evaluate, localization_fraction
 
-__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "preset_config", "main"]
+__all__ = ["ConfigError", "ScenarioConfig", "parse_config", "main"]
 
 
 class ConfigError(ValueError):
@@ -63,11 +65,30 @@ _ROW_TEMPLATES = {
     "delta-limit": "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
 }
 
-_KNOWN_KEYS = {
-    "preset", "scenario", "L", "a", "inner", "m0", "e_thr", "b", "nu",
-    "window", "parity", "tol", "format", "out", "samples", "level",
-    "branch", "count", "b_over_nu", "nu_values", "range",
+#: each flag's config key and help text
+_FLAGS = {
+    "--preset": ("preset", f"model preset: {', '.join(sorted(PRESETS))}"),
+    "--out": ("out", "output path (default: stdout)"),
+    "--tol": ("tol", "solver tolerance"),
+    "--format": ("format", "output format: csv or json"),
+    "--window": ("window", "energy window LO:HI"),
+    "--parity": ("parity", "parity selection: even, odd or both"),
+    "--L": ("L", "outer half-width"),
+    "--branch": ("branch", f"branch name: {', '.join(BRANCHES)}"),
+    "--range": ("range", "search-variable range LO:HI"),
+    "--samples": ("samples", "curve samples or grid size (>= 2)"),
+    "--b-over-nu": ("b_over_nu", "ratio b/nu"),
+    "--level": ("level", "1-based level index in the window"),
+    "--count": ("count", "how many critical values"),
+    "--nus": ("nu_values", "comma-separated nu sequence"),
 }
+
+#: the flags' keys, the inner laws' parameters and the keys only a config file sets
+_KNOWN_KEYS = (
+    {key for key, _ in _FLAGS.values()}
+    | {param.name for law in INNER_LAWS.values() for param in fields(law)}
+    | {"scenario", "a", "inner", "nu"}
+)
 
 
 def parse_config(text: str) -> dict[str, str]:
@@ -88,15 +109,6 @@ def parse_config(text: str) -> dict[str, str]:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         out[key] = value
     return out
-
-
-def preset_config(name: str) -> str:
-    """Canonical config text for a named preset (round-trips through parse)."""
-    if name not in PRESETS:
-        raise ConfigError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
-    lines = [f"preset = {name}"]
-    lines += [f"{key} = {value}" for key, value in PRESETS[name].items()]
-    return "\n".join(lines) + "\n"
 
 
 def _parse_float(raw: str, key: str) -> float:
@@ -123,29 +135,18 @@ def _parse_pair(raw: str, key: str) -> tuple[float, float]:
     return _parse_float(parts[0], key), _parse_float(parts[1], key)
 
 
-@dataclass
 class ScenarioConfig:
-    """Validated view over the raw config mapping with defaults applied."""
+    """Validated view over a raw config mapping, merged over its preset
+    once, with defaults applied by the readers."""
 
-    raw: dict[str, str] = field(default_factory=dict)
-
-    @classmethod
-    def from_text(cls, text: str) -> "ScenarioConfig":
-        return cls(parse_config(text))
-
-    def _effective(self) -> dict[str, str]:
-        merged: dict[str, str] = {}
-        preset = self.raw.get("preset")
-        if preset is not None:
-            if preset not in PRESETS:
-                raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-            merged.update(PRESETS[preset])
-        merged.update(self.raw)
-        return merged
+    def __init__(self, raw: dict[str, str]) -> None:
+        preset = raw.get("preset")
+        if preset is not None and preset not in PRESETS:
+            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+        self.values = {**PRESETS.get(preset, {}), **raw}
 
     def profile(self) -> MassProfile:
-        eff = self._effective()
-        inner_name = eff.get("inner")
+        inner_name = self.get_str("inner")
         if inner_name is None:
             raise ConfigError("no mass profile: set 'preset' or 'inner'")
         geometry = self.geometry()
@@ -157,8 +158,8 @@ class ScenarioConfig:
             )
         params = {}
         for param in fields(law):
-            if param.name in eff:
-                params[param.name] = _parse_float(eff[param.name], param.name)
+            if param.name in self.values:
+                params[param.name] = _parse_float(self.values[param.name], param.name)
             elif param.default is MISSING:
                 raise ConfigError(f"{inner_name} inner law requires {param.name!r}")
         try:
@@ -200,6 +201,12 @@ class ScenarioConfig:
             raise ConfigError(f"format must be csv or json, got {fmt!r}")
         return fmt
 
+    def samples(self, default: str) -> int:
+        samples = self.get_int("samples", default)
+        if samples < 2:
+            raise ConfigError("samples must be at least 2")
+        return samples
+
     def get_float(self, key: str, default: str) -> float:
         return _parse_float(self.get_str(key, default), key)
 
@@ -207,7 +214,7 @@ class ScenarioConfig:
         return _parse_int(self.get_str(key, default), key)
 
     def get_str(self, key: str, default: Optional[str] = None) -> Optional[str]:
-        return self._effective().get(key, default)
+        return self.values.get(key, default)
 
 
 def _profile_dict(profile: MassProfile) -> dict:
@@ -299,7 +306,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
             raw.update(parse_config(handle.read()))
     for key, value in vars(args).items():
         if key in _KNOWN_KEYS and value is not None:
-            raw[key] = str(value)
+            raw[key] = value
     return ScenarioConfig(raw)
 
 
@@ -336,9 +343,7 @@ def _cmd_curves(cfg: ScenarioConfig) -> int:
     lo, hi = _parse_pair(cfg.get_str("range", "0.05:13") or "", "range")
     if not 0.0 <= lo < hi:
         raise ConfigError(f"range: require 0 <= LO < HI, got {lo}:{hi}")
-    samples = cfg.get_int("samples", "512")
-    if samples < 2:
-        raise ConfigError("samples must be at least 2")
+    samples = cfg.samples("512")
     tol = cfg.tol()
 
     # plot pieces keep 1e-6 clear of t = 0 and of each curve break
@@ -369,9 +374,7 @@ def _cmd_curves(cfg: ScenarioConfig) -> int:
 
 def _cmd_wavefunction(cfg: ScenarioConfig) -> int:
     profile = cfg.profile()
-    samples = cfg.get_int("samples", "401")
-    if samples < 2:
-        raise ConfigError("samples must be at least 2")
+    samples = cfg.samples("401")
     level_index = cfg.get_int("level", "1")
     if level_index < 1:
         raise ConfigError("level index is 1-based")
@@ -447,23 +450,15 @@ def _cmd_delta_limit(cfg: ScenarioConfig) -> int:
     return 0
 
 
-#: options that several subcommands take: flag -> add_argument keywords
-_SHARED_OPTIONS = {
-    "--format": dict(choices=("csv", "json"), help="output format"),
-    "--window": dict(help="energy window LO:HI"),
-    "--parity": dict(choices=("even", "odd", "both"), help="parity selection"),
-    "--L": dict(type=float, help="outer half-width"),
+#: each subcommand's handler, help text and the flags it takes besides
+#: --config, --preset, --out and --tol
+_COMMANDS = {
+    "spectrum": (_cmd_spectrum, "solve a scenario and write the level report", "--format --window --parity"),
+    "curves": (_cmd_curves, "graphical-solution curve data for one branch", "--branch --range --samples --b-over-nu"),
+    "wavefunction": (_cmd_wavefunction, "dump one normalized state on a grid", "--window --parity --level --samples"),
+    "critical-beta": (_cmd_critical_beta, "first critical threshold strengths", "--format --L --count"),
+    "delta-limit": (_cmd_delta_limit, "deep-narrow-well study at fixed b/nu", "--format --L --b-over-nu --nus"),
 }
-
-
-def _add_common(sub: argparse.ArgumentParser, *shared: str) -> None:
-    """Options every subcommand takes, then the named ``_SHARED_OPTIONS``."""
-    sub.add_argument("--config", help="path to a flat key = value scenario config")
-    sub.add_argument("--preset", help=f"model preset: {', '.join(sorted(PRESETS))}")
-    sub.add_argument("--out", help="output path (default: stdout)")
-    sub.add_argument("--tol", type=float, help="solver tolerance")
-    for flag in shared:
-        sub.add_argument(flag, **_SHARED_OPTIONS[flag])
 
 
 @functools.cache
@@ -475,36 +470,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "energy-dependent effective mass.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("spectrum", help="solve a scenario and write the level report")
-    _add_common(p, "--format", "--window", "--parity")
-    p.set_defaults(handler=_cmd_spectrum)
-
-    p = subs.add_parser("curves", help="graphical-solution curve data for one branch")
-    _add_common(p)
-    p.add_argument("--branch", help=f"branch name: {', '.join(BRANCHES)}")
-    p.add_argument("--range", help="search-variable range LO:HI")
-    p.add_argument("--samples", type=int, help="total curve samples")
-    p.add_argument("--b-over-nu", dest="b_over_nu", type=float, help="reduced-branch ratio")
-    p.set_defaults(handler=_cmd_curves)
-
-    p = subs.add_parser("wavefunction", help="dump one normalized state on a grid")
-    _add_common(p, "--window", "--parity")
-    p.add_argument("--level", type=int, help="1-based level index in the window")
-    p.add_argument("--samples", type=int, help="grid size (>= 2)")
-    p.set_defaults(handler=_cmd_wavefunction)
-
-    p = subs.add_parser("critical-beta", help="first critical threshold strengths")
-    _add_common(p, "--format", "--L")
-    p.add_argument("--count", type=int, help="how many critical values")
-    p.set_defaults(handler=_cmd_critical_beta)
-
-    p = subs.add_parser("delta-limit", help="deep-narrow-well study at fixed b/nu")
-    _add_common(p, "--format", "--L")
-    p.add_argument("--b-over-nu", dest="b_over_nu", type=float, help="fixed ratio b/nu")
-    p.add_argument("--nus", dest="nu_values", help="comma-separated nu sequence")
-    p.set_defaults(handler=_cmd_delta_limit)
-
+    for command, (handler, help_text, flags) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=help_text)
+        sub.add_argument("--config", help="path to a flat key = value scenario config")
+        for flag in ["--preset", "--out", "--tol", *flags.split()]:
+            key, flag_help = _FLAGS[flag]
+            sub.add_argument(flag, dest=key, help=flag_help)
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -64,16 +64,6 @@ class RootWindow:
             raise ValueError("tol must be positive and finite")
 
 
-def _progression(point, j, lo, hi):
-    """point(j), point(j + 1), ... that lie strictly inside (lo, hi); point increases."""
-    out = []
-    while (p := point(j)) < hi:
-        if p > lo:
-            out.append(p)
-        j += 1
-    return out
-
-
 class SecularBranch:
     """One quantization condition ``inner(t) * outer(t (L-a)) = rhs`` in one
     positive variable t.
@@ -120,11 +110,10 @@ class SecularBranch:
         c = self.tan_scale
         if c is None:
             return []
-        if self.outer is np.tan:
-            step = math.pi / c
-            return _progression(lambda j: j * step, max(math.ceil(lo / step), 1), lo, hi)
-        first = max(math.ceil((2.0 * c * lo / math.pi - 1.0) / 2.0), 0)
-        return _progression(lambda j: (2 * j + 1) * math.pi / (2.0 * c), first, lo, hi)
+        # the index range overlaps both ends, so rounding in lo c / pi or hi c / pi drops no point
+        j = np.arange(max(math.floor(lo * c / math.pi), 0), math.floor(hi * c / math.pi) + 2)
+        points = j * (math.pi / c) if self.outer is np.tan else (2 * j + 1) * math.pi / (2.0 * c)
+        return points[(points > max(lo, 0.0)) & (points < hi)].tolist()
 
     def describe(self) -> str:
         g = self.geometry

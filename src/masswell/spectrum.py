@@ -256,7 +256,7 @@ def delta_limit_study(
     b_over_nu: float,
     L: float,
     nus: Sequence[float],
-    tol: float = 1e-10,
+    tol: float = DEFAULT_TOL,
 ) -> list[DeltaLimitRow]:
     """Track the two lowest kappa roots of the full two-parameter equation
     along the deep-narrow sequence nu -> 0 at fixed b/nu.

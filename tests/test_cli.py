@@ -17,7 +17,6 @@ from masswell.cli import (
     ScenarioConfig,
     main,
     parse_config,
-    preset_config,
 )
 from masswell.profiles import (
     ConstantInner,
@@ -53,7 +52,7 @@ class TestConfigGrammar:
 
     @pytest.mark.parametrize("name", sorted(PRESETS))
     def test_preset_round_trip(self, name):
-        cfg = ScenarioConfig.from_text(preset_config(name))
+        cfg = ScenarioConfig({"preset": name})
         rebuilt = cfg.profile()
         expected = {
             "constant-negative": MassProfile(WellGeometry(2.0, 1.0), ConstantInner(-1.0)),
@@ -65,18 +64,18 @@ class TestConfigGrammar:
         assert rebuilt == expected
 
     def test_explicit_keys_override_preset(self):
-        cfg = ScenarioConfig.from_text("preset = step\ne_thr = -9\nL = 3\n")
+        cfg = ScenarioConfig(parse_config("preset = step\ne_thr = -9\nL = 3\n"))
         profile = cfg.profile()
         assert profile.inner == StepInner(-9.0)
         assert profile.geometry.L == 3.0
 
     def test_profile_requires_inner_or_preset(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_text("L = 2\n").profile()
+            ScenarioConfig(parse_config("L = 2\n")).profile()
 
     def test_bad_geometry_is_config_error(self):
         with pytest.raises(ConfigError):
-            ScenarioConfig.from_text("preset = tanh\na = 5\n").profile()
+            ScenarioConfig(parse_config("preset = tanh\na = 5\n")).profile()
 
 
 class TestSpectrumCommand:
@@ -460,7 +459,33 @@ class TestConfigChecks:
 
     def test_unknown_preset_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):
-            preset_config("nope")
+            ScenarioConfig({"preset": "nope"})
+
+    @pytest.mark.parametrize(
+        "argv,flag,key,value",
+        [
+            (["spectrum", "--preset", "uniform"], "--format", "format", "xml"),
+            (["spectrum", "--preset", "uniform"], "--parity", "parity", "all"),
+            (["wavefunction", "--preset", "uniform"], "--samples", "samples", "2.5"),
+            (["critical-beta"], "--L", "L", "x"),
+            (["critical-beta"], "--L", "L", "1e400"),
+            (["critical-beta"], "--count", "count", "1.5"),
+            (["critical-beta"], "--tol", "tol", "abc"),
+            (["delta-limit"], "--b-over-nu", "b_over_nu", "q"),
+            (["wavefunction", "--preset", "uniform"], "--level", "level", "z"),
+        ],
+    )
+    def test_flag_and_config_line_fail_alike(self, argv, flag, key, value, tmp_path, capsys):
+        out = tmp_path / "never.txt"
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        errors = []
+        for extra in ([flag, value], ["--config", str(cfg)]):
+            assert main([*argv, *extra, "--out", str(out)]) == 2
+            errors.append(capsys.readouterr().err)
+            assert not out.exists()
+        assert errors[0] == errors[1] and errors[0].startswith("config error:")
+        assert repr(value) in errors[0]  # as typed: 1e400 is not read back as 'inf'
 
 
 def _per_value_row(row):

@@ -205,6 +205,33 @@ class TestFindRoots:
             assert c1 == pytest.approx(c2, rel=1e-9, abs=1e-9)
 
 
+class TestCurveBreaks:
+    @pytest.mark.parametrize(
+        "branch",
+        [
+            ConstantNegPos(G2),
+            ConstantNegPos(WellGeometry(30.0, 0.3)),
+            ConstantNegNeg(WellGeometry(2.0, 0.03)),
+            ConstantNegNeg(WellGeometry(30.0, 25.43421544525906)),
+        ],
+    )
+    def test_points_strictly_inside_windows_ending_at_breaks(self, branch):
+        c = branch.tan_scale
+        if branch.outer is np.tan:
+            points = [j * (math.pi / c) for j in range(1, 400)]
+        else:
+            points = [(2 * j + 1) * math.pi / (2.0 * c) for j in range(400)]
+
+        def near(p):
+            return (math.nextafter(p, -math.inf), p, math.nextafter(p, math.inf))
+
+        for k in range(0, 300, 13):
+            for lo in (-1.0, 0.0, *near(points[k])):
+                for hi in near(points[k + 5]):
+                    assert branch.curve_breaks(lo, hi) == [p for p in points if lo < p < hi]
+        assert branch.curve_breaks(points[300], points[300]) == []
+
+
 @st.composite
 def _geometries(draw):
     """L log-uniform on [0.1, 100], then a or L - a log-uniform on [1e-3 L, L / 2]."""

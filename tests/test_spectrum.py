@@ -6,7 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from masswell import _rootscan, spectrum
 from masswell._rootscan import isolate_sign_changes
-from masswell.cli import ScenarioConfig, preset_config
+from masswell.cli import ScenarioConfig
 from masswell.matching import _SCAN_SAMPLES, _level_scan, eigenvalues
 from masswell.profiles import (
     ConstantInner,
@@ -245,7 +245,7 @@ class TestVerdictCounts:
         ],
     )
     def test_one_call_counts_equal_window_by_window_counts(self, preset, even, odd):
-        profile = ScenarioConfig.from_text(preset_config(preset)).profile()
+        profile = ScenarioConfig({"preset": preset}).profile()
         k1, k2, _ = _probe_kappas(profile)
         for parity, want in (("even", even), ("odd", odd)):
             small = _scan_count(profile, -k1 * k1, -1e-12, parity)

@@ -83,6 +83,17 @@ def requests(config_dir: str) -> list[list[str]]:
     out.append(["delta-limit"])
     # a first root near 1e-150, below the 1e-12 floor of a window scan
     out.append(["delta-limit", "--b-over-nu", "1e-300"])
+    # flag values the config readers reject, each with exit 2
+    out += [
+        ["spectrum", "--preset", "uniform", "--format", "xml"],
+        ["spectrum", "--preset", "uniform", "--parity", "all"],
+        ["wavefunction", "--preset", "uniform", "--samples", "2.5"],
+        ["critical-beta", "--L", "x"],
+        ["critical-beta", "--count", "1.5"],
+        ["critical-beta", "--tol", "abc"],
+        ["delta-limit", "--b-over-nu", "q"],
+        ["wavefunction", "--preset", "uniform", "--level", "z"],
+    ]
     return out
 
 
