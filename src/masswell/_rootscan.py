@@ -200,17 +200,20 @@ def bracket_roots(f, lo, hi, rising, tol):
     return bisect_root(f, lo, hi, f_lo, f_hi, tol)
 
 
-def roots_in(f, segments, samples, tol):
+def roots_in(f, segments, phases, tol):
     """Every root of the elementwise residual ``f`` on the segments, ascending.
 
-    All segments are bracketed by one :func:`isolate_sign_changes` call
-    at ``samples`` cells and all brackets, zero-width ones included, are
-    refined to ``tol`` together by :func:`bisect_root`.  Roots closer
-    than four times the tolerance, floored near machine relative
-    precision, are one root.
+    The one scan-density rule: segment i, on which ``f`` turns through at
+    most ``phases[i]`` radians, needs max(64, 8 phases[i] / pi) cells.  One
+    :func:`isolate_sign_changes` call scans all at min(2**14, largest need)
+    cells, each in ceil(need / cells) equal pieces; :func:`bisect_root` refines
+    all brackets to ``tol``.  Roots closer than 4 tol, floored near machine relative precision, are one.
     """
-    lo, hi = np.reshape(segments, (-1, 2)).T
-    a, b, fa, fb = isolate_sign_changes(f, lo, hi, samples)
+    needs = np.maximum(64, np.ceil(8.0 * np.asarray(phases, dtype=float) / np.pi)).astype(int)
+    cells = min(2**14, needs.max(initial=64))
+    edges = [np.linspace(s0, s1, -(-n // cells) + 1).tolist() for (s0, s1), n in zip(segments, needs.tolist())]
+    lo, hi = np.reshape([(e0, e1) for e in edges for e0, e1 in zip(e, e[1:])], (-1, 2)).T
+    a, b, fa, fb = isolate_sign_changes(f, lo, hi, cells)
     roots = sorted(bisect_root(f, a, b, fa, fb, tol).tolist())
     merged = []
     for r in roots:

@@ -311,6 +311,7 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _cmd_spectrum(cfg: ScenarioConfig) -> int:
+    cfg.out_format()  # a bad format fails before the solve
     report = run_scenario(
         cfg.profile(),
         cfg.window(),
@@ -401,6 +402,7 @@ def _cmd_wavefunction(cfg: ScenarioConfig) -> int:
 
 
 def _cmd_critical_beta(cfg: ScenarioConfig) -> int:
+    cfg.out_format()  # a bad format fails before the solve
     count = cfg.get_int("count", "5")
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -418,6 +420,7 @@ def _cmd_critical_beta(cfg: ScenarioConfig) -> int:
 
 
 def _cmd_delta_limit(cfg: ScenarioConfig) -> int:
+    cfg.out_format()  # a bad format fails before the solve
     b_over_nu = cfg.get_float("b_over_nu", "1")
     L = cfg.get_float("L", "2")
     raw = cfg.get_str("nu_values", "0.1,0.01,0.001") or ""

@@ -48,9 +48,6 @@ LINEAR_BAND = 1e-12
 
 _PARITY_SIGN = {"even": 1.0, "odd": -1.0}
 
-#: samples per segment of the level scan, before the rescan guard refines
-_SCAN_SAMPLES = 512
-
 
 def _parity_sign(parity: str) -> float:
     if parity not in _PARITY_SIGN:
@@ -152,7 +149,7 @@ def seam_wronskian(profile: MassProfile, energies, parity: str) -> np.ndarray:
 
 
 def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
-    """The level scan of [lo, hi]: its residual and segments in s = sign(E) sqrt|E|.
+    """The level scan of [lo, hi]: its residual, segments in s = sign(E) sqrt|E| and their phases.
 
     Consecutive levels are about evenly spaced in s (Pruefer's angle
     argument), so they cannot crowd into one sample cell toward E = 0 or
@@ -162,15 +159,17 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
     at a break, so the segment above a break starts exactly there while
     the segment below stops a hair earlier to stay on the lower branch.
     Each end is then mapped to s and stepped inward until s|s| lies in
-    its energy segment, so no sample crosses a cut.
+    its energy segment, so no sample crosses a cut.  A segment's phase is
+    (L - a)(max(s1, 0) - max(s0, 0)) + a sqrt(max |m|)(s1 - s0), with max |m|
+    read at its ends and midpoint, which bounds |m| for every catalog law.
     """
 
     def residual(s):
         return seam_wronskian(profile, s * np.abs(s), parity)
 
-    breaks = profile.inner.breaks
+    breaks, geo = profile.inner.breaks, profile.geometry
     bounds = sorted({lo, hi, *(e for e in (0.0, *breaks) if lo < e < hi)})
-    segments = []
+    segments, phases = [], []
     for e0, e1 in zip(bounds, bounds[1:]):
         if e1 in breaks:
             e1 -= 1e-13 * max(1.0, abs(e1))
@@ -180,8 +179,10 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
         while s1 * abs(s1) > e1:
             s1 = math.nextafter(s1, -math.inf)
         if s1 > s0:
+            root_m = math.sqrt(np.max(np.abs(profile.inner.value(np.array([e0, 0.5 * (e0 + e1), e1])))))
             segments.append((s0, s1))
-    return residual, segments
+            phases.append((geo.L - geo.a) * (max(s1, 0.0) - max(s0, 0.0)) + geo.a * root_m * (s1 - s0))
+    return residual, segments, phases
 
 
 def eigenvalues(
@@ -192,9 +193,9 @@ def eigenvalues(
 ) -> list[tuple[float, PiecewiseWavefunction]]:
     """All eigenvalues in the window with their states from :func:`build_solution`.
 
-    Each segment of :func:`_level_scan` is scanned at ``_SCAN_SAMPLES``
-    with the rescan stability guard, and every isolated sign change is
-    refined in s to tol / (2 sqrt(max |E|)), so each energy is within
+    Each segment of :func:`_level_scan` is scanned as densely as its phase
+    asks (:func:`masswell._rootscan.roots_in`) and every isolated sign change
+    is refined in s to tol / (2 sqrt(max |E|)), so each energy is within
     ``tol`` (floored near machine relative precision).  Returns
     (energy, state) pairs sorted by energy.  The states are unnormalized:
     node counts and localization do not depend on the scale, so only a
@@ -205,7 +206,6 @@ def eigenvalues(
         raise ValueError(f"require finite lo < hi, got {lo!r}, {hi!r}")
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
-    residual, segments = _level_scan(profile, lo, hi, parity)
     tol_s = tol / (2.0 * math.sqrt(max(abs(lo), abs(hi))))
-    roots = [s * abs(s) for s in roots_in(residual, segments, _SCAN_SAMPLES, tol_s)]
+    roots = [s * abs(s) for s in roots_in(*_level_scan(profile, lo, hi, parity), tol_s)]
     return [(e, build_solution(profile, e, parity)) for e in roots]

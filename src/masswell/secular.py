@@ -8,8 +8,7 @@ differs from the others only in that data.  Where a factor is a tangent,
 tan(u) * X = rhs is multiplied through by cos u: sin(u) X - rhs cos(u)
 equals +-X at a zero of cos u, and X > 0 for t > 0, so the residual has
 the same zeros and no poles.  :func:`find_roots` scans each window whole
-at a fixed number of cells per pi of u, with the rescan guard of
-:mod:`masswell._rootscan`, and refines every crossing to the tolerance;
+by the phase rule of :func:`masswell._rootscan.roots_in`;
 :func:`critical_betas` and :func:`reduced_kappa1` know one analytic
 bracket per root and refine those without a scan.
 
@@ -270,20 +269,15 @@ def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
     """All roots of the branch residual inside the window, strictly increasing.
 
     The window, clipped to the branch's admissible t and floored just
-    above t = 0, is scanned at 8 cells per pi of the tangent phase and at
-    least 64 cells, in equal pieces of at most 2**14 cells so that the
-    scan arrays stay small.  Each piece gets the rescan stability guard,
-    then every crossing is refined to ``window.tol``.  An empty list is
-    a legitimate outcome, not an error.
+    above t = 0, goes whole to :func:`masswell._rootscan.roots_in` with the
+    tangent's phase across it, and every crossing is refined to
+    ``window.tol``.  An empty list is a legitimate outcome, not an error.
     """
     lo = max(window.lo, 1e-12)  # the deep-narrow residual divides by tanh(t L)
     hi = window.hi if branch.clip_hi is None else min(window.hi, branch.clip_hi)
     if not hi > lo:
         return []
-    cells = max(64, math.ceil(8.0 * (branch.tan_scale or 0.0) * (hi - lo) / math.pi))
-    pieces = math.ceil(cells / 2**14)
-    edges = np.linspace(lo, hi, pieces + 1).tolist()
-    return roots_in(branch.residual_raw, list(zip(edges, edges[1:])), math.ceil(cells / pieces), window.tol)
+    return roots_in(branch.residual_raw, [(lo, hi)], [(branch.tan_scale or 0.0) * (hi - lo)], window.tol)
 
 
 def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL) -> list[float]:

@@ -457,6 +457,22 @@ class TestConfigChecks:
         assert err.startswith("config error:") and message in err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "argv,solver",
+        [
+            (["spectrum", "--preset", "constant-negative", "--window=-1e5:1e4"], "run_scenario"),
+            (["critical-beta"], "critical_betas"),
+            (["delta-limit"], "delta_limit_study"),
+        ],
+    )
+    def test_bad_format_fails_before_the_solve(self, argv, solver, monkeypatch, capsys):
+        def never(*args, **kwargs):
+            raise AssertionError(f"{solver} ran")
+
+        monkeypatch.setattr(cli, solver, never)
+        assert main([*argv, "--format", "xml"]) == 2
+        assert "format must be csv or json" in capsys.readouterr().err
+
     def test_unknown_preset_name_rejected(self):
         with pytest.raises(ConfigError, match="unknown preset"):
             ScenarioConfig({"preset": "nope"})

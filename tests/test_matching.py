@@ -315,9 +315,9 @@ class TestScanMachinery:
         assert brackets.tolist() == [[0.5, 0.5, 0.0, 0.0]]
 
     def test_exact_zero_is_a_root(self):
-        # 0.5 is a sample and a zero; 0.8 is a sign change between samples
+        # 0.5 is a sample of the 64-cell floor and a zero; 0.8 is a sign change between samples
         f = lambda ts: (np.asarray(ts) - 0.5) * (np.asarray(ts) - 0.8)
-        assert roots_in(f, [(0.0, 1.0)], 2, 1e-12) == pytest.approx([0.5, 0.8], abs=1e-12)
+        assert roots_in(f, [(0.0, 1.0)], [0.0], 1e-12) == pytest.approx([0.5, 0.8], abs=1e-12)
 
     def test_window_validation(self):
         profile = MassProfile(G2, ConstantInner(1.0))
@@ -399,7 +399,7 @@ class TestBatchedScan:
 
     def test_matching_residual_with_a_sampled_zero(self):
         profile = MassProfile(G2, StepInner(-30.0))
-        residual, segments = _level_scan(profile, -100.0, 100.0, "even")
+        residual, segments, _ = _level_scan(profile, -100.0, 100.0, "even")
         assert len(segments) == 3
         # one grid point of the last segment made an exact zero
         pin = np.linspace(*segments[-1], 4 * 512 + 1)[1000]
@@ -425,7 +425,7 @@ class TestBatchedScan:
 
     def test_eigenvalue_scan_is_one_call(self):
         profile = MassProfile(G2, StepInner(-30.0))
-        residual, segments = _level_scan(profile, -100.0, 100.0, "odd")
+        residual, segments, _ = _level_scan(profile, -100.0, 100.0, "odd")
         f = _spy(residual)
         isolate_sign_changes(f, *np.transpose(segments), 512)
         assert f.sizes == [len(segments) * (4 * 512 + 1)]

@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from masswell import _rootscan, spectrum
-from masswell._rootscan import isolate_sign_changes
+from masswell._rootscan import roots_in
 from masswell.cli import ScenarioConfig
-from masswell.matching import _SCAN_SAMPLES, _level_scan, eigenvalues
+from masswell.matching import _level_scan, eigenvalues
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -49,9 +49,9 @@ def _close(got, want, tol):
 
 
 def _scan_count(profile, lo, hi, parity):
-    """Sign changes of the eigenvalue level scan on [lo, hi], segment by segment."""
-    residual, segments = _level_scan(profile, lo, hi, parity)
-    return sum(isolate_sign_changes(residual, s0, s1, _SCAN_SAMPLES)[0].size for s0, s1 in segments)
+    """Levels the eigenvalue level scan finds on [lo, hi]: its segments and
+    phases through roots_in, without building a state per level."""
+    return len(roots_in(*_level_scan(profile, lo, hi, parity), 1e-10))
 
 
 #: a or L - a log-uniform from 1e-3 L to L / 2
@@ -287,6 +287,59 @@ class TestVerdictCounts:
             assert abs(e - want) <= 4e-12 * max(1.0, abs(want)), (e, want)
 
 
+class TestDenseSegments:
+    """Segments holding tens of thousands of levels: the scan is sized by
+    phase, so it finds every one of them."""
+
+    @pytest.mark.parametrize(
+        "profile, window, parity, want",
+        [
+            # k = (n + 1/2) pi / L for n = 318 .. 31830
+            (MassProfile(WellGeometry(1000.0, 1.0), ConstantInner(1.0)), (1.0, 1e4), "even", 31513),
+            # the closed-form count between kappa = 1 and 100
+            (MassProfile(G2, ConstantInner(-1e6)), (-1e4, -1.0), "even", 31512),
+            # a well that ran out of rescans at 131,072 cells on [-32.79, 0] in s
+            (MassProfile(WellGeometry(54.3834, 54.3822), ScaledInner(0.0159132)), (-1075.11, 279.977), "even", 35668),
+            (MassProfile(WellGeometry(54.3834, 54.3822), ScaledInner(0.0159132)), (-1075.11, 279.977), "odd", 35668),
+        ],
+    )
+    def test_every_level_is_found(self, profile, window, parity, want):
+        assert _scan_count(profile, *window, parity) == want
+        if window[1] < 0.0:
+            small, large = _negative_level_counts(profile, parity, (math.sqrt(-window[1]), math.sqrt(-window[0])))
+            assert large - small == want
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        L=_log_uniform(2.0, 1e3),
+        levels=_log_uniform(1.0, 1e5),
+        k_lo=st.floats(0.01, 10.0),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    def test_uniform_count_is_exact(self, L, levels, k_lo, parity):
+        # levels at k L / pi = n + 1/2 (even) or n >= 1 (odd)
+        k_hi = k_lo + levels * math.pi / L
+        shift = 0.5 if parity == "even" else 0.0
+        x_lo, x_hi = k_lo * L / math.pi - shift, k_hi * L / math.pi - shift
+        assume(min(abs(x - round(x)) for x in (x_lo, x_hi)) > 1e-6)
+        profile = MassProfile(WellGeometry(L, 1.0), ConstantInner(1.0))
+        assert _scan_count(profile, k_lo * k_lo, k_hi * k_hi, parity) == math.floor(x_hi) - math.ceil(x_lo) + 1
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        m=_log_uniform(1.0, 1e6),
+        levels=_log_uniform(1.0, 1e5),
+        kappa_lo=st.floats(0.1, 10.0),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    def test_negative_count_matches_closed_form(self, m, levels, kappa_lo, parity):
+        # about one level per pi / (a sqrt|m|) in kappa
+        kappa_hi = kappa_lo + levels * math.pi / math.sqrt(m)
+        profile = MassProfile(G2, ConstantInner(-m))
+        small, large = _negative_level_counts(profile, parity, (kappa_lo, kappa_hi))
+        assert _scan_count(profile, -kappa_hi * kappa_hi, -kappa_lo * kappa_lo, parity) == large - small
+
+
 LAWS = [
     ConstantInner(-1.0),
     ConstantInner(2.0),
@@ -305,14 +358,19 @@ class TestLawBreaks:
     @pytest.mark.parametrize("inner", LAWS, ids=repr)
     def test_level_scan_splits_at_every_break(self, inner):
         lo, hi = -2e6, 100.0
-        _, segments = _level_scan(MassProfile(G2, inner), lo, hi, "even")
+        _, segments, phases = _level_scan(MassProfile(G2, inner), lo, hi, "even")
         cuts = [e for e in (0.0, *inner.breaks) if lo < e < hi]
         assert len(segments) == 1 + len(set(cuts))
         # a law takes its value from above at a break, so no segment holds
         # energies on both sides, counting the break itself as above
-        for s0, s1 in segments:
+        for (s0, s1), phase in zip(segments, phases):
             assert not any(s0 * abs(s0) < e <= s1 * abs(s1) for e in inner.breaks)
             assert not s0 < 0.0 < s1
+            # the phase takes the largest |m| anywhere on the segment
+            s = np.linspace(s0, s1, 1001)
+            root_m = math.sqrt(np.max(np.abs(inner.value(s * np.abs(s)))))
+            want = (G2.L - G2.a) * (max(s1, 0.0) - max(s0, 0.0)) + G2.a * root_m * (s1 - s0)
+            assert phase == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("inner", LAWS, ids=repr)
     def test_negative_mass_is_constant_between_breaks(self, inner):

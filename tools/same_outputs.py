@@ -37,6 +37,10 @@ CONFIGS = {
     "scaled-wide": "inner = scaled\nb = 0.5\nL = 4\na = 3\n",
     # a threshold deeper than the verdict's default probes
     "step-deep": "inner = step\ne_thr = -1000\nL = 2\na = 1\n",
+    # tens of thousands of levels in one scan segment
+    "uniform-wide": "inner = constant\nm0 = 1\nL = 1000\na = 1\n",
+    "constant-deep": "inner = constant\nm0 = -1e6\nL = 2\na = 1\n",
+    "scaled-soak": "inner = scaled\nb = 0.0159132\nL = 54.3834\na = 54.3822\n",
 }
 
 #: runs in the child interpreter: argv[1] is the checkout's src/, stdin the requests
@@ -74,6 +78,13 @@ def requests(config_dir: str) -> list[list[str]]:
     out.append(["spectrum", "--config", os.path.join(config_dir, "scaled-wide"), "--window=9e4:1.1e5"])
     for extra in ([], ["--parity", "even"], ["--format", "json"]):
         out.append(["spectrum", "--config", os.path.join(config_dir, "step-deep"), "--window=-100:100", *extra])
+    dense = (
+        ("uniform-wide", "--window=1:1e4", "--parity", "even"),
+        ("constant-deep", "--window=-1e4:-1", "--parity", "even"),
+        ("scaled-soak", "--window=-1075.11:279.977", "--tol", "4.3e-12"),
+    )
+    for name, *extra in dense:
+        out.append(["spectrum", "--config", os.path.join(config_dir, name), *extra])
     # the sweep benchmark's commands
     for branch in CURVE_BRANCHES:
         out.append(["curves", "--branch", branch, "--range", "0.05:199.653", "--samples", "20000"])
