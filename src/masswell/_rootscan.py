@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["ScanResolutionError", "isolate_sign_changes", "bisect_root", "bracket_roots", "roots_in"]
+__all__ = ["DEFAULT_TOL", "ScanResolutionError", "isolate_sign_changes", "bisect_root", "bracket_roots", "roots_in"]
+
+#: the default absolute root tolerance of every solver and of the CLI
+DEFAULT_TOL = 1e-12
 
 #: each rescan is _REFINE times finer than the last, up to _MAX_LEVELS rescans
 _REFINE = 4

@@ -30,6 +30,7 @@ import numpy as np
 from .profiles import INNER_LAWS, MassProfile, WellGeometry
 from .secular import (
     BRANCHES,
+    DEFAULT_TOL,
     RootWindow,
     SecularBranch,
     StepNeg,
@@ -190,7 +191,7 @@ class ScenarioConfig:
         raise ConfigError(f"parity must be even, odd or both, got {raw!r}")
 
     def tol(self) -> float:
-        tol = self.get_float("tol", "1e-12")
+        tol = self.get_float("tol", str(DEFAULT_TOL))
         if not tol > 0.0:
             raise ConfigError("tol must be positive")
         return tol
@@ -215,15 +216,6 @@ class ScenarioConfig:
 
     def get_str(self, key: str, default: Optional[str] = None) -> Optional[str]:
         return self.values.get(key, default)
-
-
-def _profile_dict(profile: MassProfile) -> dict:
-    return {
-        "L": profile.geometry.L,
-        "a": profile.geometry.a,
-        "outer_mass": 1.0,
-        "inner": {"law": profile.inner.law, **asdict(profile.inner)},
-    }
 
 
 def _report_header(report: SpectrumReport) -> list[str]:
@@ -311,7 +303,6 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _cmd_spectrum(cfg: ScenarioConfig) -> int:
-    cfg.out_format()  # a bad format fails before the solve
     report = run_scenario(
         cfg.profile(),
         cfg.window(),
@@ -326,7 +317,12 @@ def _cmd_spectrum(cfg: ScenarioConfig) -> int:
     ]
     obj = {
         "scenario": report.scenario,
-        "model": _profile_dict(report.profile),
+        "model": {
+            "L": report.profile.geometry.L,
+            "a": report.profile.geometry.a,
+            "outer_mass": 1.0,
+            "inner": {"law": report.profile.inner.law, **asdict(report.profile.inner)},
+        },
         "window": list(report.window),
         "parities": list(report.parities),
         "verdict": {"kind": report.verdict.kind, "evidence": report.verdict.evidence},
@@ -341,7 +337,7 @@ def _cmd_curves(cfg: ScenarioConfig) -> int:
     if name is None:
         raise ConfigError("curves requires 'branch'")
     branch = _make_branch(name, cfg)
-    lo, hi = _parse_pair(cfg.get_str("range", "0.05:13") or "", "range")
+    lo, hi = _parse_pair(cfg.get_str("range", "0.05:13"), "range")
     if not 0.0 <= lo < hi:
         raise ConfigError(f"range: require 0 <= LO < HI, got {lo}:{hi}")
     samples = cfg.samples("512")
@@ -402,7 +398,6 @@ def _cmd_wavefunction(cfg: ScenarioConfig) -> int:
 
 
 def _cmd_critical_beta(cfg: ScenarioConfig) -> int:
-    cfg.out_format()  # a bad format fails before the solve
     count = cfg.get_int("count", "5")
     if count < 1:
         raise ConfigError("count must be >= 1")
@@ -420,10 +415,9 @@ def _cmd_critical_beta(cfg: ScenarioConfig) -> int:
 
 
 def _cmd_delta_limit(cfg: ScenarioConfig) -> int:
-    cfg.out_format()  # a bad format fails before the solve
     b_over_nu = cfg.get_float("b_over_nu", "1")
     L = cfg.get_float("L", "2")
-    raw = cfg.get_str("nu_values", "0.1,0.01,0.001") or ""
+    raw = cfg.get_str("nu_values", "0.1,0.01,0.001")
     nus = [_parse_float(part, "nu_values") for part in raw.split(",") if part.strip()]
     if not nus:
         raise ConfigError("nu_values must contain at least one value")
@@ -487,7 +481,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(_load_config(args))
+        cfg = _load_config(args)
+        if "--format" in _COMMANDS[args.command][2].split():
+            cfg.out_format()  # a bad format fails before the solve
+        return args.handler(cfg)
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -28,14 +28,12 @@ import math
 
 import numpy as np
 
-from ._rootscan import ScanResolutionError, roots_in
+from ._rootscan import DEFAULT_TOL, roots_in
 from .profiles import MassProfile
 from .wavefunction import PiecewiseWavefunction, RegionSolution, _value_slope
 
 __all__ = [
     "LINEAR_BAND",
-    "RegionSolution",
-    "ScanResolutionError",
     "build_solution",
     "mismatch",
     "seam_wronskian",
@@ -154,24 +152,23 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
     Consecutive levels are about evenly spaced in s (Pruefer's angle
     argument), so they cannot crowd into one sample cell toward E = 0 or
     deep in the window.  The residual is :func:`seam_wronskian` at
-    E = s|s|.  Segments are split where it can kink (E = 0) or jump (at
-    each of the inner law's ``breaks``).  A law takes its value from above
-    at a break, so the segment above a break starts exactly there while
-    the segment below stops a hair earlier to stay on the lower branch.
-    Each end is then mapped to s and stepped inward until s|s| lies in
-    its energy segment, so no sample crosses a cut.  A segment's phase is
-    (L - a)(max(s1, 0) - max(s0, 0)) + a sqrt(max |m|)(s1 - s0), with max |m|
-    read at its ends and midpoint, which bounds |m| for every catalog law.
+    E = s|s|.  Segments are the stretches (e0, e1, r) of ``profile.pieces``,
+    cut where it can kink (E = 0) or jump (at each of the inner law's
+    ``breaks``); a stretch owns its lower end, so the segment below a break
+    stops a hair earlier to stay on the lower branch.  Each end is then
+    mapped to s and stepped inward until s|s| lies in its energy segment,
+    so no sample crosses a cut.  A segment's phase is
+    (L - a)(max(s1, 0) - max(s0, 0)) + a r (s1 - s0): an inner region with
+    r = 0 is hyperbolic or linear and turns through no phase.
     """
 
     def residual(s):
         return seam_wronskian(profile, s * np.abs(s), parity)
 
-    breaks, geo = profile.inner.breaks, profile.geometry
-    bounds = sorted({lo, hi, *(e for e in (0.0, *breaks) if lo < e < hi)})
+    geo = profile.geometry
     segments, phases = [], []
-    for e0, e1 in zip(bounds, bounds[1:]):
-        if e1 in breaks:
+    for e0, e1, rate in profile.pieces(lo, hi):
+        if e1 in profile.inner.breaks:
             e1 -= 1e-13 * max(1.0, abs(e1))
         s0, s1 = math.copysign(math.sqrt(abs(e0)), e0), math.copysign(math.sqrt(abs(e1)), e1)
         while s0 * abs(s0) < e0:
@@ -179,9 +176,8 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
         while s1 * abs(s1) > e1:
             s1 = math.nextafter(s1, -math.inf)
         if s1 > s0:
-            root_m = math.sqrt(np.max(np.abs(profile.inner.value(np.array([e0, 0.5 * (e0 + e1), e1])))))
             segments.append((s0, s1))
-            phases.append((geo.L - geo.a) * (max(s1, 0.0) - max(s0, 0.0)) + geo.a * root_m * (s1 - s0))
+            phases.append((geo.L - geo.a) * (max(s1, 0.0) - max(s0, 0.0)) + geo.a * rate * (s1 - s0))
     return residual, segments, phases
 
 
@@ -189,7 +185,7 @@ def eigenvalues(
     profile: MassProfile,
     window: tuple[float, float],
     parity: str,
-    tol: float = 1e-12,
+    tol: float = DEFAULT_TOL,
 ) -> list[tuple[float, PiecewiseWavefunction]]:
     """All eigenvalues in the window with their states from :func:`build_solution`.
 

@@ -7,7 +7,7 @@ laws below for |x| < a.  Inner laws may depend on the energy and may be
 negative.  Units fix hbar^2/2 = 1, so the squared local wavenumber of a
 region is simply m * E.  Every inner law's ``value`` also takes an array
 of energies and works elementwise.  ``breaks`` lists where it jumps, taking
-its value from above; at E < 0 a negative value is constant between breaks.
+its value from above; wherever m * E > 0, m is constant between E = 0 and breaks.
 
 All profile values are immutable after construction and safe to share
 across threads.
@@ -15,6 +15,7 @@ across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import ClassVar, Union
 
@@ -119,3 +120,11 @@ class MassProfile:
         """One-line label: the inner law and its parameters, then L and a."""
         params = {**asdict(self.inner), "L": self.geometry.L, "a": self.geometry.a}
         return " ".join([f"inner={self.inner.law}"] + [f"{k}={v:.17g}" for k, v in params.items()])
+
+    def pieces(self, lo: float, hi: float) -> list[tuple[float, float, float]]:
+        """(e0, e1, r) per stretch [e0, e1) of [lo, hi] cut at E = 0 and at the breaks, where
+        r = sqrt(max(m sign E, 0)) with m read once at e0: a law takes its value from above at
+        a break, so the stretch owns e0.  r > 0 exactly where the inner region oscillates."""
+        cuts = sorted({lo, hi, *(e for e in (0.0, *self.inner.breaks) if lo < e < hi)})
+        signed = [float(self.inner.value(e0)) * (1.0 if e0 >= 0.0 else -1.0) for e0 in cuts[:-1]]
+        return [(e0, e1, math.sqrt(max(m, 0.0))) for e0, e1, m in zip(cuts, cuts[1:], signed)]

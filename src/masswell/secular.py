@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rootscan import ScanResolutionError, bracket_roots, roots_in
+from ._rootscan import DEFAULT_TOL, ScanResolutionError, bracket_roots, roots_in
 from .profiles import WellGeometry
 
 __all__ = [
@@ -44,8 +44,6 @@ __all__ = [
     "critical_betas",
     "reduced_kappa1",
 ]
-
-DEFAULT_TOL = 1e-12
 
 
 @dataclass(frozen=True)

@@ -84,19 +84,18 @@ def _probe_kappas(profile: MassProfile) -> tuple[float, float, float]:
 
     Both probes lie past kappa_0 = kappa_b (1 + 1e-9), where -kappa_b^2 is
     the inner law's lowest break below E = 0 (kappa_b = 0 if none), by
-    10/pi and 40/pi inner level spacings pi / (a sqrt|m|), with the inner
-    mass m read once at E = -(kappa_0 + 10)^2.  Where m >= 0, wherever
-    a sqrt|m| = 1 (every preset), and where -K2^2 would leave the float
+    10/pi and 40/pi inner level spacings pi / (a r), with -kappa_b^2 and the
+    inner rate r = sqrt|m| taken from the lowest stretch of
+    :meth:`~masswell.profiles.MassProfile.pieces`.  Where r = 0 (m >= 0),
+    wherever a r = 1 (every preset), and where -K2^2 would leave the float
     range, the probes are kappa_0 + 10 and kappa_0 + 40.
     """
-    kappa_0 = math.sqrt(-min((0.0, *profile.inner.breaks))) * (1.0 + 1e-9)
-    probe = kappa_0 + PROBE_KAPPA_SMALL
-    mass, scale = profile.inner.value(-probe * probe), 1.0
-    if mass < 0.0:
-        scale = profile.geometry.a * math.sqrt(-mass)
-        k2 = kappa_0 + PROBE_KAPPA_LARGE / scale
-        if not k2 * k2 < math.inf:
-            scale = 1.0
+    _, e_b, rate = profile.pieces(-math.inf, 0.0)[0]
+    kappa_0 = math.sqrt(-e_b) * (1.0 + 1e-9)
+    scale = profile.geometry.a * rate or 1.0
+    k2 = kappa_0 + PROBE_KAPPA_LARGE / scale
+    if not k2 * k2 < math.inf:
+        scale = 1.0
     return kappa_0 + PROBE_KAPPA_SMALL / scale, kappa_0 + PROBE_KAPPA_LARGE / scale, math.pi / scale
 
 
@@ -104,13 +103,14 @@ def _negative_level_counts(profile: MassProfile, parity: str, probes: tuple[floa
     """Numbers of negative-energy levels with kappa = sqrt(-E) in (0, K1]
     and in (0, K2] for the probes (K1, K2) of :func:`_probe_kappas`.
 
-    The inner law's breaks cut kappa into pieces, each closed at its break
-    (the law takes its value from above there).  On a piece a negative
-    inner mass m is constant, and with plain derivatives and
-    theta = kappa a sqrt|m| the levels solve sqrt|m| tan(theta) (even) or
-    -sqrt|m| cot(theta) (odd) = coth(kappa (L - a)).  Each half-branch where
-    the left side is positive holds exactly one level, as the left side
-    rises and the right side falls; m >= 0 holds none.
+    The kappa pieces are the stretches of
+    :meth:`~masswell.profiles.MassProfile.pieces` below E = 0, each closed
+    at its break (the law takes its value from above there).  On a piece
+    with inner rate r = sqrt|m| > 0 the mass m is a negative constant, and
+    with plain derivatives and theta = kappa a r the levels solve
+    r tan(theta) (even) or -r cot(theta) (odd) = coth(kappa (L - a)).  Each
+    half-branch where the left side is positive holds exactly one level,
+    as the left side rises and the right side falls; r = 0 holds none.
     """
     geo = profile.geometry
 
@@ -119,11 +119,7 @@ def _negative_level_counts(profile: MassProfile, parity: str, probes: tuple[floa
         j, r = divmod(kappa * geo.a * root - (math.pi / 2.0 if parity == "odd" else 0.0), math.pi)
         return int(j) + (r >= math.pi / 2.0 or root * math.tan(r) * math.tanh(kappa * (geo.L - geo.a)) >= 1.0)
 
-    breaks = sorted((e for e in profile.inner.breaks if e < 0.0), reverse=True)
-    edges = [0.0, *(math.sqrt(-e) for e in breaks), math.inf]
-    # each piece's mass at its own break, the last one's below the lowest break
-    masses = [profile.inner.value(e) for e in (*breaks, 2.0 * min((0.0, *breaks)) - 1.0)]
-    pieces = [(lo, hi, math.sqrt(-m)) for lo, hi, m in zip(edges, edges[1:], masses) if m < 0.0]
+    pieces = [(math.sqrt(-e1), math.sqrt(-e0), r) for e0, e1, r in profile.pieces(-math.inf, 0.0) if r > 0.0]
     return tuple(
         sum(levels(min(k, hi), root) - levels(min(k, lo), root) for lo, hi, root in pieces) for k in probes
     )

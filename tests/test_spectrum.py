@@ -207,6 +207,12 @@ class TestVerdictCounts:
         assert _probe_kappas(profile) == (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE, math.pi)
         run_scenario(profile, (-1.0, 1.0))
 
+    def test_probes_survive_a_spacing_that_underflows(self):
+        # a sqrt|m| = 1e-200 * 1e-125 rounds to 0, which divided 40 by zero
+        profile = MassProfile(WellGeometry(2.0, 1e-200), ConstantInner(-1e-250))
+        assert _probe_kappas(profile) == (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE, math.pi)
+        assert run_scenario(profile, (-1.0, 1.0)).verdict.kind == "bounded_below"
+
     @settings(max_examples=40, deadline=None)
     @given(
         L=st.floats(0.5, 5.0),
@@ -366,24 +372,44 @@ class TestLawBreaks:
         for (s0, s1), phase in zip(segments, phases):
             assert not any(s0 * abs(s0) < e <= s1 * abs(s1) for e in inner.breaks)
             assert not s0 < 0.0 < s1
-            # the phase takes the largest |m| anywhere on the segment
+            # the inner phase takes the largest sqrt(m sign E) on the segment, 0 where it is hyperbolic
             s = np.linspace(s0, s1, 1001)
-            root_m = math.sqrt(np.max(np.abs(inner.value(s * np.abs(s)))))
-            want = (G2.L - G2.a) * (max(s1, 0.0) - max(s0, 0.0)) + G2.a * root_m * (s1 - s0)
+            e = s * np.abs(s)
+            rate = math.sqrt(np.max(np.maximum(inner.value(e) * np.sign(e), 0.0)))
+            want = (G2.L - G2.a) * (max(s1, 0.0) - max(s0, 0.0)) + G2.a * rate * (s1 - s0)
             assert phase == pytest.approx(want, rel=1e-12)
 
     @pytest.mark.parametrize("inner", LAWS, ids=repr)
     def test_negative_mass_is_constant_between_breaks(self, inner):
-        edges = [-math.inf, *sorted({0.0, *(e for e in inner.breaks if e < 0.0)})]
-        for lo, hi in zip(edges, edges[1:]):
-            # each piece [lo, hi) at both ends and spread inside it
-            if lo == -math.inf:
-                inside = hi - np.geomspace(1e-6, 1e12, 97)
+        # wherever m E > 0, m is constant between E = 0 and the breaks, as pieces reads it
+        lo, hi = -1e6, 1e6
+        stretches = MassProfile(G2, inner).pieces(lo, hi)
+        cuts = sorted({lo, hi, *(e for e in (0.0, *inner.breaks) if lo < e < hi)})
+        assert [(e0, e1) for e0, e1, _ in stretches] == list(zip(cuts, cuts[1:]))
+        for e0, e1, rate in stretches:
+            # each stretch [e0, e1) at both ends and spread inside it
+            inside = np.append(np.linspace(e0, e1, 97, endpoint=False), np.nextafter(e1, -math.inf))
+            signed = np.asarray(inner.value(inside)) * (1.0 if e0 >= 0.0 else -1.0) * np.ones_like(inside)
+            if rate > 0.0:
+                assert np.all(np.sqrt(signed) == rate), (e0, e1)
             else:
-                inside = np.append(np.linspace(lo, hi, 97, endpoint=False), np.nextafter(hi, -math.inf))
-            values = np.asarray(inner.value(inside)) * np.ones_like(inside)
-            if np.any(values < 0.0):
-                assert np.all(values == values[0]), (lo, hi)
+                assert np.all(signed <= 0.0), (e0, e1)
+
+    def test_hyperbolic_inner_stretch_adds_no_phase(self):
+        # scaled b = 0.5 has m = -4 < 0 at E > 0: only the outer region turns, so the
+        # phase is (L - a)(s1 - s0) = 31.66 rad; reading |m| there too gave 221.6
+        profile = MassProfile(WellGeometry(4.0, 3.0), ScaledInner(0.5))
+        _, segments, phases = _level_scan(profile, 9e4, 1.1e5, "even")
+        (s0, s1), (phase,) = segments[0], phases
+        assert phase == (4.0 - 3.0) * (s1 - s0) == pytest.approx(31.66, abs=0.005)
+        for parity in ("even", "odd"):
+            assert len(eigenvalues(profile, (9e4, 1.1e5), parity)) == 10
+
+    def test_negative_pieces_reach_minus_infinity(self):
+        # the verdict reads the lowest stretch at E = -inf
+        laws = [(ConstantInner(-4.0), 2.0), (ScaledInner(0.5), 2.0), (TanhInner(), 0.0), (StepInner(-30.0), 0.0)]
+        for inner, want in laws:
+            assert MassProfile(G2, inner).pieces(-math.inf, 0.0)[0][::2] == (-math.inf, want)
 
 
 class TestGroundStateStaircase:

@@ -76,6 +76,9 @@ def requests(config_dir: str) -> list[list[str]]:
             out.append(["spectrum", "--config", os.path.join(config_dir, name), "--window=0.5:30", "--parity", parity])
     out.append(["spectrum", "--preset", "constant-negative", "--window=-1e6:10"])
     out.append(["spectrum", "--config", os.path.join(config_dir, "scaled-wide"), "--window=9e4:1.1e5"])
+    # wide windows where the inner region is hyperbolic and turns through no phase
+    out.append(["spectrum", "--preset", "tanh", "--window=1e3:4e4", "--parity", "even"])
+    out.append(["spectrum", "--preset", "two-param", "--window=1e3:1e5", "--parity", "odd"])
     for extra in ([], ["--parity", "even"], ["--format", "json"]):
         out.append(["spectrum", "--config", os.path.join(config_dir, "step-deep"), "--window=-100:100", *extra])
     dense = (
