@@ -88,7 +88,7 @@ _FLAGS = {
 _KNOWN_KEYS = (
     {key for key, _ in _FLAGS.values()}
     | {param.name for law in INNER_LAWS.values() for param in fields(law)}
-    | {"scenario", "a", "inner", "nu"}
+    | {"a", "inner"}
 )
 
 
@@ -221,7 +221,7 @@ class ScenarioConfig:
 def _report_header(report: SpectrumReport) -> list[str]:
     lines = [
         "# masswell spectrum report",
-        f"# scenario: {report.scenario}",
+        f"# scenario: {report.profile.describe()}",
         f"# model: {report.profile.describe()}",
         f"# window: {report.window[0]:.17g}:{report.window[1]:.17g}",
         f"# parities: {','.join(report.parities)}",
@@ -282,12 +282,7 @@ def _make_branch(name: str, cfg: ScenarioConfig) -> SecularBranch:
             raise ConfigError("step-neg requires e_thr < 0")
         return StepNeg(geometry, beta=math.sqrt(-e_thr))
     if branch is TwoParamNeg:
-        nu = cfg.get_str("nu")
-        return TwoParamNeg(
-            geometry,
-            b=cfg.get_float("b", "0.5"),
-            nu=None if nu is None else _parse_float(nu, "nu"),
-        )
+        return TwoParamNeg(geometry, b=cfg.get_float("b", "0.5"))
     return branch(geometry)
 
 
@@ -303,20 +298,14 @@ def _load_config(args: argparse.Namespace) -> ScenarioConfig:
 
 
 def _cmd_spectrum(cfg: ScenarioConfig) -> int:
-    report = run_scenario(
-        cfg.profile(),
-        cfg.window(),
-        parities=cfg.parities(),
-        tol=cfg.tol(),
-        scenario=cfg.get_str("scenario", ""),
-    )
+    report = run_scenario(cfg.profile(), cfg.window(), parities=cfg.parities(), tol=cfg.tol())
     columns = "index,energy,parity,nodes,localization"
     rows = [
         (i, level.energy, level.parity, level.nodes, level.localization)
         for i, level in enumerate(report.levels, start=1)
     ]
     obj = {
-        "scenario": report.scenario,
+        "scenario": report.profile.describe(),
         "model": {
             "L": report.profile.geometry.L,
             "a": report.profile.geometry.a,

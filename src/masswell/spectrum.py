@@ -9,9 +9,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._rootscan import bracket_roots
-from .matching import build_solution, eigenvalues
-from .profiles import ConstantInner, MassProfile, WellGeometry
-from .secular import DEFAULT_TOL, ConstantNegPos, TwoParamNeg, critical_betas, reduced_kappa1
+from .matching import eigenvalues
+from .profiles import MassProfile, WellGeometry
+from .secular import DEFAULT_TOL, TwoParamNeg, critical_betas, reduced_kappa1
 from .wavefunction import PiecewiseWavefunction, count_nodes, localization_fraction
 
 __all__ = [
@@ -55,7 +55,6 @@ class Verdict:
 
 @dataclass(frozen=True)
 class SpectrumReport:
-    scenario: str
     profile: MassProfile
     window: tuple[float, float]
     parities: tuple[str, ...]
@@ -181,7 +180,6 @@ def run_scenario(
     window: tuple[float, float],
     parities: Sequence[str] = ("even", "odd"),
     tol: float = DEFAULT_TOL,
-    scenario: str = "",
 ) -> SpectrumReport:
     """Enumerate the spectrum in the window and attach per-level diagnostics.
 
@@ -196,7 +194,6 @@ def run_scenario(
     ]
     verdict = _boundedness_verdict(profile, parities, bool(levels))
     return SpectrumReport(
-        scenario=scenario or profile.describe(),
         profile=profile,
         window=(float(window[0]), float(window[1])),
         parities=tuple(parities),
@@ -215,37 +212,33 @@ def ground_state_staircase(
 
     Uses the canonical inner half-width a = 1.  The admissibility rule is
     kappa <= beta with the boundary admitted, so counts jump exactly at
-    the critical beta values, those of :func:`critical_betas`.  For beta
-    below the first critical value the ground state is the lowest
-    positive-energy state, the one root of the :class:`ConstantNegPos`
-    residual sin(u) tanh(k) + cos(u), u = k (L - 1), with u in
-    (pi/2, pi): the residual is positive on (0, pi/2] and equals
-    -sin(u) g(u) past it, where g(u) = -cot(u) - tanh(r u) with
-    r = 1 / (L - 1) rises (g' >= 1 - max_r r sech^2(r pi/2) > 0.7).
-    :func:`masswell._rootscan.bracket_roots` refines it with no scan.
+    the critical beta values, those of :func:`critical_betas`.  With n
+    levels admitted the ground state has 2 max(n - 1, 0) nodes, which the
+    tests check against the matching solver.  It sits at root j = n - 1,
+    on (j pi + pi/4, j pi + pi/2), so its inner cos(kappa x) has 2 j zeros
+    on (-1, 1) and none at -1 or 1, its hyperbolic outer pieces have none,
+    and psi is continuous and nonzero at the seams.  With n = 0 it is the
+    lowest positive level, whose inner cosh(k x) has no zeros, nor has its
+    outer sin(k (L - |x|)): u = k (L - 1) lies in (pi/2, pi), as the
+    matching residual sin(u) tanh(k) + cos(u) is positive for u <= pi/2
+    and -1 at u = pi.
     """
     if not beta_max > 0.0:
         raise ValueError(f"require beta_max > 0, got {beta_max!r}")
     if steps < 1:
         raise ValueError(f"require steps >= 1, got {steps!r}")
     geometry = WellGeometry(L, 1.0)
+    if not 0.0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     # a beta placed on a root is known to tol, as the root is: 2 tol is the boundary
     slack = 2.0 * tol
     # critical value j lies on (j pi + pi/4, j pi + pi/2)
     branches = math.floor((beta_max + slack) / math.pi - 0.25) + 1
     neg_roots = critical_betas(geometry, branches, tol=tol) if branches > 0 else []
-
-    # below threshold and at positive energy the step model has inner mass -1;
-    # nodes[n] belongs to the ground state once n negative roots are admitted
-    frozen_profile = MassProfile(geometry, ConstantInner(-1.0))
-    residual, span = ConstantNegPos(geometry).residual_raw, L - 1.0
-    (k_first,) = bracket_roots(residual, 0.5 * math.pi / span, math.pi / span, False, tol).tolist()
-    energies = [k_first * k_first] + [-kappa * kappa for kappa in neg_roots]
-    nodes = np.array([count_nodes(build_solution(frozen_profile, e, "even")) for e in energies])
-
     betas = beta_max * np.arange(1, steps + 1) / steps
     counts = np.searchsorted(neg_roots, betas + slack, side="right")
-    return list(map(StaircaseStep, betas.tolist(), counts.tolist(), nodes[counts].tolist()))
+    nodes = 2 * np.maximum(counts - 1, 0)
+    return list(map(StaircaseStep, betas.tolist(), counts.tolist(), nodes.tolist()))
 
 
 def delta_limit_study(

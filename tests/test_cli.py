@@ -446,6 +446,9 @@ class TestConfigChecks:
             ("curves", "branch = constant-neg-pos\nsamples = 1", "samples must be"),
             ("wavefunction", "preset = uniform\nlevel = 0", "1-based"),
             ("delta-limit", "nu_values = ,", "at least one value"),
+            # keys that no reader takes
+            ("spectrum", "preset = uniform\nscenario = x", "unknown key"),
+            ("curves", "branch = two-param-neg\nnu = 1", "unknown key"),
         ],
     )
     def test_exits_2_without_output(self, command, text, message, tmp_path, capsys):

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from masswell import _rootscan, spectrum
 from masswell._rootscan import roots_in
 from masswell.cli import ScenarioConfig
-from masswell.matching import _level_scan, eigenvalues
+from masswell.matching import _level_scan, build_solution, eigenvalues
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -35,6 +35,7 @@ from masswell.spectrum import (
     ground_state_staircase,
     run_scenario,
 )
+from masswell.wavefunction import count_nodes
 
 G2 = WellGeometry(2.0, 1.0)
 
@@ -465,25 +466,20 @@ class TestGroundStateStaircase:
         rows = ground_state_staircase(2.0, 0.7, 7)
         assert [(r.negative_count, r.ground_state_nodes) for r in rows] == [(0, 0)] * 7
 
-    # L - a log-uniform from 1e-8 to 30; beta_max below pi/4 asks for no critical beta
+    # L - a log-uniform from 1e-8 to 30, so kappa (L - a) at the deepest of the
+    # 300 roots runs far past 710, where sinh(kappa (L - a)) leaves the float range
     @settings(max_examples=60, deadline=None)
     @given(span=_log_uniform(1e-8, 30.0), tol=st.sampled_from([1e-12, 1e-10, 1e-6]))
-    def test_first_positive_root_matches_the_scan(self, span, tol):
-        L = 1.0 + span
-        found = []
-        refine = spectrum.bracket_roots
-
-        def spying(*args):
-            found.append(refine(*args))
-            return found[-1]
-
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(spectrum, "bracket_roots", spying)
-            (row,) = ground_state_staircase(L, 0.7, 1, tol=tol)
-        (k_first,) = np.concatenate(found).tolist()
+    def test_closed_form_nodes_match_the_solver(self, span, tol):
+        geometry = WellGeometry(1.0 + span, 1.0)
+        frozen = MassProfile(geometry, ConstantInner(-1.0))
+        kappas = critical_betas(geometry, 300, tol=tol)
+        assert [count_nodes(build_solution(frozen, -k * k, "even")) for k in kappas] == list(range(0, 600, 2))
+        # the ground state below the first critical value: the lowest positive level
+        k_first = find_roots(ConstantNegPos(geometry), RootWindow(0.0, 2.0 * math.pi / span, tol))[0]
+        assert count_nodes(build_solution(frozen, k_first * k_first, "even")) == 0
+        (row,) = ground_state_staircase(geometry.L, 0.7, 1, tol=tol)
         assert (row.negative_count, row.ground_state_nodes) == (0, 0)
-        want = find_roots(ConstantNegPos(WellGeometry(L, 1.0)), RootWindow(0.0, 2.0 * math.pi / (L - 1.0), tol))[0]
-        assert _close(k_first, want, tol), (k_first, want)
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,10 @@
 PARENT and CHANGE are checkout directories.  Each checkout's ``src/`` is
 imported in one fresh interpreter, which runs every request of
 :func:`requests` through ``masswell.cli.main`` and records its stdout,
-stderr and exit code.  Each request whose record differs between the two
+stderr and exit code.  No command prints the threshold staircase, so a
+request that starts with ``ground_state_staircase`` instead prints the
+``repr`` of ``masswell.spectrum.ground_state_staircase`` called on the
+request's other items.  Each request whose record differs between the two
 is printed with the parts that differ and, where only numbers differ, the
 largest absolute difference between them, and each checkout's
 ``src/masswell`` line count is printed.  The exit code is 1 if any request
@@ -43,17 +46,26 @@ CONFIGS = {
     "scaled-soak": "inner = scaled\nb = 0.0159132\nL = 54.3834\na = 54.3822\n",
 }
 
+#: library requests: (L, beta_max, steps[, tol]) of ground_state_staircase
+STAIRCASES = (
+    (2.0, 200.0, 20000), (1.0 + 1e-8, 0.7, 3), (30.0, 50.0, 1000), (2.0, 800.0, 4), (1.5, 14.0, 280, 1e-6),
+)
+
 #: runs in the child interpreter: argv[1] is the checkout's src/, stdin the requests
 CHILD = r"""
 import contextlib, io, json, sys
 sys.path.insert(0, sys.argv[1])
-from masswell import cli
+from masswell import cli, spectrum
 records = []
 for argv in json.load(sys.stdin):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            code = cli.main(argv)
+            if argv[0] == "ground_state_staircase":
+                print(repr(spectrum.ground_state_staircase(*argv[1:])))
+                code = 0
+            else:
+                code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
     records.append({"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code})
@@ -61,7 +73,7 @@ json.dump(records, sys.stdout)
 """
 
 
-def requests(config_dir: str) -> list[list[str]]:
+def requests(config_dir: str) -> list[list]:
     """The fixed request list; config-file requests read from ``config_dir``."""
     out = []
     for preset in PRESETS:
@@ -97,6 +109,7 @@ def requests(config_dir: str) -> list[list[str]]:
     out.append(["delta-limit"])
     # a first root near 1e-150, below the 1e-12 floor of a window scan
     out.append(["delta-limit", "--b-over-nu", "1e-300"])
+    out += [["ground_state_staircase", *case] for case in STAIRCASES]
     # flag values the config readers reject, each with exit 2
     out += [
         ["spectrum", "--preset", "uniform", "--format", "xml"],
@@ -111,7 +124,7 @@ def requests(config_dir: str) -> list[list[str]]:
     return out
 
 
-def run_checkout(checkout: str, argvs: list[list[str]]) -> list[dict]:
+def run_checkout(checkout: str, argvs: list[list]) -> list[dict]:
     """Records of every request in one fresh interpreter on ``checkout``'s source."""
     env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1")
     src = os.path.join(os.path.abspath(checkout), "src")
@@ -168,7 +181,8 @@ def main(argv: list[str]) -> int:
                 differing += 1
                 delta = worst_delta(old["stdout"], new["stdout"]) if parts == ["stdout"] else None
                 worst = "" if delta is None else f" (worst |delta| {delta:.3g})"
-                print(f"differs in {', '.join(parts)}: {' '.join(args).replace(config_dir + os.sep, '')}{worst}")
+                request = " ".join(map(str, args)).replace(config_dir + os.sep, "")
+                print(f"differs in {', '.join(parts)}: {request}{worst}")
     print(f"{differing} of {len(argvs)} requests differ")
     return 1 if differing else 0
 
