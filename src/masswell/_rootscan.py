@@ -110,18 +110,17 @@ def bisect_root(f, a, b, fa, fb, tol):
     """Shrink sign-change brackets [a, b] until each is at most 2*tol wide.
 
     Takes arrays of endpoints and their residuals (scalars are one
-    bracket) and refines every bracket in lockstep by the Illinois form
-    of regula falsi (Dowell and Jarratt, BIT 11, 1971): one call of the
-    elementwise ``f`` per step, on two points per open bracket.  They
-    lie max(tol, 4 ulp) / 2 either side of the bracket's secant point,
-    in which a residual that stayed at its end for two steps running is
-    halved, so a secant point within that distance of the root closes
-    the bracket at once, with the secant point as its midpoint.  A
-    secant point that rounds onto an end is kept: the root then lies
-    within rounding of that end.  The midpoint replaces the secant point
-    where that is not finite or outside the bracket, and wherever the
-    width has not halved over the last two steps, so a bracket of width
-    w needs at most 3 ceil(log2(w / 2 tol')) + 2 steps, with
+    bracket) and refines every bracket in lockstep by secant steps that
+    bisection safeguards, as in Dekker's method (1969): one call of the
+    elementwise ``f`` per step, on two points per open bracket.  They lie
+    max(tol, 4 ulp) / 2 either side of the secant point through the
+    newest bracket end and the point evaluated one step before it (the
+    ends, at first), so an estimate that close to the root closes the
+    bracket at once.  The secant point of the ends, then the midpoint,
+    stand in where that is not finite or outside the bracket.  Where the
+    width has not halved over the last two steps, the two points are the
+    estimate and the midpoint, so the width at least halves and a bracket
+    of width w needs at most 3 ceil(log2(w / 2 tol')) + 2 steps, with
     tol' = max(tol, 4 ulp) at the root, however useless interpolation
     is; no bracket takes more than 256.  Each bracket takes exactly the
     steps it would take alone.
@@ -140,39 +139,42 @@ def bisect_root(f, a, b, fa, fb, tol):
     live = np.flatnonzero((fa != 0.0) & (fb != 0.0))
     a, b, fa, fb = a[live], b[live], fa[live], fb[live]
     neg_a = fa < 0.0
-    # the end each bracket kept on its last step, and its widths one and two steps ago
-    kept_a = kept_b = np.zeros(live.size, dtype=bool)
+    # the newest bracket end c, the point p evaluated one step before it, and the widths one and two steps ago
+    c, fc, p, fp = b, fb, a, fa
     width_1 = width_2 = np.full(live.size, np.inf)
     for _ in range(256):
         width = b - a
         mid = 0.5 * (a + b)
-        done = (width <= 2.0 * tol) | (width <= 8.0 * np.spacing(np.abs(mid))) | (mid <= a) | (mid >= b)
+        done = width <= np.maximum(2.0 * tol, 8.0 * np.spacing(np.abs(mid)))
         if done.any():
             roots[live[done]] = mid[done]
             keep = ~done
-            live, a, b, fa, fb, neg_a, kept_a, kept_b, width, width_1, width_2, mid = (
-                v[keep] for v in (live, a, b, fa, fb, neg_a, kept_a, kept_b, width, width_1, width_2, mid)
+            live, a, b, fa, fb, neg_a, c, fc, p, fp, width, width_1, width_2, mid = (
+                v[keep] for v in (live, a, b, fa, fb, neg_a, c, fc, p, fp, width, width_1, width_2, mid)
             )
         if live.size == 0:
             return roots
         with np.errstate(all="ignore"):
-            x = a + width * (fa / (fa - fb))
-        x = np.where((x >= a) & (x <= b) & (width <= 0.5 * width_2), x, mid)
+            x = c - fc * ((c - p) / (fc - fp))
+            x = np.where((x >= a) & (x <= b), x, a + width * (fa / (fa - fb)))
+        x = np.where((x >= a) & (x <= b), x, mid)
         half = np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(x)))
-        lo = np.maximum(x - half, a)
-        hi = np.minimum(x + half, b)
+        lo, hi = np.maximum(x - half, a), np.minimum(x + half, b)
+        guard = width > 0.5 * width_2
+        if guard.any():
+            lo, hi = np.where(guard, np.minimum(x, mid), lo), np.where(guard, np.maximum(x, mid), hi)
         f_both = np.asarray(f(np.concatenate((lo, hi))), dtype=float)
         f_lo, f_hi = f_both[: live.size], f_both[live.size :]
         # the first of [a, lo], [lo, hi], [hi, b] whose ends differ in sign
         past_lo = (f_lo < 0.0) == neg_a
         past_hi = past_lo & ((f_hi < 0.0) == neg_a)
+        p, fp, c, fc = c, fc, np.where(past_lo, hi, lo), np.where(past_lo, f_hi, f_lo)
         a, b, fa, fb = (
             np.where(past_lo, np.where(past_hi, hi, lo), a),
             np.where(past_lo, np.where(past_hi, b, hi), lo),
-            np.where(past_lo, np.where(past_hi, f_hi, f_lo), np.where(kept_a, 0.5 * fa, fa)),
-            np.where(past_lo, np.where(past_hi, np.where(kept_b, 0.5 * fb, fb), f_hi), f_lo),
+            np.where(past_lo, np.where(past_hi, f_hi, f_lo), fa),
+            np.where(past_lo, np.where(past_hi, fb, f_hi), f_lo),
         )
-        kept_a, kept_b = ~past_lo, past_hi
         width_1, width_2 = width, width_1
         if not f_both.all():
             zero = (f_lo == 0.0) | (f_hi == 0.0)

@@ -78,31 +78,34 @@ class DeltaLimitRow:
     reduced_fixed_point: float
 
 
-def _probe_kappas(profile: MassProfile) -> tuple[float, float, float]:
+def _probe_kappas(geo: WellGeometry, pieces: list) -> tuple[float, float, float]:
     """The verdict's probes K1 < K2 in kappa = sqrt(-E) and the inner level spacing.
 
     Both probes lie past kappa_0 = kappa_b (1 + 1e-9), where -kappa_b^2 is
     the inner law's lowest break below E = 0 (kappa_b = 0 if none), by
     10/pi and 40/pi inner level spacings pi / (a r), with -kappa_b^2 and the
-    inner rate r = sqrt|m| taken from the lowest stretch of
-    :meth:`~masswell.profiles.MassProfile.pieces`.  Where r = 0 (m >= 0),
-    wherever a r = 1 (every preset), and where -K2^2 would leave the float
-    range, the probes are kappa_0 + 10 and kappa_0 + 40.
+    inner rate r = sqrt|m| taken from the lowest of ``pieces``, the
+    profile's :meth:`~masswell.profiles.MassProfile.pieces` below E = 0.
+    Where r = 0 (m >= 0), wherever a r = 1 (every preset), and where -K2^2
+    would leave the float range, the probes are kappa_0 + 10 and
+    kappa_0 + 40.
     """
-    _, e_b, rate = profile.pieces(-math.inf, 0.0)[0]
+    _, e_b, rate = pieces[0]
     kappa_0 = math.sqrt(-e_b) * (1.0 + 1e-9)
-    scale = profile.geometry.a * rate or 1.0
+    scale = geo.a * rate or 1.0
     k2 = kappa_0 + PROBE_KAPPA_LARGE / scale
     if not k2 * k2 < math.inf:
         scale = 1.0
     return kappa_0 + PROBE_KAPPA_SMALL / scale, kappa_0 + PROBE_KAPPA_LARGE / scale, math.pi / scale
 
 
-def _negative_level_counts(profile: MassProfile, parity: str, probes: tuple[float, float]) -> tuple[int, int]:
+def _negative_level_counts(
+    geo: WellGeometry, pieces: list, parity: str, probes: tuple[float, float]
+) -> tuple[int, int]:
     """Numbers of negative-energy levels with kappa = sqrt(-E) in (0, K1]
     and in (0, K2] for the probes (K1, K2) of :func:`_probe_kappas`.
 
-    The kappa pieces are the stretches of
+    The kappa pieces are ``pieces``, the stretches of
     :meth:`~masswell.profiles.MassProfile.pieces` below E = 0, each closed
     at its break (the law takes its value from above there).  On a piece
     with inner rate r = sqrt|m| > 0 the mass m is a negative constant, and
@@ -111,22 +114,21 @@ def _negative_level_counts(profile: MassProfile, parity: str, probes: tuple[floa
     half-branch where the left side is positive holds exactly one level,
     as the left side rises and the right side falls; r = 0 holds none.
     """
-    geo = profile.geometry
-
     def levels(kappa: float, root: float) -> int:
         # with root = sqrt|m|: complete half-branches below kappa, then one comparison on the partial one
         j, r = divmod(kappa * geo.a * root - (math.pi / 2.0 if parity == "odd" else 0.0), math.pi)
         return int(j) + (r >= math.pi / 2.0 or root * math.tan(r) * math.tanh(kappa * (geo.L - geo.a)) >= 1.0)
 
-    pieces = [(math.sqrt(-e1), math.sqrt(-e0), r) for e0, e1, r in profile.pieces(-math.inf, 0.0) if r > 0.0]
+    kappas = [(math.sqrt(-e1), math.sqrt(-e0), r) for e0, e1, r in pieces if r > 0.0]
     return tuple(
-        sum(levels(min(k, hi), root) - levels(min(k, lo), root) for lo, hi, root in pieces) for k in probes
+        sum(levels(min(k, hi), root) - levels(min(k, lo), root) for lo, hi, root in kappas) for k in probes
     )
 
 
 def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_levels: bool) -> Verdict:
-    k1, k2, spacing = _probe_kappas(profile)
-    counts = [_negative_level_counts(profile, p, (k1, k2)) for p in parities]
+    pieces = profile.pieces(-math.inf, 0.0)
+    k1, k2, spacing = _probe_kappas(profile.geometry, pieces)
+    counts = [_negative_level_counts(profile.geometry, pieces, p, (k1, k2)) for p in parities]
     # past kappa ~ 1e18 the probes round together, and no growth is no evidence
     required = max(1, math.floor((k2 - k1) / spacing) - 1)
     if counts and all(large - small >= required for small, large in counts):

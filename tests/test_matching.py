@@ -7,6 +7,7 @@ from scipy.optimize import brentq
 
 from masswell import _rootscan
 from masswell._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes, roots_in
+from masswell.cli import PRESETS, ScenarioConfig
 from masswell.matching import (
     LINEAR_BAND,
     _level_scan,
@@ -644,8 +645,9 @@ class TestLockstepBisection:
         assert abs(root - r) <= max(tol, 8.0 * math.ulp(r)) or residual(root) == 0.0
 
     # smooth residuals on which plain regula falsi keeps one end for many
-    # steps: halving that end's residual (Illinois) takes 17 calls here,
-    # plain regula falsi with the same midpoint guard 25 and 26
+    # steps: the secant through the two latest iterates, which drops the
+    # stuck end, takes 16 and 15 calls here, plain regula falsi with the
+    # same midpoint guard 25 and 26
     @pytest.mark.parametrize("law,lo,hi", [(np.log, 0.01, 100.0), (lambda x: x ** 5 - 0.3, 0.0, 4.0)])
     def test_illinois_frees_a_stuck_end(self, law, lo, hi):
         f = _counted(law)
@@ -665,12 +667,8 @@ class TestLockstepBisection:
             bisect_root(lambda x: x, [1.0, -1.0], [2.0, 1.0], [1.0, -1.0], [2.0, 1.0], 1e-12)
 
 
-def test_refinement_step_budget(monkeypatch):
-    """Residual calls per bisect_root call on the solvers' own brackets.
-
-    Secant steps need about 4 to 6 where midpoint bisection needs about 37,
-    so a silent fallback to bisection fails this count on any machine.
-    """
+def _refinement_steps(monkeypatch):
+    """Residual calls of each later bisect_root call, appended to the returned list."""
     steps = []
 
     def counting(f, *args):
@@ -680,8 +678,33 @@ def test_refinement_step_budget(monkeypatch):
         return roots
 
     monkeypatch.setattr(_rootscan, "bisect_root", counting)
+    return steps
+
+
+def test_refinement_step_budget(monkeypatch):
+    """Residual calls per bisect_root call on the solvers' own brackets.
+
+    Secant steps need about 4 to 6 where midpoint bisection needs about 37,
+    so a silent fallback to bisection fails this count on any machine.
+    """
+    steps = _refinement_steps(monkeypatch)
     uniform = MassProfile(G2, ConstantInner(1.0))
     levels = [len(eigenvalues(uniform, (-100.0, 1e4), parity)) for parity in ("even", "odd")]
     betas = critical_betas(G2, 500)
     assert levels == [64, 63] and len(betas) == 500
     assert len(steps) == 3 and max(steps) <= 14, steps
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_preset_brackets_close_in_a_few_steps(monkeypatch, preset):
+    """Each preset's level brackets at -100:100 close within 5 residual calls.
+
+    The secant through the two latest iterates takes at most 4 here; a
+    midpoint forced on a bracket that converges from one side, or an
+    estimate that keeps a far end, takes up to 8.
+    """
+    steps = _refinement_steps(monkeypatch)
+    profile = ScenarioConfig({"preset": preset}).profile()
+    for parity in ("even", "odd"):
+        eigenvalues(profile, (-100.0, 100.0), parity)
+    assert len(steps) == 2 and max(steps) <= 5, steps

@@ -49,6 +49,11 @@ def _close(got, want, tol):
     return abs(got - want) <= max(2.0 * tol, 16.0 * math.ulp(want))
 
 
+def _below_zero(profile):
+    """The verdict helpers' first two arguments: the geometry and the stretches below E = 0."""
+    return profile.geometry, profile.pieces(-math.inf, 0.0)
+
+
 def _scan_count(profile, lo, hi, parity):
     """Levels the eigenvalue level scan finds on [lo, hi]: its segments and
     phases through roots_in, without building a state per level."""
@@ -179,7 +184,7 @@ class TestVerdictCounts:
             "step": (StepInner(-beta * beta), StepNeg(geometry, beta=beta)),
         }[law]
         profile = MassProfile(geometry, inner)
-        probes = _probe_kappas(profile)[:2]
+        probes = _probe_kappas(*_below_zero(profile))[:2]
         if law == "step" and around is not None:
             probes = (beta * around[0], beta * around[0] + around[1])
         if parity == "even":
@@ -187,7 +192,7 @@ class TestVerdictCounts:
         else:
             # secular has no odd branch: the level scan is the oracle
             expected = tuple(_scan_count(profile, -kappa * kappa, -1e-12, "odd") for kappa in probes)
-        assert _negative_level_counts(profile, parity, probes) == expected
+        assert _negative_level_counts(*_below_zero(profile), parity, probes) == expected
 
     @pytest.mark.parametrize(
         "inner, a",
@@ -205,14 +210,22 @@ class TestVerdictCounts:
     def test_probes_stay_in_the_float_range(self):
         # a sqrt|m| ~ 1e-155 would put -K2^2 past -1.8e308
         profile = MassProfile(G2, ConstantInner(-1e-310))
-        assert _probe_kappas(profile) == (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE, math.pi)
+        assert _probe_kappas(*_below_zero(profile)) == (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE, math.pi)
         run_scenario(profile, (-1.0, 1.0))
 
     def test_probes_survive_a_spacing_that_underflows(self):
         # a sqrt|m| = 1e-200 * 1e-125 rounds to 0, which divided 40 by zero
         profile = MassProfile(WellGeometry(2.0, 1e-200), ConstantInner(-1e-250))
-        assert _probe_kappas(profile) == (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE, math.pi)
+        assert _probe_kappas(*_below_zero(profile)) == (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE, math.pi)
         assert run_scenario(profile, (-1.0, 1.0)).verdict.kind == "bounded_below"
+
+    def test_verdict_reads_the_law_once(self, monkeypatch):
+        # the probes and both parities' counts share one list of stretches
+        calls = []
+        pieces = MassProfile.pieces
+        monkeypatch.setattr(MassProfile, "pieces", lambda self, *args: calls.append(args) or pieces(self, *args))
+        verdict = spectrum._boundedness_verdict(MassProfile(G2, StepInner(-407.169)), ("even", "odd"), True)
+        assert calls == [(-math.inf, 0.0)] and verdict.kind == "bounded_below"
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -253,11 +266,11 @@ class TestVerdictCounts:
     )
     def test_one_call_counts_equal_window_by_window_counts(self, preset, even, odd):
         profile = ScenarioConfig({"preset": preset}).profile()
-        k1, k2, _ = _probe_kappas(profile)
+        k1, k2, _ = _probe_kappas(*_below_zero(profile))
         for parity, want in (("even", even), ("odd", odd)):
             small = _scan_count(profile, -k1 * k1, -1e-12, parity)
             assert (small, small + _scan_count(profile, -k2 * k2, -k1 * k1, parity)) == want
-            assert _negative_level_counts(profile, parity, (k1, k2)) == want
+            assert _negative_level_counts(*_below_zero(profile), parity, (k1, k2)) == want
         if preset == "step":
             # the threshold splits the small window into two segments
             assert len(_level_scan(profile, -k1 * k1, -1e-12, "even")[1]) == 2
@@ -266,8 +279,8 @@ class TestVerdictCounts:
         # -beta*beta rounds below e_thr here, onto the +1 branch; that jump is no level
         profile = MassProfile(G2, StepInner(-407.169))
         probes = (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE)
-        assert _negative_level_counts(profile, "even", probes) == (3, 7)
-        assert _negative_level_counts(profile, "odd", probes) == (3, 6)
+        assert _negative_level_counts(*_below_zero(profile), "even", probes) == (3, 7)
+        assert _negative_level_counts(*_below_zero(profile), "odd", probes) == (3, 6)
         assert run_scenario(profile, (-100.0, 100.0)).verdict.kind == "bounded_below"
 
     @settings(max_examples=40, deadline=None)
@@ -281,9 +294,9 @@ class TestVerdictCounts:
         geometry = WellGeometry(L, a_frac * L)
         branch = StepNeg(geometry, beta=math.sqrt(-e_thr))
         profile = MassProfile(geometry, StepInner(e_thr))
-        probes = _probe_kappas(profile)[:2]
+        probes = _probe_kappas(*_below_zero(profile))[:2]
         expected = tuple(len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in probes)
-        assert _negative_level_counts(profile, "even", probes) == expected
+        assert _negative_level_counts(*_below_zero(profile), "even", probes) == expected
 
         window = (-PROBE_KAPPA_LARGE**2, -1e-12)
         levels = [e for e, _ in eigenvalues(MassProfile(geometry, ScaledInner(b)), window, "even")]
@@ -313,7 +326,8 @@ class TestDenseSegments:
     def test_every_level_is_found(self, profile, window, parity, want):
         assert _scan_count(profile, *window, parity) == want
         if window[1] < 0.0:
-            small, large = _negative_level_counts(profile, parity, (math.sqrt(-window[1]), math.sqrt(-window[0])))
+            kappas = (math.sqrt(-window[1]), math.sqrt(-window[0]))
+            small, large = _negative_level_counts(*_below_zero(profile), parity, kappas)
             assert large - small == want
 
     @settings(max_examples=8, deadline=None)
@@ -343,7 +357,7 @@ class TestDenseSegments:
         # about one level per pi / (a sqrt|m|) in kappa
         kappa_hi = kappa_lo + levels * math.pi / math.sqrt(m)
         profile = MassProfile(G2, ConstantInner(-m))
-        small, large = _negative_level_counts(profile, parity, (kappa_lo, kappa_hi))
+        small, large = _negative_level_counts(*_below_zero(profile), parity, (kappa_lo, kappa_hi))
         assert _scan_count(profile, -kappa_hi * kappa_hi, -kappa_lo * kappa_lo, parity) == large - small
 
 
