@@ -146,7 +146,7 @@ def bisect_root(f, a, b, fa, fb, tol):
         width = b - a
         mid = 0.5 * (a + b)
         done = width <= np.maximum(2.0 * tol, 8.0 * np.spacing(np.abs(mid)))
-        if done.any():
+        if np.count_nonzero(done):
             roots[live[done]] = mid[done]
             keep = ~done
             live, a, b, fa, fb, neg_a, c, fc, p, fp, width, width_1, width_2, mid = (
@@ -161,7 +161,7 @@ def bisect_root(f, a, b, fa, fb, tol):
         half = np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(x)))
         lo, hi = np.maximum(x - half, a), np.minimum(x + half, b)
         guard = width > 0.5 * width_2
-        if guard.any():
+        if np.count_nonzero(guard):
             lo, hi = np.where(guard, np.minimum(x, mid), lo), np.where(guard, np.maximum(x, mid), hi)
         f_both = np.asarray(f(np.concatenate((lo, hi))), dtype=float)
         f_lo, f_hi = f_both[: live.size], f_both[live.size :]
@@ -176,7 +176,7 @@ def bisect_root(f, a, b, fa, fb, tol):
             np.where(past_lo, np.where(past_hi, fb, f_hi), f_lo),
         )
         width_1, width_2 = width, width_1
-        if not f_both.all():
+        if np.count_nonzero(f_both) < f_both.size:
             zero = (f_lo == 0.0) | (f_hi == 0.0)
             a[zero] = b[zero] = np.where(f_lo == 0.0, lo, hi)[zero]
     roots[live] = 0.5 * (a + b)

@@ -219,10 +219,11 @@ class ScenarioConfig:
 
 
 def _report_header(report: SpectrumReport) -> list[str]:
+    model = report.profile.describe()
     lines = [
         "# masswell spectrum report",
-        f"# scenario: {report.profile.describe()}",
-        f"# model: {report.profile.describe()}",
+        f"# scenario: {model}",
+        f"# model: {model}",
         f"# window: {report.window[0]:.17g}:{report.window[1]:.17g}",
         f"# parities: {','.join(report.parities)}",
         f"# verdict: {report.verdict.kind}",
@@ -260,10 +261,10 @@ def _table_text(header: Sequence[str], columns: str, lines) -> str:
     return "\n".join([*header, f"# columns: {columns}", *lines]) + "\n"
 
 
-def _write(cfg: ScenarioConfig, command: str, header: Sequence[str], columns: str, values, obj=None) -> None:
-    """Emit ``obj`` as JSON when given and the config asks for JSON, else the table of ``values``."""
-    if obj is not None and cfg.out_format() == "json":
-        text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+def _write(cfg: ScenarioConfig, command: str, header: Sequence[str], columns: str, values, as_json=None) -> None:
+    """Emit ``as_json()`` as JSON when given and the config asks for JSON, else the table of ``values``."""
+    if as_json is not None and cfg.out_format() == "json":
+        text = json.dumps(as_json(), indent=2, sort_keys=True) + "\n"
     else:
         text = _table_text(header, columns, _format_rows(command, values))
     _emit(text, cfg.get_str("out"))
@@ -304,20 +305,22 @@ def _cmd_spectrum(cfg: ScenarioConfig) -> int:
         (i, level.energy, level.parity, level.nodes, level.localization)
         for i, level in enumerate(report.levels, start=1)
     ]
-    obj = {
-        "scenario": report.profile.describe(),
-        "model": {
-            "L": report.profile.geometry.L,
-            "a": report.profile.geometry.a,
-            "outer_mass": 1.0,
-            "inner": {"law": report.profile.inner.law, **asdict(report.profile.inner)},
-        },
-        "window": list(report.window),
-        "parities": list(report.parities),
-        "verdict": {"kind": report.verdict.kind, "evidence": report.verdict.evidence},
-        "levels": [dict(zip(columns.split(","), row)) for row in rows],
-    }
-    _write(cfg, "spectrum", _report_header(report), columns, [v for row in rows for v in row], obj)
+    def as_json():
+        return {
+            "scenario": report.profile.describe(),
+            "model": {
+                "L": report.profile.geometry.L,
+                "a": report.profile.geometry.a,
+                "outer_mass": 1.0,
+                "inner": {"law": report.profile.inner.law, **asdict(report.profile.inner)},
+            },
+            "window": list(report.window),
+            "parities": list(report.parities),
+            "verdict": {"kind": report.verdict.kind, "evidence": report.verdict.evidence},
+            "levels": [dict(zip(columns.split(","), row)) for row in rows],
+        }
+
+    _write(cfg, "spectrum", _report_header(report), columns, [v for row in rows for v in row], as_json)
     return 0
 
 
@@ -398,7 +401,7 @@ def _cmd_critical_beta(cfg: ScenarioConfig) -> int:
         [f"# masswell critical beta values: L={geometry.L:.17g} a={geometry.a:.17g}"],
         "index,beta",
         [v for row in enumerate(betas, start=1) for v in row],
-        {"L": geometry.L, "a": geometry.a, "critical_betas": betas},
+        lambda: {"L": geometry.L, "a": geometry.a, "critical_betas": betas},
     )
     return 0
 
@@ -426,7 +429,7 @@ def _cmd_delta_limit(cfg: ScenarioConfig) -> int:
         ],
         columns,
         [v for row in table for v in row],
-        {
+        lambda: {
             "b_over_nu": b_over_nu,
             "L": L,
             "reduced_fixed_point": fixed_point,

@@ -103,23 +103,36 @@ def mismatch(profile: MassProfile, energy: float, parity: str) -> float:
     return float(-_parity_sign(parity) * seam_wronskian(profile, energy, parity))
 
 
+def _trig(qt, c=None, s=None, where=True):
+    return np.cos(qt, out=c, where=where), np.sin(qt, out=s, where=where)
+
+
+def _hyper(qt, c=None, s=None, where=True):
+    return np.ones_like(qt) if c is None else c, np.tanh(qt, out=s, where=where)
+
+
 def _scaled_basis(q2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(C, S, -q2 S) at t: C is cos/cosh/1 and S is sin(qt)/q, sinh(qt)/q or t,
     the solutions with C(0) = 1, S'(0) = 1 and C' = -q2 S, S' = C.
 
     Hyperbolic values are divided by cosh(qt) > 0, so they enter only
-    through tanh and stay bounded.  Kinds follow :func:`_solution_kind`,
-    and each kind's functions are evaluated on its own entries only.
+    through tanh and stay bounded.  Kinds follow :func:`_solution_kind`;
+    :func:`_trig` and :func:`_hyper` give C and q S on the whole array when
+    all entries share a kind, else under each kind's mask, same per entry.
     """
     q2 = np.asarray(q2, dtype=float)
     trig, hyper = q2 > LINEAR_BAND, q2 < -LINEAR_BAND
-    solved = trig | hyper
     q = np.sqrt(np.abs(q2))
     qt = q * t
+    for kind, where in ((_trig, trig), (_hyper, hyper)):
+        if np.count_nonzero(where) == q2.size:
+            c, s = kind(qt)
+            s = s / q
+            return c, s, -q2 * s
     c, s, dc = np.ones_like(q2), np.full_like(q2, t), np.zeros_like(q2)
-    np.cos(qt, out=c, where=trig)
-    np.sin(qt, out=s, where=trig)
-    np.tanh(qt, out=s, where=hyper)
+    _trig(qt, c, s, trig)
+    _hyper(qt, c, s, hyper)
+    solved = trig | hyper
     np.divide(s, q, out=s, where=solved)
     np.multiply(-q2, s, out=dc, where=solved)
     return c, s, dc

@@ -520,11 +520,36 @@ class TestSeamWronskian:
 
     @pytest.mark.parametrize("t", [0.5, 1.0, 3.0])
     def test_kernel_entries_match_one_at_a_time(self, t):
-        # trig, hyperbolic, inside +-LINEAR_BAND, exact zeros, and q t above 1e3
+        # trig, hyperbolic, inside +-LINEAR_BAND, exact zeros, and q t above 1e3; the geometric runs
+        # give each kind enough entries for whole vector blocks as well as a tail
+        span = np.geomspace(1e-11, 1e9, 37)
         q2 = np.array([3.0, -3.0, 0.4 * LINEAR_BAND, -0.4 * LINEAR_BAND, 0.0, -0.0, 2e6, -2e6, 1e-3, -1e-3, 7.5e7, -7.5e7])
+        q2 = np.concatenate((q2, span, -span, 0.9 * LINEAR_BAND * np.linspace(-1.0, 1.0, 17)))
         got = _scaled_basis(q2, t)
         for column, parts in zip(got, zip(*(_scaled_basis(x, t) for x in q2))):
             assert column.tobytes() == np.array(parts).tobytes()
+        # calls of one kind, or all inside the band, give the entries of the mixed call
+        for part in (q2 > LINEAR_BAND, q2 < -LINEAR_BAND, np.abs(q2) <= LINEAR_BAND):
+            assert np.count_nonzero(part) > 16
+            for column, whole in zip(got, _scaled_basis(q2[part], t)):
+                assert whole.tobytes() == column[part].tobytes()
+        # a 0-d call of each kind gives that entry of the mixed call
+        for i in range(4):
+            for column, value in zip(got, _scaled_basis(np.array(q2[i]), t)):
+                assert np.shape(value) == () and np.asarray(value).tobytes() == column[i].tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        profile=PROFILES,
+        below=st.lists(st.floats(-1e5, -1e-14), min_size=1, max_size=12),
+        above=st.lists(st.floats(1e-14, 1e5), min_size=1, max_size=12),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    def test_straddling_call_is_its_sides_calls(self, profile, below, above, parity):
+        # a side of E = 0 is often of one kind per region, a call across it mixes kinds
+        whole = seam_wronskian(profile, below + above, parity)
+        sides = np.concatenate([seam_wronskian(profile, side, parity) for side in (below, above)])
+        assert whole.tobytes() == sides.tobytes()
 
     def test_mismatch_of_a_python_float_is_a_float(self):
         for profile in (MassProfile(G2, ConstantInner(-1.0)), MassProfile(G2, TanhInner())):

@@ -100,6 +100,10 @@ def requests(config_dir: str) -> list[list]:
     )
     for name, *extra in dense:
         out.append(["spectrum", "--config", os.path.join(config_dir, name), *extra])
+    # the dense benchmark's chunks on one side of E = 0, in both parities: trig outer with a trig
+    # inner (uniform) or a hyperbolic one (tanh); -1e5:-1e4 above covers the deep negative chunks
+    out.append(["spectrum", "--preset", "uniform", "--window=1e4:1e5"])
+    out.append(["spectrum", "--preset", "tanh", "--window=2e3:2e4"])
     # the sweep benchmark's commands
     for branch in CURVE_BRANCHES:
         out.append(["curves", "--branch", branch, "--range", "0.05:199.653", "--samples", "20000"])
