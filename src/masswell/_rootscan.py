@@ -2,50 +2,32 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-__all__ = ["DEFAULT_TOL", "ScanResolutionError", "isolate_sign_changes", "bisect_root", "bracket_roots", "roots_in"]
+__all__ = [
+    "DEFAULT_TOL", "ScanResolutionError", "integers_crossed", "isolate_sign_changes", "bisect_root", "bracket_roots",
+    "roots_in",
+]
 
 #: the default absolute root tolerance of every solver and of the CLI
 DEFAULT_TOL = 1e-12
 
-#: each rescan is _REFINE times finer than the last, up to _MAX_LEVELS rescans
-_REFINE = 4
-_MAX_LEVELS = 4
-
-#: the most points one call of a residual takes: one 2**14-cell piece at 4x
+#: the most points one call of a residual takes: one piece of the largest grid
 _MAX_POINTS = 2**16 + 1
 
 
 class ScanResolutionError(RuntimeError):
-    """Sign-change isolation kept finding new crossings at maximum refinement."""
+    """A scan found fewer roots than a continuous count of its residual's turns proves are there."""
 
 
-def _grid_values(f, lo, hi, cells):
-    """Each row's ``np.linspace(lo, hi, cells + 1)``, and ``f`` on it.
-
-    ``f`` gets the grids' points as one flat array, in calls of at most
-    ``_MAX_POINTS`` points.
-    """
-    flat = np.concatenate([np.linspace(a, b, cells + 1) for a, b in zip(lo.tolist(), hi.tolist())])
-    vs = []
-    for start in range(0, flat.size, _MAX_POINTS):
-        points = flat[start : start + _MAX_POINTS]
-        values = np.asarray(f(points), dtype=float)
-        if values.shape != points.shape:
-            raise ValueError("residual callable must evaluate elementwise")
-        vs.append(values)
-    return flat.reshape(lo.size, cells + 1), np.concatenate(vs).reshape(lo.size, cells + 1)
-
-
-def _sign_changes(vs):
-    """Per row, the cells whose end values differ in sign, and the zero values."""
-    signs = np.sign(vs)
-    return signs[:, :-1] * signs[:, 1:] < 0.0, vs == 0.0
-
-
-def _count(flips, zeros):
-    return np.count_nonzero(flips, axis=1) + np.count_nonzero(zeros, axis=1)
+def integers_crossed(w0: float, w1: float, margin: float = 1e-6) -> int:
+    """The integers at least ``margin`` inside the range of w0 and w1: where these are a continuous
+    function that is an integer exactly at the roots of a residual, a lower bound on the roots between.
+    The margin keeps out a root on or beside an end, where the function can be slow to move."""
+    lo, hi = min(w0, w1) + margin, max(w0, w1) - margin
+    return max(0, math.floor(hi) - math.ceil(lo) + 1)
 
 
 def isolate_sign_changes(f, lo, hi, samples):
@@ -53,21 +35,10 @@ def isolate_sign_changes(f, lo, hi, samples):
 
     ``lo`` and ``hi`` are the ends of one segment (scalars) or of several
     (arrays that broadcast together), and ``f`` must map a flat float
-    ndarray to an ndarray elementwise.  Each segment is scanned at
-    ``samples`` cells and rescanned ``_REFINE`` times finer until the
-    number of brackets stops changing; this turns the assumption that
-    the scan resolution suffices into a runtime check.  Instability at
-    the deepest level raises :class:`ScanResolutionError`, naming the
-    first such segment.
-
-    The finest grid comes first.  Every segment's grid of ``_REFINE``
-    times ``samples`` cells, ``np.linspace`` of its ends, is evaluated in
-    one call of ``f``, and the count at ``samples`` cells is read from
-    every ``_REFINE``-th point of it, which is the coarse grid bit for
-    bit.  Only the segments whose two counts differ are evaluated again,
-    ``_REFINE`` times finer, all in one call per level, and compared
-    with their last grid the same way.  No call takes more than
-    ``_MAX_POINTS`` points; grids that would are evaluated in several.
+    ndarray to an ndarray elementwise.  Each segment is sampled at
+    ``np.linspace`` of its ends with ``samples`` cells, in calls of ``f`` of
+    at most ``_MAX_POINTS`` points where a segment fits in one.  The scan
+    finds what its grid resolves; :func:`roots_in` checks the total.
 
     Returns arrays ``(a, b, fa, fb)`` with one entry per bracket, in no
     promised order: one bracket per sign change between neighbouring
@@ -80,30 +51,18 @@ def isolate_sign_changes(f, lo, hi, samples):
     if empty.size:
         raise ValueError(f"empty scan interval [{lo[empty[0]]}, {hi[empty[0]]}]")
     cells = max(int(samples), 2)
-    rows = np.arange(lo.size)
-    found = [(np.empty(0),) * 4]
-    for _ in range(_MAX_LEVELS):
-        cells *= _REFINE
-        per_call = max(1, _MAX_POINTS // (cells + 1))
-        unstable = [rows[:0]]
-        for start in range(0, rows.size, per_call):
-            chunk = rows[start : start + per_call]
-            ts, vs = _grid_values(f, lo[chunk], hi[chunk], cells)
-            flips, zeros = _sign_changes(vs)
-            stable = _count(flips, zeros) == _count(*_sign_changes(vs[:, ::_REFINE]))
-            r, i = np.nonzero(flips & stable[:, None])
-            found.append((ts[r, i], ts[r, i + 1], vs[r, i], vs[r, i + 1]))
-            r, i = np.nonzero(zeros & stable[:, None])
-            found.append((ts[r, i], ts[r, i], np.zeros(r.size), np.zeros(r.size)))
-            unstable.append(chunk[~stable])
-        rows = np.concatenate(unstable)
-        if not rows.size:
-            break
-    else:
-        raise ScanResolutionError(
-            f"sign-change count on [{float(lo[rows[0]])}, {float(hi[rows[0]])}] still growing at {cells} samples"
-        )
-    return tuple(np.concatenate(column) for column in zip(*found))
+    ts = np.concatenate([np.linspace(a, b, cells + 1) for a, b in zip(lo.tolist(), hi.tolist())])
+    # whole segments per call where one fits, else _MAX_POINTS points
+    per_call = _MAX_POINTS // (cells + 1) * (cells + 1) or _MAX_POINTS
+    vs = np.concatenate([np.asarray(f(ts[i : i + per_call]), dtype=float) for i in range(0, ts.size, per_call)])
+    if vs.shape != ts.shape:
+        raise ValueError("residual callable must evaluate elementwise")
+    ts, vs = ts.reshape(lo.size, cells + 1), vs.reshape(lo.size, cells + 1)
+    signs = np.sign(vs)
+    r, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
+    zero = vs == 0.0  # each sampled zero is a bracket of width 0
+    a, b = np.append(ts[r, i], ts[zero]), np.append(ts[r, i + 1], ts[zero])
+    return a, b, np.append(vs[r, i], vs[zero]), np.append(vs[r, i + 1], vs[zero])
 
 
 def bisect_root(f, a, b, fa, fb, tol):
@@ -205,17 +164,20 @@ def bracket_roots(f, lo, hi, rising, tol):
     return bisect_root(f, lo, hi, f_lo, f_hi, tol)
 
 
-def roots_in(f, segments, phases, tol):
+def roots_in(f, segments, phases, count, tol):
     """Every root of the elementwise residual ``f`` on the segments, ascending.
 
     The one scan-density rule: segment i, on which ``f`` turns through at
-    most ``phases[i]`` radians, needs max(64, 8 phases[i] / pi) cells.  One
-    :func:`isolate_sign_changes` call scans all at min(2**14, largest need)
+    most ``phases[i]`` radians, needs 32 cells per pi of that phase, at
+    least 256 and rounded up to a multiple of 4.  One
+    :func:`isolate_sign_changes` call scans all at min(2**16, largest need)
     cells, each in ceil(need / cells) equal pieces; :func:`bisect_root` refines
     all brackets to ``tol``.  Roots closer than 4 tol, floored near machine relative precision, are one.
+    ``count`` is how many roots the segments hold at least (:func:`integers_crossed`);
+    finding fewer raises :class:`ScanResolutionError`, so no root is lost silently.
     """
-    needs = np.maximum(64, np.ceil(8.0 * np.asarray(phases, dtype=float) / np.pi)).astype(int)
-    cells = min(2**14, needs.max(initial=64))
+    needs = 4 * np.maximum(64, np.ceil(8.0 * np.asarray(phases, dtype=float) / np.pi)).astype(int)
+    cells = min(2**16, needs.max(initial=256))
     edges = [np.linspace(s0, s1, -(-n // cells) + 1).tolist() for (s0, s1), n in zip(segments, needs.tolist())]
     lo, hi = np.reshape([(e0, e1) for e in edges for e0, e1 in zip(e, e[1:])], (-1, 2)).T
     a, b, fa, fb = isolate_sign_changes(f, lo, hi, cells)
@@ -224,4 +186,6 @@ def roots_in(f, segments, phases, tol):
     for r in roots:
         if not merged or r - merged[-1] > 4.0 * max(tol, 1e-15 * max(1.0, abs(r))):
             merged.append(r)
+    if len(merged) < count:
+        raise ScanResolutionError(f"found {len(merged)} of at least {count} roots")
     return merged

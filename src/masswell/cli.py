@@ -261,12 +261,13 @@ def _table_text(header: Sequence[str], columns: str, lines) -> str:
     return "\n".join([*header, f"# columns: {columns}", *lines]) + "\n"
 
 
-def _write(cfg: ScenarioConfig, command: str, header: Sequence[str], columns: str, values, as_json=None) -> None:
-    """Emit ``as_json()`` as JSON when given and the config asks for JSON, else the table of ``values``."""
+def _write(cfg: ScenarioConfig, command: str, columns: str, table, as_json=None) -> None:
+    """Emit ``as_json()`` as JSON if given and asked for, else the table of ``table()``'s header and rows."""
     if as_json is not None and cfg.out_format() == "json":
         text = json.dumps(as_json(), indent=2, sort_keys=True) + "\n"
     else:
-        text = _table_text(header, columns, _format_rows(command, values))
+        header, rows = table()
+        text = _table_text(header, columns, _format_rows(command, [v for row in rows for v in row]))
     _emit(text, cfg.get_str("out"))
 
 
@@ -320,7 +321,7 @@ def _cmd_spectrum(cfg: ScenarioConfig) -> int:
             "levels": [dict(zip(columns.split(","), row)) for row in rows],
         }
 
-    _write(cfg, "spectrum", _report_header(report), columns, [v for row in rows for v in row], as_json)
+    _write(cfg, "spectrum", columns, lambda: (_report_header(report), rows), as_json)
     return 0
 
 
@@ -385,7 +386,7 @@ def _cmd_wavefunction(cfg: ScenarioConfig) -> int:
         f"# nodes: {count_nodes(psi)}",
         f"# localization: {localization_fraction(psi):.17g}",
     ]
-    _write(cfg, "wavefunction", header, "x,psi", np.column_stack((xs, evaluate(psi, xs))).ravel().tolist())
+    _write(cfg, "wavefunction", "x,psi", lambda: (header, np.column_stack((xs, evaluate(psi, xs))).tolist()))
     return 0
 
 
@@ -398,9 +399,8 @@ def _cmd_critical_beta(cfg: ScenarioConfig) -> int:
     _write(
         cfg,
         "critical-beta",
-        [f"# masswell critical beta values: L={geometry.L:.17g} a={geometry.a:.17g}"],
         "index,beta",
-        [v for row in enumerate(betas, start=1) for v in row],
+        lambda: ([f"# masswell critical beta values: L={geometry.L:.17g} a={geometry.a:.17g}"], enumerate(betas, 1)),
         lambda: {"L": geometry.L, "a": geometry.a, "critical_betas": betas},
     )
     return 0
@@ -423,12 +423,14 @@ def _cmd_delta_limit(cfg: ScenarioConfig) -> int:
     _write(
         cfg,
         "delta-limit",
-        [
-            f"# masswell delta-limit study: b/nu={b_over_nu:.17g} L={L:.17g}",
-            f"# reduced fixed point: {fixed_point:.17g}",
-        ],
         columns,
-        [v for row in table for v in row],
+        lambda: (
+            [
+                f"# masswell delta-limit study: b/nu={b_over_nu:.17g} L={L:.17g}",
+                f"# reduced fixed point: {fixed_point:.17g}",
+            ],
+            table,
+        ),
         lambda: {
             "b_over_nu": b_over_nu,
             "L": L,

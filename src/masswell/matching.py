@@ -28,17 +28,11 @@ import math
 
 import numpy as np
 
-from ._rootscan import DEFAULT_TOL, roots_in
+from ._rootscan import DEFAULT_TOL, integers_crossed, roots_in
 from .profiles import MassProfile
 from .wavefunction import PiecewiseWavefunction, RegionSolution, _value_slope
 
-__all__ = [
-    "LINEAR_BAND",
-    "build_solution",
-    "mismatch",
-    "seam_wronskian",
-    "eigenvalues",
-]
+__all__ = ["LINEAR_BAND", "build_solution", "mismatch", "seam_wronskian", "eigenvalues", "winding"]
 
 #: |m*E| below this switches a region to the exact linear limit; the trig
 #: and hyperbolic forms lose precision as q -> 0 while c0 + c1 x is exact
@@ -159,8 +153,43 @@ def seam_wronskian(profile: MassProfile, energies, parity: str) -> np.ndarray:
     return s_o * c_i + c_o * s_i
 
 
+def _prufer(q2: float, t: float, start: float) -> float:
+    """Pruefer angle theta (tan theta = psi / psi') at t of psi = S (start 0) or C (start pi/2) of
+    :func:`_scaled_basis`.  A trig one's scaled angle phi (tan phi = q tan theta) is start + q t, and
+    theta = phi + atan((1/q - 1) sin phi cos phi / (cos^2 phi + sin^2 phi / q)) has no branch cut;
+    any other stays in [0, pi/2], where theta is atan2 of its value and slope."""
+    kind, q = _solution_kind(q2)
+    if kind == "trig":
+        phi = start + q * t
+        c, s = math.cos(phi), math.sin(phi)
+        return phi + math.atan((1.0 / q - 1.0) * s * c / (c * c + s * s / q))
+    qs = math.tanh(q * t) if kind == "hyper" else t  # q S / C, or S where q = 0
+    return math.atan2(qs, q or 1.0) if start == 0.0 else math.atan2(1.0, q * qs)
+
+
+def winding(profile: MassProfile, energy: float, parity: str) -> float:
+    """(theta_out - theta_in) / pi at x = -a, an integer exactly where :func:`seam_wronskian` vanishes.
+
+    theta_out is the wall-grown solution's Pruefer angle (:func:`_prufer`), 0 at -L.  theta_in is the
+    center solution's, and x -> -x negates an angle: it is pi - _prufer(m E, a, pi/2) (even) or
+    -_prufer(m E, a, 0) (odd).  The integers it crosses on one stretch of ``profile.pieces`` are a
+    lower bound on the levels there, and their number wherever it is monotone, as for positive mass
+    by Sturm's argument.  Scalar ``math``.
+    """
+    sign = _parity_sign(parity)
+    geo = profile.geometry
+    outer = _prufer(energy, geo.L - geo.a, 0.0)
+    inner = _prufer(float(profile.inner.value(energy)) * energy, geo.a, math.pi / 2.0 if sign > 0.0 else 0.0)
+    return (outer + inner) / math.pi - (sign > 0.0)
+
+
+def _below_break(profile: MassProfile, energy: float) -> float:
+    """``energy``, or 1e-13 max(1, |energy|) below it at a break, where the stretch under the break stops."""
+    return energy - 1e-13 * max(1.0, abs(energy)) if energy in profile.inner.breaks else energy
+
+
 def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
-    """The level scan of [lo, hi]: its residual, segments in s = sign(E) sqrt|E| and their phases.
+    """The level scan of [lo, hi]: its residual, segments in s = sign(E) sqrt|E|, phases and level count.
 
     Consecutive levels are about evenly spaced in s (Pruefer's angle
     argument), so they cannot crowd into one sample cell toward E = 0 or
@@ -170,7 +199,8 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
     ``breaks``); a stretch owns its lower end, so the segment below a break
     stops a hair earlier to stay on the lower branch.  Each end is then
     mapped to s and stepped inward until s|s| lies in its energy segment,
-    so no sample crosses a cut.  A segment's phase is
+    so no sample crosses a cut; :func:`winding` counts the levels between
+    those ends.  A segment's phase is
     (L - a)(max(s1, 0) - max(s0, 0)) + a r (s1 - s0): an inner region with
     r = 0 is hyperbolic or linear and turns through no phase.
     """
@@ -179,10 +209,9 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
         return seam_wronskian(profile, s * np.abs(s), parity)
 
     geo = profile.geometry
-    segments, phases = [], []
+    segments, phases, count = [], [], 0
     for e0, e1, rate in profile.pieces(lo, hi):
-        if e1 in profile.inner.breaks:
-            e1 -= 1e-13 * max(1.0, abs(e1))
+        e1 = _below_break(profile, e1)
         s0, s1 = math.copysign(math.sqrt(abs(e0)), e0), math.copysign(math.sqrt(abs(e1)), e1)
         while s0 * abs(s0) < e0:
             s0 = math.nextafter(s0, math.inf)
@@ -191,7 +220,8 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
         if s1 > s0:
             segments.append((s0, s1))
             phases.append((geo.L - geo.a) * (max(s1, 0.0) - max(s0, 0.0)) + geo.a * rate * (s1 - s0))
-    return residual, segments, phases
+            count += integers_crossed(*(winding(profile, s * abs(s), parity) for s in (s0, s1)))
+    return residual, segments, phases, count
 
 
 def eigenvalues(
@@ -205,7 +235,8 @@ def eigenvalues(
     Each segment of :func:`_level_scan` is scanned as densely as its phase
     asks (:func:`masswell._rootscan.roots_in`) and every isolated sign change
     is refined in s to tol / (2 sqrt(max |E|)), so each energy is within
-    ``tol`` (floored near machine relative precision).  Returns
+    ``tol`` (floored near machine relative precision); finding fewer levels
+    than :func:`winding` counts raises ``ScanResolutionError``.  Returns
     (energy, state) pairs sorted by energy.  The states are unnormalized:
     node counts and localization do not depend on the scale, so only a
     caller that needs a unit norm pays for ``.normalized()``.

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rootscan import DEFAULT_TOL, ScanResolutionError, bracket_roots, roots_in
+from ._rootscan import DEFAULT_TOL, ScanResolutionError, bracket_roots, integers_crossed, roots_in
 from .profiles import WellGeometry
 
 __all__ = [
@@ -86,15 +86,23 @@ class SecularBranch:
     def inner(self, t):
         raise NotImplementedError
 
+    def _cofactor(self, t):
+        g = self.geometry  # X, the factor that is not the tangent: positive for t > 0
+        return self.inner(t) if self.outer is np.tan else self.outer(t * (g.L - g.a))
+
     def residual_raw(self, t):
         """LHS - RHS of the branch equation, times cos(t * tan_scale) when a
         factor is that tangent."""
         g = self.geometry
         if self.tan_scale is None:
             return self.inner(t) * self.outer(t * (g.L - g.a)) - self.rhs
-        cofactor = self.inner(t) if self.outer is np.tan else self.outer(t * (g.L - g.a))
         u = t * self.tan_scale
-        return np.sin(u) * cofactor - self.rhs * np.cos(u)
+        return np.sin(u) * self._cofactor(t) - self.rhs * np.cos(u)
+
+    def turns(self, t: float) -> float:
+        """(u - atan(rhs / X)) / pi at u = t * tan_scale: the residual is
+        sqrt(X^2 + rhs^2) sin(u - atan(rhs / X)), so this is an integer exactly at its roots."""
+        return (t * self.tan_scale - math.atan2(self.rhs, float(self._cofactor(t)))) / math.pi
 
     def curve_pair(self, t):
         """``inner`` and ``rhs / outer`` up to one common sign; they cross at the roots."""
@@ -268,14 +276,17 @@ def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
 
     The window, clipped to the branch's admissible t and floored just
     above t = 0, goes whole to :func:`masswell._rootscan.roots_in` with the
-    tangent's phase across it, and every crossing is refined to
-    ``window.tol``.  An empty list is a legitimate outcome, not an error.
+    tangent's phase across it and the roots :meth:`SecularBranch.turns` counts
+    there, and every crossing is refined to ``window.tol``.  An empty list is
+    a legitimate outcome, not an error.
     """
     lo = max(window.lo, 1e-12)  # the deep-narrow residual divides by tanh(t L)
     hi = window.hi if branch.clip_hi is None else min(window.hi, branch.clip_hi)
     if not hi > lo:
         return []
-    return roots_in(branch.residual_raw, [(lo, hi)], [(branch.tan_scale or 0.0) * (hi - lo)], window.tol)
+    tan = branch.tan_scale
+    count = 0 if tan is None else integers_crossed(branch.turns(lo), branch.turns(hi))
+    return roots_in(branch.residual_raw, [(lo, hi)], [(tan or 0.0) * (hi - lo)], count, window.tol)
 
 
 def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL) -> list[float]:

@@ -8,8 +8,8 @@ from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from ._rootscan import bracket_roots
-from .matching import eigenvalues
+from ._rootscan import bracket_roots, integers_crossed
+from .matching import _below_break, eigenvalues, winding
 from .profiles import MassProfile, WellGeometry
 from .secular import DEFAULT_TOL, TwoParamNeg, critical_betas, reduced_kappa1
 from .wavefunction import PiecewiseWavefunction, count_nodes, localization_fraction
@@ -99,36 +99,20 @@ def _probe_kappas(geo: WellGeometry, pieces: list) -> tuple[float, float, float]
     return kappa_0 + PROBE_KAPPA_SMALL / scale, kappa_0 + PROBE_KAPPA_LARGE / scale, math.pi / scale
 
 
-def _negative_level_counts(
-    geo: WellGeometry, pieces: list, parity: str, probes: tuple[float, float]
-) -> tuple[int, int]:
-    """Numbers of negative-energy levels with kappa = sqrt(-E) in (0, K1]
-    and in (0, K2] for the probes (K1, K2) of :func:`_probe_kappas`.
-
-    The kappa pieces are ``pieces``, the stretches of
-    :meth:`~masswell.profiles.MassProfile.pieces` below E = 0, each closed
-    at its break (the law takes its value from above there).  On a piece
-    with inner rate r = sqrt|m| > 0 the mass m is a negative constant, and
-    with plain derivatives and theta = kappa a r the levels solve
-    r tan(theta) (even) or -r cot(theta) (odd) = coth(kappa (L - a)).  Each
-    half-branch where the left side is positive holds exactly one level,
-    as the left side rises and the right side falls; r = 0 holds none.
-    """
-    def levels(kappa: float, root: float) -> int:
-        # with root = sqrt|m|: complete half-branches below kappa, then one comparison on the partial one
-        j, r = divmod(kappa * geo.a * root - (math.pi / 2.0 if parity == "odd" else 0.0), math.pi)
-        return int(j) + (r >= math.pi / 2.0 or root * math.tan(r) * math.tanh(kappa * (geo.L - geo.a)) >= 1.0)
-
-    kappas = [(math.sqrt(-e1), math.sqrt(-e0), r) for e0, e1, r in pieces if r > 0.0]
-    return tuple(
-        sum(levels(min(k, hi), root) - levels(min(k, lo), root) for lo, hi, root in kappas) for k in probes
-    )
+def _levels_from(profile: MassProfile, pieces: list, parity: str, kappa: float) -> int:
+    """Levels with kappa = sqrt(-E) in (0, kappa] that :func:`masswell.matching.winding` crosses on
+    ``pieces``, the profile's stretches below E = 0, cut at -kappa^2 and ended as the level scan ends
+    them; with inner rate r = 0 both sides of the seam are hyperbolic or linear, and hold no level.
+    With no margin, as no scan has to find them, a level on an end counts."""
+    lo = -kappa * kappa
+    ends = [(max(e0, lo), _below_break(profile, e1)) for e0, e1, rate in pieces if rate > 0.0 and e1 > lo]
+    return sum(integers_crossed(*(winding(profile, e, parity) for e in pair), 0.0) for pair in ends)
 
 
 def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_levels: bool) -> Verdict:
     pieces = profile.pieces(-math.inf, 0.0)
     k1, k2, spacing = _probe_kappas(profile.geometry, pieces)
-    counts = [_negative_level_counts(profile.geometry, pieces, p, (k1, k2)) for p in parities]
+    counts = [(_levels_from(profile, pieces, p, k1), _levels_from(profile, pieces, p, k2)) for p in parities]
     # past kappa ~ 1e18 the probes round together, and no growth is no evidence
     required = max(1, math.floor((k2 - k1) / spacing) - 1)
     if counts and all(large - small >= required for small, large in counts):

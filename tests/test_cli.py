@@ -153,6 +153,22 @@ class TestSolverFailureExitCode:
         assert not out.exists()
         assert capsys.readouterr().err == f"solver failure: {error}\n"
 
+    def test_an_undersized_level_scan_exits_3(self, monkeypatch, tmp_path, capsys):
+        # segments said to turn through no phase get 256 cells, too few for 31,513 levels
+        from masswell import matching
+
+        scan = matching._level_scan
+
+        def unsized(*args):
+            residual, segments, phases, count = scan(*args)
+            return residual, segments, [0.0] * len(phases), count
+
+        monkeypatch.setattr(matching, "_level_scan", unsized)
+        config = tmp_path / "wide.cfg"
+        config.write_text("inner = constant\nm0 = 1\nL = 1000\na = 1\n")
+        code = main(["spectrum", "--config", str(config), "--window=1:1e4", "--parity", "even"])
+        assert (code, capsys.readouterr().err) == (3, "solver failure: found 231 of at least 31513 roots\n")
+
 
 class TestCurvesCommand:
     def test_segments_and_markers(self, tmp_path):

@@ -306,9 +306,12 @@ class TestOddParityClosedForms:
 
 class TestScanMachinery:
     def test_unresolvable_oscillation_raises(self):
+        # sin(1/t) has a root at 1/(j pi) for j = 4 .. 3183; cells of 0.1/256 cannot resolve them near 1e-4
         f = lambda ts: np.sin(1.0 / np.asarray(ts))
-        with pytest.raises(ScanResolutionError):
-            isolate_sign_changes(f, 1e-4, 0.1, samples=64)
+        with pytest.raises(ScanResolutionError, match=r"found \d+ of at least 3180 roots"):
+            roots_in(f, [(1e-4, 0.1)], [0.0], 3180, 1e-12)
+        # one grid, no rescan: the scan brackets what its grid resolves and no more
+        assert isolate_sign_changes(f, 1e-4, 0.1, samples=64)[0].size < 64
 
     def test_exact_zero_at_sample_point(self):
         f = lambda ts: np.asarray(ts) - 0.5
@@ -316,9 +319,9 @@ class TestScanMachinery:
         assert brackets.tolist() == [[0.5, 0.5, 0.0, 0.0]]
 
     def test_exact_zero_is_a_root(self):
-        # 0.5 is a sample of the 64-cell floor and a zero; 0.8 is a sign change between samples
+        # 0.5 is a sample of the 256-cell floor and a zero; 0.8 is a sign change between samples
         f = lambda ts: (np.asarray(ts) - 0.5) * (np.asarray(ts) - 0.8)
-        assert roots_in(f, [(0.0, 1.0)], [0.0], 1e-12) == pytest.approx([0.5, 0.8], abs=1e-12)
+        assert roots_in(f, [(0.0, 1.0)], [0.0], 2, 1e-12) == pytest.approx([0.5, 0.8], abs=1e-12)
 
     def test_window_validation(self):
         profile = MassProfile(G2, ConstantInner(1.0))
@@ -329,10 +332,14 @@ class TestScanMachinery:
         with pytest.raises(ValueError):
             eigenvalues(profile, (0.0, 1.0), "sideways")
 
-    def test_unresolvable_segment_among_resolvable_ones_is_named(self):
+    def test_unresolvable_segment_among_resolvable_ones_raises(self):
+        # the count is the total over all segments: 1 + 3180 + 0 roots of sin(1/t)
         f = lambda ts: np.sin(1.0 / np.asarray(ts))
-        with pytest.raises(ScanResolutionError, match=r"\[0\.0001, 0\.1\]"):
-            isolate_sign_changes(f, [0.2, 1e-4, 0.5], [0.5, 0.1, 1.0], samples=64)
+        segments = [(0.2, 0.5), (1e-4, 0.1), (0.5, 1.0)]
+        with pytest.raises(ScanResolutionError, match="of at least 3181 roots"):
+            roots_in(f, segments, [0.0, 0.0, 0.0], 3181, 1e-12)
+        # with the count the resolvable segments prove, the same scan passes
+        assert len(roots_in(f, segments, [0.0, 0.0, 0.0], 1, 1e-12)) < 3181
 
     @pytest.mark.parametrize(
         "window, tol",
@@ -345,26 +352,13 @@ class TestScanMachinery:
 
 
 def _plain_isolate(f, lo, hi, samples):
-    """The guard one grid at a time: scan at ``samples`` cells, rescan 4x finer
-    until the bracket count repeats; brackets as (a, b, fa, fb) tuples."""
-
-    def scan(n):
-        ts = np.linspace(lo, hi, n + 1)
-        vs = f(ts)
-        signs = np.sign(vs)
-        flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
-        brackets = [(ts[i], ts[i + 1], vs[i], vs[i + 1]) for i in flips]
-        return brackets + [(t, t, 0.0, 0.0) for t in ts[vs == 0.0]]
-
-    n = samples
-    brackets = scan(n)
-    for _ in range(4):
-        n *= 4
-        finer = scan(n)
-        if len(finer) == len(brackets):
-            return finer
-        brackets = finer
-    raise ScanResolutionError(f"unresolved on [{lo}, {hi}]")
+    """One segment's scan at ``samples`` cells; brackets as (a, b, fa, fb) tuples."""
+    ts = np.linspace(lo, hi, samples + 1)
+    vs = f(ts)
+    signs = np.sign(vs)
+    flips = np.nonzero(signs[:-1] * signs[1:] < 0.0)[0]
+    brackets = [(ts[i], ts[i + 1], vs[i], vs[i + 1]) for i in flips]
+    return brackets + [(t, t, 0.0, 0.0) for t in ts[vs == 0.0]]
 
 
 def _by_a(columns):
@@ -384,12 +378,12 @@ def _spy(f):
 
 
 class TestBatchedScan:
-    """Several segments in one isolate_sign_changes call, finest grid first."""
+    """Several segments in one isolate_sign_changes call, on one grid each."""
 
     @staticmethod
     def _check_against_one_at_a_time(f, segments, samples):
         """The batched brackets, bit for bit those of each segment alone and of
-        the plain guard; returns the number of brackets per segment."""
+        the plain one-grid scan; returns the number of brackets per segment."""
         lo, hi = np.transpose(segments)
         got = _by_a(isolate_sign_changes(f, lo, hi, samples))
         alone = [isolate_sign_changes(f, s0, s1, samples) for s0, s1 in segments]
@@ -400,10 +394,10 @@ class TestBatchedScan:
 
     def test_matching_residual_with_a_sampled_zero(self):
         profile = MassProfile(G2, StepInner(-30.0))
-        residual, segments, _ = _level_scan(profile, -100.0, 100.0, "even")
+        residual, segments, _, _ = _level_scan(profile, -100.0, 100.0, "even")
         assert len(segments) == 3
         # one grid point of the last segment made an exact zero
-        pin = np.linspace(*segments[-1], 4 * 512 + 1)[1000]
+        pin = np.linspace(*segments[-1], 512 + 1)[250]
         f = lambda s: np.where(s == pin, 0.0, residual(s))
         counts = self._check_against_one_at_a_time(f, segments, 512)
         # the inner mass is +1 below the threshold, so the first segment has no level
@@ -412,24 +406,27 @@ class TestBatchedScan:
     def test_secular_residual_over_pieces(self):
         branch = ConstantNegNeg(G2)
         edges = np.linspace(1e-12, 60.0, 6).tolist()
-        pin = np.linspace(edges[2], edges[3], 4 * 64 + 1)[7]
+        pin = np.linspace(edges[2], edges[3], 64 + 1)[7]
         f = lambda t: np.where(t == pin, 0.0, branch.residual_raw(t))
         counts = self._check_against_one_at_a_time(f, list(zip(edges, edges[1:])), 64)
         assert len(counts) == 5 and all(counts)
 
-    def test_one_call_per_guard_level(self):
-        # a close pair of roots around 33/64 that 16 cells on [0, 1] miss and 64 resolve
-        f = _spy(lambda t: (t - 0.51) * (t - 0.52) * (t - 1.7))
-        a, *_ = isolate_sign_changes(f, [0.0, 1.0], [1.0, 2.0], 16)
-        assert f.sizes == [2 * 65, 257]
-        assert np.sort(a // 1.0).tolist() == [0.0, 0.0, 1.0]
+    def test_one_call_for_all_segments(self):
+        # a close pair of roots in cell 130 of 256 on [0, 1]: one grid, no rescan, misses it
+        f = _spy(lambda t: (t - 0.51) * (t - 0.5101) * (t - 1.7))
+        a, *_ = isolate_sign_changes(f, [0.0, 1.0], [1.0, 2.0], 256)
+        assert f.sizes == [2 * 257]
+        assert np.sort(a // 1.0).tolist() == [1.0]
+        # the count of 3 roots catches what the grid missed
+        with pytest.raises(ScanResolutionError, match="found 1 of at least 3"):
+            roots_in(f, [(0.0, 1.0), (1.0, 2.0)], [0.0, 0.0], 3, 1e-12)
 
     def test_eigenvalue_scan_is_one_call(self):
         profile = MassProfile(G2, StepInner(-30.0))
-        residual, segments, _ = _level_scan(profile, -100.0, 100.0, "odd")
+        residual, segments, _, _ = _level_scan(profile, -100.0, 100.0, "odd")
         f = _spy(residual)
-        isolate_sign_changes(f, *np.transpose(segments), 512)
-        assert f.sizes == [len(segments) * (4 * 512 + 1)]
+        isolate_sign_changes(f, *np.transpose(segments), 2048)
+        assert f.sizes == [len(segments) * (2048 + 1)]
 
     def test_calls_stay_under_the_cap(self, monkeypatch):
         sizes = []
@@ -445,12 +442,12 @@ class TestBatchedScan:
         geometry = WellGeometry(2.0, 1.0)
         # the scan critical_betas(geometry, 5000) made: one root per branch below 5001 pi / a
         assert len(find_roots(ConstantNegNeg(geometry), RootWindow(0.0, 5001 * math.pi / geometry.a))) == 5001
-        # one isolate call; each of its pieces, at most 2**14 cells, is one call
+        # one isolate call; each of its pieces, at most 2**16 cells, is one call
         (calls,) = sizes
         assert len(calls) > 1 and calls == [calls[0]] * len(calls) and calls[0] <= 2**16 + 1
         # a grid of more than 2**16 cells is split across calls
         f = _spy(np.sin)
-        isolate(f, 0.0, 1.0, 2**15)
+        isolate(f, 0.0, 1.0, 2**17)
         assert f.sizes == [2**16 + 1, 2**16]
 
 

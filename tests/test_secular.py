@@ -5,7 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
-from masswell import _rootscan
+from masswell import _rootscan, secular
+from masswell._rootscan import ScanResolutionError, integers_crossed
 from masswell.matching import eigenvalues
 from masswell.profiles import ConstantInner, MassProfile, ScaledInner, TanhInner, WellGeometry
 from masswell.secular import (
@@ -195,6 +196,33 @@ class TestFindRoots:
         assert len(roots) == len(levels)
         for t, want in zip(roots, levels):
             assert abs(t - want) <= 4.0 * window.tol
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        L=st.floats(0.2, 50.0),
+        # a > L - a where a_frac > 0.5
+        a_frac=st.floats(0.01, 0.99),
+        b=st.floats(0.05, 5.0),
+        beta=st.floats(0.5, 200.0),
+        lo=st.floats(0.0, 100.0),
+        width=st.floats(0.01, 300.0),
+        name=st.sampled_from(["constant-neg-pos", "constant-neg-neg", "tanh-pos", "step-neg", "two-param-neg"]),
+    )
+    def test_turns_count_every_root(self, L, a_frac, b, beta, lo, width, name):
+        geometry = WellGeometry(L, a_frac * L)
+        branch = BRANCHES[name](geometry, *{"step-neg": (beta,), "two-param-neg": (b,)}.get(name, ()))
+        roots = find_roots(branch, RootWindow(lo, lo + width))
+        t0, t1 = max(lo, 1e-12), min(lo + width, branch.clip_hi or math.inf)
+        assert (integers_crossed(branch.turns(t0), branch.turns(t1)) if t1 > t0 else 0) == len(roots)
+        for t in roots:
+            assert branch.turns(t) == pytest.approx(round(branch.turns(t)), abs=1e-6)
+
+    def test_a_missed_root_raises(self, monkeypatch):
+        # told the window turns through no phase, roots_in scans 256 cells of width 12.3 for 999 roots
+        roots_in = _rootscan.roots_in
+        monkeypatch.setattr(secular, "roots_in", lambda f, s, phases, *rest: roots_in(f, s, [0.0], *rest))
+        with pytest.raises(ScanResolutionError, match="found 25 of at least 999 roots"):
+            find_roots(ConstantNegNeg(G2), RootWindow(1.0, 1000 * math.pi))
 
     @pytest.mark.parametrize("name", list(BRANCHES))
     def test_curves_meet_at_every_root(self, name):

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from masswell import _rootscan, spectrum
-from masswell._rootscan import roots_in
-from masswell.cli import ScenarioConfig
-from masswell.matching import _level_scan, build_solution, eigenvalues
+from masswell import _rootscan, matching, spectrum
+from masswell._rootscan import ScanResolutionError, integers_crossed, roots_in
+from masswell.cli import PRESETS, ScenarioConfig
+from masswell.matching import _level_scan, build_solution, eigenvalues, winding
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -29,7 +29,6 @@ from masswell.secular import (
 from masswell.spectrum import (
     PROBE_KAPPA_LARGE,
     PROBE_KAPPA_SMALL,
-    _negative_level_counts,
     _probe_kappas,
     delta_limit_study,
     ground_state_staircase,
@@ -52,6 +51,23 @@ def _close(got, want, tol):
 def _below_zero(profile):
     """The verdict helpers' first two arguments: the geometry and the stretches below E = 0."""
     return profile.geometry, profile.pieces(-math.inf, 0.0)
+
+
+def _winding_counts(profile, parity, kappas):
+    """The verdict's level counts, kappa = sqrt(-E) in (0, K] for each K of ``kappas``, from the winding."""
+    pieces = profile.pieces(-math.inf, 0.0)
+    return tuple(spectrum._levels_from(profile, pieces, parity, kappa) for kappa in kappas)
+
+
+def _unsized_level_scan(monkeypatch):
+    """Make every level scan think its segments turn through no phase, so it samples 256 cells each."""
+    scan = matching._level_scan
+
+    def unsized(*args):
+        residual, segments, phases, count = scan(*args)
+        return residual, segments, [0.0] * len(phases), count
+
+    monkeypatch.setattr(matching, "_level_scan", unsized)
 
 
 def _scan_count(profile, lo, hi, parity):
@@ -192,7 +208,7 @@ class TestVerdictCounts:
         else:
             # secular has no odd branch: the level scan is the oracle
             expected = tuple(_scan_count(profile, -kappa * kappa, -1e-12, "odd") for kappa in probes)
-        assert _negative_level_counts(*_below_zero(profile), parity, probes) == expected
+        assert _winding_counts(profile, parity, probes) == expected
 
     @pytest.mark.parametrize(
         "inner, a",
@@ -270,7 +286,7 @@ class TestVerdictCounts:
         for parity, want in (("even", even), ("odd", odd)):
             small = _scan_count(profile, -k1 * k1, -1e-12, parity)
             assert (small, small + _scan_count(profile, -k2 * k2, -k1 * k1, parity)) == want
-            assert _negative_level_counts(*_below_zero(profile), parity, (k1, k2)) == want
+            assert _winding_counts(profile, parity, (k1, k2)) == want
         if preset == "step":
             # the threshold splits the small window into two segments
             assert len(_level_scan(profile, -k1 * k1, -1e-12, "even")[1]) == 2
@@ -279,8 +295,8 @@ class TestVerdictCounts:
         # -beta*beta rounds below e_thr here, onto the +1 branch; that jump is no level
         profile = MassProfile(G2, StepInner(-407.169))
         probes = (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE)
-        assert _negative_level_counts(*_below_zero(profile), "even", probes) == (3, 7)
-        assert _negative_level_counts(*_below_zero(profile), "odd", probes) == (3, 6)
+        assert _winding_counts(profile, "even", probes) == (3, 7)
+        assert _winding_counts(profile, "odd", probes) == (3, 6)
         assert run_scenario(profile, (-100.0, 100.0)).verdict.kind == "bounded_below"
 
     @settings(max_examples=40, deadline=None)
@@ -296,7 +312,7 @@ class TestVerdictCounts:
         profile = MassProfile(geometry, StepInner(e_thr))
         probes = _probe_kappas(*_below_zero(profile))[:2]
         expected = tuple(len(find_roots(branch, RootWindow(0.0, kappa))) for kappa in probes)
-        assert _negative_level_counts(*_below_zero(profile), "even", probes) == expected
+        assert _winding_counts(profile, "even", probes) == expected
 
         window = (-PROBE_KAPPA_LARGE**2, -1e-12)
         levels = [e for e, _ in eigenvalues(MassProfile(geometry, ScaledInner(b)), window, "even")]
@@ -327,7 +343,7 @@ class TestDenseSegments:
         assert _scan_count(profile, *window, parity) == want
         if window[1] < 0.0:
             kappas = (math.sqrt(-window[1]), math.sqrt(-window[0]))
-            small, large = _negative_level_counts(*_below_zero(profile), parity, kappas)
+            small, large = _winding_counts(profile, parity, kappas)
             assert large - small == want
 
     @settings(max_examples=8, deadline=None)
@@ -344,7 +360,36 @@ class TestDenseSegments:
         x_lo, x_hi = k_lo * L / math.pi - shift, k_hi * L / math.pi - shift
         assume(min(abs(x - round(x)) for x in (x_lo, x_hi)) > 1e-6)
         profile = MassProfile(WellGeometry(L, 1.0), ConstantInner(1.0))
-        assert _scan_count(profile, k_lo * k_lo, k_hi * k_hi, parity) == math.floor(x_hi) - math.ceil(x_lo) + 1
+        want = math.floor(x_hi) - math.ceil(x_lo) + 1
+        assert _scan_count(profile, k_lo * k_lo, k_hi * k_hi, parity) == want
+        # the winding crosses one integer per level; the scan's check leaves out any within 1e-6 of an end
+        w_lo, w_hi = (winding(profile, k * k, parity) for k in (k_lo, k_hi))
+        assert integers_crossed(w_lo, w_hi, 0.0) == want
+        assert want - 2 <= _level_scan(profile, k_lo * k_lo, k_hi * k_hi, parity)[3] <= want
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        L=_log_uniform(0.1, 100.0),
+        span=_log_uniform(1e-10, 0.5),
+        inner_span=st.booleans(),
+        inner=st.one_of(
+            st.builds(ConstantInner, st.one_of(st.floats(-100.0, -0.01), st.floats(0.01, 100.0))),
+            st.builds(ScaledInner, st.floats(0.1, 5.0)),
+            st.just(TanhInner()),
+            st.builds(StepInner, st.floats(-1000.0, 100.0)),
+        ),
+        lo=st.floats(-2000.0, 2000.0),
+        width=_log_uniform(0.01, 3000.0),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    def test_winding_count_equals_the_scan_count(self, L, span, inner_span, inner, lo, width, parity):
+        # a or L - a log-uniform down to 1e-10 L; each segment on its own, as the check reads the total
+        profile = MassProfile(WellGeometry(L, span * L if inner_span else L - span * L), inner)
+        residual, segments, phases, count = _level_scan(profile, lo, lo + width, parity)
+        found = [len(roots_in(residual, [segment], [phase], 0, 1e-10)) for segment, phase in zip(segments, phases)]
+        ends = [[winding(profile, s * abs(s), parity) for s in segment] for segment in segments]
+        assert [integers_crossed(*w) for w in ends] == found
+        assert count == sum(found)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -357,8 +402,45 @@ class TestDenseSegments:
         # about one level per pi / (a sqrt|m|) in kappa
         kappa_hi = kappa_lo + levels * math.pi / math.sqrt(m)
         profile = MassProfile(G2, ConstantInner(-m))
-        small, large = _negative_level_counts(*_below_zero(profile), parity, (kappa_lo, kappa_hi))
+        small, large = _winding_counts(profile, parity, (kappa_lo, kappa_hi))
         assert _scan_count(profile, -kappa_hi * kappa_hi, -kappa_lo * kappa_lo, parity) == large - small
+
+
+def _on_and_beside(profile, energies, parity, tol):
+    """Solve windows that end on each energy, or one ulp either side of it, from above and from below."""
+    for energy in energies:
+        for end in (math.nextafter(energy, -math.inf), energy, math.nextafter(energy, math.inf)):
+            width = 3.0 + 1e-3 * abs(end)
+            eigenvalues(profile, (end, end + width), parity, tol)
+            eigenvalues(profile, (end - width, end), parity, tol)
+
+
+class TestLevelCheck:
+    """eigenvalues raises ScanResolutionError where it finds fewer levels than the winding counts."""
+
+    def test_an_undersized_scan_raises(self, monkeypatch):
+        _unsized_level_scan(monkeypatch)
+        profile = MassProfile(WellGeometry(1000.0, 1.0), ConstantInner(1.0))
+        with pytest.raises(ScanResolutionError, match="found 231 of at least 31513 roots"):
+            eigenvalues(profile, (1.0, 1e4), "even")
+        # where 256 cells are enough, the check has nothing to say
+        assert len(eigenvalues(MassProfile(G2, ConstantInner(1.0)), (-100.0, 100.0), "even")) == 6
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
+    def test_window_ends_on_a_uniform_level(self, tol):
+        # levels at k L = (n + 1/2) pi (even) or (n + 1) pi (odd)
+        for L, ns in ((2.0, (0, 1, 10, 1000, 30000)), (1000.0, (0, 318, 10000, 30000))):
+            profile = MassProfile(WellGeometry(L, 1.0), ConstantInner(1.0))
+            for parity, shift in (("even", 0.5), ("odd", 1.0)):
+                _on_and_beside(profile, [((n + shift) * math.pi / L) ** 2 for n in ns], parity, tol)
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
+    def test_window_ends_on_a_preset_level_a_break_or_zero(self, preset, tol):
+        profile = ScenarioConfig({"preset": preset}).profile()
+        for parity in ("even", "odd"):
+            levels = [e for e, _ in eigenvalues(profile, (-100.0, 100.0), parity)]
+            _on_and_beside(profile, [*levels, 0.0, *profile.inner.breaks], parity, tol)
 
 
 LAWS = [
@@ -379,7 +461,7 @@ class TestLawBreaks:
     @pytest.mark.parametrize("inner", LAWS, ids=repr)
     def test_level_scan_splits_at_every_break(self, inner):
         lo, hi = -2e6, 100.0
-        _, segments, phases = _level_scan(MassProfile(G2, inner), lo, hi, "even")
+        _, segments, phases, _ = _level_scan(MassProfile(G2, inner), lo, hi, "even")
         cuts = [e for e in (0.0, *inner.breaks) if lo < e < hi]
         assert len(segments) == 1 + len(set(cuts))
         # a law takes its value from above at a break, so no segment holds
@@ -414,7 +496,7 @@ class TestLawBreaks:
         # scaled b = 0.5 has m = -4 < 0 at E > 0: only the outer region turns, so the
         # phase is (L - a)(s1 - s0) = 31.66 rad; reading |m| there too gave 221.6
         profile = MassProfile(WellGeometry(4.0, 3.0), ScaledInner(0.5))
-        _, segments, phases = _level_scan(profile, 9e4, 1.1e5, "even")
+        _, segments, phases, _ = _level_scan(profile, 9e4, 1.1e5, "even")
         (s0, s1), (phase,) = segments[0], phases
         assert phase == (4.0 - 3.0) * (s1 - s0) == pytest.approx(31.66, abs=0.005)
         for parity in ("even", "odd"):

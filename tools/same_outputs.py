@@ -104,6 +104,10 @@ def requests(config_dir: str) -> list[list]:
     # inner (uniform) or a hyperbolic one (tanh); -1e5:-1e4 above covers the deep negative chunks
     out.append(["spectrum", "--preset", "uniform", "--window=1e4:1e5"])
     out.append(["spectrum", "--preset", "tanh", "--window=2e3:2e4"])
+    # window ends on a level ((pi/4)^2, the uniform ground state), on a break and on E = 0
+    for preset, window in (("uniform", "0.6168502750680849:100"), ("step", "-4:100"), ("constant-negative", "-100:0")):
+        for parity in ("even", "odd"):
+            out.append(["spectrum", "--preset", preset, f"--window={window}", "--parity", parity])
     # the sweep benchmark's commands
     for branch in CURVE_BRANCHES:
         out.append(["curves", "--branch", branch, "--range", "0.05:199.653", "--samples", "20000"])
