@@ -6,7 +6,8 @@ with a generic matching solver (:mod:`.matching`) so every closed form
 can be cross-checked against a solver that never saw it.
 """
 
-from .matching import build_solution, eigenvalues, mismatch
+from ._rootscan import ScanSizeError
+from .matching import build_solution, eigenvalues, level_diagnostics, levels, mismatch
 from .profiles import (
     ConstantInner,
     InnerLaw,
@@ -57,8 +58,8 @@ __all__ = [
     "RootWindow", "SecularBranch", "ConstantNegPos", "ConstantNegNeg",
     "TanhPos", "TanhNeg", "StepNeg", "TwoParamNeg", "TwoParamReduced",
     "find_roots", "critical_betas", "reduced_kappa1",
-    "ScanResolutionError",
-    "build_solution", "mismatch", "eigenvalues",
+    "ScanResolutionError", "ScanSizeError",
+    "build_solution", "mismatch", "levels", "level_diagnostics", "eigenvalues",
     "RegionSolution", "PiecewiseWavefunction", "evaluate", "count_nodes",
     "localization_fraction",
     "Level", "Verdict", "SpectrumReport", "StaircaseStep", "DeltaLimitRow",

@@ -7,8 +7,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL", "ScanResolutionError", "integers_crossed", "isolate_sign_changes", "bisect_root", "bracket_roots",
-    "roots_in",
+    "DEFAULT_TOL", "ScanResolutionError", "ScanSizeError", "integers_crossed", "isolate_sign_changes", "bisect_root",
+    "bracket_roots", "scan_cells", "roots_in",
 ]
 
 #: the default absolute root tolerance of every solver and of the CLI
@@ -17,9 +17,26 @@ DEFAULT_TOL = 1e-12
 #: the most points one call of a residual takes: one piece of the largest grid
 _MAX_POINTS = 2**16 + 1
 
+#: the most cells one scan takes: about 262,000 roots at 32 cells per pi
+_MAX_CELLS = 2**23
+
 
 class ScanResolutionError(RuntimeError):
     """A scan found fewer roots than a continuous count of its residual's turns proves are there."""
+
+
+class ScanSizeError(OverflowError):
+    """A scan would take more than ``_MAX_CELLS`` cells."""
+
+
+def scan_cells(phases, where: str) -> list[int]:
+    """The one scan-density rule: segment i, on which the residual turns through at most ``phases[i]``
+    radians, needs 32 cells per pi of that phase, at least 256 and rounded up to a multiple of 4.
+    Raises :class:`ScanSizeError` naming ``where`` where they sum past ``_MAX_CELLS``, or a phase is NaN."""
+    needs = [4 * max(64, math.ceil(8.0 * p / math.pi)) if p <= _MAX_CELLS else math.inf for p in phases]
+    if not sum(needs) <= _MAX_CELLS:
+        raise ScanSizeError(f"{where} turns through {sum(phases):.3g} radians, more than {_MAX_CELLS} scan cells hold")
+    return needs
 
 
 def integers_crossed(w0: float, w1: float, margin: float = 1e-6) -> int:
@@ -167,25 +184,28 @@ def bracket_roots(f, lo, hi, rising, tol):
 def roots_in(f, segments, phases, count, tol):
     """Every root of the elementwise residual ``f`` on the segments, ascending.
 
-    The one scan-density rule: segment i, on which ``f`` turns through at
-    most ``phases[i]`` radians, needs 32 cells per pi of that phase, at
-    least 256 and rounded up to a multiple of 4.  One
-    :func:`isolate_sign_changes` call scans all at min(2**16, largest need)
-    cells, each in ceil(need / cells) equal pieces; :func:`bisect_root` refines
-    all brackets to ``tol``.  Roots closer than 4 tol, floored near machine relative precision, are one.
-    ``count`` is how many roots the segments hold at least (:func:`integers_crossed`);
-    finding fewer raises :class:`ScanResolutionError`, so no root is lost silently.
+    Segment i needs :func:`scan_cells` cells.  One :func:`isolate_sign_changes` call scans all at
+    min(2**16, largest need) cells, each in ceil(need / cells) equal pieces; :func:`bisect_root`
+    refines all brackets to ``tol``.  ``count`` is how many roots the segments hold at least
+    (:func:`integers_crossed`): finding fewer raises :class:`ScanResolutionError`, so no root is lost
+    silently.  Roots closer than 4 tol, floored near machine relative precision, are then one;
+    where that leaves fewer than ``count``, ``tol`` is too coarse and ``ValueError`` is raised.
     """
-    needs = 4 * np.maximum(64, np.ceil(8.0 * np.asarray(phases, dtype=float) / np.pi)).astype(int)
-    cells = min(2**16, needs.max(initial=256))
-    edges = [np.linspace(s0, s1, -(-n // cells) + 1).tolist() for (s0, s1), n in zip(segments, needs.tolist())]
+    if not segments:
+        return []
+    needs = scan_cells(phases, f"the scan of {segments[0][0]!r}:{segments[-1][1]!r}")
+    cells = min(2**16, max(needs))
+    edges = [np.linspace(s0, s1, -(-n // cells) + 1).tolist() for (s0, s1), n in zip(segments, needs)]
     lo, hi = np.reshape([(e0, e1) for e in edges for e0, e1 in zip(e, e[1:])], (-1, 2)).T
     a, b, fa, fb = isolate_sign_changes(f, lo, hi, cells)
-    roots = sorted(bisect_root(f, a, b, fa, fb, tol).tolist())
+    # pieces share their ends, so a zero sampled there is bracketed twice
+    roots = sorted(set(bisect_root(f, a, b, fa, fb, tol).tolist()))
+    if len(roots) < count:
+        raise ScanResolutionError(f"found {len(roots)} of at least {count} roots")
     merged = []
     for r in roots:
         if not merged or r - merged[-1] > 4.0 * max(tol, 1e-15 * max(1.0, abs(r))):
             merged.append(r)
     if len(merged) < count:
-        raise ScanResolutionError(f"found {len(merged)} of at least {count} roots")
+        raise ValueError(f"tol is coarser than the root spacing: {len(roots)} roots merge into {len(merged)}")
     return merged

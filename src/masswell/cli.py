@@ -27,6 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .matching import build_solution
 from .profiles import INNER_LAWS, MassProfile, WellGeometry
 from .secular import (
     BRANCHES,
@@ -39,7 +40,7 @@ from .secular import (
     critical_betas,
     find_roots,
 )
-from .spectrum import SpectrumReport, _states_by_energy, delta_limit_study, run_scenario
+from .spectrum import SpectrumReport, _levels_by_energy, delta_limit_study, run_scenario
 from .wavefunction import count_nodes, evaluate, localization_fraction
 
 __all__ = ["ConfigError", "ScenarioConfig", "parse_config", "main"]
@@ -368,13 +369,13 @@ def _cmd_wavefunction(cfg: ScenarioConfig) -> int:
     level_index = cfg.get_int("level", "1")
     if level_index < 1:
         raise ConfigError("level index is 1-based")
-    found = _states_by_energy(profile, cfg.window(), cfg.parities(), cfg.tol())
+    found = _levels_by_energy(profile, cfg.window(), cfg.parities(), cfg.tol())
     if level_index > len(found):
         raise ConfigError(
             f"level {level_index} out of range: only {len(found)} level(s) in window"
         )
-    energy, parity, psi = found[level_index - 1]
-    psi = psi.normalized()
+    energy, parity = found[level_index - 1]
+    psi = build_solution(profile, energy, parity).normalized()
     half = psi.half_width
     xs = np.linspace(-half, half, samples)
     header = [

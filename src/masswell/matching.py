@@ -13,9 +13,9 @@ Eigenvalues are the zeros in energy of :func:`seam_wronskian`, the
 scaled Wronskian of the two solutions at x = -a.  It takes an array of
 energies, never overflows, and is the residual that the level scan (in
 s = sign(E) sqrt|E|) and the root refinement evaluate; :func:`mismatch` is its signed scalar form.
-:func:`build_solution` assembles the state from the same two solutions,
-so wall and parity hold exactly and only the seam sees the root
-tolerance.
+:func:`build_solution` assembles the state from the same two solutions, so wall and parity hold
+exactly and only the seam sees the root tolerance; :func:`level_diagnostics` reads its node count
+and localization at a level of :func:`levels` without building it.
 
 Because nothing here assumes a closed form for the quantization
 condition, this module doubles as the brute-force oracle for
@@ -28,11 +28,12 @@ import math
 
 import numpy as np
 
-from ._rootscan import DEFAULT_TOL, integers_crossed, roots_in
+from ._rootscan import DEFAULT_TOL, integers_crossed, roots_in, scan_cells
 from .profiles import MassProfile
-from .wavefunction import PiecewiseWavefunction, RegionSolution, _value_slope
+from .wavefunction import PiecewiseWavefunction, RegionSolution, _value_slope, region_l2
 
-__all__ = ["LINEAR_BAND", "build_solution", "mismatch", "seam_wronskian", "eigenvalues", "winding"]
+__all__ = ["LINEAR_BAND", "build_solution", "level_diagnostics", "mismatch", "seam_wronskian", "levels",
+           "eigenvalues", "winding"]
 
 #: |m*E| below this switches a region to the exact linear limit; the trig
 #: and hyperbolic forms lose precision as q -> 0 while c0 + c1 x is exact
@@ -55,6 +56,20 @@ def _solution_kind(q2: float) -> tuple[str, float]:
     return "linear", 0.0
 
 
+def _seam_pieces(profile: MassProfile, energy: float, parity: str) -> tuple[float, RegionSolution, RegionSolution]:
+    """The parity sign, the outer piece on (-L, -a) and the center piece of :func:`build_solution`."""
+    sign = _parity_sign(parity)
+    geo = profile.geometry
+    outer = RegionSolution(*_solution_kind(energy), -geo.L, 0.0, 1.0, (-geo.L, -geo.a))
+    kind_i, q_i = _solution_kind(profile.inner.value(energy) * energy)
+    unit = (sign, 1.0) if kind_i == "hyper" else (1.0, 0.0) if sign > 0.0 else (0.0, 1.0)
+    center = RegionSolution(kind_i, q_i, 0.0, *unit, (-geo.a, geo.a))
+    (y_o, dy_o), (y, dy) = _value_slope(outer, -geo.a), _value_slope(center, -geo.a)
+    # near a zero of y, dividing by it would amplify the seam leftover
+    c = dy_o / dy if abs(dy) > 2.0 * q_i * abs(y) else y_o / y
+    return sign, outer, center.scaled(c)
+
+
 def build_solution(profile: MassProfile, energy: float, parity: str) -> PiecewiseWavefunction:
     """Solution candidate at any real energy, the pieces :func:`seam_wronskian` matches.
 
@@ -71,20 +86,19 @@ def build_solution(profile: MassProfile, energy: float, parity: str) -> Piecewis
     psi continuity wins and psi stays single-valued at the seams.  The
     state is unnormalized.
     """
-    sign = _parity_sign(parity)
-    geo = profile.geometry
-    outer = RegionSolution(*_solution_kind(energy), -geo.L, 0.0, 1.0, (-geo.L, -geo.a))
-    kind_i, q_i = _solution_kind(profile.inner.value(energy) * energy)
-    if kind_i == "hyper":
-        unit = (sign, 1.0)
-    else:
-        unit = (1.0, 0.0) if sign > 0.0 else (0.0, 1.0)
-    center = RegionSolution(kind_i, q_i, 0.0, *unit, (-geo.a, geo.a))
-    (y_o, dy_o), (y, dy) = _value_slope(outer, -geo.a), _value_slope(center, -geo.a)
-    # near a zero of y, dividing by it would amplify the seam leftover
-    c = dy_o / dy if abs(dy) > 2.0 * q_i * abs(y) else y_o / y
-    regions = (outer, center.scaled(c), outer.reflected(sign))
-    return PiecewiseWavefunction(regions=regions, parity=parity, energy=energy)
+    sign, outer, center = _seam_pieces(profile, energy, parity)
+    return PiecewiseWavefunction(regions=(outer, center, outer.reflected(sign)), parity=parity, energy=energy)
+
+
+def level_diagnostics(profile: MassProfile, energy: float, parity: str) -> tuple[int, float]:
+    """``count_nodes`` and ``localization_fraction`` of :func:`build_solution`'s state at a level, without the state.
+
+    There :func:`winding` rounds to an integer n, and the state has 2n nodes (even) or 2n - 1 (odd).  The
+    mirror piece's L2 is the outer piece's, and the three add in ``localization_fraction``'s order.
+    """
+    _, outer, center = _seam_pieces(profile, energy, parity)
+    l2_out, l2_in = region_l2(outer), region_l2(center)
+    return 2 * round(winding(profile, energy, parity)) - (parity == "odd"), l2_in / (l2_out + l2_in + l2_out)
 
 
 def mismatch(profile: MassProfile, energy: float, parity: str) -> float:
@@ -199,8 +213,8 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
     ``breaks``); a stretch owns its lower end, so the segment below a break
     stops a hair earlier to stay on the lower branch.  Each end is then
     mapped to s and stepped inward until s|s| lies in its energy segment,
-    so no sample crosses a cut; :func:`winding` counts the levels between
-    those ends.  A segment's phase is
+    so no sample crosses a cut; once :func:`masswell._rootscan.scan_cells`
+    has sized the scan, :func:`winding` counts the levels between those ends.  A segment's phase is
     (L - a)(max(s1, 0) - max(s0, 0)) + a r (s1 - s0): an inner region with
     r = 0 is hyperbolic or linear and turns through no phase.
     """
@@ -209,7 +223,7 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
         return seam_wronskian(profile, s * np.abs(s), parity)
 
     geo = profile.geometry
-    segments, phases, count = [], [], 0
+    segments, phases = [], []
     for e0, e1, rate in profile.pieces(lo, hi):
         e1 = _below_break(profile, e1)
         s0, s1 = math.copysign(math.sqrt(abs(e0)), e0), math.copysign(math.sqrt(abs(e1)), e1)
@@ -220,26 +234,19 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
         if s1 > s0:
             segments.append((s0, s1))
             phases.append((geo.L - geo.a) * (max(s1, 0.0) - max(s0, 0.0)) + geo.a * rate * (s1 - s0))
-            count += integers_crossed(*(winding(profile, s * abs(s), parity) for s in (s0, s1)))
+    scan_cells(phases, f"window {lo!r}:{hi!r}")
+    count = sum(integers_crossed(*(winding(profile, s * abs(s), parity) for s in ends)) for ends in segments)
     return residual, segments, phases, count
 
 
-def eigenvalues(
-    profile: MassProfile,
-    window: tuple[float, float],
-    parity: str,
-    tol: float = DEFAULT_TOL,
-) -> list[tuple[float, PiecewiseWavefunction]]:
-    """All eigenvalues in the window with their states from :func:`build_solution`.
+def levels(profile: MassProfile, window: tuple[float, float], parity: str, tol: float = DEFAULT_TOL) -> list[float]:
+    """All eigenvalues in the window, ascending.
 
     Each segment of :func:`_level_scan` is scanned as densely as its phase
     asks (:func:`masswell._rootscan.roots_in`) and every isolated sign change
     is refined in s to tol / (2 sqrt(max |E|)), so each energy is within
-    ``tol`` (floored near machine relative precision); finding fewer levels
-    than :func:`winding` counts raises ``ScanResolutionError``.  Returns
-    (energy, state) pairs sorted by energy.  The states are unnormalized:
-    node counts and localization do not depend on the scale, so only a
-    caller that needs a unit norm pays for ``.normalized()``.
+    ``tol`` (floored near machine relative precision).  Fewer levels than :func:`winding` counts
+    raise ``ScanResolutionError``, too wide a window ``ScanSizeError`` and too coarse a tol ``ValueError``.
     """
     lo, hi = window
     if not -math.inf < lo < hi < math.inf:
@@ -247,5 +254,12 @@ def eigenvalues(
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     tol_s = tol / (2.0 * math.sqrt(max(abs(lo), abs(hi))))
-    roots = [s * abs(s) for s in roots_in(*_level_scan(profile, lo, hi, parity), tol_s)]
-    return [(e, build_solution(profile, e, parity)) for e in roots]
+    return [s * abs(s) for s in roots_in(*_level_scan(profile, lo, hi, parity), tol_s)]
+
+
+def eigenvalues(
+    profile: MassProfile, window: tuple[float, float], parity: str, tol: float = DEFAULT_TOL
+) -> list[tuple[float, PiecewiseWavefunction]]:
+    """(energy, state) pairs for :func:`levels`, the states unnormalized from :func:`build_solution`: node
+    counts and localization do not depend on the scale, and :func:`level_diagnostics` reads both without them."""
+    return [(e, build_solution(profile, e, parity)) for e in levels(profile, window, parity, tol)]

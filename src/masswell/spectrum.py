@@ -9,10 +9,9 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from ._rootscan import bracket_roots, integers_crossed
-from .matching import _below_break, eigenvalues, winding
+from .matching import _below_break, level_diagnostics, levels, winding
 from .profiles import MassProfile, WellGeometry
 from .secular import DEFAULT_TOL, TwoParamNeg, critical_betas, reduced_kappa1
-from .wavefunction import PiecewiseWavefunction, count_nodes, localization_fraction
 
 __all__ = [
     "Level",
@@ -131,10 +130,10 @@ def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_lev
     return Verdict("bounded_below")
 
 
-def _states_by_energy(
+def _levels_by_energy(
     profile: MassProfile, window: tuple[float, float], parities: Sequence[str], tol: float
-) -> list[tuple[float, str, PiecewiseWavefunction]]:
-    """(energy, parity, state) for every level in the window, sorted by energy.
+) -> list[tuple[float, str]]:
+    """(energy, parity) for every level in the window, sorted by energy.
 
     Each energy is within ``tol`` of its level, floored at 8 ulp in
     s = sign(E) sqrt|E|, so two computed energies closer than
@@ -143,22 +142,13 @@ def _states_by_energy(
     levels that close prints in the order of ``parities`` instead, which
     the root refinement cannot change.
     """
-    found = sorted(
-        (
-            (energy, parity, psi)
-            for parity in parities
-            for energy, psi in eigenvalues(profile, window, parity, tol=tol)
-        ),
-        key=lambda item: item[0],
-    )
-    rank = {parity: i for i, parity in enumerate(parities)}
+    found = sorted((e, i) for i, parity in enumerate(parities) for e in levels(profile, window, parity, tol))
     run, previous, keys = 0, -math.inf, []
-    for energy, parity, _ in found:
-        if energy - previous > max(2.0 * tol, 32.0 * math.ulp(energy)):
-            run += 1
+    for energy, rank in found:
+        run += energy - previous > max(2.0 * tol, 32.0 * math.ulp(energy))
         previous = energy
-        keys.append((run, rank[parity]))
-    return [item for _, item in sorted(zip(keys, found), key=lambda pair: pair[0])]
+        keys.append((run, rank, energy))
+    return [(energy, parities[rank]) for _, rank, energy in sorted(keys)]
 
 
 def run_scenario(
@@ -174,18 +164,12 @@ def run_scenario(
     mass is +1 and the matching solver finds nothing there, which is the
     admissibility cut kappa <= beta in disguise.
     """
-    levels = [
-        Level(energy, parity, count_nodes(psi), localization_fraction(psi))
-        for energy, parity, psi in _states_by_energy(profile, window, parities, tol)
+    found = [
+        Level(energy, parity, *level_diagnostics(profile, energy, parity))
+        for energy, parity in _levels_by_energy(profile, window, parities, tol)
     ]
-    verdict = _boundedness_verdict(profile, parities, bool(levels))
-    return SpectrumReport(
-        profile=profile,
-        window=(float(window[0]), float(window[1])),
-        parities=tuple(parities),
-        levels=tuple(levels),
-        verdict=verdict,
-    )
+    verdict = _boundedness_verdict(profile, parities, bool(found))
+    return SpectrumReport(profile, (float(window[0]), float(window[1])), tuple(parities), tuple(found), verdict)
 
 
 def ground_state_staircase(

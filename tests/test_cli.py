@@ -169,6 +169,30 @@ class TestSolverFailureExitCode:
         code = main(["spectrum", "--config", str(config), "--window=1:1e4", "--parity", "even"])
         assert (code, capsys.readouterr().err) == (3, "solver failure: found 231 of at least 31513 roots\n")
 
+    # windows whose scan would take more cells than one scan may: each fails before anything is sampled
+    @pytest.mark.parametrize(
+        "preset, window, phase",
+        [
+            ("uniform", "1e+30:2e+30", "8.28e+14"),
+            ("uniform", "1e+200:2e+200", "8.28e+99"),
+            # m E overflows to inf here
+            ("two-param", "-1e+308:-1e+307", "6.84e+153"),
+        ],
+    )
+    def test_a_window_too_wide_to_scan_exits_3(self, preset, window, phase, capsys):
+        code = main(["spectrum", "--preset", preset, f"--window={window}", "--parity", "even"])
+        err = f"solver failure: window {window} turns through {phase} radians, more than 8388608 scan cells hold\n"
+        assert (code, capsys.readouterr()) == (3, ("", err))
+
+
+class TestCoarseTol:
+    def test_a_tol_coarser_than_the_level_spacing_exits_2(self, capsys):
+        # 63 even levels on 1:1e4, pi / 2 apart in s = sqrt(E); tol 100 merges those closer than 4 tol / 200 = 2 in s
+        code = main(["spectrum", "--preset", "uniform", "--window=1:1e4", "--parity", "even", "--tol", "100"])
+        err = capsys.readouterr().err
+        assert (code, err) == (2, "config error: tol is coarser than the root spacing: 63 roots merge into 32\n")
+        assert main(["spectrum", "--preset", "uniform", "--window=1:1e4", "--parity", "even", "--tol", "10"]) == 0
+
 
 class TestCurvesCommand:
     def test_segments_and_markers(self, tmp_path):

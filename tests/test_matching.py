@@ -1,12 +1,20 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import brentq
 
-from masswell import _rootscan
-from masswell._rootscan import ScanResolutionError, bisect_root, isolate_sign_changes, roots_in
+from masswell import _rootscan, cli, matching, spectrum
+from masswell._rootscan import (
+    ScanResolutionError,
+    ScanSizeError,
+    bisect_root,
+    isolate_sign_changes,
+    roots_in,
+    scan_cells,
+)
 from masswell.cli import PRESETS, ScenarioConfig
 from masswell.matching import (
     LINEAR_BAND,
@@ -14,6 +22,8 @@ from masswell.matching import (
     _scaled_basis,
     build_solution,
     eigenvalues,
+    level_diagnostics,
+    levels,
     mismatch,
     seam_wronskian,
 )
@@ -36,7 +46,7 @@ from masswell.secular import (
     critical_betas,
     find_roots,
 )
-from masswell.wavefunction import RegionSolution, _value_slope, evaluate
+from masswell.wavefunction import RegionSolution, _value_slope, count_nodes, evaluate, localization_fraction
 
 G2 = WellGeometry(2.0, 1.0)
 K_NP1_L2 = 2.347045566487087  # first root of tanh(k) tan(k) = -1
@@ -730,3 +740,105 @@ def test_preset_brackets_close_in_a_few_steps(monkeypatch, preset):
     for parity in ("even", "odd"):
         eigenvalues(profile, (-100.0, 100.0), parity)
     assert len(steps) == 2 and max(steps) <= 5, steps
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0**u)
+
+
+class TestLevelDiagnostics:
+    """level_diagnostics against count_nodes and localization_fraction of the state it does not build."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        L=_log_uniform(0.1, 100.0),
+        span=_log_uniform(1e-10, 0.5),
+        inner_span=st.booleans(),
+        inner=st.one_of(
+            st.builds(ConstantInner, st.one_of(st.floats(-100.0, -0.01), st.floats(0.01, 100.0))),
+            st.builds(ScaledInner, st.floats(0.1, 5.0)),
+            st.just(TanhInner()),
+            st.builds(StepInner, st.floats(-1000.0, 100.0)),
+        ),
+        lo=st.floats(-2000.0, 2000.0),
+        width=_log_uniform(0.01, 3000.0),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    def test_equal_to_the_built_state_s(self, L, span, inner_span, inner, lo, width, parity):
+        # a or L - a log-uniform down to 1e-10 L; the localization bit for bit
+        profile = MassProfile(WellGeometry(L, span * L if inner_span else L - span * L), inner)
+        for energy in levels(profile, (lo, lo + width), parity):
+            psi = build_solution(profile, energy, parity)
+            assert level_diagnostics(profile, energy, parity) == (count_nodes(psi), localization_fraction(psi))
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_run_scenario_builds_no_state(self, preset, monkeypatch):
+        profile = ScenarioConfig({"preset": preset}).profile()
+        want = spectrum.run_scenario(profile, (-100.0, 100.0))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a state was built")
+
+        monkeypatch.setattr(matching, "build_solution", refuse)
+        monkeypatch.setattr(matching, "PiecewiseWavefunction", refuse)
+        assert spectrum.run_scenario(profile, (-100.0, 100.0)) == want
+
+    def test_wavefunction_builds_one_state(self, monkeypatch, capsys):
+        built = []
+
+        def counting(profile, energy, parity):
+            built.append((energy, parity))
+            return build_solution(profile, energy, parity)
+
+        monkeypatch.setattr(cli, "build_solution", counting)
+        assert cli.main(["wavefunction", "--preset", "uniform", "--level", "3"]) == 0
+        level = spectrum.run_scenario(ScenarioConfig({"preset": "uniform"}).profile(), (-100.0, 100.0)).levels[2]
+        assert built == [(level.energy, level.parity)]
+        assert f"# nodes: {level.nodes}\n" in capsys.readouterr().out
+
+
+class TestScanLimits:
+    """What a scan cannot hold is a typed error raised before sampling, never an allocation failure."""
+
+    @pytest.mark.parametrize("phases", [[1e15], [1e300, 1.0], [math.inf], [math.nan]])
+    def test_oversized_or_non_finite_phase_raises(self, phases):
+        with pytest.raises(ScanSizeError, match=r"^here turns through \S+ radians, more than 8388608 scan cells hold$"):
+            scan_cells(phases, "here")
+
+    def test_the_largest_scan_is_allowed(self):
+        # 32 cells per pi: 2**23 cells hold 262,144 levels
+        assert scan_cells([2**18 * math.pi], "here") == [2**23]
+        with pytest.raises(ScanSizeError):
+            scan_cells([2**18 * math.pi + 0.1], "here")
+
+    @pytest.mark.parametrize(
+        "profile, window",
+        [
+            (MassProfile(G2, ConstantInner(1.0)), (1e30, 2e30)),
+            (MassProfile(G2, ConstantInner(1.0)), (1e200, 2e200)),
+            # m E overflows to inf at the window's low end
+            (MassProfile(WellGeometry(2.0, 0.5), ScaledInner(0.5)), (-1e308, -1e307)),
+        ],
+    )
+    def test_a_window_too_wide_to_scan_raises_before_sampling(self, profile, window, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("sampled")
+
+        monkeypatch.setattr(matching, "winding", refuse)
+        monkeypatch.setattr(matching, "seam_wronskian", refuse)
+        with pytest.raises(ScanSizeError, match="^" + re.escape(f"window {window[0]!r}:{window[1]!r} turns through")):
+            levels(profile, window, "even")
+
+    def test_a_tol_coarser_than_the_root_spacing_is_a_value_error(self):
+        f = _counted(lambda x: np.sin(np.pi * x))
+        assert roots_in(f, [(0.5, 10.5)], [10.0 * np.pi], 10, 0.1) == pytest.approx(range(1, 11), abs=0.1)
+        with pytest.raises(ValueError, match="tol is coarser than the root spacing: 10 roots merge into 5"):
+            roots_in(f, [(0.5, 10.5)], [10.0 * np.pi], 10, 0.3)
+        # the scan itself falling short stays a ScanResolutionError at any tol
+        with pytest.raises(ScanResolutionError, match="found 10 of at least 11 roots"):
+            roots_in(f, [(0.5, 10.5)], [10.0 * np.pi], 11, 0.3)
+
+    def test_no_segment_no_root(self):
+        assert roots_in(np.sin, [], [], 0, 1e-12) == []
+        # s = sqrt(E) rounds both ends of this window to 1, which leaves no segment
+        assert levels(MassProfile(G2, ConstantInner(1.0)), (1.0, 1.0000000000000002), "even") == []

@@ -9,9 +9,12 @@ imported in one fresh interpreter, which runs every request of
 stderr and exit code.  No command prints the threshold staircase, so a
 request that starts with ``ground_state_staircase`` instead prints the
 ``repr`` of ``masswell.spectrum.ground_state_staircase`` called on the
-request's other items.  Each request whose record differs between the two
+request's other items.  An exception that escapes ``main``, which the
+command line would print as a traceback with exit code 1, is recorded as
+the exit code ``"uncaught <type>"``.  Each request whose record differs between the two
 is printed with the parts that differ and, where only numbers differ, the
-largest absolute difference between them, and each checkout's
+largest absolute difference between them, or both exit codes where those
+differ; each checkout's
 ``src/masswell`` line count is printed.  The exit code is 1 if any request
 differs, else 0.  Standard library only.
 """
@@ -68,6 +71,8 @@ for argv in json.load(sys.stdin):
                 code = cli.main(argv)
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            code = "uncaught " + type(exc).__name__
     records.append({"stdout": out.getvalue(), "stderr": err.getvalue(), "exit": code})
 json.dump(records, sys.stdout)
 """
@@ -129,6 +134,15 @@ def requests(config_dir: str) -> list[list]:
         ["delta-limit", "--b-over-nu", "q"],
         ["wavefunction", "--preset", "uniform", "--level", "z"],
     ]
+    # windows whose scan would take more cells than one scan may (exit 3), and a tol coarser than the
+    # level spacing (exit 2)
+    for preset, window, *extra in (
+        ("uniform", "1e30:2e30", "--parity", "even"), ("uniform", "1e200:2e200", "--parity", "even"),
+        ("two-param", "-1e308:-1e307"),
+    ):
+        out.append(["spectrum", "--preset", preset, f"--window={window}", *extra])
+    wide = os.path.join(config_dir, "uniform-wide")
+    out.append(["spectrum", "--config", wide, "--window=1:1e4", "--parity", "even", "--tol", "1"])
     return out
 
 
@@ -189,6 +203,8 @@ def main(argv: list[str]) -> int:
                 differing += 1
                 delta = worst_delta(old["stdout"], new["stdout"]) if parts == ["stdout"] else None
                 worst = "" if delta is None else f" (worst |delta| {delta:.3g})"
+                if "exit" in parts:
+                    worst = f" (exit {old['exit']} -> {new['exit']})"
                 request = " ".join(map(str, args)).replace(config_dir + os.sep, "")
                 print(f"differs in {', '.join(parts)}: {request}{worst}")
     print(f"{differing} of {len(argvs)} requests differ")
