@@ -56,12 +56,12 @@ def _solution_kind(q2: float) -> tuple[str, float]:
     return "linear", 0.0
 
 
-def _seam_pieces(profile: MassProfile, energy: float, parity: str) -> tuple[float, RegionSolution, RegionSolution]:
-    """The parity sign, the outer piece on (-L, -a) and the center piece of :func:`build_solution`."""
+def _seam_pieces(profile: MassProfile, energy: float, me: float, parity: str):
+    """The parity sign, the outer piece on (-L, -a) and the center piece of :func:`build_solution`, m E = ``me``."""
     sign = _parity_sign(parity)
     geo = profile.geometry
     outer = RegionSolution(*_solution_kind(energy), -geo.L, 0.0, 1.0, (-geo.L, -geo.a))
-    kind_i, q_i = _solution_kind(profile.inner.value(energy) * energy)
+    kind_i, q_i = _solution_kind(me)
     unit = (sign, 1.0) if kind_i == "hyper" else (1.0, 0.0) if sign > 0.0 else (0.0, 1.0)
     center = RegionSolution(kind_i, q_i, 0.0, *unit, (-geo.a, geo.a))
     (y_o, dy_o), (y, dy) = _value_slope(outer, -geo.a), _value_slope(center, -geo.a)
@@ -86,7 +86,7 @@ def build_solution(profile: MassProfile, energy: float, parity: str) -> Piecewis
     psi continuity wins and psi stays single-valued at the seams.  The
     state is unnormalized.
     """
-    sign, outer, center = _seam_pieces(profile, energy, parity)
+    sign, outer, center = _seam_pieces(profile, energy, profile.inner.value(energy) * energy, parity)
     return PiecewiseWavefunction(regions=(outer, center, outer.reflected(sign)), parity=parity, energy=energy)
 
 
@@ -96,9 +96,10 @@ def level_diagnostics(profile: MassProfile, energy: float, parity: str) -> tuple
     There :func:`winding` rounds to an integer n, and the state has 2n nodes (even) or 2n - 1 (odd).  The
     mirror piece's L2 is the outer piece's, and the three add in ``localization_fraction``'s order.
     """
-    _, outer, center = _seam_pieces(profile, energy, parity)
+    me = float(profile.inner.value(energy)) * energy
+    _, outer, center = _seam_pieces(profile, energy, me, parity)
     l2_out, l2_in = region_l2(outer), region_l2(center)
-    return 2 * round(winding(profile, energy, parity)) - (parity == "odd"), l2_in / (l2_out + l2_in + l2_out)
+    return 2 * round(_winding(profile, energy, me, parity)) - (parity == "odd"), l2_in / (l2_out + l2_in + l2_out)
 
 
 def mismatch(profile: MassProfile, energy: float, parity: str) -> float:
@@ -190,10 +191,14 @@ def winding(profile: MassProfile, energy: float, parity: str) -> float:
     lower bound on the levels there, and their number wherever it is monotone, as for positive mass
     by Sturm's argument.  Scalar ``math``.
     """
+    return _winding(profile, energy, float(profile.inner.value(energy)) * energy, parity)
+
+
+def _winding(profile: MassProfile, energy: float, me: float, parity: str) -> float:
     sign = _parity_sign(parity)
     geo = profile.geometry
     outer = _prufer(energy, geo.L - geo.a, 0.0)
-    inner = _prufer(float(profile.inner.value(energy)) * energy, geo.a, math.pi / 2.0 if sign > 0.0 else 0.0)
+    inner = _prufer(me, geo.a, math.pi / 2.0 if sign > 0.0 else 0.0)
     return (outer + inner) / math.pi - (sign > 0.0)
 
 

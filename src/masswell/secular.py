@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rootscan import DEFAULT_TOL, ScanResolutionError, bracket_roots, integers_crossed, roots_in
+from ._rootscan import DEFAULT_TOL, ScanResolutionError, bracket_roots, integers_crossed, roots_in, scan_cells
 from .profiles import WellGeometry
 
 __all__ = [
@@ -110,11 +110,13 @@ class SecularBranch:
         return math.copysign(1.0, self.rhs) * self.inner(t), abs(self.rhs) / self.outer(t * (g.L - g.a))
 
     def curve_breaks(self, lo: float, hi: float) -> list[float]:
-        """Singular points of the curve pair strictly inside (lo, hi): the
-        zeros of a tan outer factor, otherwise the poles of a tan inner one."""
+        """Singular points of the curve pair strictly inside (lo, hi): the zeros of a tan outer factor, otherwise the
+        poles of a tan inner one.  Raises ``ScanSizeError`` where they outnumber a scan's cells: unlike the roots,
+        they run past ``clip_hi``."""
         c = self.tan_scale
         if c is None:
             return []
+        scan_cells([c * (hi - lo)], f"range {lo!r}:{hi!r}")
         # the index range overlaps both ends, so rounding in lo c / pi or hi c / pi drops no point
         j = np.arange(max(math.floor(lo * c / math.pi), 0), math.floor(hi * c / math.pi) + 2)
         points = j * (math.pi / c) if self.outer is np.tan else (2 * j + 1) * math.pi / (2.0 * c)

@@ -184,6 +184,18 @@ class TestSolverFailureExitCode:
         err = f"solver failure: window {window} turns through {phase} radians, more than 8388608 scan cells hold\n"
         assert (code, capsys.readouterr()) == (3, ("", err))
 
+    # curves ranges with more tangent breaks than one scan has cells: each fails before a break is listed, the
+    # step-neg one too, whose roots stop at beta but whose curves do not
+    @pytest.mark.parametrize(
+        "branch, window, phase",
+        [("constant-neg-pos", "0:1e15", "1e+15"), ("tanh-pos", "0:1e20", "1e+20"), ("step-neg", "0:1e15", "1e+15")],
+    )
+    def test_a_curves_range_too_wide_exits_3(self, branch, window, phase, capsys):
+        code = main(["curves", "--branch", branch, "--range", window])
+        lo, hi = (repr(float(v)) for v in window.split(":"))
+        err = f"solver failure: range {lo}:{hi} turns through {phase} radians, more than 8388608 scan cells hold\n"
+        assert (code, capsys.readouterr()) == (3, ("", err))
+
 
 class TestCoarseTol:
     def test_a_tol_coarser_than_the_level_spacing_exits_2(self, capsys):

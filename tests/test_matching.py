@@ -3,7 +3,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from masswell import _rootscan, cli, matching, spectrum
@@ -371,6 +371,26 @@ def _plain_isolate(f, lo, hi, samples):
     return brackets + [(t, t, 0.0, 0.0) for t in ts[vs == 0.0]]
 
 
+def _bit_residual(t):
+    """-1, 0 or +1 from the bits of each float: a sample one ulp off changes its value, and a third are zeros."""
+    return (np.ascontiguousarray(t, dtype=float).view(np.int64) % 3 - 1).astype(float)
+
+
+def _segment(sign, exponent, width):
+    """[lo, hi] at lo = sign 10**exponent, ``width`` ulp wide (an int) or 10**width |lo| wide (a float)."""
+    lo = sign * 10.0**exponent
+    return lo, lo + (width * math.ulp(lo) if isinstance(width, int) else abs(lo) * 10.0**width)
+
+
+SEGMENTS = st.one_of(
+    st.builds(
+        _segment, st.sampled_from([-1.0, 1.0]), st.floats(-300.0, 150.0), st.integers(1, 8) | st.floats(-12.0, 0.0)
+    ),
+    # a few subnormals wide, where (hi - lo) / cells underflows to 0 for all but a few cells
+    st.integers(1, 8).map(lambda k: (0.0, k * 5e-324)),
+)
+
+
 def _by_a(columns):
     """Brackets ``(a, b, fa, fb)`` as the rows of one array, sorted by a, then b."""
     return np.column_stack(columns)[np.lexsort((columns[1], columns[0]))]
@@ -437,6 +457,19 @@ class TestBatchedScan:
         f = _spy(residual)
         isolate_sign_changes(f, *np.transpose(segments), 2048)
         assert f.sizes == [len(segments) * (2048 + 1)]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        segments=st.lists(SEGMENTS, min_size=1, max_size=3),
+        cells=st.integers(2, 600) | st.integers(2**16 - 2, 2**16 + 9),
+    )
+    # a step that underflows to 0 beside one that does not, in one call
+    @example(segments=[(0.0, 3 * 5e-324), (1.0, 2.0)], cells=64)
+    def test_grid_is_linspace_bit_for_bit(self, segments, cells):
+        lo, hi = np.transpose(segments)
+        got = _by_a(isolate_sign_changes(_bit_residual, lo, hi, cells))
+        plain = [b for s0, s1 in segments for b in _plain_isolate(_bit_residual, s0, s1, cells)]
+        assert got.tobytes() == _by_a(np.array(plain, dtype=float).reshape(-1, 4).T).tobytes()
 
     def test_calls_stay_under_the_cap(self, monkeypatch):
         sizes = []
@@ -693,6 +726,14 @@ class TestLockstepBisection:
             raise AssertionError("no bracket, no evaluation")
 
         assert bisect_root(never, [], [], [], [], 1e-12).size == 0
+
+    def test_exact_zero_brackets_take_no_step(self):
+        def never(x):
+            raise AssertionError("no open bracket, no evaluation")
+
+        # a zero-width bracket and zeros at a left and a right end
+        roots = bisect_root(never, [0.5, -1.0, 2.0], [0.5, 1.0, 3.0], [0.0, 0.0, -1.0], [0.0, 2.0, 0.0], 1e-12)
+        assert roots.tolist() == [0.5, -1.0, 3.0]
 
     def test_same_sign_rejected(self):
         with pytest.raises(ValueError, match="opposite signs"):
