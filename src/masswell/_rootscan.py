@@ -52,11 +52,10 @@ def isolate_sign_changes(f, lo, hi, samples):
 
     ``lo`` and ``hi`` are the ends of one segment (scalars) or of several
     (arrays that broadcast together), and ``f`` must map a flat float
-    ndarray to an ndarray elementwise.  Each segment is sampled at the floats
-    ``np.linspace`` gives with ``samples`` cells, built in one broadcast of its
-    arithmetic (by ``np.linspace`` itself where the step underflows to 0, as it
-    then divides first), in calls of ``f`` of at most ``_MAX_POINTS`` points where
-    a segment fits in one.  The scan finds what its grid resolves; :func:`roots_in` checks the total.
+    ndarray to an ndarray elementwise.  Each segment is sampled at
+    ``np.linspace`` of its ends with ``samples`` cells, in calls of ``f`` of
+    at most ``_MAX_POINTS`` points where a segment fits in one.  The scan
+    finds what its grid resolves; :func:`roots_in` checks the total.
 
     Returns arrays ``(a, b, fa, fb)`` with one entry per bracket, in no
     promised order: one bracket per sign change between neighbouring
@@ -69,24 +68,18 @@ def isolate_sign_changes(f, lo, hi, samples):
     if empty.size:
         raise ValueError(f"empty scan interval [{lo[empty[0]]}, {hi[empty[0]]}]")
     cells = max(int(samples), 2)
-    step = (hi - lo) / cells
-    ts = np.arange(cells + 1.0) * step[:, None] + lo[:, None]
-    for r in np.flatnonzero(step == 0.0):
-        ts[r] = np.linspace(lo[r], hi[r], cells + 1)
-    ts[:, -1] = hi
+    ts = np.concatenate([np.linspace(a, b, cells + 1) for a, b in zip(lo.tolist(), hi.tolist())])
     # whole segments per call where one fits, else _MAX_POINTS points
     per_call = _MAX_POINTS // (cells + 1) * (cells + 1) or _MAX_POINTS
-    vs = np.concatenate([np.asarray(f(ts.ravel()[i : i + per_call]), dtype=float) for i in range(0, ts.size, per_call)])
-    if vs.shape != (ts.size,):
+    vs = np.concatenate([np.asarray(f(ts[i : i + per_call]), dtype=float) for i in range(0, ts.size, per_call)])
+    if vs.shape != ts.shape:
         raise ValueError("residual callable must evaluate elementwise")
-    vs = vs.reshape(ts.shape)
+    ts, vs = ts.reshape(lo.size, cells + 1), vs.reshape(lo.size, cells + 1)
     signs = np.sign(vs)
     r, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
-    a, b, fa, fb = ts[r, i], ts[r, i + 1], vs[r, i], vs[r, i + 1]
     zero = vs == 0.0  # each sampled zero is a bracket of width 0
-    if np.count_nonzero(zero):
-        a, b, fa, fb = np.append(a, ts[zero]), np.append(b, ts[zero]), np.append(fa, vs[zero]), np.append(fb, vs[zero])
-    return a, b, fa, fb
+    a, b = np.append(ts[r, i], ts[zero]), np.append(ts[r, i + 1], ts[zero])
+    return a, b, np.append(vs[r, i], vs[zero]), np.append(vs[r, i + 1], vs[zero])
 
 
 def bisect_root(f, a, b, fa, fb, tol):
@@ -95,7 +88,7 @@ def bisect_root(f, a, b, fa, fb, tol):
     Takes arrays of endpoints and their residuals (scalars are one
     bracket) and refines every bracket in lockstep by secant steps that
     bisection safeguards, as in Dekker's method (1969): one call of the
-    elementwise ``f`` per step, under ``np.errstate(all="ignore")``, on two points per open bracket.  They lie
+    elementwise ``f`` per step, on two points per open bracket.  They lie
     max(tol, 4 ulp) / 2 either side of the secant point through the
     newest bracket end and the point evaluated one step before it (the
     ends, at first), so an estimate that close to the root closes the
@@ -125,46 +118,46 @@ def bisect_root(f, a, b, fa, fb, tol):
     # the newest bracket end c (a copy), the point p evaluated one step before it, the widths one and two steps ago
     c, fc, p, fp = b.copy(), fb.copy(), a, fa
     width_1 = width_2 = np.full(live.size, np.inf)
-    with np.errstate(all="ignore"):
-        for _ in range(256):
-            width = b - a
-            mid = 0.5 * (a + b)
-            done = width <= np.maximum(2.0 * tol, 8.0 * np.spacing(np.abs(mid)))
-            if np.count_nonzero(done):
-                roots[live[done]] = mid[done]
-                keep = ~done
-                live, a, b, fa, fb, neg_a, c, fc, p, fp, width, width_1, width_2, mid = (
-                    v[keep] for v in (live, a, b, fa, fb, neg_a, c, fc, p, fp, width, width_1, width_2, mid)
-                )
-            if live.size == 0:
-                return roots
+    for _ in range(256):
+        width = b - a
+        mid = 0.5 * (a + b)
+        done = width <= np.maximum(2.0 * tol, 8.0 * np.spacing(np.abs(mid)))
+        if np.count_nonzero(done):
+            roots[live[done]] = mid[done]
+            keep = ~done
+            live, a, b, fa, fb, neg_a, c, fc, p, fp, width, width_1, width_2, mid = (
+                v[keep] for v in (live, a, b, fa, fb, neg_a, c, fc, p, fp, width, width_1, width_2, mid)
+            )
+        if live.size == 0:
+            return roots
+        with np.errstate(all="ignore"):
             x = c - fc * ((c - p) / (fc - fp))
             inside = (x >= a) & (x <= b)
             if np.count_nonzero(inside) < live.size:
                 x = np.where(inside, x, a + width * (fa / (fa - fb)))
                 x = np.where((x >= a) & (x <= b), x, mid)
-            half = np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(x)))
-            lo, hi = np.maximum(x - half, a), np.minimum(x + half, b)
-            guard = width > 0.5 * width_2
-            if np.count_nonzero(guard):
-                lo, hi = np.where(guard, np.minimum(x, mid), lo), np.where(guard, np.maximum(x, mid), hi)
-            f_both = np.asarray(f(np.concatenate((lo, hi))), dtype=float)
-            f_lo, f_hi = f_both[: live.size], f_both[live.size :]
-            # in place, the first of [a, lo], [lo, hi], [hi, b] whose ends differ in sign: a moves to lo past lo,
-            # then to hi past hi; b moves to hi short of hi, then to lo short of lo
-            past_lo = (f_lo < 0.0) == neg_a
-            past_hi = past_lo & ((f_hi < 0.0) == neg_a)
-            p, fp, c, fc = c, fc, np.where(past_lo, hi, lo), np.where(past_lo, f_hi, f_lo)
-            for end, f_end, new, f_new, moves in (
-                (a, fa, lo, f_lo, past_lo), (a, fa, hi, f_hi, past_hi),
-                (b, fb, hi, f_hi, ~past_hi), (b, fb, lo, f_lo, ~past_lo),
-            ):
-                np.copyto(end, new, where=moves)
-                np.copyto(f_end, f_new, where=moves)
-            width_1, width_2 = width, width_1
-            if np.count_nonzero(f_both) < f_both.size:
-                zero = (f_lo == 0.0) | (f_hi == 0.0)
-                a[zero] = b[zero] = np.where(f_lo == 0.0, lo, hi)[zero]
+        half = np.maximum(0.5 * tol, 2.0 * np.spacing(np.abs(x)))
+        lo, hi = np.maximum(x - half, a), np.minimum(x + half, b)
+        guard = width > 0.5 * width_2
+        if np.count_nonzero(guard):
+            lo, hi = np.where(guard, np.minimum(x, mid), lo), np.where(guard, np.maximum(x, mid), hi)
+        f_both = np.asarray(f(np.concatenate((lo, hi))), dtype=float)
+        f_lo, f_hi = f_both[: live.size], f_both[live.size :]
+        # in place, the first of [a, lo], [lo, hi], [hi, b] whose ends differ in sign: a moves to lo past lo,
+        # then to hi past hi; b moves to hi short of hi, then to lo short of lo
+        past_lo = (f_lo < 0.0) == neg_a
+        past_hi = past_lo & ((f_hi < 0.0) == neg_a)
+        p, fp, c, fc = c, fc, np.where(past_lo, hi, lo), np.where(past_lo, f_hi, f_lo)
+        for end, f_end, new, f_new, moves in (
+            (a, fa, lo, f_lo, past_lo), (a, fa, hi, f_hi, past_hi),
+            (b, fb, hi, f_hi, ~past_hi), (b, fb, lo, f_lo, ~past_lo),
+        ):
+            np.copyto(end, new, where=moves)
+            np.copyto(f_end, f_new, where=moves)
+        width_1, width_2 = width, width_1
+        if np.count_nonzero(f_both) < f_both.size:
+            zero = (f_lo == 0.0) | (f_hi == 0.0)
+            a[zero] = b[zero] = np.where(f_lo == 0.0, lo, hi)[zero]
     roots[live] = 0.5 * (a + b)
     return roots
 

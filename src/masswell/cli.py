@@ -337,13 +337,14 @@ def _cmd_curves(cfg: ScenarioConfig) -> int:
     samples = cfg.samples("512")
     tol = cfg.tol()
 
+    # the roots first: their scan rejects a range too wide to scan before a break is listed
+    roots = find_roots(branch, RootWindow(lo, hi, tol=tol))
+
     # plot pieces keep 1e-6 clear of t = 0 and of each curve break
     breaks = branch.curve_breaks(lo, hi)
     starts = [max(lo, 1e-6)] + [c + 1e-6 for c in breaks]
     ends = [c - 1e-6 for c in breaks] + [hi]
     segments = [(s, e) for s, e in zip(starts, ends) if e > s]
-
-    roots = find_roots(branch, RootWindow(lo, hi, tol=tol))
 
     # each piece sampled as np.linspace samples it; all pieces, then the roots, in one array
     s0, s1 = np.array(segments, dtype=float).reshape(-1, 2).T

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rootscan import DEFAULT_TOL, ScanResolutionError, bracket_roots, integers_crossed, roots_in, scan_cells
+from ._rootscan import DEFAULT_TOL, ScanResolutionError, bracket_roots, integers_crossed, roots_in
 from .profiles import WellGeometry
 
 __all__ = [
@@ -44,6 +44,9 @@ __all__ = [
     "critical_betas",
     "reduced_kappa1",
 ]
+
+#: the most singular points :meth:`SecularBranch.curve_breaks` lists: each starts a plot piece of at least two rows
+_MAX_BREAKS = 2**20
 
 
 @dataclass(frozen=True)
@@ -111,12 +114,13 @@ class SecularBranch:
 
     def curve_breaks(self, lo: float, hi: float) -> list[float]:
         """Singular points of the curve pair strictly inside (lo, hi): the zeros of a tan outer factor, otherwise the
-        poles of a tan inner one.  Raises ``ScanSizeError`` where they outnumber a scan's cells: unlike the roots,
-        they run past ``clip_hi``."""
+        poles of a tan inner one.  Raises ``OverflowError`` where there would be more than ``_MAX_BREAKS``."""
         c = self.tan_scale
         if c is None:
             return []
-        scan_cells([c * (hi - lo)], f"range {lo!r}:{hi!r}")
+        count = (hi - lo) * c / math.pi
+        if not count <= _MAX_BREAKS:
+            raise OverflowError(f"range {lo!r}:{hi!r} holds {count:.3g} curve breaks, more than {_MAX_BREAKS}")
         # the index range overlaps both ends, so rounding in lo c / pi or hi c / pi drops no point
         j = np.arange(max(math.floor(lo * c / math.pi), 0), math.floor(hi * c / math.pi) + 2)
         points = j * (math.pi / c) if self.outer is np.tan else (2 * j + 1) * math.pi / (2.0 * c)

@@ -735,6 +735,14 @@ class TestLockstepBisection:
         roots = bisect_root(never, [0.5, -1.0, 2.0], [0.5, 1.0, 3.0], [0.0, 0.0, -1.0], [0.0, 2.0, 0.0], 1e-12)
         assert roots.tolist() == [0.5, -1.0, 3.0]
 
+    def test_residual_warnings_reach_the_caller(self):
+        def residual(x):
+            np.log(np.zeros(1))  # a divide-by-zero warning at every call
+            return x - 0.3
+
+        with pytest.warns(RuntimeWarning, match="divide by zero"):
+            bisect_root(residual, 0.0, 1.0, -0.3, 0.7, 1e-12)
+
     def test_same_sign_rejected(self):
         with pytest.raises(ValueError, match="opposite signs"):
             bisect_root(lambda x: x, [1.0, -1.0], [2.0, 1.0], [1.0, -1.0], [2.0, 1.0], 1e-12)

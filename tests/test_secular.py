@@ -259,6 +259,14 @@ class TestCurveBreaks:
                     assert branch.curve_breaks(lo, hi) == [p for p in points if lo < p < hi]
         assert branch.curve_breaks(points[300], points[300]) == []
 
+    def test_a_range_with_more_breaks_than_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(secular, "_MAX_BREAKS", 8)
+        branch = StepNeg(G2, beta=0.5)
+        period = math.pi / branch.tan_scale
+        assert len(branch.curve_breaks(100.0, 100.0 + 7.5 * period)) in (7, 8)
+        with pytest.raises(OverflowError, match="curve breaks, more than 8"):
+            branch.curve_breaks(100.0, 100.0 + 8.5 * period)
+
 
 @st.composite
 def _geometries(draw):

@@ -141,7 +141,7 @@ def requests(config_dir: str) -> list[list]:
         ("two-param", "-1e308:-1e307"),
     ):
         out.append(["spectrum", "--preset", preset, f"--window={window}", *extra])
-    # curves ranges with more tangent breaks than one scan has cells (exit 3)
+    # curves ranges too wide to scan, or (step-neg) with too many curve breaks to list (exit 3)
     for branch, window in (("constant-neg-pos", "0:1e15"), ("tanh-pos", "0:1e20"), ("step-neg", "0:1e15")):
         out.append(["curves", "--branch", branch, "--range", window])
     wide = os.path.join(config_dir, "uniform-wide")
