@@ -14,7 +14,7 @@ __all__ = [
 #: the default absolute root tolerance of every solver and of the CLI
 DEFAULT_TOL = 1e-12
 
-#: the most points one call of a residual takes: one piece of the largest grid
+#: the most points one call of a residual takes in a scan
 _MAX_POINTS = 2**16 + 1
 
 #: the most cells one scan takes: about 262,000 roots at 32 cells per pi
@@ -50,12 +50,14 @@ def integers_crossed(w0: float, w1: float, margin: float = 1e-6) -> int:
 def isolate_sign_changes(f, lo, hi, samples):
     """Bracket every sign change and every sampled zero of ``f`` on each [lo, hi].
 
-    ``lo`` and ``hi`` are the ends of one segment (scalars) or of several
-    (arrays that broadcast together), and ``f`` must map a flat float
-    ndarray to an ndarray elementwise.  Each segment is sampled at
-    ``np.linspace`` of its ends with ``samples`` cells, in calls of ``f`` of
-    at most ``_MAX_POINTS`` points where a segment fits in one.  The scan
-    finds what its grid resolves; :func:`roots_in` checks the total.
+    ``lo``, ``hi`` and ``samples`` are the ends and cell count of one
+    segment (scalars) or of several (arrays that broadcast together), and
+    ``f`` must map a flat float ndarray to an ndarray elementwise.  Each
+    segment is sampled at ``np.linspace`` of its ends with its own
+    ``samples`` cells; the grids are laid end to end and evaluated in calls
+    of ``f`` of at most ``_MAX_POINTS`` points, and no bracket joins two
+    segments.  The scan finds what its grid resolves; :func:`roots_in`
+    checks the total.
 
     Returns arrays ``(a, b, fa, fb)`` with one entry per bracket, in no
     promised order: one bracket per sign change between neighbouring
@@ -63,23 +65,23 @@ def isolate_sign_changes(f, lo, hi, samples):
     t where f vanished identically.  :func:`bisect_root` takes them as
     they are and returns t for a zero-width bracket.
     """
-    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in np.broadcast_arrays(lo, hi))
+    lo, hi, cells = np.broadcast_arrays(lo, hi, samples)
+    lo, hi = (np.array(v, dtype=float, ndmin=1) for v in (lo, hi))
     empty = np.flatnonzero(~(hi > lo))
     if empty.size:
         raise ValueError(f"empty scan interval [{lo[empty[0]]}, {hi[empty[0]]}]")
-    cells = max(int(samples), 2)
-    ts = np.concatenate([np.linspace(a, b, cells + 1) for a, b in zip(lo.tolist(), hi.tolist())])
-    # whole segments per call where one fits, else _MAX_POINTS points
-    per_call = _MAX_POINTS // (cells + 1) * (cells + 1) or _MAX_POINTS
-    vs = np.concatenate([np.asarray(f(ts[i : i + per_call]), dtype=float) for i in range(0, ts.size, per_call)])
+    cells = np.maximum(np.array(cells, dtype=int, ndmin=1), 2)
+    ts = np.concatenate([np.linspace(a, b, n + 1) for a, b, n in zip(lo.tolist(), hi.tolist(), cells.tolist())])
+    vs = np.concatenate([np.asarray(f(ts[i : i + _MAX_POINTS]), dtype=float) for i in range(0, ts.size, _MAX_POINTS)])
     if vs.shape != ts.shape:
         raise ValueError("residual callable must evaluate elementwise")
-    ts, vs = ts.reshape(lo.size, cells + 1), vs.reshape(lo.size, cells + 1)
     signs = np.sign(vs)
-    r, i = np.nonzero(signs[:, :-1] * signs[:, 1:] < 0.0)
+    flips = signs[:-1] * signs[1:] < 0.0
+    flips[np.cumsum(cells + 1)[:-1] - 1] = False  # one segment's last sample and the next one's first
+    i = np.flatnonzero(flips)
     zero = vs == 0.0  # each sampled zero is a bracket of width 0
-    a, b = np.append(ts[r, i], ts[zero]), np.append(ts[r, i + 1], ts[zero])
-    return a, b, np.append(vs[r, i], vs[zero]), np.append(vs[r, i + 1], vs[zero])
+    a, b = np.append(ts[i], ts[zero]), np.append(ts[i + 1], ts[zero])
+    return a, b, np.append(vs[i], vs[zero]), np.append(vs[i + 1], vs[zero])
 
 
 def bisect_root(f, a, b, fa, fb, tol):
@@ -187,22 +189,17 @@ def bracket_roots(f, lo, hi, rising, tol):
 def roots_in(f, segments, phases, count, tol):
     """Every root of the elementwise residual ``f`` on the segments, ascending.
 
-    Segment i needs :func:`scan_cells` cells.  One :func:`isolate_sign_changes` call scans all at
-    min(2**16, largest need) cells, each in ceil(need / cells) equal pieces; :func:`bisect_root`
-    refines all brackets to ``tol``.  ``count`` is how many roots the segments hold at least
-    (:func:`integers_crossed`): finding fewer raises :class:`ScanResolutionError`, so no root is lost
+    One :func:`isolate_sign_changes` call scans each segment at its own :func:`scan_cells` need;
+    :func:`bisect_root` refines all brackets to ``tol``.  ``count`` is how many roots the segments
+    hold at least (:func:`integers_crossed`): finding fewer raises :class:`ScanResolutionError`, so no root is lost
     silently.  Roots closer than 4 tol, floored near machine relative precision, are then one;
     where that leaves fewer than ``count``, ``tol`` is too coarse and ``ValueError`` is raised.
     """
     if not segments:
         return []
     needs = scan_cells(phases, f"the scan of {segments[0][0]!r}:{segments[-1][1]!r}")
-    cells = min(2**16, max(needs))
-    if cells < max(needs):  # a segment needs more cells than one call takes: cut each into pieces
-        edges = [np.linspace(s0, s1, -(-n // cells) + 1).tolist() for (s0, s1), n in zip(segments, needs)]
-        segments = [(e0, e1) for e in edges for e0, e1 in zip(e, e[1:])]
-    a, b, fa, fb = isolate_sign_changes(f, *np.transpose(segments), cells)
-    # pieces share their ends, so a zero sampled there is bracketed twice
+    a, b, fa, fb = isolate_sign_changes(f, *np.transpose(segments), needs)
+    # neighbouring segments can share an end, so a zero sampled there is bracketed twice
     roots = sorted(set(bisect_root(f, a, b, fa, fb, tol).tolist()))
     if len(roots) < count:
         raise ScanResolutionError(f"found {len(roots)} of at least {count} roots")

@@ -348,7 +348,7 @@ def _cmd_curves(cfg: ScenarioConfig) -> int:
 
     # each piece sampled as np.linspace samples it; all pieces, then the roots, in one array
     s0, s1 = np.array(segments, dtype=float).reshape(-1, 2).T
-    n = np.maximum(2, np.rint(samples * (s1 - s0) / sum((s1 - s0).tolist())).astype(int))
+    n = np.maximum(2, np.rint(samples * ((s1 - s0) / sum((s1 - s0).tolist()))).astype(int))
     stop = np.cumsum(n)
     ts = (np.arange(n.sum()) - np.repeat(stop - n, n)) * np.repeat((s1 - s0) / (n - 1), n) + np.repeat(s0, n)
     ts[stop - 1] = s1

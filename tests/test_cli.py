@@ -244,6 +244,15 @@ class TestCurvesCommand:
         assert lhs == pytest.approx(-math.tanh(t), abs=1e-12)
         assert rhs == pytest.approx(1.0 / math.tan(t), abs=1e-12)
 
+    # tanh(t * t) at t * t = inf is the right 1.0; the suite's error filter stays on for cli.py
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning:masswell.secular")
+    def test_a_range_near_the_float_limit_keeps_every_sample(self, capsys):
+        # the sample split divides before it multiplies: 512 * 1e308 would overflow to inf
+        assert main(["curves", "--branch", "tanh-neg", "--range", "0:1e308"]) == 0
+        table, _, roots = capsys.readouterr().out.partition("# roots\n")
+        rows = [line for line in table.splitlines() if line and not line.startswith("#")]
+        assert (len(rows), rows[-1].split(",")[0], roots) == (512, "1e+308", "")
+
     def test_unknown_branch_rejected(self):
         assert main(["curves", "--branch", "no-such-branch"]) == 2
 

@@ -408,7 +408,7 @@ def _spy(f):
 
 
 class TestBatchedScan:
-    """Several segments in one isolate_sign_changes call, on one grid each."""
+    """Several segments in one isolate_sign_changes call, each on its own grid of its own cell count."""
 
     @staticmethod
     def _check_against_one_at_a_time(f, segments, samples):
@@ -460,15 +460,18 @@ class TestBatchedScan:
 
     @settings(max_examples=40, deadline=None)
     @given(
-        segments=st.lists(SEGMENTS, min_size=1, max_size=3),
-        cells=st.integers(2, 600) | st.integers(2**16 - 2, 2**16 + 9),
+        segments=st.lists(
+            st.tuples(SEGMENTS, st.integers(2, 600) | st.integers(2**16 - 2, 2**16 + 9)), min_size=1, max_size=3
+        ),
     )
     # a step that underflows to 0 beside one that does not, in one call
-    @example(segments=[(0.0, 3 * 5e-324), (1.0, 2.0)], cells=64)
-    def test_grid_is_linspace_bit_for_bit(self, segments, cells):
-        lo, hi = np.transpose(segments)
+    @example(segments=[((0.0, 3 * 5e-324), 64), ((1.0, 2.0), 64)])
+    # the residual is -1 at 3 and +1 at 4: a sign change between two segments' facing ends is no bracket
+    @example(segments=[((2.5, 3.0), 2), ((4.0, 5.0), 3)])
+    def test_grid_is_linspace_bit_for_bit(self, segments):
+        (lo, hi), cells = np.transpose([ends for ends, _ in segments]), [n for _, n in segments]
         got = _by_a(isolate_sign_changes(_bit_residual, lo, hi, cells))
-        plain = [b for s0, s1 in segments for b in _plain_isolate(_bit_residual, s0, s1, cells)]
+        plain = [b for (s0, s1), n in segments for b in _plain_isolate(_bit_residual, s0, s1, n)]
         assert got.tobytes() == _by_a(np.array(plain, dtype=float).reshape(-1, 4).T).tobytes()
 
     def test_calls_stay_under_the_cap(self, monkeypatch):
@@ -485,9 +488,9 @@ class TestBatchedScan:
         geometry = WellGeometry(2.0, 1.0)
         # the scan critical_betas(geometry, 5000) made: one root per branch below 5001 pi / a
         assert len(find_roots(ConstantNegNeg(geometry), RootWindow(0.0, 5001 * math.pi / geometry.a))) == 5001
-        # one isolate call; each of its pieces, at most 2**16 cells, is one call
+        # one isolate call, whose grid of 4 ceil(8 * 5001) cells is split across calls of at most _MAX_POINTS points
         (calls,) = sizes
-        assert len(calls) > 1 and calls == [calls[0]] * len(calls) and calls[0] <= 2**16 + 1
+        assert len(calls) > 1 and max(calls) <= _rootscan._MAX_POINTS and sum(calls) == 4 * math.ceil(8 * 5001) + 1
         # a grid of more than 2**16 cells is split across calls
         f = _spy(np.sin)
         isolate(f, 0.0, 1.0, 2**17)
@@ -859,6 +862,21 @@ class TestScanLimits:
         assert scan_cells([2**18 * math.pi], "here") == [2**23]
         with pytest.raises(ScanSizeError):
             scan_cells([2**18 * math.pi + 0.1], "here")
+
+    def test_each_segment_is_scanned_at_its_own_need(self, monkeypatch):
+        samples = []
+        isolate = _rootscan.isolate_sign_changes
+
+        def spying(f, lo, hi, cells):
+            samples.append(cells)
+            return isolate(f, lo, hi, cells)
+
+        monkeypatch.setattr(_rootscan, "isolate_sign_changes", spying)
+        profile = ScenarioConfig({"preset": "uniform"}).profile()
+        _, _, phases, _ = _level_scan(profile, -1600.0, 3000.0, "even")
+        levels(profile, (-1600.0, 3000.0), "even")
+        # the stretch below E = 0 holds no level and needs the 256-cell floor, the one above far more
+        assert samples == [scan_cells(phases, "here")] and len(set(samples[0])) > 1
 
     @pytest.mark.parametrize(
         "profile, window",

@@ -117,6 +117,9 @@ def requests(config_dir: str) -> list[list]:
     for branch in CURVE_BRANCHES:
         out.append(["curves", "--branch", branch, "--range", "0.05:199.653", "--samples", "20000"])
     out.append(["curves", "--branch", "constant-neg-pos", "--range", "0:1e-10"])
+    # ranges whose width times the sample count overflows
+    for branch in ("tanh-neg", "two-param-reduced"):
+        out.append(["curves", "--branch", branch, "--range", "0:1e308"])
     for extra in ([], ["--format", "json"]):
         out.append(["critical-beta", "--L", "1.939", "--count", "5000", *extra])
     out.append(["delta-limit"])
