@@ -8,11 +8,14 @@ the same rules.  Exit codes, set by ``main`` alone: 0 success, 2 bad
 config or request (``ValueError``, ``OSError``), 3 solver diagnostic or
 numeric overflow (``RuntimeError``, ``OverflowError``).
 
-Floats are always written with 17 significant digits, so identical
-configs produce byte-identical output files.  Each table states its row
-template once (``%.17g`` per float column) and formats its flat list of
-values by one ``%`` per chunk of rows, which writes the same bytes as one
-``%`` per row; header lines write their floats the same way.
+Floats are always written as ``%.17g`` writes them, so identical configs
+produce byte-identical output files.  Every all-float table goes through
+``_float_rows``, which writes the digits of each fixed-notation cell from
+one exact product with a power of ten and leaves every other cell (zero,
+nan, inf, |x| < 1e-4 or >= 1e16) to ``%``; ``spectrum``, whose table has
+integer and word columns and few rows, keeps one ``%`` of its row template
+per chunk of rows.  Both work in chunks of up to 2048 rows, which bounds
+the memory a table takes; header lines write their floats with ``%.17g``.
 """
 
 from __future__ import annotations
@@ -58,14 +61,11 @@ PRESETS: dict[str, dict[str, str]] = {
     "two-param": {"inner": "scaled", "b": "0.5", "L": "2", "a": "0.5"},
 }
 
-#: each command's table row: %.17g per float column, %d per integer, %s per word
-_ROW_TEMPLATES = {
-    "spectrum": "%d,%.17g,%s,%d,%.17g",
-    "curves": "%.17g,%.17g,%.17g",
-    "wavefunction": "%.17g,%.17g",
-    "critical-beta": "%d,%.17g",
-    "delta-limit": "%.17g,%.17g,%.17g,%.17g,%.17g,%.17g",
-}
+#: the row of each table that is not all floats: %.17g per float column, %d per integer, %s per word
+_ROW_TEMPLATES = {"spectrum": "%d,%.17g,%s,%d,%.17g"}
+
+#: the floats nearest 10**k for k = -5..21: exact for k >= 0, just above 10**k for k = -4..-1
+_TEN = np.array([float(f"1e{k}") for k in range(-5, 22)])
 
 #: each flag's config key and help text
 _FLAGS = {
@@ -248,27 +248,105 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _format_rows(command: str, values: list) -> list[str]:
-    """The rows of ``command``'s table, given as one flat list of values, as text:
-    one ``%`` of the row template repeated per row for each chunk of up to
+def _format_rows(command: str, values: list) -> str:
+    """The rows of ``command``'s table, given as one flat list of values, as text with every row
+    ended by a newline: one ``%`` of the row template repeated per row for each chunk of up to
     2048 rows, which bounds the memory one ``%`` takes."""
-    template = _ROW_TEMPLATES[command]
+    template = _ROW_TEMPLATES[command] + "\n"
     width = template.count("%")
     chunks = (values[i : i + 2048 * width] for i in range(0, len(values), 2048 * width))
-    return ["\n".join([template] * (len(chunk) // width)) % tuple(chunk) for chunk in chunks]
+    return "".join((template * (len(chunk) // width)) % tuple(chunk) for chunk in chunks)
 
 
-def _table_text(header: Sequence[str], columns: str, lines) -> str:
-    return "\n".join([*header, f"# columns: {columns}", *lines]) + "\n"
+def _halves(v):
+    """Veltkamp's split of the float array ``v`` into two halves of at most 26 bits that add up to it."""
+    high = v * 134217729.0
+    high -= high - v
+    return high, v - high
 
 
-def _write(cfg: ScenarioConfig, command: str, columns: str, table, as_json=None) -> None:
-    """Emit ``as_json()`` as JSON if given and asked for, else the table of ``table()``'s header and rows."""
+@functools.cache
+def _tables():
+    """``_float_rows``' lookup tables, built on first use: each 4-digit group as digits and NUL point
+    slots, with its trailing zeros as NUL (first 10**4) or kept; digit 0 in a cell's first word; and
+    the 40 bytes of each cell state, or of a ``%.17g`` cell."""
+    powers = np.array([1000, 100, 10, 1], np.int16)
+    digits = (np.arange(10_000, dtype=np.int16)[:, None] // powers % 10).astype(np.uint8)
+    groups = np.zeros((2, 10_000, 8), np.uint8)
+    groups[:, :, ::2] = digits + 48
+    groups[0, :, ::2] *= np.logical_or.accumulate(digits[:, ::-1] != 0, axis=1)[:, ::-1]
+    first = np.zeros((10, 8), np.uint8)
+    first[1:, 6] = np.arange(49, 58)
+    # state E + 4 + 20 * (x is not an integer) + 40 * (x < 0) for decimal exponents E = -4..15: sign,
+    # "0.000" lead, the integer part's zeros, and its point, as a float below 1e16 that is not an
+    # integer keeps a nonzero digit after the point at 17 digits; then the comma after the cell
+    state, col = np.arange(80)[:, None], np.arange(40)
+    E = state % 20 - 4
+    lead = (E < 0) & (col >= 1) & (col <= 1 - E)
+    cells = np.zeros((81, 40), np.uint8)
+    cells[:80] = np.select(
+        [(col == 0) & (state >= 40), lead & (col == 2), lead | (col >= 8) & (col % 2 == 0) & (col <= 6 + 2 * E),
+         (col == 7 + 2 * E) & (state % 40 >= 20) & (E >= 0), col == 39],
+        [45, 46, 48, 46, 44],
+    )
+    cells[80, [0, 1, 2, 3, 4, 39]] = list(b"%.17g,")
+    return groups.view(np.uint64).ravel(), first.view(np.uint64).ravel(), cells.view(np.uint64)
+
+
+def _float_rows(table: np.ndarray, breaks=()) -> str:
+    """The ``%.17g`` text of the 2-D float64 ``table``: cells joined by ``,``, every row ended by a
+    newline, and one more newline after each row index in ``breaks``.
+
+    ``%.17g`` writes a float with 1e-4 <= |x| < 1e16 in fixed notation, with the 17 digits of
+    d = |x| 10**(16-E) rounded half to even, E its decimal exponent.  Each such cell of a chunk of
+    rows is laid out in 40 bytes (sign, ``0.000`` lead, then each digit followed by a point slot,
+    the last slot holding the separator), NUL wherever its text has no character, and one
+    ``translate`` squeezes the NULs out.  Every other cell holds ``%.17g``, which ``%`` then fills.
+    """
+    groups, first, cells = _tables()
+    tails = np.zeros(len(table), np.uint8)
+    tails[np.asarray(breaks, dtype=np.intp)] = 10
+    text = []
+    for start in range(0, len(table), 2048):
+        x = table[start : start + 2048]
+        a = np.abs(x)
+        fixed = (a >= 1e-4) & (a < 1e16)
+        a = np.where(fixed, a, 1.0)
+        E = np.floor(np.log10(a)).astype(np.intp)
+        E += (a >= _TEN.take(E + 6)).astype(np.intp) - (a < _TEN.take(E + 5))  # log10 may be one off
+        # a 10**(16-E) = P + err exactly (Dekker, 1971)
+        p = _TEN.take(21 - E)
+        (ah, al), (ph, pl), P = _halves(a), _halves(p), a * p
+        err = ((ah * ph - P) + ah * pl + al * ph) + al * pl
+        # past 2**53 P is an even integer, and the 17-digit steps are finer than a float's, so
+        # 10**16 <= d < 10**17, rounded half to even
+        d = (P.astype(np.int64) + np.rint(err).astype(np.int64)) * fixed
+        rows, width = x.shape
+        buf = np.zeros((rows, 5 * width + 1), np.uint64)
+        words = buf[:, :-1].reshape(rows, width, 5)
+        words[...] = cells.take(np.where(fixed, E + 4 + 20 * (a != np.floor(a)) + 40 * (x < 0), 80), axis=0)
+        later = False  # whether a later group is nonzero, so that this one keeps its trailing zeros
+        for k in (4, 3, 2, 1):
+            q = d // 10_000
+            g = d - q * 10_000
+            words[..., k] |= groups.take(g + 10_000 * later)
+            later, d = later | (g != 0), q
+        words[..., 0] |= first.take(d)
+        u8 = buf.view(np.uint8)
+        u8[:, 40 * width - 1] = 10
+        u8[:, 40 * width] = tails[start : start + 2048]
+        chunk = u8.tobytes().translate(None, b"\0")
+        text.append((chunk if fixed.all() else chunk % tuple(x[~fixed].tolist())).decode())
+    return "".join(text)
+
+
+def _write(cfg: ScenarioConfig, columns: str, table, as_json=None) -> None:
+    """Emit ``as_json()`` as JSON if given and asked for, else the table of ``table()``'s header and row text."""
     if as_json is not None and cfg.out_format() == "json":
         text = json.dumps(as_json(), indent=2, sort_keys=True) + "\n"
     else:
         header, rows = table()
-        text = _table_text(header, columns, _format_rows(command, [v for row in rows for v in row]))
+        text = "\n".join([*header, f"# columns: {columns}", rows])
     _emit(text, cfg.get_str("out"))
 
 
@@ -322,7 +400,8 @@ def _cmd_spectrum(cfg: ScenarioConfig) -> int:
             "levels": [dict(zip(columns.split(","), row)) for row in rows],
         }
 
-    _write(cfg, "spectrum", columns, lambda: (_report_header(report), rows), as_json)
+    flat = [v for row in rows for v in row]
+    _write(cfg, columns, lambda: (_report_header(report), _format_rows("spectrum", flat)), as_json)
     return 0
 
 
@@ -354,13 +433,10 @@ def _cmd_curves(cfg: ScenarioConfig) -> int:
     ts[stop - 1] = s1
     t = np.concatenate((ts, roots))
     table = np.column_stack((t, *branch.curve_pair(t)))
-    lines: list[str] = []
-    for first, end in zip([0, *stop.tolist()], stop.tolist()):
-        lines += [*_format_rows("curves", table[first:end].ravel().tolist()), ""]
-    lines += ["# roots", *_format_rows("curves", table[ts.size :].ravel().tolist())]
+    rows = _float_rows(table[: ts.size], stop - 1) + "# roots\n" + _float_rows(table[ts.size :])
     lab1, lab2 = branch.curve_labels
     header = [f"# masswell secular curves: {branch.describe()}"]
-    _emit(_table_text(header, f"t,{lab1},{lab2}", lines), cfg.get_str("out"))
+    _write(cfg, f"t,{lab1},{lab2}", lambda: (header, rows))
     return 0
 
 
@@ -388,7 +464,7 @@ def _cmd_wavefunction(cfg: ScenarioConfig) -> int:
         f"# nodes: {count_nodes(psi)}",
         f"# localization: {localization_fraction(psi):.17g}",
     ]
-    _write(cfg, "wavefunction", "x,psi", lambda: (header, np.column_stack((xs, evaluate(psi, xs))).tolist()))
+    _write(cfg, "x,psi", lambda: (header, _float_rows(np.column_stack((xs, evaluate(psi, xs))))))
     return 0
 
 
@@ -398,11 +474,12 @@ def _cmd_critical_beta(cfg: ScenarioConfig) -> int:
         raise ConfigError("count must be >= 1")
     geometry = cfg.geometry()
     betas = critical_betas(geometry, count, tol=cfg.tol())
+    # the index as floats: '%.17g' % float(i) is '%d' % i for every |i| < 1e16
+    table = np.column_stack((np.arange(1.0, len(betas) + 1), betas))
     _write(
         cfg,
-        "critical-beta",
         "index,beta",
-        lambda: ([f"# masswell critical beta values: L={geometry.L:.17g} a={geometry.a:.17g}"], enumerate(betas, 1)),
+        lambda: ([f"# masswell critical beta values: L={geometry.L:.17g} a={geometry.a:.17g}"], _float_rows(table)),
         lambda: {"L": geometry.L, "a": geometry.a, "critical_betas": betas},
     )
     return 0
@@ -424,14 +501,13 @@ def _cmd_delta_limit(cfg: ScenarioConfig) -> int:
     ]
     _write(
         cfg,
-        "delta-limit",
         columns,
         lambda: (
             [
                 f"# masswell delta-limit study: b/nu={b_over_nu:.17g} L={L:.17g}",
                 f"# reduced fixed point: {fixed_point:.17g}",
             ],
-            table,
+            _float_rows(np.array(table, dtype=float)),
         ),
         lambda: {
             "b_over_nu": b_over_nu,

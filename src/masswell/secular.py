@@ -48,6 +48,10 @@ __all__ = [
 #: the most singular points :meth:`SecularBranch.curve_breaks` lists: each starts a plot piece of at least two rows
 _MAX_BREAKS = 2**20
 
+#: tanh(x) is 1.0 in floats for x >= 22, so clamping an argument there changes no value and no
+#: product towards it overflows
+_TANH_ONE = 22.0
+
 
 @dataclass(frozen=True)
 class RootWindow:
@@ -145,8 +149,9 @@ class _PositiveBranch(SecularBranch):
 
 def _tanh_inner(t, a):
     """sqrt(tanh t^2) * tanh(a t sqrt(tanh t^2)), the inner factor of the tanh law."""
-    root = np.sqrt(np.tanh(t * t))
-    return root * np.tanh(t * root * a)
+    clamped = np.minimum(t, _TANH_ONE)
+    root = np.sqrt(np.tanh(clamped * clamped))
+    return root * np.tanh(np.minimum(t * root, _TANH_ONE / a) * a)
 
 
 class ConstantNegPos(_PositiveBranch):
@@ -262,10 +267,10 @@ class TwoParamReduced(SecularBranch):
         self.b_over_nu = b_over_nu
 
     def residual_raw(self, t):
-        return t - self.b_over_nu / np.tanh(t * self.L)
+        return t - self.b_over_nu / np.tanh(np.minimum(t, _TANH_ONE / self.L) * self.L)
 
     def curve_pair(self, t):
-        return np.asarray(t, dtype=float), self.b_over_nu / np.tanh(t * self.L)
+        return np.asarray(t, dtype=float), self.b_over_nu / np.tanh(np.minimum(t, _TANH_ONE / self.L) * self.L)
 
     def describe(self) -> str:
         return f"{self.name} L={self.L:g} b/nu={self.b_over_nu:g}"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from masswell import cli
 from masswell.cli import (
@@ -244,14 +244,15 @@ class TestCurvesCommand:
         assert lhs == pytest.approx(-math.tanh(t), abs=1e-12)
         assert rhs == pytest.approx(1.0 / math.tan(t), abs=1e-12)
 
-    # tanh(t * t) at t * t = inf is the right 1.0; the suite's error filter stays on for cli.py
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning:masswell.secular")
     def test_a_range_near_the_float_limit_keeps_every_sample(self, capsys):
-        # the sample split divides before it multiplies: 512 * 1e308 would overflow to inf
-        assert main(["curves", "--branch", "tanh-neg", "--range", "0:1e308"]) == 0
-        table, _, roots = capsys.readouterr().out.partition("# roots\n")
-        rows = [line for line in table.splitlines() if line and not line.startswith("#")]
-        assert (len(rows), rows[-1].split(",")[0], roots) == (512, "1e+308", "")
+        # the sample split divides before it multiplies: 512 * 1e308 would overflow to inf; the tanh
+        # arguments saturate below the float limit, so no overflow warning reaches stderr
+        for branch, root_rows in (("tanh-neg", 0), ("two-param-reduced", 1)):
+            assert main(["curves", "--branch", branch, "--range", "0:1e308"]) == 0
+            out, err = capsys.readouterr()
+            table, _, roots = out.partition("# roots\n")
+            rows = [line for line in table.splitlines() if line and not line.startswith("#")]
+            assert (len(rows), rows[-1].split(",")[0], len(roots.splitlines()), err) == (512, "1e+308", root_rows, "")
 
     def test_unknown_branch_rejected(self):
         assert main(["curves", "--branch", "no-such-branch"]) == 2
@@ -613,8 +614,8 @@ class TestRowTemplates:
         ],
     )
     def test_rows_carry_the_template_column_types(self, argv, monkeypatch, capsys):
-        real = cli._format_rows
-        seen = []
+        real, real_floats = cli._format_rows, cli._float_rows
+        seen, float_rows = [], []
 
         def checked(command, values):
             specs = cli._ROW_TEMPLATES[command].split(",")
@@ -626,10 +627,58 @@ class TestRowTemplates:
                 assert not isinstance(value, bool), (spec, value)
             return real(command, values)
 
+        def checked_floats(table, breaks=()):
+            assert isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype == np.float64
+            float_rows.append(len(table))
+            return real_floats(table, breaks)
+
         monkeypatch.setattr(cli, "_format_rows", checked)
+        monkeypatch.setattr(cli, "_float_rows", checked_floats)
         assert main(argv) == 0
-        assert {command for command, _ in seen} == {argv[0]}
-        assert sum(n for _, n in seen) > 0
+        if argv[0] in cli._ROW_TEMPLATES:
+            assert {command for command, _ in seen} == {argv[0]} and not float_rows
+            assert sum(n for _, n in seen) > 0
+        else:  # an all-float table: one 2-D float64 array, no template
+            assert not seen and sum(float_rows) > 0
+
+
+def _per_value_rows(table, breaks):
+    return "".join(
+        ",".join(format(v, ".17g") for v in row) + "\n" * (1 + (i in breaks)) for i, row in enumerate(table.tolist())
+    )
+
+
+_POWERS = np.array([float(f"1e{k}") for k in range(-5, 18)])
+_LOG_UNIFORM = st.tuples(st.floats(-5, 17), st.sampled_from([1.0, -1.0])).map(lambda p: p[1] * 10.0 ** p[0])
+
+
+@st.composite
+def _float_tables(draw):
+    rows, width = draw(st.integers(1, 64)), draw(st.integers(1, 6))
+    cells = draw(st.lists(st.one_of(st.floats(), _LOG_UNIFORM), min_size=rows * width, max_size=rows * width))
+    return np.array(cells).reshape(rows, width), sorted(draw(st.sets(st.integers(0, rows - 1))))
+
+
+class TestFloatRows:
+    @settings(max_examples=300, deadline=None)
+    @given(case=_float_tables())
+    # exact ties at the 17th digit, rounded to even: down, then up
+    @example(case=(np.array([[1485376321434907.25, 1485376321434907.75]]), [0]))
+    @example(case=(np.column_stack((np.nextafter(_POWERS, 0), _POWERS, np.nextafter(_POWERS, np.inf))), [0, 22]))
+    @example(case=(np.array([[1e-4, np.nextafter(1e-4, 0), 9999999999999998.0, -0.0]]), []))
+    # the critical-beta index column, up to 2**53
+    @example(case=(np.column_stack((np.arange(1.0, 65), np.arange(2**53 - 63, 2**53 + 1).astype(float))), [63]))
+    def test_bytes_equal_per_value_join(self, case):
+        table, breaks = case
+        assert cli._float_rows(table, breaks) == _per_value_rows(table, breaks)
+
+    def test_chunks_join_with_breaks_at_their_edges(self):
+        table = np.linspace(-3.0, 7.0, 3 * 2048 + 5).reshape(-1, 1) ** 3
+        breaks = [0, 2047, 2048, 4095, len(table) - 1]
+        assert cli._float_rows(table, breaks) == _per_value_rows(table, breaks)
+
+    def test_an_empty_table_is_empty_text(self):
+        assert cli._float_rows(np.empty((0, 3)), []) == ""
 
 
 _SRC = Path(cli.__file__).resolve().parent.parent

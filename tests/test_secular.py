@@ -79,6 +79,26 @@ class TestResidual:
         values = branch.residual_raw(grid)
         assert float(values.min()) >= 1.0
 
+    # past 22 tanh is 1.0, so the clamped arguments give the unclamped values bit for bit, up to
+    # the float limit and with no overflow warning (the suite's filter turns one into an error)
+    @pytest.mark.parametrize("a", [1.0, 3.0, 1e-300])
+    def test_tanh_inner_saturates_without_overflow(self, a):
+        t = np.concatenate((np.linspace(0.0, 30.0, 3001), np.geomspace(30.0, 1.7e308, 3001)))
+        with np.errstate(over="ignore"):
+            root = np.sqrt(np.tanh(t * t))
+            want = root * np.tanh(t * root * a)
+        assert np.array_equal(secular._tanh_inner(t, a), want)
+        assert secular._tanh_inner(1e308, a) == 1.0
+
+    @pytest.mark.parametrize("L", [2.0, 40.0, 1e-300])
+    def test_reduced_coth_saturates_without_overflow(self, L):
+        branch = TwoParamReduced(L, 1.5)
+        t = np.concatenate((np.linspace(1e-3, 30.0, 3001), np.geomspace(30.0, 1.7e308, 3001)))
+        with np.errstate(over="ignore"):
+            coth = 1.5 / np.tanh(t * L)
+        assert np.array_equal(branch.curve_pair(t)[1], coth)
+        assert np.array_equal(branch.residual_raw(t), t - coth)
+
     def test_vectorized_matches_scalar(self):
         branch = ConstantNegPos(G2)
         ts = np.array([0.5, 1.0, 2.0, 3.0])

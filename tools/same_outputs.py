@@ -125,6 +125,13 @@ def requests(config_dir: str) -> list[list]:
     out.append(["delta-limit"])
     # a first root near 1e-150, below the 1e-12 floor of a window scan
     out.append(["delta-limit", "--b-over-nu", "1e-300"])
+    # float-table edges: tens of blank-line pieces, 2-row pieces, a 2-row table, a 1-row table, and
+    # roots small enough for e-notation
+    out.append(["curves", "--branch", "two-param-neg", "--range", "0.001:60", "--samples", "400"])
+    out.append(["curves", "--branch", "tanh-pos", "--samples", "2"])
+    out.append(["wavefunction", "--preset", "uniform", "--window=0:1", "--samples", "2"])
+    out.append(["critical-beta", "--count", "1"])
+    out.append(["delta-limit", "--b-over-nu", "1e-30"])
     out += [["ground_state_staircase", *case] for case in STAIRCASES]
     # flag values the config readers reject, each with exit 2
     out += [
