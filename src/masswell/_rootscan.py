@@ -1,4 +1,12 @@
-"""Sign-change isolation and bracketed root refinement for one-dimensional residuals."""
+"""Sign-change isolation and bracketed root refinement for one-dimensional residuals.
+
+A residual maps a float to a float and an array elementwise.  The scan
+(:func:`isolate_sign_changes`) evaluates it on arrays; the refinement
+evaluates it on floats, one bracket at a time by :func:`_bisect_one`, where
+at most ``_SCALAR_BRACKETS`` brackets are open, and otherwise on arrays, all
+brackets in lockstep by :func:`bisect_root`.  Both take the same steps and,
+given the same residual values, return the same roots.
+"""
 
 from __future__ import annotations
 
@@ -19,6 +27,10 @@ _MAX_POINTS = 2**16 + 1
 
 #: the most cells one scan takes: about 262,000 roots at 32 cells per pi
 _MAX_CELLS = 2**23
+
+#: the most open brackets refined one at a time in floats; past it one lockstep call on arrays, whose
+#: fixed cost per numpy call the brackets share, is faster (the crossover is measured in the README)
+_SCALAR_BRACKETS = 16
 
 
 class ScanResolutionError(RuntimeError):
@@ -164,6 +176,58 @@ def bisect_root(f, a, b, fa, fb, tol):
     return roots
 
 
+def _bisect_one(f, a: float, b: float, fa: float, fb: float, tol: float) -> float:
+    """:func:`bisect_root`'s steps on the one bracket [a, b] in Python floats, ``f`` called on one float at a time.
+
+    The secant point, its fallbacks, the half-width, the midpoint guard, the
+    8-ulp width floor and the 256-step cap are those of the lockstep batch,
+    so given the same residual values it returns the same root after the
+    same steps.
+    """
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    if (fa < 0.0) == (fb < 0.0):
+        raise ValueError("bracket endpoints must have opposite signs")
+    neg_a = fa < 0.0
+    c, fc, p, fp = b, fb, a, fa
+    width_1 = width_2 = math.inf
+    for _ in range(256):
+        width, mid = b - a, 0.5 * (a + b)
+        if width <= max(2.0 * tol, 8.0 * math.ulp(mid)):
+            return mid
+        x = c - fc * ((c - p) / (fc - fp)) if fc != fp else math.nan
+        if not a <= x <= b:
+            x = a + width * (fa / (fa - fb))
+            if not a <= x <= b:
+                x = mid
+        if width > 0.5 * width_2:
+            lo, hi = min(x, mid), max(x, mid)
+        else:
+            half = max(0.5 * tol, 2.0 * math.ulp(x))
+            lo, hi = max(x - half, a), min(x + half, b)
+        f_lo, f_hi = float(f(lo)), float(f(hi))
+        past_lo = (f_lo < 0.0) == neg_a
+        p, fp, c, fc = c, fc, *((hi, f_hi) if past_lo else (lo, f_lo))
+        if not past_lo:
+            b, fb = lo, f_lo
+        elif (f_hi < 0.0) == neg_a:
+            a, fa = hi, f_hi
+        else:
+            a, fa, b, fb = lo, f_lo, hi, f_hi
+        width_1, width_2 = width, width_1
+        if f_lo == 0.0 or f_hi == 0.0:
+            a = b = lo if f_lo == 0.0 else hi
+    return 0.5 * (a + b)
+
+
+def _refine(f, a, b, fa, fb, tol) -> list[float]:
+    """The roots of :func:`bisect_root` on the bracket arrays, as a list: by :func:`_bisect_one` on each
+    where at most ``_SCALAR_BRACKETS`` brackets are open, else by one lockstep call."""
+    if np.count_nonzero((fa != 0.0) & (fb != 0.0)) > _SCALAR_BRACKETS:
+        return bisect_root(f, a, b, fa, fb, tol).tolist()
+    return [_bisect_one(f, *bracket, tol) for bracket in zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())]
+
+
 def bracket_roots(f, lo, hi, rising, tol):
     """The root of ``f`` in each bracket [lo, hi] that holds exactly one, refined to ``tol``.
 
@@ -173,8 +237,8 @@ def bracket_roots(f, lo, hi, rising, tol):
     residual is zero or has the sign of the far side of the root, which
     only rounding near the root can give it, is that root to the float
     floor and is returned as is (the left end where both are).  The other
-    brackets are refined together by one :func:`bisect_root` call, with
-    no scan.
+    brackets are refined as :func:`roots_in` refines its brackets, with no
+    scan.  Returns a list of floats.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -183,14 +247,15 @@ def bracket_roots(f, lo, hi, rising, tol):
     sign = np.where(rising, 1.0, -1.0)
     f_lo = np.where(f_lo * sign < 0.0, f_lo, 0.0)
     f_hi = np.where(f_hi * sign > 0.0, f_hi, 0.0)
-    return bisect_root(f, lo, hi, f_lo, f_hi, tol)
+    return _refine(f, lo.astype(float), hi.astype(float), f_lo, f_hi, tol)
 
 
 def roots_in(f, segments, phases, count, tol):
-    """Every root of the elementwise residual ``f`` on the segments, ascending.
+    """Every root of the residual ``f`` on the segments, ascending.
 
-    One :func:`isolate_sign_changes` call scans each segment at its own :func:`scan_cells` need;
-    :func:`bisect_root` refines all brackets to ``tol``.  ``count`` is how many roots the segments
+    One :func:`isolate_sign_changes` call scans each segment at its own :func:`scan_cells` need.  Each
+    bracket is refined to ``tol`` alone in floats (:func:`_bisect_one`) where at most ``_SCALAR_BRACKETS``
+    are open, else all by one :func:`bisect_root` call, to the same roots.  ``count`` is how many roots the segments
     hold at least (:func:`integers_crossed`): finding fewer raises :class:`ScanResolutionError`, so no root is lost
     silently.  Roots closer than 4 tol, floored near machine relative precision, are then one;
     where that leaves fewer than ``count``, ``tol`` is too coarse and ``ValueError`` is raised.
@@ -200,7 +265,7 @@ def roots_in(f, segments, phases, count, tol):
     needs = scan_cells(phases, f"the scan of {segments[0][0]!r}:{segments[-1][1]!r}")
     a, b, fa, fb = isolate_sign_changes(f, *np.transpose(segments), needs)
     # neighbouring segments can share an end, so a zero sampled there is bracketed twice
-    roots = sorted(set(bisect_root(f, a, b, fa, fb, tol).tolist()))
+    roots = sorted(set(_refine(f, a, b, fa, fb, tol)))
     if len(roots) < count:
         raise ScanResolutionError(f"found {len(roots)} of at least {count} roots")
     merged = []

@@ -10,8 +10,8 @@ BenDaniel-Duke current-continuity convention common elsewhere in the
 effective-mass literature.
 
 Eigenvalues are the zeros in energy of :func:`seam_wronskian`, the
-scaled Wronskian of the two solutions at x = -a.  It takes an array of
-energies, never overflows, and is the residual that the level scan (in
+scaled Wronskian of the two solutions at x = -a.  It takes a float or an
+array of energies, never overflows, and is the residual that the level scan (in
 s = sign(E) sqrt|E|) and the root refinement evaluate; :func:`mismatch` is its signed scalar form.
 :func:`build_solution` assembles the state from the same two solutions, so wall and parity hold
 exactly and only the seam sees the root tolerance; :func:`level_diagnostics` reads its node count
@@ -113,52 +113,71 @@ def mismatch(profile: MassProfile, energy: float, parity: str) -> float:
 
 
 def _trig(qt, c=None, s=None, where=True):
+    """C = cos(qt) and q S = sin(qt): through ``math`` for a finite float, else numpy into ``c`` and ``s`` under
+    ``where`` (``math`` raises at inf, where numpy gives nan)."""
+    if isinstance(qt, float) and qt < math.inf:
+        return math.cos(qt), math.sin(qt)
     return np.cos(qt, out=c, where=where), np.sin(qt, out=s, where=where)
 
 
 def _hyper(qt, c=None, s=None, where=True):
+    """C and q S divided by cosh(qt), 1 and tanh(qt), as :func:`_trig`, but numpy's tanh for a float too."""
+    if isinstance(qt, float):
+        return 1.0, float(np.tanh(qt))
     return np.ones_like(qt) if c is None else c, np.tanh(qt, out=s, where=where)
 
 
-def _scaled_basis(q2: np.ndarray, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _scaled_basis(q2, t: float) -> tuple:
     """(C, S, -q2 S) at t: C is cos/cosh/1 and S is sin(qt)/q, sinh(qt)/q or t,
     the solutions with C(0) = 1, S'(0) = 1 and C' = -q2 S, S' = C.
 
     Hyperbolic values are divided by cosh(qt) > 0, so they enter only
     through tanh and stay bounded.  Kinds follow :func:`_solution_kind`;
-    :func:`_trig` and :func:`_hyper` give C and q S on the whole array when
-    all entries share a kind, else under each kind's mask, same per entry.
+    :func:`_trig` and :func:`_hyper` give C and q S of a float, of the whole
+    array when all entries share a kind, else under each kind's mask, the
+    same per entry either way.  A float goes through ``math``'s cos and
+    sin, which agree with numpy's wherever numpy uses the platform's libm,
+    and numpy's tanh, as ``math.tanh`` can differ from it in the last bit.
     """
-    q2 = np.asarray(q2, dtype=float)
-    trig, hyper = q2 > LINEAR_BAND, q2 < -LINEAR_BAND
-    q = np.sqrt(np.abs(q2))
-    qt = q * t
-    for kind, where in ((_trig, trig), (_hyper, hyper)):
-        if np.count_nonzero(where) == q2.size:
-            c, s = kind(qt)
-            s = s / q
-            return c, s, -q2 * s
-    c, s, dc = np.ones_like(q2), np.full_like(q2, t), np.zeros_like(q2)
-    _trig(qt, c, s, trig)
-    _hyper(qt, c, s, hyper)
-    solved = trig | hyper
-    np.divide(s, q, out=s, where=solved)
-    np.multiply(-q2, s, out=dc, where=solved)
-    return c, s, dc
+    if isinstance(q2, float):
+        kind = _trig if q2 > LINEAR_BAND else _hyper if q2 < -LINEAR_BAND else None
+        if kind is None:
+            return 1.0, t, 0.0
+        q = math.sqrt(abs(q2))
+    else:
+        q2 = np.asarray(q2, dtype=float)
+        trig, hyper = q2 > LINEAR_BAND, q2 < -LINEAR_BAND
+        kind = _trig if np.count_nonzero(trig) == q2.size else _hyper if np.count_nonzero(hyper) == q2.size else None
+        q = np.sqrt(np.abs(q2))
+        if kind is None:
+            qt = q * t
+            c, s, dc = np.ones_like(q2), np.full_like(q2, t), np.zeros_like(q2)
+            _trig(qt, c, s, trig)
+            _hyper(qt, c, s, hyper)
+            solved = trig | hyper
+            np.divide(s, q, out=s, where=solved)
+            np.multiply(-q2, s, out=dc, where=solved)
+            return c, s, dc
+    c, s = kind(q * t)
+    s = s / q
+    return c, s, -q2 * s
 
 
-def seam_wronskian(profile: MassProfile, energies, parity: str) -> np.ndarray:
-    """Scaled Wronskian psi_out psi_in' - psi_out' psi_in at x = -a, elementwise.
+def seam_wronskian(profile: MassProfile, energies, parity: str):
+    """Scaled Wronskian psi_out psi_in' - psi_out' psi_in at x = -a, elementwise: a float for a
+    float, else an array.
 
     psi_out is grown from the wall (psi(-L) = 0, psi'(-L) = 1) and psi_in
     from the center with the parity imposed (C for even, S for odd; see
     :func:`_scaled_basis`).  Each side is divided by its own positive
     scale, so the result is finite at every finite energy.  It vanishes
     exactly at the eigenvalues and has the sign of -mismatch for even and
-    +mismatch for odd parity.
+    +mismatch for odd parity.  A float takes the same closed forms in scalar
+    ``math`` and gives the value of its entry in an array.
     """
     sign = _parity_sign(parity)
-    energies = np.asarray(energies, dtype=float)
+    if not isinstance(energies, float):
+        energies = np.asarray(energies, dtype=float)
     geo = profile.geometry
     c_o, s_o, _ = _scaled_basis(energies, geo.L - geo.a)
     c_i, s_i, dc_i = _scaled_basis(profile.inner.value(energies) * energies, geo.a)
@@ -225,7 +244,7 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
     """
 
     def residual(s):
-        return seam_wronskian(profile, s * np.abs(s), parity)
+        return seam_wronskian(profile, s * abs(s), parity)
 
     geo = profile.geometry
     segments, phases = [], []
@@ -249,7 +268,8 @@ def levels(profile: MassProfile, window: tuple[float, float], parity: str, tol: 
 
     Each segment of :func:`_level_scan` is scanned as densely as its phase
     asks (:func:`masswell._rootscan.roots_in`) and every isolated sign change
-    is refined in s to tol / (2 sqrt(max |E|)), so each energy is within
+    is refined in s to tol / (2 sqrt(max |E|)), on the scalar residual one
+    bracket at a time where a few are open, so each energy is within
     ``tol`` (floored near machine relative precision).  Fewer levels than :func:`winding` counts
     raise ``ScanResolutionError``, too wide a window ``ScanSizeError`` and too coarse a tol ``ValueError``.
     """

@@ -5,8 +5,8 @@ outside, so every state obeys psi(-L) = psi(L) = 0.  The effective mass
 equals 1 in the outer region a < |x| < L and follows one of the inner
 laws below for |x| < a.  Inner laws may depend on the energy and may be
 negative.  Units fix hbar^2/2 = 1, so the squared local wavenumber of a
-region is simply m * E.  Every inner law's ``value`` also takes an array
-of energies and works elementwise.  ``breaks`` lists where it jumps, taking
+region is simply m * E.  Every inner law's ``value`` maps a float to a
+float and an array of energies elementwise.  ``breaks`` lists where it jumps, taking
 its value from above; wherever m * E > 0, m is constant between E = 0 and breaks.
 
 All profile values are immutable after construction and safe to share
@@ -84,6 +84,8 @@ class StepInner:
         return (self.e_thr,)
 
     def value(self, energy):
+        if isinstance(energy, float):
+            return -1.0 if energy >= self.e_thr else 1.0
         return np.where(np.asarray(energy) >= self.e_thr, -1.0, 1.0)[()]
 
 

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rootscan import DEFAULT_TOL, ScanResolutionError, bracket_roots, integers_crossed, roots_in
+from ._rootscan import DEFAULT_TOL, ScanResolutionError, bracket_roots, integers_crossed, roots_in, scan_cells
 from .profiles import WellGeometry
 
 __all__ = [
@@ -296,8 +296,11 @@ def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
     if not hi > lo:
         return []
     tan = branch.tan_scale
+    phases = [(tan or 0.0) * (hi - lo)]
+    # sized before the count, as the turns overflow to inf where the tangent's argument does
+    scan_cells(phases, f"the scan of {lo!r}:{hi!r}")
     count = 0 if tan is None else integers_crossed(branch.turns(lo), branch.turns(hi))
-    return roots_in(branch.residual_raw, [(lo, hi)], [(tan or 0.0) * (hi - lo)], count, window.tol)
+    return roots_in(branch.residual_raw, [(lo, hi)], phases, count, window.tol)
 
 
 def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL) -> list[float]:
@@ -316,7 +319,7 @@ def critical_betas(geometry: WellGeometry, count: int, tol: float = DEFAULT_TOL)
         raise ValueError(f"count must be >= 1, got {count!r}")
     j = np.arange(count)
     lo, hi = (j * math.pi + math.pi / 4.0) / geometry.a, (j * math.pi + math.pi / 2.0) / geometry.a
-    return bracket_roots(ConstantNegNeg(geometry).residual_raw, lo, hi, j % 2 == 0, tol).tolist()
+    return bracket_roots(ConstantNegNeg(geometry).residual_raw, lo, hi, j % 2 == 0, tol)
 
 
 def reduced_kappa1(b_over_nu: float, L: float, tol: float = DEFAULT_TOL) -> float:
@@ -332,4 +335,4 @@ def reduced_kappa1(b_over_nu: float, L: float, tol: float = DEFAULT_TOL) -> floa
     """
     branch = TwoParamReduced(L, b_over_nu)
     c = b_over_nu
-    return float(bracket_roots(branch.residual_raw, c, c / math.tanh(c * L), True, tol)[0])
+    return bracket_roots(branch.residual_raw, c, c / math.tanh(c * L), True, tol)[0]

@@ -43,9 +43,9 @@ class Level:
 class Verdict:
     """Boundedness-below call: 'bounded_below', 'unbounded_below' or 'empty'.
 
-    An unbounded verdict always carries the root-count growth evidence
-    that justified it; no finite computation proves unboundedness, so the
-    evidence is stored rather than the claim alone.
+    An unbounded verdict follows from the inner law below its lowest break
+    and carries the root-count growth that shows it at two probe energies,
+    wherever the probes can represent that growth; otherwise ``evidence`` is None.
     """
 
     kind: str
@@ -109,10 +109,15 @@ def _levels_from(profile: MassProfile, pieces: list, parity: str, kappa: float) 
 
 
 def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_levels: bool) -> Verdict:
+    """Unbounded below exactly where the lowest stretch below E = 0 has inner rate r > 0: there the inner
+    region oscillates at every lower energy, a r kappa / pi times over, so the levels never end.  The
+    probes' level counts are its evidence where they grow as the rate asks; they cannot where the probes
+    fall back or round together (a r below about 1e-153, or kappa past about 1e18)."""
     pieces = profile.pieces(-math.inf, 0.0)
+    if not pieces[0][2] > 0.0:
+        return Verdict("bounded_below" if have_levels else "empty")
     k1, k2, spacing = _probe_kappas(profile.geometry, pieces)
     counts = [(_levels_from(profile, pieces, p, k1), _levels_from(profile, pieces, p, k2)) for p in parities]
-    # past kappa ~ 1e18 the probes round together, and no growth is no evidence
     required = max(1, math.floor((k2 - k1) / spacing) - 1)
     if counts and all(large - small >= required for small, large in counts):
         return Verdict(
@@ -125,9 +130,7 @@ def _boundedness_verdict(profile: MassProfile, parities: Sequence[str], have_lev
                 "required_growth": required,
             },
         )
-    if not have_levels:
-        return Verdict("empty")
-    return Verdict("bounded_below")
+    return Verdict("unbounded_below")
 
 
 def _levels_by_energy(
@@ -243,6 +246,6 @@ def delta_limit_study(
             raise ValueError(f"inner half-width a = {a!r} does not fit inside L = {L!r}")
         residual = TwoParamNeg(WellGeometry(L, a), b=b, nu=nu).residual_raw
         lo, hi = np.array([0.0, math.pi]) / nu, np.array([0.5 * math.pi, 1.5 * math.pi]) / nu
-        first, second = bracket_roots(residual, lo, hi, [True, False], tol).tolist()
+        first, second = bracket_roots(residual, lo, hi, [True, False], tol)
         rows.append(DeltaLimitRow(nu, a, b, first, second, kappa1))
     return rows

@@ -199,6 +199,16 @@ class TestSolverFailureExitCode:
         out, stderr = capsys.readouterr()
         assert (code, out) == (3, "") and stderr.startswith(f"solver failure: {err}")
 
+    # the tangent's argument t (L - a) or t a / b overflows at 1e308, and with it the root count the scan checks:
+    # the scan is sized first
+    @pytest.mark.parametrize("branch", ["two-param-neg", "constant-neg-neg"])
+    def test_a_range_whose_tangent_overflows_exits_3(self, branch, tmp_path, capsys):
+        config = tmp_path / "well.cfg"
+        config.write_text("L = 4\na = 3\n")
+        code = main(["curves", "--config", str(config), "--branch", branch, "--range", "0:1e308"])
+        err = "solver failure: the scan of 1e-12:1e+308 turns through inf radians, more than 8388608 scan cells hold\n"
+        assert (code, capsys.readouterr()) == (3, ("", err))
+
 
 class TestCoarseTol:
     def test_a_tol_coarser_than_the_level_spacing_exits_2(self, capsys):

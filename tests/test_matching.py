@@ -10,6 +10,7 @@ from masswell import _rootscan, cli, matching, spectrum
 from masswell._rootscan import (
     ScanResolutionError,
     ScanSizeError,
+    _bisect_one,
     bisect_root,
     isolate_sign_changes,
     roots_in,
@@ -400,7 +401,7 @@ def _spy(f):
     """``f`` that records the number of points of each call in ``.sizes``."""
 
     def g(ts):
-        g.sizes.append(ts.size)
+        g.sizes.append(np.size(ts))
         return f(ts)
 
     g.sizes = []
@@ -600,6 +601,37 @@ class TestSeamWronskian:
                 for parity in ("even", "odd"):
                     assert type(mismatch(profile, energy, parity)) is float
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        profile=PROFILES,
+        energy=st.one_of(
+            st.floats(-1e6, 1e6),
+            # |m E| about LINEAR_BAND, inside it, and 0
+            st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-16.0, -8.0)).map(lambda su: su[0] * 10.0 ** su[1]),
+            st.just(0.0),
+        ),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    # each law and parity, with trig, hyperbolic and linear regions
+    @example(profile=MassProfile(G2, ConstantInner(-1.0)), energy=7.0, parity="even")
+    @example(profile=MassProfile(G2, ConstantInner(2.0)), energy=-7.0, parity="odd")
+    @example(profile=MassProfile(G2, TanhInner()), energy=-7.0, parity="even")
+    @example(profile=MassProfile(G2, TanhInner()), energy=3.0, parity="odd")
+    @example(profile=MassProfile(G2, StepInner(-4.0)), energy=-5.0, parity="odd")
+    @example(profile=MassProfile(G2, StepInner(-4.0)), energy=-3.0, parity="even")
+    @example(profile=MassProfile(G2, ScaledInner(0.7)), energy=1e-13, parity="even")
+    @example(profile=MassProfile(G2, ScaledInner(0.7)), energy=-1e-13, parity="odd")
+    def test_a_float_is_its_entry_of_an_array(self, profile, energy, parity):
+        got = seam_wronskian(profile, energy, parity)
+        (want,) = seam_wronskian(profile, np.array([energy]), parity)
+        assert isinstance(got, float) and np.ndim(got) == 0
+        # within a few ulp of the larger term of the Wronskian
+        geo = profile.geometry
+        c_o, s_o, _ = _scaled_basis(np.array([energy]), geo.L - geo.a)
+        c_i, s_i, dc_i = _scaled_basis(profile.inner.value(np.array([energy])) * energy, geo.a)
+        terms = (s_o * dc_i, c_o * c_i) if parity == "even" else (s_o * c_i, c_o * s_i)
+        assert abs(got - want) <= 4.0 * math.ulp(max(abs(float(term[0])) for term in terms))
+
     def test_zero_at_secular_root(self):
         k = K_NP1_L2
         profile = MassProfile(G2, ConstantInner(-1.0))
@@ -637,6 +669,11 @@ class TestLockstepBisection:
         # a bracket refined in a batch takes exactly the steps it takes alone
         alone = [bisect_root(f, *bracket, tol)[0] for bracket in zip(a, b, fa, fb)]
         assert got.tolist() == alone
+        # and refined alone in floats: the same root, bit for bit, after the same steps of two calls each
+        for root, bracket in zip(got.tolist(), zip(a.tolist(), b.tolist(), fa.tolist(), fb.tolist())):
+            lockstep, scalar = _counted(f), _counted(f)
+            assert bisect_root(lockstep, *bracket, tol)[0].hex() == root.hex()
+            assert _bisect_one(scalar, *bracket, tol).hex() == root.hex() and scalar.calls == 2 * lockstep.calls
         for root, lo, hi, f_lo, f_hi in zip(got, a, b, fa, fb):
             assert lo <= root <= hi
             want = lo if f_lo == 0.0 else hi if f_hi == 0.0 else brentq(f, lo, hi, xtol=1e-15)
@@ -686,6 +723,9 @@ class TestLockstepBisection:
         assert f.calls == 256
         assert all(lo < root < hi for root, (lo, hi) in zip(got, brackets))
         assert got.tolist() == [bisect_root(f, lo, hi, -1.0, 1.0, 1e-320)[0] for lo, hi in brackets]
+        f.calls = 0
+        assert got.tolist() == [_bisect_one(f, lo, hi, -1.0, 1.0, 1e-320) for lo, hi in brackets]
+        assert f.calls == 2 * 2 * 256
 
     # residuals on which the secant point is useless: the midpoint guard
     # must still close the bracket within the documented step bound
@@ -709,6 +749,10 @@ class TestLockstepBisection:
         (root,) = bisect_root(f, lo, hi, residual(lo), residual(hi), tol)
         tol_floor = max(tol, 4.0 * math.ulp(r))
         assert f.calls <= 3 * math.ceil(math.log2((hi - lo) / (2.0 * tol_floor))) + 2
+        # given the same residual values: numpy's power of a scalar is not that of an array entry
+        scalar = _counted(lambda x: residual(np.array([x]))[0])
+        assert _bisect_one(scalar, lo, hi, float(residual(lo)), float(residual(hi)), tol) == root
+        assert scalar.calls == 2 * f.calls
         # a flat residual may underflow to an exact zero beside r
         assert abs(root - r) <= max(tol, 8.0 * math.ulp(r)) or residual(root) == 0.0
 
@@ -752,7 +796,7 @@ class TestLockstepBisection:
 
 
 def _refinement_steps(monkeypatch):
-    """Residual calls of each later bisect_root call, appended to the returned list."""
+    """Residual calls of each later lockstep bisect_root call, appended to the returned list."""
     steps = []
 
     def counting(f, *args):
@@ -779,19 +823,48 @@ def test_refinement_step_budget(monkeypatch):
     assert len(steps) == 3 and max(steps) <= 14, steps
 
 
+def _bracket_steps(monkeypatch):
+    """Steps of each later refinement of one bracket in floats (two residual calls each), appended to the returned
+    list."""
+    steps = []
+
+    def counting(f, *args):
+        residual = _counted(f)
+        root = _bisect_one(residual, *args)
+        steps.append(residual.calls // 2)
+        return root
+
+    monkeypatch.setattr(_rootscan, "_bisect_one", counting)
+    return steps
+
+
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_preset_brackets_close_in_a_few_steps(monkeypatch, preset):
-    """Each preset's level brackets at -100:100 close within 5 residual calls.
+    """Each preset's level brackets at -100:100, a few per parity and each refined alone, close within 5 steps.
 
     The secant through the two latest iterates takes at most 4 here; a
     midpoint forced on a bracket that converges from one side, or an
     estimate that keeps a far end, takes up to 8.
     """
-    steps = _refinement_steps(monkeypatch)
+    lockstep, steps = _refinement_steps(monkeypatch), _bracket_steps(monkeypatch)
     profile = ScenarioConfig({"preset": preset}).profile()
-    for parity in ("even", "odd"):
-        eigenvalues(profile, (-100.0, 100.0), parity)
-    assert len(steps) == 2 and max(steps) <= 5, steps
+    found = sum(len(levels(profile, (-100.0, 100.0), parity)) for parity in ("even", "odd"))
+    assert lockstep == [] and len(steps) == found and max(steps) <= 5, steps
+
+
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_either_refinement_gives_the_same_roots(monkeypatch, extra):
+    """roots_in on _SCALAR_BRACKETS - 1, _SCALAR_BRACKETS and _SCALAR_BRACKETS + 1 brackets: one bracket at a
+    time in floats up to the threshold, one lockstep call past it, and the same roots from the other route."""
+    n = _rootscan._SCALAR_BRACKETS + extra
+    # the uniform well of half-width 2 has its even levels at k = (2j + 1) pi / 4, so k < n pi / 2 - 0.1 holds n
+    # (with the window end at n pi / 2, a grid point falls exactly on a level)
+    scan = _level_scan(MassProfile(G2, ConstantInner(1.0)), 0.0, (n * math.pi / 2.0 - 0.1) ** 2, "even")
+    lockstep = _refinement_steps(monkeypatch)
+    got = roots_in(*scan, 1e-12)
+    assert len(got) == n and len(lockstep) == (extra > 0)
+    monkeypatch.setattr(_rootscan, "_SCALAR_BRACKETS", n - 1 if extra <= 0 else n)
+    assert roots_in(*scan, 1e-12) == got and len(lockstep) == 1
 
 
 def _log_uniform(lo, hi):

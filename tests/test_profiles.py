@@ -143,3 +143,10 @@ class TestArrayValue:
         assert isinstance(step.value(-2.0), float)
         assert ConstantInner(-2.5).value(1.0) == -2.5
         assert ScaledInner(0.5).value(1.0) == -4.0
+
+    def test_step_float_is_its_array_entry(self):
+        # the scalar residual reads the step law at every point: a float, -1.0 or 1.0 exactly as the array gives it
+        step = StepInner(-2.0)
+        for energy in (-2.0, float(np.nextafter(-2.0, -np.inf)), -np.inf, np.inf, 0.0, np.nan):
+            got = step.value(energy)
+            assert type(got) is float and got == step.value(np.array([energy]))[0]

@@ -230,10 +230,18 @@ class TestVerdictCounts:
         run_scenario(profile, (-1.0, 1.0))
 
     def test_probes_survive_a_spacing_that_underflows(self):
-        # a sqrt|m| = 1e-200 * 1e-125 rounds to 0, which divided 40 by zero
+        # a sqrt|m| = 1e-200 * 1e-125 rounds to 0, which divided 40 by zero; the inner mass is negative at every
+        # energy, so the levels never end, at a spacing no probe resolves
         profile = MassProfile(WellGeometry(2.0, 1e-200), ConstantInner(-1e-250))
         assert _probe_kappas(*_below_zero(profile)) == (PROBE_KAPPA_SMALL, PROBE_KAPPA_LARGE, math.pi)
-        assert run_scenario(profile, (-1.0, 1.0)).verdict.kind == "bounded_below"
+        assert run_scenario(profile, (-1.0, 1.0)).verdict == spectrum.Verdict("unbounded_below")
+
+    @pytest.mark.parametrize("m0, L, a", [(-1e-300, 0.001, 1e-6), (-1e-310, 2.0, 1.0)])
+    def test_a_negative_mass_too_slow_for_the_probes_is_unbounded(self, m0, L, a):
+        # a sqrt|m| below about 1e-153: the probes fall back to 10 and 40, where no level has appeared yet
+        # (the levels lie below about -1e300), so there is no growth to show as evidence
+        report = run_scenario(MassProfile(WellGeometry(L, a), ConstantInner(m0)), (-1.0, 1.0))
+        assert report.verdict == spectrum.Verdict("unbounded_below") and report.levels == ()
 
     def test_verdict_reads_the_law_once(self, monkeypatch):
         # the probes and both parities' counts share one list of stretches

@@ -47,6 +47,11 @@ CONFIGS = {
     "uniform-wide": "inner = constant\nm0 = 1\nL = 1000\na = 1\n",
     "constant-deep": "inner = constant\nm0 = -1e6\nL = 2\na = 1\n",
     "scaled-soak": "inner = scaled\nb = 0.0159132\nL = 54.3834\na = 54.3822\n",
+    # a tangent scale above 1 for the secular branches, whose turns overflow near the float limit
+    "wide-inner": "L = 4\na = 3\n",
+    # a negative inner mass whose levels lie past the verdict's probes
+    "tiny-negative": "inner = constant\nm0 = -1e-300\nL = 0.001\na = 1e-6\n",
+    "subnormal-negative": "inner = constant\nm0 = -1e-310\nL = 2\na = 1\n",
 }
 
 #: library requests: (L, beta_max, steps[, tol]) of ground_state_staircase
@@ -113,6 +118,11 @@ def requests(config_dir: str) -> list[list]:
     for preset, window in (("uniform", "0.6168502750680849:100"), ("step", "-4:100"), ("constant-negative", "-100:0")):
         for parity in ("even", "odd"):
             out.append(["spectrum", "--preset", preset, f"--window={window}", "--parity", parity])
+    # 16 and 17 even uniform levels: the most brackets refined one at a time (_rootscan._SCALAR_BRACKETS), and one more
+    for window in ("0.5:650", "0.5:700"):
+        out.append(["spectrum", "--preset", "uniform", f"--window={window}", "--parity", "even"])
+    for name in ("tiny-negative", "subnormal-negative"):
+        out.append(["spectrum", "--config", os.path.join(config_dir, name), "--window=-1:1"])
     # the sweep benchmark's commands
     for branch in CURVE_BRANCHES:
         out.append(["curves", "--branch", branch, "--range", "0.05:199.653", "--samples", "20000"])
@@ -154,6 +164,9 @@ def requests(config_dir: str) -> list[list]:
     # curves ranges too wide to scan, or (step-neg) with too many curve breaks to list (exit 3)
     for branch, window in (("constant-neg-pos", "0:1e15"), ("tanh-pos", "0:1e20"), ("step-neg", "0:1e15")):
         out.append(["curves", "--branch", branch, "--range", window])
+    wide_inner = os.path.join(config_dir, "wide-inner")
+    for branch in ("two-param-neg", "constant-neg-neg"):
+        out.append(["curves", "--config", wide_inner, "--branch", branch, "--range", "0:1e308"])
     wide = os.path.join(config_dir, "uniform-wide")
     out.append(["spectrum", "--config", wide, "--window=1:1e4", "--parity", "even", "--tol", "1"])
     return out
