@@ -38,7 +38,7 @@ class ScanResolutionError(RuntimeError):
 
 
 class ScanSizeError(OverflowError):
-    """A scan would take more than ``_MAX_CELLS`` cells."""
+    """A scan would take more than ``_MAX_CELLS`` cells, or a secular search hold more roots than it takes."""
 
 
 def scan_cells(phases, where: str) -> list[int]:

@@ -61,8 +61,8 @@ PRESETS: dict[str, dict[str, str]] = {
     "two-param": {"inner": "scaled", "b": "0.5", "L": "2", "a": "0.5"},
 }
 
-#: the row of each table that is not all floats: %.17g per float column, %d per integer, %s per word
-_ROW_TEMPLATES = {"spectrum": "%d,%.17g,%s,%d,%.17g"}
+#: the row of the one table that is not all floats, spectrum's: %.17g per float column, %d per integer, %s per word
+_SPECTRUM_ROW = "%d,%.17g,%s,%d,%.17g"
 
 #: the floats nearest 10**k for k = -5..21: exact for k >= 0, just above 10**k for k = -4..-1
 _TEN = np.array([float(f"1e{k}") for k in range(-5, 22)])
@@ -248,11 +248,11 @@ def _emit(text: str, out: Optional[str]) -> None:
             handle.write(text)
 
 
-def _format_rows(command: str, values: list) -> str:
-    """The rows of ``command``'s table, given as one flat list of values, as text with every row
-    ended by a newline: one ``%`` of the row template repeated per row for each chunk of up to
+def _format_rows(values: list) -> str:
+    """The rows of the spectrum table, given as one flat list of values, as text with every row
+    ended by a newline: one ``%`` of ``_SPECTRUM_ROW`` repeated per row for each chunk of up to
     2048 rows, which bounds the memory one ``%`` takes."""
-    template = _ROW_TEMPLATES[command] + "\n"
+    template = _SPECTRUM_ROW + "\n"
     width = template.count("%")
     chunks = (values[i : i + 2048 * width] for i in range(0, len(values), 2048 * width))
     return "".join((template * (len(chunk) // width)) % tuple(chunk) for chunk in chunks)
@@ -401,7 +401,7 @@ def _cmd_spectrum(cfg: ScenarioConfig) -> int:
         }
 
     flat = [v for row in rows for v in row]
-    _write(cfg, columns, lambda: (_report_header(report), _format_rows("spectrum", flat)), as_json)
+    _write(cfg, columns, lambda: (_report_header(report), _format_rows(flat)), as_json)
     return 0
 
 
@@ -416,7 +416,7 @@ def _cmd_curves(cfg: ScenarioConfig) -> int:
     samples = cfg.samples("512")
     tol = cfg.tol()
 
-    # the roots first: their scan rejects a range too wide to scan before a break is listed
+    # the roots first: find_roots rejects a range holding too many roots before a break is listed
     roots = find_roots(branch, RootWindow(lo, hi, tol=tol))
 
     # plot pieces keep 1e-6 clear of t = 0 and of each curve break

@@ -225,13 +225,9 @@ def delta_limit_study(
 
     Each nu gives (a, b) = (b_over_nu * nu**2, b_over_nu * nu).  The
     leftmost root converges to the reduced fixed point while the second
-    root grows like pi/nu and escapes to infinity.  On each branch
-    (j pi, j pi + pi/2) / nu, tan(kappa nu) rises from 0 to infinity while
-    b coth(kappa (L - a)) falls, and tan(kappa nu) < 0 between these
-    branches, so the two roots are the ones on (0, pi/2) / nu, where the
-    :class:`TwoParamNeg` residual rises, and (pi, 3 pi/2) / nu, where it
-    falls.  :func:`masswell._rootscan.bracket_roots` refines both with no
-    scan.
+    root grows like pi/nu and escapes to infinity.  The
+    :class:`TwoParamNeg` turns rise from -1/2 at kappa = 0, so these are
+    its roots 0 and 1, each refined to ``tol`` from its bracket.
     """
     if not b_over_nu > 0.0:
         raise ValueError(f"require b/nu > 0, got {b_over_nu!r}")
@@ -244,8 +240,7 @@ def delta_limit_study(
         a = nu * b
         if not a < L:
             raise ValueError(f"inner half-width a = {a!r} does not fit inside L = {L!r}")
-        residual = TwoParamNeg(WellGeometry(L, a), b=b, nu=nu).residual_raw
-        lo, hi = np.array([0.0, math.pi]) / nu, np.array([0.5 * math.pi, 1.5 * math.pi]) / nu
-        first, second = bracket_roots(residual, lo, hi, [True, False], tol)
+        branch = TwoParamNeg(WellGeometry(L, a), b=b, nu=nu)
+        first, second = bracket_roots(branch.residual_raw, *branch.brackets(np.arange(2)), tol)
         rows.append(DeltaLimitRow(nu, a, b, first, second, kappa1))
     return rows

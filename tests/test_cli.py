@@ -184,13 +184,16 @@ class TestSolverFailureExitCode:
         err = f"solver failure: window {window} turns through {phase} radians, more than 8388608 scan cells hold\n"
         assert (code, capsys.readouterr()) == (3, ("", err))
 
-    # curves ranges too wide to scan fail in the root scan, before a break is listed; step-neg's roots stop at beta,
-    # so its scan passes, and its breaks, which run on to HI, are capped by count
+    # curves ranges holding more roots than find_roots takes fail there, before a break is listed; step-neg's roots
+    # stop at beta, so its root count passes, and its breaks, which run on to HI, are capped by count
     @pytest.mark.parametrize(
         "branch, window, err",
         [
-            ("constant-neg-pos", "0:1e15", "the scan of 1e-12:1000000000000000.0 turns through 1e+15 radians"),
-            ("tanh-pos", "0:1e20", "the scan of 1e-12:1e+20 turns through 1e+20 radians"),
+            (
+                "constant-neg-pos", "0:1e15",
+                "the window 1e-12:1000000000000000.0 holds 3.18e+14 roots, more than 1048576",
+            ),
+            ("tanh-pos", "0:1e20", "the window 1e-12:1e+20 holds 3.18e+19 roots, more than 1048576"),
             ("step-neg", "0:1e15", "range 0.0:1000000000000000.0 holds 3.18e+14 curve breaks, more than 1048576"),
         ],
     )
@@ -199,14 +202,13 @@ class TestSolverFailureExitCode:
         out, stderr = capsys.readouterr()
         assert (code, out) == (3, "") and stderr.startswith(f"solver failure: {err}")
 
-    # the tangent's argument t (L - a) or t a / b overflows at 1e308, and with it the root count the scan checks:
-    # the scan is sized first
+    # the tangent's argument t a or t a / b overflows at 1e308, and with it the turns at HI: the root count is inf
     @pytest.mark.parametrize("branch", ["two-param-neg", "constant-neg-neg"])
     def test_a_range_whose_tangent_overflows_exits_3(self, branch, tmp_path, capsys):
         config = tmp_path / "well.cfg"
         config.write_text("L = 4\na = 3\n")
         code = main(["curves", "--config", str(config), "--branch", branch, "--range", "0:1e308"])
-        err = "solver failure: the scan of 1e-12:1e+308 turns through inf radians, more than 8388608 scan cells hold\n"
+        err = "solver failure: the window 1e-12:1e+308 holds inf roots, more than 1048576\n"
         assert (code, capsys.readouterr()) == (3, ("", err))
 
 
@@ -605,11 +607,10 @@ _COLUMN_TYPE = {"%.17g": float, "%d": numbers.Integral, "%s": str}
 
 
 class TestRowTemplates:
-    @pytest.mark.parametrize("command", sorted(cli._ROW_TEMPLATES))
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
-    def test_template_bytes_equal_per_value_join(self, command, data):
-        template = cli._ROW_TEMPLATES[command]
+    def test_template_bytes_equal_per_value_join(self, data):
+        template = cli._SPECTRUM_ROW
         row = tuple(data.draw(_STRATEGY[spec]) for spec in template.split(","))
         assert template % row == _per_value_row(row)
 
@@ -627,15 +628,15 @@ class TestRowTemplates:
         real, real_floats = cli._format_rows, cli._float_rows
         seen, float_rows = [], []
 
-        def checked(command, values):
-            specs = cli._ROW_TEMPLATES[command].split(",")
+        def checked(values):
+            specs = cli._SPECTRUM_ROW.split(",")
             assert isinstance(values, list) and len(values) % len(specs) == 0
-            seen.append((command, len(values) // len(specs)))
+            seen.append(len(values) // len(specs))
             for i, value in enumerate(values):
                 spec = specs[i % len(specs)]
                 assert isinstance(value, _COLUMN_TYPE[spec]), (spec, value)
                 assert not isinstance(value, bool), (spec, value)
-            return real(command, values)
+            return real(values)
 
         def checked_floats(table, breaks=()):
             assert isinstance(table, np.ndarray) and table.ndim == 2 and table.dtype == np.float64
@@ -645,9 +646,8 @@ class TestRowTemplates:
         monkeypatch.setattr(cli, "_format_rows", checked)
         monkeypatch.setattr(cli, "_float_rows", checked_floats)
         assert main(argv) == 0
-        if argv[0] in cli._ROW_TEMPLATES:
-            assert {command for command, _ in seen} == {argv[0]} and not float_rows
-            assert sum(n for _, n in seen) > 0
+        if argv[0] == "spectrum":
+            assert sum(seen) > 0 and not float_rows
         else:  # an all-float table: one 2-D float64 array, no template
             assert not seen and sum(float_rows) > 0
 

@@ -487,8 +487,10 @@ class TestBatchedScan:
 
         monkeypatch.setattr(_rootscan, "isolate_sign_changes", spying)
         geometry = WellGeometry(2.0, 1.0)
-        # the scan critical_betas(geometry, 5000) made: one root per branch below 5001 pi / a
-        assert len(find_roots(ConstantNegNeg(geometry), RootWindow(0.0, 5001 * math.pi / geometry.a))) == 5001
+        # one root of tan(kappa a) tanh(kappa (L - a)) = 1 per pi / a below 5001 pi / a, scanned whole
+        hi = 5001 * math.pi / geometry.a
+        residual = ConstantNegNeg(geometry).residual_raw
+        assert len(roots_in(residual, [(1e-12, hi)], [geometry.a * hi], 5001, 1e-12)) == 5001
         # one isolate call, whose grid of 4 ceil(8 * 5001) cells is split across calls of at most _MAX_POINTS points
         (calls,) = sizes
         assert len(calls) > 1 and max(calls) <= _rootscan._MAX_POINTS and sum(calls) == 4 * math.ceil(8 * 5001) + 1

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.optimize import brentq
 
 from masswell import _rootscan, secular
-from masswell._rootscan import ScanResolutionError, integers_crossed
+from masswell._rootscan import integers_crossed
 from masswell.matching import eigenvalues
 from masswell.profiles import ConstantInner, MassProfile, ScaledInner, TanhInner, WellGeometry
 from masswell.secular import (
@@ -24,6 +24,7 @@ from masswell.secular import (
     find_roots,
     reduced_kappa1,
 )
+from masswell.spectrum import delta_limit_study
 
 G2 = WellGeometry(2.0, 1.0)
 
@@ -237,12 +238,13 @@ class TestFindRoots:
         for t in roots:
             assert branch.turns(t) == pytest.approx(round(branch.turns(t)), abs=1e-6)
 
-    def test_a_missed_root_raises(self, monkeypatch):
-        # told the window turns through no phase, roots_in scans 256 cells of width 12.3 for 999 roots
-        roots_in = _rootscan.roots_in
-        monkeypatch.setattr(secular, "roots_in", lambda f, s, phases, *rest: roots_in(f, s, [0.0], *rest))
-        with pytest.raises(ScanResolutionError, match="found 25 of at least 999 roots"):
-            find_roots(ConstantNegNeg(G2), RootWindow(1.0, 1000 * math.pi))
+    def test_no_branch_is_scanned(self, monkeypatch):
+        # every root is named by its index and refined from its own bracket
+        calls = []
+        monkeypatch.setattr(_rootscan, "isolate_sign_changes", lambda *args: calls.append(args))
+        args = {"step-neg": (G2, 50.0), "two-param-neg": (G2, 0.5), "two-param-reduced": (2.0, 1.0)}
+        found = [len(find_roots(BRANCHES[name](*args.get(name, (G2,))), RootWindow(0.0, 60.0))) for name in BRANCHES]
+        assert found == [19, 19, 19, 0, 16, 39, 1] and calls == []
 
     @pytest.mark.parametrize("name", list(BRANCHES))
     def test_curves_meet_at_every_root(self, name):
@@ -289,9 +291,9 @@ class TestCurveBreaks:
 
 
 @st.composite
-def _geometries(draw):
-    """L log-uniform on [0.1, 100], then a or L - a log-uniform on [1e-3 L, L / 2]."""
-    L = 10.0 ** draw(st.floats(-1.0, 2.0))
+def _geometries(draw, top=2.0):
+    """L log-uniform on [0.1, 10**top], then a or L - a log-uniform on [1e-3 L, L / 2]."""
+    L = 10.0 ** draw(st.floats(-1.0, top))
     narrow = L * 10.0 ** draw(st.floats(-3.0, math.log10(0.5)))
     return WellGeometry(L, narrow if draw(st.booleans()) else L - narrow)
 
@@ -350,7 +352,9 @@ class TestCriticalBetas:
 
         monkeypatch.setattr(_rootscan, "isolate_sign_changes", counting)
         assert len(critical_betas(WellGeometry(2.0, 1.0), 5000)) == 5000
-        # every root has an analytic bracket: nothing is scanned
+        assert reduced_kappa1(1.0, 2.0) == pytest.approx(RED_1_2, abs=5e-12)
+        assert len(delta_limit_study(1.0, 2.0, [0.1, 0.01, 0.001])) == 3
+        # every root has its own bracket: nothing is scanned
         assert calls == []
 
     def test_gaps_approach_pi(self):
@@ -358,6 +362,69 @@ class TestCriticalBetas:
         gaps = [b1 - b0 for b0, b1 in zip(betas, betas[1:])]
         assert abs(gaps[1] - math.pi) < 0.1
         assert abs(gaps[2] - math.pi) < 0.1
+
+
+@st.composite
+def _branches(draw):
+    """Any of the seven branches, on a geometry with L up to 10."""
+    geometry = draw(_geometries(top=1.0))
+    name = draw(st.sampled_from(list(BRANCHES)))
+    if name == "two-param-reduced":
+        return TwoParamReduced(geometry.L, 10.0 ** draw(st.floats(-2.0, 2.0)))
+    if name == "step-neg":
+        return StepNeg(geometry, draw(st.floats(0.5, 200.0)))
+    if name == "two-param-neg":
+        return TwoParamNeg(geometry, draw(st.floats(0.3, 3.0)))
+    return BRANCHES[name](geometry)
+
+
+def _nearest_gap(xs, ys):
+    """|x - y| for each x of the sorted array ``xs`` and the y of the sorted array ``ys`` nearest it."""
+    if ys.size == 0:
+        return np.full(xs.size, np.inf)
+    i = np.searchsorted(ys, xs)
+    return np.minimum(np.abs(xs - ys[np.maximum(i - 1, 0)]), np.abs(xs - ys[np.minimum(i, ys.size - 1)]))
+
+
+# the second root of the constant-neg-neg branch on G2, one of the two floats between which its residual changes sign
+_ROOT = oracle_bisect(ConstantNegNeg(G2).residual_raw, 3.9, 4.7)
+
+
+class TestAgainstTheScan:
+    """find_roots against the sign-change scan of the whole window by roots_in, which it no longer uses."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        branch=_branches(),
+        window=st.tuples(st.floats(0.0, 100.0), st.floats(0.01, 300.0)).map(lambda w: (w[0], w[0] + w[1])),
+        tol=st.floats(-12.0, -8.0).map(lambda v: 10.0 ** v),
+    )
+    @example(branch=ConstantNegNeg(G2), window=(1.0, math.nextafter(_ROOT, -math.inf)), tol=1e-12)
+    @example(branch=ConstantNegNeg(G2), window=(1.0, math.nextafter(_ROOT, math.inf)), tol=1e-12)
+    @example(branch=ConstantNegNeg(G2), window=(math.nextafter(_ROOT, -math.inf), 10.0), tol=1e-12)
+    @example(branch=ConstantNegNeg(G2), window=(math.nextafter(_ROOT, math.inf), 10.0), tol=1e-12)
+    @example(branch=TanhPos(WellGeometry(2.0, 1.98)), window=(0.0, 300.0), tol=1e-12)
+    def test_roots_match_the_scan(self, branch, window, tol):
+        got = np.array(find_roots(branch, RootWindow(*window, tol)))
+        lo, hi = max(window[0], 1e-12), min(window[1], branch.clip_hi or math.inf)
+        if not hi > lo:
+            assert got.size == 0
+            return
+        phase = (branch.tan_scale or 0.0) * (hi - lo)
+        want = np.array(_rootscan.roots_in(branch.residual_raw, [(lo, hi)], [phase], 0, tol))
+        # the same roots to 2 tol, but for a root within tol of a window end, which either may leave out
+        lone = []
+        for xs, ys in ((got, want), (want, got)):
+            lone.append(xs[_nearest_gap(xs, ys) > 2.0 * tol])
+            assert np.all(np.minimum(lone[-1] - lo, hi - lone[-1]) <= tol)
+        assert got.size - lone[0].size == want.size - lone[1].size
+        # each bracket end has the residual's sign on its side of the root, or the root is within 256 ulp of it
+        j = np.arange(math.ceil(branch.turns(lo)), math.floor(branch.turns(hi)) + 1)
+        if j.size:
+            a, b, rising = branch.brackets(j)
+            f, sign = branch.residual_raw, np.where(rising, 1.0, -1.0)
+            assert np.all((f(a) * sign <= 0.0) | (f(a - 256.0 * np.spacing(a)) * sign < 0.0))
+            assert np.all((f(b) * sign >= 0.0) | (f(b + 256.0 * np.spacing(b)) * sign > 0.0))
 
 
 class TestReducedKappa1:

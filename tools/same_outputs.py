@@ -52,6 +52,8 @@ CONFIGS = {
     # a negative inner mass whose levels lie past the verdict's probes
     "tiny-negative": "inner = constant\nm0 = -1e-300\nL = 0.001\na = 1e-6\n",
     "subnormal-negative": "inner = constant\nm0 = -1e-310\nL = 2\na = 1\n",
+    # an outer span of L / 100, where the tanh-pos turns were only measured to rise
+    "thin-outer": "L = 2\na = 1.98\n",
 }
 
 #: library requests: (L, beta_max, steps[, tol]) of ground_state_staircase
@@ -161,9 +163,16 @@ def requests(config_dir: str) -> list[list]:
         ("two-param", "-1e308:-1e307"),
     ):
         out.append(["spectrum", "--preset", preset, f"--window={window}", *extra])
-    # curves ranges too wide to scan, or (step-neg) with too many curve breaks to list (exit 3)
+    # curves ranges holding too many roots, or (step-neg) too many curve breaks, to list (exit 3)
     for branch, window in (("constant-neg-pos", "0:1e15"), ("tanh-pos", "0:1e20"), ("step-neg", "0:1e15")):
         out.append(["curves", "--branch", branch, "--range", window])
+    # secular roots named by index: tanh-pos with a thin outer span; 16 and 17 roots, the most refined one at a
+    # time (_rootscan._SCALAR_BRACKETS) and one more; a range ending on the second critical beta to 17 digits
+    thin_outer = os.path.join(config_dir, "thin-outer")
+    out.append(["curves", "--config", thin_outer, "--branch", "tanh-pos", "--range", "0:300"])
+    for window in ("0.05:50", "0.05:53"):
+        out.append(["curves", "--branch", "constant-neg-neg", "--range", window])
+    out.append(["curves", "--branch", "constant-neg-neg", "--range", "0.05:3.9273787191188076"])
     wide_inner = os.path.join(config_dir, "wide-inner")
     for branch in ("two-param-neg", "constant-neg-neg"):
         out.append(["curves", "--config", wide_inner, "--branch", branch, "--range", "0:1e308"])
