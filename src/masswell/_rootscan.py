@@ -1,11 +1,10 @@
-"""Sign-change isolation and bracketed root refinement for one-dimensional residuals.
+"""Root counting and bracketed root refinement for one-dimensional residuals.
 
-A residual maps a float to a float and an array elementwise.  The scan
-(:func:`isolate_sign_changes`) evaluates it on arrays; the refinement
-evaluates it on floats, one bracket at a time by :func:`_bisect_one`, where
-at most ``_SCALAR_BRACKETS`` brackets are open, and otherwise on arrays, all
-brackets in lockstep by :func:`bisect_root`.  Both take the same steps and,
-given the same residual values, return the same roots.
+A residual maps a float to a float and an array elementwise.  Every search brackets each root before it
+evaluates the residual and checks their number against one cap (:func:`check_count`).  The refinement
+evaluates the residual on floats, one bracket at a time by :func:`_bisect_one`, where at most
+``_SCALAR_BRACKETS`` brackets are open, else on arrays, all in lockstep by :func:`bisect_root`, to the
+same roots.  :func:`isolate_sign_changes`, a sign-change scan, has no caller in the package.
 """
 
 from __future__ import annotations
@@ -15,8 +14,8 @@ import math
 import numpy as np
 
 __all__ = [
-    "DEFAULT_TOL", "ScanResolutionError", "ScanSizeError", "integers_crossed", "isolate_sign_changes", "bisect_root",
-    "bracket_roots", "scan_cells", "roots_in",
+    "DEFAULT_TOL", "ScanResolutionError", "ScanSizeError", "check_count", "integers_crossed", "isolate_sign_changes",
+    "bisect_root", "bracket_roots",
 ]
 
 #: the default absolute root tolerance of every solver and of the CLI
@@ -25,8 +24,8 @@ DEFAULT_TOL = 1e-12
 #: the most points one call of a residual takes in a scan
 _MAX_POINTS = 2**16 + 1
 
-#: the most cells one scan takes: about 262,000 roots at 32 cells per pi
-_MAX_CELLS = 2**23
+#: the most roots one search takes: a secular window, or a level window counted by its brackets
+_MAX_BREAKS = 2**20
 
 #: the most open brackets refined one at a time in floats; past it one lockstep call on arrays, whose
 #: fixed cost per numpy call the brackets share, is faster (the crossover is measured in the README)
@@ -34,21 +33,17 @@ _SCALAR_BRACKETS = 16
 
 
 class ScanResolutionError(RuntimeError):
-    """A scan found fewer roots than a continuous count of its residual's turns proves are there."""
+    """A bracket that must hold a root does not: its residual has one sign at both ends."""
 
 
 class ScanSizeError(OverflowError):
-    """A scan would take more than ``_MAX_CELLS`` cells, or a secular search hold more roots than it takes."""
+    """A search would hold more than ``_MAX_BREAKS`` roots, or a number that is not finite."""
 
 
-def scan_cells(phases, where: str) -> list[int]:
-    """The one scan-density rule: segment i, on which the residual turns through at most ``phases[i]``
-    radians, needs 32 cells per pi of that phase, at least 256 and rounded up to a multiple of 4.
-    Raises :class:`ScanSizeError` naming ``where`` where they sum past ``_MAX_CELLS``, or a phase is NaN."""
-    needs = [4 * max(64, math.ceil(8.0 * p / math.pi)) if p <= _MAX_CELLS else math.inf for p in phases]
-    if not sum(needs) <= _MAX_CELLS:
-        raise ScanSizeError(f"{where} turns through {sum(phases):.3g} radians, more than {_MAX_CELLS} scan cells hold")
-    return needs
+def check_count(count: float, where: str) -> None:
+    """Raise :class:`ScanSizeError` naming ``where`` where ``count`` roots are more than ``_MAX_BREAKS`` or NaN."""
+    if not count <= _MAX_BREAKS:
+        raise ScanSizeError(f"{where} holds {count:.3g} roots, more than {_MAX_BREAKS}")
 
 
 def integers_crossed(w0: float, w1: float, margin: float = 1e-6) -> int:
@@ -68,8 +63,7 @@ def isolate_sign_changes(f, lo, hi, samples):
     segment is sampled at ``np.linspace`` of its ends with its own
     ``samples`` cells; the grids are laid end to end and evaluated in calls
     of ``f`` of at most ``_MAX_POINTS`` points, and no bracket joins two
-    segments.  The scan finds what its grid resolves; :func:`roots_in`
-    checks the total.
+    segments.  The scan finds what its grid resolves and no more.
 
     Returns arrays ``(a, b, fa, fb)`` with one entry per bracket, in no
     promised order: one bracket per sign change between neighbouring
@@ -237,8 +231,7 @@ def bracket_roots(f, lo, hi, rising, tol):
     residual is zero or has the sign of the far side of the root, which
     only rounding near the root can give it, is that root to the float
     floor and is returned as is (the left end where both are).  The other
-    brackets are refined as :func:`roots_in` refines its brackets, with no
-    scan.  Returns a list of floats.
+    brackets are refined by :func:`_refine`.  Returns a list of floats.
     """
     if not 0.0 < tol < np.inf:
         raise ValueError("tol must be positive and finite")
@@ -248,30 +241,3 @@ def bracket_roots(f, lo, hi, rising, tol):
     f_lo = np.where(f_lo * sign < 0.0, f_lo, 0.0)
     f_hi = np.where(f_hi * sign > 0.0, f_hi, 0.0)
     return _refine(f, lo.astype(float), hi.astype(float), f_lo, f_hi, tol)
-
-
-def roots_in(f, segments, phases, count, tol):
-    """Every root of the residual ``f`` on the segments, ascending.
-
-    One :func:`isolate_sign_changes` call scans each segment at its own :func:`scan_cells` need.  Each
-    bracket is refined to ``tol`` alone in floats (:func:`_bisect_one`) where at most ``_SCALAR_BRACKETS``
-    are open, else all by one :func:`bisect_root` call, to the same roots.  ``count`` is how many roots the segments
-    hold at least (:func:`integers_crossed`): finding fewer raises :class:`ScanResolutionError`, so no root is lost
-    silently.  Roots closer than 4 tol, floored near machine relative precision, are then one;
-    where that leaves fewer than ``count``, ``tol`` is too coarse and ``ValueError`` is raised.
-    """
-    if not segments:
-        return []
-    needs = scan_cells(phases, f"the scan of {segments[0][0]!r}:{segments[-1][1]!r}")
-    a, b, fa, fb = isolate_sign_changes(f, *np.transpose(segments), needs)
-    # neighbouring segments can share an end, so a zero sampled there is bracketed twice
-    roots = sorted(set(_refine(f, a, b, fa, fb, tol)))
-    if len(roots) < count:
-        raise ScanResolutionError(f"found {len(roots)} of at least {count} roots")
-    merged = []
-    for r in roots:
-        if not merged or r - merged[-1] > 4.0 * max(tol, 1e-15 * max(1.0, abs(r))):
-            merged.append(r)
-    if len(merged) < count:
-        raise ValueError(f"tol is coarser than the root spacing: {len(roots)} roots merge into {len(merged)}")
-    return merged

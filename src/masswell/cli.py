@@ -5,8 +5,9 @@ Config files are flat ``key = value`` text: one assignment per line,
 flag sets one config key (``_FLAGS``) over the file's value and stays the
 string typed, so ``ScenarioConfig``'s readers check flags and files by
 the same rules.  Exit codes, set by ``main`` alone: 0 success, 2 bad
-config or request (``ValueError``, ``OSError``), 3 solver diagnostic or
-numeric overflow (``RuntimeError``, ``OverflowError``).
+config or request (``ValueError``, ``OSError``), 3 solver diagnostic,
+numeric overflow or underflow (``RuntimeError``, ``OverflowError``,
+``FloatingPointError``).
 
 Floats are always written as ``%.17g`` writes them, so identical configs
 produce byte-identical output files.  Every all-float table goes through
@@ -560,7 +561,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (RuntimeError, OverflowError) as exc:
+    except (RuntimeError, OverflowError, FloatingPointError) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
 

@@ -11,8 +11,11 @@ effective-mass literature.
 
 Eigenvalues are the zeros in energy of :func:`seam_wronskian`, the
 scaled Wronskian of the two solutions at x = -a.  It takes a float or an
-array of energies, never overflows, and is the residual that the level scan (in
-s = sign(E) sqrt|E|) and the root refinement evaluate; :func:`mismatch` is its signed scalar form.
+array of energies, never overflows, and is the residual that :func:`levels`
+refines in s = sign(E) sqrt|E|, each level from its own bracket: the integers
+that the Pruefer winding crosses (:func:`winding`) where both regions
+oscillate, else the cells between the poles of the closed-form matching
+condition.  :func:`mismatch` is its signed scalar form.
 :func:`build_solution` assembles the state from the same two solutions, so wall and parity hold
 exactly and only the seam sees the root tolerance; :func:`level_diagnostics` reads its node count
 and localization at a level of :func:`levels` without building it.
@@ -25,10 +28,11 @@ condition, this module doubles as the brute-force oracle for
 from __future__ import annotations
 
 import math
+import sys
 
 import numpy as np
 
-from ._rootscan import DEFAULT_TOL, integers_crossed, roots_in, scan_cells
+from ._rootscan import _SCALAR_BRACKETS, DEFAULT_TOL, ScanResolutionError, _refine, check_count
 from .profiles import MassProfile
 from .wavefunction import PiecewiseWavefunction, RegionSolution, _value_slope, region_l2
 
@@ -187,18 +191,33 @@ def seam_wronskian(profile: MassProfile, energies, parity: str):
     return s_o * c_i + c_o * s_i
 
 
-def _prufer(q2: float, t: float, start: float) -> float:
+def _prufer(q2, t: float, start: float):
     """Pruefer angle theta (tan theta = psi / psi') at t of psi = S (start 0) or C (start pi/2) of
-    :func:`_scaled_basis`.  A trig one's scaled angle phi (tan phi = q tan theta) is start + q t, and
-    theta = phi + atan((1/q - 1) sin phi cos phi / (cos^2 phi + sin^2 phi / q)) has no branch cut;
-    any other stays in [0, pi/2], where theta is atan2 of its value and slope."""
-    kind, q = _solution_kind(q2)
-    if kind == "trig":
-        phi = start + q * t
-        c, s = math.cos(phi), math.sin(phi)
-        return phi + math.atan((1.0 / q - 1.0) * s * c / (c * c + s * s / q))
-    qs = math.tanh(q * t) if kind == "hyper" else t  # q S / C, or S where q = 0
-    return math.atan2(qs, q or 1.0) if start == 0.0 else math.atan2(1.0, q * qs)
+    :func:`_scaled_basis`, for a float or an array of q2, as there.  A trig one's scaled angle phi
+    (tan phi = q tan theta) is start + q t, and theta = phi + atan((1/q - 1) sin phi cos phi /
+    (cos^2 phi + sin^2 phi / q)) has no branch cut; any other stays in [0, pi/2], where theta is atan2
+    of its value and slope.  A float goes through ``math``, an array through numpy on every entry, each
+    entry taking its own kind's value."""
+    if isinstance(q2, float):
+        kind, q = _solution_kind(q2)
+        if kind == "trig":
+            phi = start + q * t
+            c, s = math.cos(phi), math.sin(phi)
+            return phi + math.atan((1.0 / q - 1.0) * s * c / (c * c + s * s / q))
+        qs = math.tanh(q * t) if kind == "hyper" else t  # q S / C, or S where q = 0
+        return math.atan2(qs, q or 1.0) if start == 0.0 else math.atan2(1.0, q * qs)
+    trig, hyper = q2 > LINEAR_BAND, q2 < -LINEAR_BAND
+    q = np.sqrt(np.abs(q2))
+    phi = start + q * t
+    c, s = np.cos(phi), np.sin(phi)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta = phi + np.arctan((1.0 / q - 1.0) * s * c / (c * c + s * s / q))
+    if np.count_nonzero(trig) == q2.size:
+        return theta
+    q = np.where(hyper, q, 0.0)
+    qs = np.where(hyper, np.tanh(q * t), t)  # q S / C, or S where q = 0
+    other = np.arctan2(qs, np.where(hyper, q, 1.0)) if start == 0.0 else np.arctan2(1.0, q * qs)
+    return np.where(trig, theta, other)
 
 
 def winding(profile: MassProfile, energy: float, parity: str) -> float:
@@ -206,14 +225,14 @@ def winding(profile: MassProfile, energy: float, parity: str) -> float:
 
     theta_out is the wall-grown solution's Pruefer angle (:func:`_prufer`), 0 at -L.  theta_in is the
     center solution's, and x -> -x negates an angle: it is pi - _prufer(m E, a, pi/2) (even) or
-    -_prufer(m E, a, 0) (odd).  The integers it crosses on one stretch of ``profile.pieces`` are a
-    lower bound on the levels there, and their number wherever it is monotone, as for positive mass
-    by Sturm's argument.  Scalar ``math``.
+    -_prufer(m E, a, 0) (odd).  It rises with E wherever both regions oscillate (Sturm's argument), so
+    there the integers it crosses count the levels; :func:`levels` brackets each of them so.  Scalar
+    ``math``; ``_winding`` takes an array as well.
     """
     return _winding(profile, energy, float(profile.inner.value(energy)) * energy, parity)
 
 
-def _winding(profile: MassProfile, energy: float, me: float, parity: str) -> float:
+def _winding(profile: MassProfile, energy, me, parity: str):
     sign = _parity_sign(parity)
     geo = profile.geometry
     outer = _prufer(energy, geo.L - geo.a, 0.0)
@@ -226,28 +245,10 @@ def _below_break(profile: MassProfile, energy: float) -> float:
     return energy - 1e-13 * max(1.0, abs(energy)) if energy in profile.inner.breaks else energy
 
 
-def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
-    """The level scan of [lo, hi]: its residual, segments in s = sign(E) sqrt|E|, phases and level count.
-
-    Consecutive levels are about evenly spaced in s (Pruefer's angle
-    argument), so they cannot crowd into one sample cell toward E = 0 or
-    deep in the window.  The residual is :func:`seam_wronskian` at
-    E = s|s|.  Segments are the stretches (e0, e1, r) of ``profile.pieces``,
-    cut where it can kink (E = 0) or jump (at each of the inner law's
-    ``breaks``); a stretch owns its lower end, so the segment below a break
-    stops a hair earlier to stay on the lower branch.  Each end is then
-    mapped to s and stepped inward until s|s| lies in its energy segment,
-    so no sample crosses a cut; once :func:`masswell._rootscan.scan_cells`
-    has sized the scan, :func:`winding` counts the levels between those ends.  A segment's phase is
-    (L - a)(max(s1, 0) - max(s0, 0)) + a r (s1 - s0): an inner region with
-    r = 0 is hyperbolic or linear and turns through no phase.
-    """
-
-    def residual(s):
-        return seam_wronskian(profile, s * abs(s), parity)
-
-    geo = profile.geometry
-    segments, phases = [], []
+def _stretches(profile: MassProfile, lo: float, hi: float) -> list[tuple[float, float, float]]:
+    """(s0, s1, r) in s = sign(E) sqrt|E| per stretch (e0, e1, r) of ``profile.pieces``, each end stepped inward
+    until s|s| lies in its stretch, one below a break stopping a hair under it, and empty ones dropped."""
+    out = []
     for e0, e1, rate in profile.pieces(lo, hi):
         e1 = _below_break(profile, e1)
         s0, s1 = math.copysign(math.sqrt(abs(e0)), e0), math.copysign(math.sqrt(abs(e1)), e1)
@@ -256,22 +257,107 @@ def _level_scan(profile: MassProfile, lo: float, hi: float, parity: str):
         while s1 * abs(s1) > e1:
             s1 = math.nextafter(s1, -math.inf)
         if s1 > s0:
-            segments.append((s0, s1))
-            phases.append((geo.L - geo.a) * (max(s1, 0.0) - max(s0, 0.0)) + geo.a * rate * (s1 - s0))
-    scan_cells(phases, f"window {lo!r}:{hi!r}")
-    count = sum(integers_crossed(*(winding(profile, s * abs(s), parity) for s in ends)) for ends in segments)
-    return residual, segments, phases, count
+            out.append((s0, s1, rate))
+    return out
+
+
+def _pole_cells(t0: float, t1: float, c: float, delta: float):
+    """(lo, hi, cut, j) of the cells [j pi + delta, (j + 1) pi + delta] / c, j >= 0, that overlap [t0, t1], cut to
+    it; the index range reaches one cell past each end, so rounding drops none."""
+    j = np.arange(max(math.floor((c * t0 - delta) / math.pi) - 1, 0), math.ceil((c * t1 - delta) / math.pi) + 1)
+    lo, hi = (j * math.pi + delta) / c, ((j + 1) * math.pi + delta) / c
+    keep = (lo < t1) & (hi > t0)
+    lo, hi = lo[keep], hi[keep]
+    return np.maximum(lo, t0), np.minimum(hi, t1), (lo < t0) | (hi > t1), j[keep]
+
+
+def _theta_cells(profile: MassProfile, s0: float, s1: float, phase: float, parity: str):
+    """(lo, hi, cut, x): one cell of [s0, s1] per integer that a rising :func:`winding` crosses, and x where
+    Theta, read as linear across the cell, meets it.  Theta is sampled on 4 cells per pi of ``phase``, on
+    floats up to ``_SCALAR_BRACKETS`` samples, and a cell that two integers reach is split.  The seam
+    Wronskian has the sign of sin(pi Theta), so where the two disagree, or it is 0, a sample is a level to
+    rounding and no cell ends there; the first and last cells end on the stretch's ends and count as cut."""
+
+    def theta(s):
+        e = s * s
+        if e.size <= _SCALAR_BRACKETS:
+            w = np.array([winding(profile, x, parity) for x in e.tolist()])
+        else:
+            w = _winding(profile, e, profile.inner.value(e) * e, parity)
+        # only within 1e-6 of an integer can the two round to different signs
+        ok, near = np.ones(w.size, dtype=bool), np.abs(w - np.round(w)) <= 1e-6
+        if np.any(near):
+            v = seam_wronskian(profile, e[near], parity)
+            ok[near] = (v != 0.0) & ((v < 0.0) == (np.floor(w[near]) % 2.0 == 1.0))
+        return w, ok
+
+    s = np.linspace(s0, s1, max(1, math.ceil(4.0 * phase / math.pi)) + 1)
+    w, ok = theta(s)
+    k = np.arange(math.ceil(w[0]), math.floor(w[-1]) + 1)
+    for n in range(64):
+        ok[[0, -1]] = True
+        s, w = s[ok], w[ok]
+        i = np.searchsorted(w, k).clip(1, w.size - 1)
+        shared = np.flatnonzero(np.bincount(i) > 1)
+        if not shared.size:
+            lo, hi = s[i - 1], s[i]
+            return lo, hi, (i == 1) | (i == w.size - 1), lo + (k - w[i - 1]) / (w[i] - w[i - 1]) * (hi - lo)
+        # halves, or splits at 3/8 after a round whose split may have fallen on a level
+        cut = s[shared - 1] + (0.5 - 0.125 * (n % 2)) * (s[shared] - s[shared - 1])
+        w_cut, ok_cut = theta(cut)
+        ok = np.insert(np.ones(s.size, dtype=bool), shared, ok_cut)
+        s, w = np.insert(s, shared, cut), np.insert(w, shared, w_cut)
+    raise ScanResolutionError(f"the winding on s = {s0!r}:{s1!r} crosses two integers within 2**-64 of its range")
+
+
+def _level_brackets(profile: MassProfile, lo: float, hi: float, parity: str):
+    """(lo, hi, cut, x) in s: one bracket per level of [lo, hi], ``cut`` where it is cut to its stretch (its level
+    may lie outside), and an estimate x, by one rule per stretch (s0, s1, r); d = L - a, k = |s|, mu = sqrt|m|.
+    The README proves one level per cell (the matching route's four rules).
+
+    - r > 0, E > 0 (both regions oscillate): :func:`_theta_cells`.
+    - r = 0, E > 0: cot(kd) = -mu tanh(mu k a) (even) or -mu coth(mu k a) (odd) <= 0; cells between the
+      poles of cot, each holding one right half-branch.  Only measured for tanh, whose mu varies with E.
+    - r > 0, E < 0: in kappa = -s, r tan(r kappa a) (even) or -r cot(r kappa a) (odd) = coth(kappa d), whose
+      left side rises from 0 to +inf on each half-branch; cells between the zeros of tan or cot.  The
+      winding is not monotone here.  x takes three fixed-point steps from coth = 1.
+    - r = 0, E < 0: no level.
+
+    At the cells' ends the seam Wronskian is +-1 times a positive factor, alternating in sign.  The brackets
+    are counted before any is built; a stretch whose cells leave the float range holds no finite level.
+    """
+    geo = profile.geometry
+    d = geo.L - geo.a
+    delta = 0.5 * math.pi * (_parity_sign(parity) < 0.0)
+    # (s0, s1, r, c), c the rate of the phase in s
+    rules = [(s0, s1, r, d * (s0 >= 0.0) + geo.a * r) for s0, s1, r in _stretches(profile, lo, hi)]
+    rules = [rule for rule in rules if rule[3] * sys.float_info.max > 2.0 * math.pi]
+    check_count(sum(c * (s1 - s0) / math.pi + 2.0 for s0, s1, _, c in rules), f"the window {lo!r}:{hi!r}")
+    brackets = []
+    for s0, s1, rate, c in rules:
+        if s0 < 0.0:
+            t0, t1, cut, j = _pole_cells(-s1, -s0, c, delta)
+            kappa = math.inf
+            for _ in range(3):
+                kappa = (j * math.pi + delta + np.arctan2(1.0, rate * np.tanh(kappa * d))) / c
+            brackets.append((-t1, -t0, cut, -kappa))
+        elif rate == 0.0:  # x takes tanh and coth as 1, and mu at the cell's high end
+            lo_s, hi_s, cut, j = _pole_cells(s0, s1, d, 0.0)
+            mu = np.sqrt(np.maximum(-profile.inner.value(hi_s * hi_s), 0.0))
+            brackets.append((lo_s, hi_s, cut, ((j + 1) * math.pi - np.arctan2(1.0, mu)) / d))
+        else:
+            brackets.append(_theta_cells(profile, s0, s1, c * (s1 - s0), parity))
+    return [np.concatenate(parts) for parts in zip(*brackets)] if brackets else [np.empty(0)] * 4
 
 
 def levels(profile: MassProfile, window: tuple[float, float], parity: str, tol: float = DEFAULT_TOL) -> list[float]:
-    """All eigenvalues in the window, ascending.
+    """All eigenvalues in the window, ascending, each refined in s = sign(E) sqrt|E| from its own bracket
+    (:func:`_level_brackets`) to tol / (2 sqrt(max |E|)), so within ``tol`` (floored near machine precision).
 
-    Each segment of :func:`_level_scan` is scanned as densely as its phase
-    asks (:func:`masswell._rootscan.roots_in`) and every isolated sign change
-    is refined in s to tol / (2 sqrt(max |E|)), on the scalar residual one
-    bracket at a time where a few are open, so each energy is within
-    ``tol`` (floored near machine relative precision).  Fewer levels than :func:`winding` counts
-    raise ``ScanResolutionError``, too wide a window ``ScanSizeError`` and too coarse a tol ``ValueError``.
+    The seam Wronskian is evaluated once at every bracket's ends and estimate, and the part on the side of
+    the estimate where its sign changes is refined.  A cut bracket with one sign at both ends holds no level
+    in the window; any other raises ``ScanResolutionError``.  More than ``_MAX_BREAKS`` brackets raise
+    ``ScanSizeError``, and a tol so coarse that roots closer than 4 tol merge raises ``ValueError``.
     """
     lo, hi = window
     if not -math.inf < lo < hi < math.inf:
@@ -279,7 +365,31 @@ def levels(profile: MassProfile, window: tuple[float, float], parity: str, tol: 
     if not 0.0 < tol < math.inf:
         raise ValueError("tol must be positive and finite")
     tol_s = tol / (2.0 * math.sqrt(max(abs(lo), abs(hi))))
-    return [s * abs(s) for s in roots_in(*_level_scan(profile, lo, hi, parity), tol_s)]
+
+    def residual(s):
+        return seam_wronskian(profile, s * abs(s), parity)
+
+    a, b, cut, x = _level_brackets(profile, lo, hi, parity)
+    if not a.size:
+        return []
+    x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
+    f_a, f_b, f_x = np.split(residual(np.concatenate((a, b, x))), 3)
+    held = (f_a == 0.0) | (f_b == 0.0) | ((f_a < 0.0) != (f_b < 0.0))
+    missing = np.flatnonzero(~held & ~cut)
+    if missing.size:
+        i = missing[0]
+        raise ScanResolutionError(f"the bracket s = {a[i]!r}:{b[i]!r} holds no level, though it must hold one")
+    left = (f_a == 0.0) | ((f_x < 0.0) != (f_a < 0.0))
+    a, f_a = np.where(left, a, x)[held], np.where(left, f_a, f_x)[held]
+    b, f_b = np.where(left, x, b)[held], np.where(left, f_x, f_b)[held]
+    roots = sorted(_refine(residual, a, b, f_a, f_b, tol_s))
+    merged = []
+    for r in roots:
+        if not merged or r - merged[-1] > 4.0 * max(tol_s, 1e-15 * max(1.0, abs(r))):
+            merged.append(r)
+    if len(merged) < len(roots):
+        raise ValueError(f"tol is coarser than the root spacing: {len(roots)} roots merge into {len(merged)}")
+    return [s * abs(s) for s in merged]
 
 
 def eigenvalues(

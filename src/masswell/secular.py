@@ -23,7 +23,7 @@ from typing import Optional
 
 import numpy as np
 
-from ._rootscan import DEFAULT_TOL, ScanResolutionError, ScanSizeError, bracket_roots
+from ._rootscan import _MAX_BREAKS, DEFAULT_TOL, ScanResolutionError, bracket_roots, check_count
 from .profiles import WellGeometry
 
 __all__ = [
@@ -43,9 +43,6 @@ __all__ = [
     "critical_betas",
     "reduced_kappa1",
 ]
-
-#: the most roots :func:`find_roots` takes, and singular points :meth:`SecularBranch.curve_breaks` lists
-_MAX_BREAKS = 2**20
 
 #: tanh(x) is 1.0 in floats for x >= 22, so clamping an argument there changes no value and no
 #: product towards it overflows
@@ -288,8 +285,13 @@ class TwoParamReduced(SecularBranch):
 
     def brackets(self, j):
         """Root 0, rising from c = b/nu, where the residual is -c (coth(c L) - 1) <= 0, to c coth(c L), where it
-        is about 8 u exp(-4 u) c with u = c L, which rounds away (the root to the float floor) past c L ~ 10."""
+        is about 8 u exp(-4 u) c with u = c L, which rounds away (the root to the float floor) past c L ~ 10.
+        Raises ``FloatingPointError`` where c L underflows to 0, as the residual then divides by zero."""
         c = self.b_over_nu
+        if not c * self.L > 0.0:
+            raise FloatingPointError(
+                f"b/nu * L = {c!r} * {self.L!r} underflows to 0, so no bracket holds the fixed point"
+            )
         return c, c / math.tanh(c * self.L), True
 
     def curve_pair(self, t):
@@ -310,15 +312,14 @@ def find_roots(branch: SecularBranch, window: RootWindow) -> list[float]:
 
     The integers that :meth:`SecularBranch.turns` passes on the window, clipped to the admissible t and
     floored above t = 0, name the roots, each refined to ``window.tol`` from its bracket clipped to the
-    window.  More than ``_MAX_BREAKS`` roots, or a count that is not finite, raise :class:`ScanSizeError`.
+    window.  More than ``_MAX_BREAKS`` roots, or a count that is not finite, raise ``ScanSizeError``.
     """
     lo = max(window.lo, 1e-12)  # the deep-narrow residual divides by tanh(t L)
     hi = window.hi if branch.clip_hi is None else min(window.hi, branch.clip_hi)
     if not hi > lo:
         return []
     first, last = branch.turns(lo), branch.turns(hi)
-    if not last - first <= _MAX_BREAKS:
-        raise ScanSizeError(f"the window {lo!r}:{hi!r} holds {last - first:.3g} roots, more than {_MAX_BREAKS}")
+    check_count(last - first, f"the window {lo!r}:{hi!r}")
     j = np.arange(math.ceil(first), math.floor(last) + 1)
     if not j.size:  # no root, and TanhNeg has no brackets
         return []

@@ -153,35 +153,44 @@ class TestSolverFailureExitCode:
         assert not out.exists()
         assert capsys.readouterr().err == f"solver failure: {error}\n"
 
-    def test_an_undersized_level_scan_exits_3(self, monkeypatch, tmp_path, capsys):
-        # segments said to turn through no phase get 256 cells, too few for 31,513 levels
+    def test_an_empty_bracket_exits_3(self, monkeypatch, tmp_path, capsys):
+        # every level bracket one ulp wide at its low end and not cut to its stretch: one that must hold a level
+        # holds none
         from masswell import matching
 
-        scan = matching._level_scan
+        cells = matching._theta_cells
 
-        def unsized(*args):
-            residual, segments, phases, count = scan(*args)
-            return residual, segments, [0.0] * len(phases), count
+        def emptied(*args):
+            lo, hi, cut, x = cells(*args)
+            return lo, np.nextafter(lo, np.inf), np.zeros_like(cut), x
 
-        monkeypatch.setattr(matching, "_level_scan", unsized)
+        monkeypatch.setattr(matching, "_theta_cells", emptied)
         config = tmp_path / "wide.cfg"
         config.write_text("inner = constant\nm0 = 1\nL = 1000\na = 1\n")
         code = main(["spectrum", "--config", str(config), "--window=1:1e4", "--parity", "even"])
-        assert (code, capsys.readouterr().err) == (3, "solver failure: found 231 of at least 31513 roots\n")
+        err = capsys.readouterr().err
+        assert (code, err.startswith("solver failure: the bracket s = ")) == (3, True)
+        assert err.endswith(" holds no level, though it must hold one\n")
 
-    # windows whose scan would take more cells than one scan may: each fails before anything is sampled
+    # windows that would take more brackets than one search may: each fails before anything is sampled
     @pytest.mark.parametrize(
-        "preset, window, phase",
+        "preset, window, count",
         [
-            ("uniform", "1e+30:2e+30", "8.28e+14"),
-            ("uniform", "1e+200:2e+200", "8.28e+99"),
+            ("uniform", "1e+30:2e+30", "2.64e+14"),
+            ("uniform", "1e+200:2e+200", "2.64e+99"),
             # m E overflows to inf here
-            ("two-param", "-1e+308:-1e+307", "6.84e+153"),
+            ("two-param", "-1e+308:-1e+307", "2.18e+153"),
         ],
     )
-    def test_a_window_too_wide_to_scan_exits_3(self, preset, window, phase, capsys):
+    def test_a_window_too_wide_to_bracket_exits_3(self, preset, window, count, capsys):
         code = main(["spectrum", "--preset", preset, f"--window={window}", "--parity", "even"])
-        err = f"solver failure: window {window} turns through {phase} radians, more than 8388608 scan cells hold\n"
+        err = f"solver failure: the window {window} holds {count} roots, more than 1048576\n"
+        assert (code, capsys.readouterr()) == (3, ("", err))
+
+    def test_a_delta_limit_whose_product_underflows_exits_3(self, capsys):
+        # b/nu * L rounds to 0, where the fixed point's bracket and residual divide by zero
+        code = main(["delta-limit", "--b-over-nu", "1e-300", "--L", "1e-30"])
+        err = "solver failure: b/nu * L = 1e-300 * 1e-30 underflows to 0, so no bracket holds the fixed point\n"
         assert (code, capsys.readouterr()) == (3, ("", err))
 
     # curves ranges holding more roots than find_roots takes fail there, before a break is listed; step-neg's roots

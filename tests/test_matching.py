@@ -8,19 +8,17 @@ from scipy.optimize import brentq
 
 from masswell import _rootscan, cli, matching, spectrum
 from masswell._rootscan import (
-    ScanResolutionError,
     ScanSizeError,
     _bisect_one,
     bisect_root,
+    check_count,
     isolate_sign_changes,
-    roots_in,
-    scan_cells,
 )
 from masswell.cli import PRESETS, ScenarioConfig
 from masswell.matching import (
     LINEAR_BAND,
-    _level_scan,
     _scaled_basis,
+    _stretches,
     build_solution,
     eigenvalues,
     level_diagnostics,
@@ -48,6 +46,8 @@ from masswell.secular import (
     find_roots,
 )
 from masswell.wavefunction import RegionSolution, _value_slope, count_nodes, evaluate, localization_fraction
+
+from conftest import scan_levels, scan_roots
 
 G2 = WellGeometry(2.0, 1.0)
 K_NP1_L2 = 2.347045566487087  # first root of tanh(k) tan(k) = -1
@@ -316,13 +316,12 @@ class TestOddParityClosedForms:
 
 
 class TestScanMachinery:
-    def test_unresolvable_oscillation_raises(self):
-        # sin(1/t) has a root at 1/(j pi) for j = 4 .. 3183; cells of 0.1/256 cannot resolve them near 1e-4
+    def test_unresolvable_oscillation_is_not_bracketed(self):
+        # sin(1/t) has a root at 1/(j pi) for j = 4 .. 3183; one grid, no rescan: the scan brackets what its grid
+        # resolves and no more
         f = lambda ts: np.sin(1.0 / np.asarray(ts))
-        with pytest.raises(ScanResolutionError, match=r"found \d+ of at least 3180 roots"):
-            roots_in(f, [(1e-4, 0.1)], [0.0], 3180, 1e-12)
-        # one grid, no rescan: the scan brackets what its grid resolves and no more
         assert isolate_sign_changes(f, 1e-4, 0.1, samples=64)[0].size < 64
+        assert len(scan_roots(f, [(1e-4, 0.1)], [0.0], 1e-12)) < 3180
 
     def test_exact_zero_at_sample_point(self):
         f = lambda ts: np.asarray(ts) - 0.5
@@ -332,7 +331,7 @@ class TestScanMachinery:
     def test_exact_zero_is_a_root(self):
         # 0.5 is a sample of the 256-cell floor and a zero; 0.8 is a sign change between samples
         f = lambda ts: (np.asarray(ts) - 0.5) * (np.asarray(ts) - 0.8)
-        assert roots_in(f, [(0.0, 1.0)], [0.0], 2, 1e-12) == pytest.approx([0.5, 0.8], abs=1e-12)
+        assert scan_roots(f, [(0.0, 1.0)], [0.0], 1e-12) == pytest.approx([0.5, 0.8], abs=1e-12)
 
     def test_window_validation(self):
         profile = MassProfile(G2, ConstantInner(1.0))
@@ -342,15 +341,6 @@ class TestScanMachinery:
             eigenvalues(profile, (0.0, 1.0), "even", tol=0.0)
         with pytest.raises(ValueError):
             eigenvalues(profile, (0.0, 1.0), "sideways")
-
-    def test_unresolvable_segment_among_resolvable_ones_raises(self):
-        # the count is the total over all segments: 1 + 3180 + 0 roots of sin(1/t)
-        f = lambda ts: np.sin(1.0 / np.asarray(ts))
-        segments = [(0.2, 0.5), (1e-4, 0.1), (0.5, 1.0)]
-        with pytest.raises(ScanResolutionError, match="of at least 3181 roots"):
-            roots_in(f, segments, [0.0, 0.0, 0.0], 3181, 1e-12)
-        # with the count the resolvable segments prove, the same scan passes
-        assert len(roots_in(f, segments, [0.0, 0.0, 0.0], 1, 1e-12)) < 3181
 
     @pytest.mark.parametrize(
         "window, tol",
@@ -425,7 +415,8 @@ class TestBatchedScan:
 
     def test_matching_residual_with_a_sampled_zero(self):
         profile = MassProfile(G2, StepInner(-30.0))
-        residual, segments, _, _ = _level_scan(profile, -100.0, 100.0, "even")
+        residual = lambda s: seam_wronskian(profile, s * np.abs(s), "even")
+        segments = [(s0, s1) for s0, s1, _ in _stretches(profile, -100.0, 100.0)]
         assert len(segments) == 3
         # one grid point of the last segment made an exact zero
         pin = np.linspace(*segments[-1], 512 + 1)[250]
@@ -448,14 +439,11 @@ class TestBatchedScan:
         a, *_ = isolate_sign_changes(f, [0.0, 1.0], [1.0, 2.0], 256)
         assert f.sizes == [2 * 257]
         assert np.sort(a // 1.0).tolist() == [1.0]
-        # the count of 3 roots catches what the grid missed
-        with pytest.raises(ScanResolutionError, match="found 1 of at least 3"):
-            roots_in(f, [(0.0, 1.0), (1.0, 2.0)], [0.0, 0.0], 3, 1e-12)
 
     def test_eigenvalue_scan_is_one_call(self):
         profile = MassProfile(G2, StepInner(-30.0))
-        residual, segments, _, _ = _level_scan(profile, -100.0, 100.0, "odd")
-        f = _spy(residual)
+        segments = [(s0, s1) for s0, s1, _ in _stretches(profile, -100.0, 100.0)]
+        f = _spy(lambda s: seam_wronskian(profile, s * np.abs(s), "odd"))
         isolate_sign_changes(f, *np.transpose(segments), 2048)
         assert f.sizes == [len(segments) * (2048 + 1)]
 
@@ -490,7 +478,7 @@ class TestBatchedScan:
         # one root of tan(kappa a) tanh(kappa (L - a)) = 1 per pi / a below 5001 pi / a, scanned whole
         hi = 5001 * math.pi / geometry.a
         residual = ConstantNegNeg(geometry).residual_raw
-        assert len(roots_in(residual, [(1e-12, hi)], [geometry.a * hi], 5001, 1e-12)) == 5001
+        assert len(scan_roots(residual, [(1e-12, hi)], [geometry.a * hi], 1e-12)) == 5001
         # one isolate call, whose grid of 4 ceil(8 * 5001) cells is split across calls of at most _MAX_POINTS points
         (calls,) = sizes
         assert len(calls) > 1 and max(calls) <= _rootscan._MAX_POINTS and sum(calls) == 4 * math.ceil(8 * 5001) + 1
@@ -856,17 +844,17 @@ def test_preset_brackets_close_in_a_few_steps(monkeypatch, preset):
 
 @pytest.mark.parametrize("extra", [-1, 0, 1])
 def test_either_refinement_gives_the_same_roots(monkeypatch, extra):
-    """roots_in on _SCALAR_BRACKETS - 1, _SCALAR_BRACKETS and _SCALAR_BRACKETS + 1 brackets: one bracket at a
+    """levels on _SCALAR_BRACKETS - 1, _SCALAR_BRACKETS and _SCALAR_BRACKETS + 1 brackets: one bracket at a
     time in floats up to the threshold, one lockstep call past it, and the same roots from the other route."""
     n = _rootscan._SCALAR_BRACKETS + extra
     # the uniform well of half-width 2 has its even levels at k = (2j + 1) pi / 4, so k < n pi / 2 - 0.1 holds n
-    # (with the window end at n pi / 2, a grid point falls exactly on a level)
-    scan = _level_scan(MassProfile(G2, ConstantInner(1.0)), 0.0, (n * math.pi / 2.0 - 0.1) ** 2, "even")
+    # (with the window end at n pi / 2, a winding sample falls exactly on a level)
+    profile, window = MassProfile(G2, ConstantInner(1.0)), (0.0, (n * math.pi / 2.0 - 0.1) ** 2)
     lockstep = _refinement_steps(monkeypatch)
-    got = roots_in(*scan, 1e-12)
+    got = levels(profile, window, "even")
     assert len(got) == n and len(lockstep) == (extra > 0)
     monkeypatch.setattr(_rootscan, "_SCALAR_BRACKETS", n - 1 if extra <= 0 else n)
-    assert roots_in(*scan, 1e-12) == got and len(lockstep) == 1
+    assert levels(profile, window, "even") == got and len(lockstep) == 1
 
 
 def _log_uniform(lo, hi):
@@ -925,33 +913,18 @@ class TestLevelDiagnostics:
 
 
 class TestScanLimits:
-    """What a scan cannot hold is a typed error raised before sampling, never an allocation failure."""
+    """What a search cannot hold is a typed error raised before its residual is evaluated, never an allocation
+    failure."""
 
-    @pytest.mark.parametrize("phases", [[1e15], [1e300, 1.0], [math.inf], [math.nan]])
-    def test_oversized_or_non_finite_phase_raises(self, phases):
-        with pytest.raises(ScanSizeError, match=r"^here turns through \S+ radians, more than 8388608 scan cells hold$"):
-            scan_cells(phases, "here")
+    @pytest.mark.parametrize("count", [1e15, 1e300, math.inf, math.nan])
+    def test_oversized_or_non_finite_count_raises(self, count):
+        with pytest.raises(ScanSizeError, match=r"^here holds \S+ roots, more than 1048576$"):
+            check_count(count, "here")
 
-    def test_the_largest_scan_is_allowed(self):
-        # 32 cells per pi: 2**23 cells hold 262,144 levels
-        assert scan_cells([2**18 * math.pi], "here") == [2**23]
+    def test_the_largest_search_is_allowed(self):
+        check_count(2**20, "here")
         with pytest.raises(ScanSizeError):
-            scan_cells([2**18 * math.pi + 0.1], "here")
-
-    def test_each_segment_is_scanned_at_its_own_need(self, monkeypatch):
-        samples = []
-        isolate = _rootscan.isolate_sign_changes
-
-        def spying(f, lo, hi, cells):
-            samples.append(cells)
-            return isolate(f, lo, hi, cells)
-
-        monkeypatch.setattr(_rootscan, "isolate_sign_changes", spying)
-        profile = ScenarioConfig({"preset": "uniform"}).profile()
-        _, _, phases, _ = _level_scan(profile, -1600.0, 3000.0, "even")
-        levels(profile, (-1600.0, 3000.0), "even")
-        # the stretch below E = 0 holds no level and needs the 256-cell floor, the one above far more
-        assert samples == [scan_cells(phases, "here")] and len(set(samples[0])) > 1
+            check_count(2**20 + 0.5, "here")
 
     @pytest.mark.parametrize(
         "profile, window",
@@ -962,25 +935,139 @@ class TestScanLimits:
             (MassProfile(WellGeometry(2.0, 0.5), ScaledInner(0.5)), (-1e308, -1e307)),
         ],
     )
-    def test_a_window_too_wide_to_scan_raises_before_sampling(self, profile, window, monkeypatch):
+    def test_a_window_too_wide_to_bracket_raises_before_sampling(self, profile, window, monkeypatch):
         def refuse(*args):
             raise AssertionError("sampled")
 
         monkeypatch.setattr(matching, "winding", refuse)
+        monkeypatch.setattr(matching, "_winding", refuse)
         monkeypatch.setattr(matching, "seam_wronskian", refuse)
-        with pytest.raises(ScanSizeError, match="^" + re.escape(f"window {window[0]!r}:{window[1]!r} turns through")):
+        with pytest.raises(ScanSizeError, match="^" + re.escape(f"the window {window[0]!r}:{window[1]!r} holds")):
             levels(profile, window, "even")
 
     def test_a_tol_coarser_than_the_root_spacing_is_a_value_error(self):
-        f = _counted(lambda x: np.sin(np.pi * x))
-        assert roots_in(f, [(0.5, 10.5)], [10.0 * np.pi], 10, 0.1) == pytest.approx(range(1, 11), abs=0.1)
-        with pytest.raises(ValueError, match="tol is coarser than the root spacing: 10 roots merge into 5"):
-            roots_in(f, [(0.5, 10.5)], [10.0 * np.pi], 10, 0.3)
-        # the scan itself falling short stays a ScanResolutionError at any tol
-        with pytest.raises(ScanResolutionError, match="found 10 of at least 11 roots"):
-            roots_in(f, [(0.5, 10.5)], [10.0 * np.pi], 11, 0.3)
+        # even levels at k = (2j + 1) pi / 4, pi / 2 apart in s = k; tol / (2 sqrt(hi)) = 0.125 keeps them apart,
+        # tol 0.8 merges runs of them closer than 4 tol / (2 sqrt(hi)) = 2 / 3 ... 2
+        profile, window = MassProfile(G2, ConstantInner(1.0)), (0.5, 400.0)
+        assert len(levels(profile, window, "even", tol=0.1 * math.sqrt(400.0))) == 13
+        with pytest.raises(ValueError, match=r"^tol is coarser than the root spacing: 13 roots merge into \d+$"):
+            levels(profile, window, "even", tol=4.0 * math.sqrt(400.0))
 
-    def test_no_segment_no_root(self):
-        assert roots_in(np.sin, [], [], 0, 1e-12) == []
-        # s = sqrt(E) rounds both ends of this window to 1, which leaves no segment
+    def test_no_stretch_no_root(self, monkeypatch):
+        # s = sqrt(E) rounds both ends of this window to 1, which leaves no stretch
         assert levels(MassProfile(G2, ConstantInner(1.0)), (1.0, 1.0000000000000002), "even") == []
+
+        def refuse(*args):
+            raise AssertionError("evaluated")
+
+        # a positive mass below E = 0 holds no level, and nothing is evaluated there
+        monkeypatch.setattr(matching, "seam_wronskian", refuse)
+        assert levels(MassProfile(G2, ConstantInner(1.0)), (-100.0, 0.0), "odd") == []
+
+
+def _wells(draw):
+    """L log-uniform on [0.1, 100], a or L - a log-uniform on [1e-6 L, L / 2], and one of the four laws."""
+    L = 10.0 ** draw(st.floats(-1.0, 2.0))
+    narrow = L * 10.0 ** draw(st.floats(-6.0, math.log10(0.5)))
+    m0 = draw(st.sampled_from([-1.0, 1.0])) * draw(_log_uniform(1e-2, 1e4))
+    inner = draw(
+        st.one_of(
+            st.just(ConstantInner(m0)),
+            st.just(TanhInner()),
+            st.builds(StepInner, st.floats(-300.0, 100.0)),
+            st.builds(ScaledInner, _log_uniform(0.05, 5.0)),
+        )
+    )
+    return MassProfile(WellGeometry(L, narrow if draw(st.booleans()) else L - narrow), inner)
+
+
+@st.composite
+def _level_requests(draw):
+    """A well, a window about E = 0, about the step break or anywhere on [-300, 300], and a parity."""
+    profile = _wells(draw)
+    centre = draw(st.sampled_from([0.0, *profile.inner.breaks, draw(st.floats(-300.0, 300.0))]))
+    below, above = draw(_log_uniform(1e-3, 300.0)), draw(_log_uniform(1e-3, 300.0))
+    return profile, (centre - below, centre + above), draw(st.sampled_from(["even", "odd"]))
+
+
+def _gaps(xs, ys):
+    """Distance from each of xs to the nearest of ys (inf where ys is empty)."""
+    ys = np.asarray(ys)
+    return np.array([np.min(np.abs(ys - x)) if ys.size else np.inf for x in xs])
+
+
+class TestAgainstTheScan:
+    """levels against a sign-change scan of each stretch at 32 cells per pi of its phase."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(request=_level_requests())
+    # the uniform well with L = 2 a: the poles of cot(k (L - a)) and tan(k a) coincide and the odd levels sit
+    # on them, and on the winding's samples
+    @example(request=(MassProfile(G2, ConstantInner(1.0)), (0.0, (8.0 * math.pi) ** 2), "odd"))
+    @example(request=(MassProfile(G2, ConstantInner(1.0)), (-3.0, 700.0), "odd"))
+    # an outer span of 5e-8 L and m0 = 6e15: the winding lingers within 1e-7 of each integer between steep rises
+    @example(
+        request=(
+            MassProfile(WellGeometry(0.0022916246490152937, 0.002291624537515302), ConstantInner(6177784843033764.0)),
+            (0.0004979743873144455, 0.0009744483038031549),
+            "even",
+        )
+    )
+    # the winding dips from -0.35 to -0.84 just above E = 0 before it rises
+    @example(request=(MassProfile(WellGeometry(1.0, 0.5), ConstantInner(-1e4)), (-10.0, 1e4), "even"))
+    # below E = 0 the winding falls and rises again: only the half-branches of tan name these levels
+    @example(
+        request=(
+            MassProfile(WellGeometry(41.704985884817425, 22.282346822054652), ScaledInner(5.751248763934483)),
+            (-0.8882725238976468, 0.035749162938037315),
+            "even",
+        )
+    )
+    @example(
+        request=(
+            MassProfile(WellGeometry(1.1599233870516126, 0.09512480881458793), ConstantInner(-802.4809278397089)),
+            (-1.2069824076211564, -0.5283659121142862),
+            "even",
+        )
+    )
+    def test_levels_match_the_scan(self, request):
+        profile, window, parity = request
+        tol = 1e-12
+        got = np.array(levels(profile, window, parity, tol))
+        want = np.array(scan_levels(profile, window, parity, tol))
+        # the same levels to 2 tol, floored near machine precision, but for one within that of a window end,
+        # which either may leave out
+        lone = []
+        for xs, ys in ((got, want), (want, got)):
+            slack = tol + 32.0 * np.spacing(np.abs(xs))
+            off = _gaps(xs, ys) > 2.0 * slack
+            lone.append(xs[off])
+            assert np.all(np.minimum(xs[off] - window[0], window[1] - xs[off]) <= slack[off])
+        assert got.size - lone[0].size == want.size - lone[1].size
+
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_no_level_is_scanned(self, preset, monkeypatch):
+        # every level is named by its bracket and refined from it
+        def refuse(*args):
+            raise AssertionError("isolate_sign_changes was called")
+
+        monkeypatch.setattr(_rootscan, "isolate_sign_changes", refuse)
+        profile = ScenarioConfig({"preset": preset}).profile()
+        assert all(levels(profile, (-1e4, 1e4), parity) for parity in ("even", "odd"))
+
+
+class TestArrayWinding:
+    """_winding on an array is its scalar winding per entry, within a few ulp of the angle."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        profile=st.composite(_wells)(),
+        energies=st.lists(st.floats(-1e4, 1e4) | st.sampled_from([0.0, 1e-13, -1e-13, 5e-13]), min_size=1,
+                          max_size=8),
+        parity=st.sampled_from(["even", "odd"]),
+    )
+    def test_each_entry_is_its_scalar_winding(self, profile, energies, parity):
+        e = np.array(energies)
+        got = matching._winding(profile, e, profile.inner.value(e) * e, parity)
+        want = np.array([matching.winding(profile, x, parity) for x in energies])
+        assert np.all(np.abs(got - want) <= 4e-15 * np.maximum(1.0, np.abs(want)))

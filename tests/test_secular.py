@@ -26,6 +26,8 @@ from masswell.secular import (
 )
 from masswell.spectrum import delta_limit_study
 
+from conftest import scan_roots
+
 G2 = WellGeometry(2.0, 1.0)
 
 # Frozen by an independent bisection oracle (see oracle_* helpers below):
@@ -391,7 +393,7 @@ _ROOT = oracle_bisect(ConstantNegNeg(G2).residual_raw, 3.9, 4.7)
 
 
 class TestAgainstTheScan:
-    """find_roots against the sign-change scan of the whole window by roots_in, which it no longer uses."""
+    """find_roots against a sign-change scan of the whole window."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -411,7 +413,7 @@ class TestAgainstTheScan:
             assert got.size == 0
             return
         phase = (branch.tan_scale or 0.0) * (hi - lo)
-        want = np.array(_rootscan.roots_in(branch.residual_raw, [(lo, hi)], [phase], 0, tol))
+        want = np.array(scan_roots(branch.residual_raw, [(lo, hi)], [phase], tol))
         # the same roots to 2 tol, but for a root within tol of a window end, which either may leave out
         lone = []
         for xs, ys in ((got, want), (want, got)):
@@ -450,6 +452,17 @@ class TestReducedKappa1:
         for bad in ((0.0, 2.0), (1.0, 0.0), (-1.0, 2.0)):
             with pytest.raises(ValueError):
                 reduced_kappa1(*bad)
+
+    def test_an_underflowing_product_raises_before_any_residual(self, monkeypatch):
+        # b/nu * L = 1e-330 rounds to 0, where the bracket's upper end and the residual divide by zero
+        def refuse(self, t):
+            raise AssertionError("residual evaluated")
+
+        monkeypatch.setattr(TwoParamReduced, "residual_raw", refuse)
+        with pytest.raises(FloatingPointError, match=r"^b/nu \* L = 1e-300 \* 1e-30 underflows to 0"):
+            reduced_kappa1(1e-300, 1e-30)
+        with pytest.raises(FloatingPointError):
+            delta_limit_study(1e-300, 1e-30, [0.1])
 
     # c L runs from 1e-5 to 3e4, across c L ~ 10 where the residual at the
     # bracket's upper end c coth(c L) rounds to zero (first example) or below

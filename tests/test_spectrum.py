@@ -5,9 +5,9 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from masswell import _rootscan, matching, spectrum
-from masswell._rootscan import ScanResolutionError, integers_crossed, roots_in
+from masswell._rootscan import ScanResolutionError, integers_crossed
 from masswell.cli import PRESETS, ScenarioConfig
-from masswell.matching import _level_scan, build_solution, eigenvalues, winding
+from masswell.matching import _level_brackets, _stretches, build_solution, eigenvalues, levels, winding
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -36,6 +36,8 @@ from masswell.spectrum import (
 )
 from masswell.wavefunction import count_nodes
 
+from conftest import scan_levels
+
 G2 = WellGeometry(2.0, 1.0)
 
 
@@ -59,21 +61,21 @@ def _winding_counts(profile, parity, kappas):
     return tuple(spectrum._levels_from(profile, pieces, parity, kappa) for kappa in kappas)
 
 
-def _unsized_level_scan(monkeypatch):
-    """Make every level scan think its segments turn through no phase, so it samples 256 cells each."""
-    scan = matching._level_scan
+def _emptied_brackets(monkeypatch, rule):
+    """Make every bracket of ``rule`` (``_theta_cells`` or ``_pole_cells``) one ulp wide at its low end and
+    uncut, so it holds no level though it must."""
+    original = getattr(matching, rule)
 
-    def unsized(*args):
-        residual, segments, phases, count = scan(*args)
-        return residual, segments, [0.0] * len(phases), count
+    def emptied(*args):
+        lo, hi, cut, *rest = original(*args)
+        return (lo, np.nextafter(lo, np.inf), np.zeros_like(cut), *rest)
 
-    monkeypatch.setattr(matching, "_level_scan", unsized)
+    monkeypatch.setattr(matching, rule, emptied)
 
 
 def _scan_count(profile, lo, hi, parity):
-    """Levels the eigenvalue level scan finds on [lo, hi]: its segments and
-    phases through roots_in, without building a state per level."""
-    return len(roots_in(*_level_scan(profile, lo, hi, parity), 1e-10))
+    """Levels that levels finds on [lo, hi], without building a state per level."""
+    return len(levels(profile, (lo, hi), parity, 1e-10))
 
 
 #: a or L - a log-uniform from 1e-3 L to L / 2
@@ -296,8 +298,8 @@ class TestVerdictCounts:
             assert (small, small + _scan_count(profile, -k2 * k2, -k1 * k1, parity)) == want
             assert _winding_counts(profile, parity, (k1, k2)) == want
         if preset == "step":
-            # the threshold splits the small window into two segments
-            assert len(_level_scan(profile, -k1 * k1, -1e-12, "even")[1]) == 2
+            # the threshold splits the small window into two stretches
+            assert len(_stretches(profile, -k1 * k1, -1e-12)) == 2
 
     def test_step_threshold_rounding_below_itself(self):
         # -beta*beta rounds below e_thr here, onto the +1 branch; that jump is no level
@@ -370,10 +372,10 @@ class TestDenseSegments:
         profile = MassProfile(WellGeometry(L, 1.0), ConstantInner(1.0))
         want = math.floor(x_hi) - math.ceil(x_lo) + 1
         assert _scan_count(profile, k_lo * k_lo, k_hi * k_hi, parity) == want
-        # the winding crosses one integer per level; the scan's check leaves out any within 1e-6 of an end
+        # the winding crosses one integer per level, and each takes one bracket
         w_lo, w_hi = (winding(profile, k * k, parity) for k in (k_lo, k_hi))
         assert integers_crossed(w_lo, w_hi, 0.0) == want
-        assert want - 2 <= _level_scan(profile, k_lo * k_lo, k_hi * k_hi, parity)[3] <= want
+        assert len(_level_brackets(profile, k_lo * k_lo, k_hi * k_hi, parity)[0]) == want
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -391,13 +393,14 @@ class TestDenseSegments:
         parity=st.sampled_from(["even", "odd"]),
     )
     def test_winding_count_equals_the_scan_count(self, L, span, inner_span, inner, lo, width, parity):
-        # a or L - a log-uniform down to 1e-10 L; each segment on its own, as the check reads the total
+        # a or L - a log-uniform down to 1e-10 L; each stretch on its own, by the reference scan
         profile = MassProfile(WellGeometry(L, span * L if inner_span else L - span * L), inner)
-        residual, segments, phases, count = _level_scan(profile, lo, lo + width, parity)
-        found = [len(roots_in(residual, [segment], [phase], 0, 1e-10)) for segment, phase in zip(segments, phases)]
-        ends = [[winding(profile, s * abs(s), parity) for s in segment] for segment in segments]
+        found, ends = [], []
+        for s0, s1, _ in _stretches(profile, lo, lo + width):
+            found.append(len(scan_levels(profile, (s0 * abs(s0), s1 * abs(s1)), parity, 1e-10)))
+            ends.append([winding(profile, s * abs(s), parity) for s in (s0, s1)])
         assert [integers_crossed(*w) for w in ends] == found
-        assert count == sum(found)
+        assert len(levels(profile, (lo, lo + width), parity, 1e-10)) == sum(found)
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -424,15 +427,30 @@ def _on_and_beside(profile, energies, parity, tol):
 
 
 class TestLevelCheck:
-    """eigenvalues raises ScanResolutionError where it finds fewer levels than the winding counts."""
+    """eigenvalues raises ScanResolutionError where a bracket that must hold a level does not."""
 
-    def test_an_undersized_scan_raises(self, monkeypatch):
-        _unsized_level_scan(monkeypatch)
-        profile = MassProfile(WellGeometry(1000.0, 1.0), ConstantInner(1.0))
-        with pytest.raises(ScanResolutionError, match="found 231 of at least 31513 roots"):
-            eigenvalues(profile, (1.0, 1e4), "even")
-        # where 256 cells are enough, the check has nothing to say
-        assert len(eigenvalues(MassProfile(G2, ConstantInner(1.0)), (-100.0, 100.0), "even")) == 6
+    @pytest.mark.parametrize(
+        "rule, profile, window",
+        [
+            ("_theta_cells", MassProfile(WellGeometry(1000.0, 1.0), ConstantInner(1.0)), (1.0, 1e4)),
+            ("_pole_cells", MassProfile(G2, ConstantInner(-1e6)), (-1e4, -1.0)),
+            ("_pole_cells", ScenarioConfig({"preset": "tanh"}).profile(), (2e3, 2e4)),
+        ],
+    )
+    def test_an_empty_bracket_raises(self, monkeypatch, rule, profile, window):
+        want = len(eigenvalues(profile, window, "even"))
+        _emptied_brackets(monkeypatch, rule)
+        with pytest.raises(ScanResolutionError, match=r"^the bracket s = \S+ holds no level, though it must hold one$"):
+            eigenvalues(profile, window, "even")
+        # a bracket cut to the window that holds no level is no error: the cut brackets alone find none
+        cut_only = getattr(matching, rule)
+
+        def cut(*args):
+            lo, hi, _, *rest = cut_only(*args)
+            return (lo, hi, np.ones(lo.size, dtype=bool), *rest)
+
+        monkeypatch.setattr(matching, rule, cut)
+        assert 0 < want and eigenvalues(profile, window, "even") == []
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
     def test_window_ends_on_a_uniform_level(self, tol):
@@ -467,22 +485,20 @@ class TestLawBreaks:
     """What the verdict's closed-form count reads from each law's ``breaks``."""
 
     @pytest.mark.parametrize("inner", LAWS, ids=repr)
-    def test_level_scan_splits_at_every_break(self, inner):
+    def test_level_stretches_split_at_every_break(self, inner):
         lo, hi = -2e6, 100.0
-        _, segments, phases, _ = _level_scan(MassProfile(G2, inner), lo, hi, "even")
+        stretches = _stretches(MassProfile(G2, inner), lo, hi)
         cuts = [e for e in (0.0, *inner.breaks) if lo < e < hi]
-        assert len(segments) == 1 + len(set(cuts))
-        # a law takes its value from above at a break, so no segment holds
+        assert len(stretches) == 1 + len(set(cuts))
+        # a law takes its value from above at a break, so no stretch holds
         # energies on both sides, counting the break itself as above
-        for (s0, s1), phase in zip(segments, phases):
+        for s0, s1, rate in stretches:
             assert not any(s0 * abs(s0) < e <= s1 * abs(s1) for e in inner.breaks)
             assert not s0 < 0.0 < s1
-            # the inner phase takes the largest sqrt(m sign E) on the segment, 0 where it is hyperbolic
+            # the inner rate is the largest sqrt(m sign E) on the stretch, 0 where it is hyperbolic
             s = np.linspace(s0, s1, 1001)
             e = s * np.abs(s)
-            rate = math.sqrt(np.max(np.maximum(inner.value(e) * np.sign(e), 0.0)))
-            want = (G2.L - G2.a) * (max(s1, 0.0) - max(s0, 0.0)) + G2.a * rate * (s1 - s0)
-            assert phase == pytest.approx(want, rel=1e-12)
+            assert rate == pytest.approx(math.sqrt(np.max(np.maximum(inner.value(e) * np.sign(e), 0.0))), rel=1e-12)
 
     @pytest.mark.parametrize("inner", LAWS, ids=repr)
     def test_negative_mass_is_constant_between_breaks(self, inner):
@@ -501,12 +517,15 @@ class TestLawBreaks:
                 assert np.all(signed <= 0.0), (e0, e1)
 
     def test_hyperbolic_inner_stretch_adds_no_phase(self):
-        # scaled b = 0.5 has m = -4 < 0 at E > 0: only the outer region turns, so the
-        # phase is (L - a)(s1 - s0) = 31.66 rad; reading |m| there too gave 221.6
+        # scaled b = 0.5 has m = -4 < 0 at E > 0: only the outer region turns, through (L - a)(s1 - s0) = 31.66
+        # rad, so its brackets are the cells between the poles j pi of cot(k (L - a)); reading |m| there too
+        # gave 221.6 rad
         profile = MassProfile(WellGeometry(4.0, 3.0), ScaledInner(0.5))
-        _, segments, phases, _ = _level_scan(profile, 9e4, 1.1e5, "even")
-        (s0, s1), (phase,) = segments[0], phases
-        assert phase == (4.0 - 3.0) * (s1 - s0) == pytest.approx(31.66, abs=0.005)
+        ((s0, s1, rate),) = _stretches(profile, 9e4, 1.1e5)
+        assert rate == 0.0 and (4.0 - 3.0) * (s1 - s0) == pytest.approx(31.66, abs=0.005)
+        lo, hi, cut, _ = _level_brackets(profile, 9e4, 1.1e5, "even")
+        assert cut.tolist() == [True] + [False] * 9 + [True]
+        assert np.allclose(lo[1:], np.arange(96, 106) * math.pi) and np.allclose(hi[:-1], lo[1:])
         for parity in ("even", "odd"):
             assert len(eigenvalues(profile, (9e4, 1.1e5), parity)) == 10
 

@@ -54,7 +54,22 @@ CONFIGS = {
     "subnormal-negative": "inner = constant\nm0 = -1e-310\nL = 2\na = 1\n",
     # an outer span of L / 100, where the tanh-pos turns were only measured to rise
     "thin-outer": "L = 2\na = 1.98\n",
+    # wells whose levels each come from a bracket of their own: the uniform well with L = 2 a, where the odd
+    # levels sit on the poles and on the winding's samples; a winding that dips just above E = 0; and two
+    # wells where it falls and rises again below E = 0
+    "uniform-half": "inner = constant\nm0 = 1\nL = 2\na = 1\n",
+    "negative-dip": "inner = constant\nm0 = -1e4\nL = 1\na = 0.5\n",
+    "scaled-falling": "inner = scaled\nb = 5.751248763934483\nL = 41.704985884817425\na = 22.282346822054652\n",
+    "constant-falling": "inner = constant\nm0 = -802.4809278397089\nL = 1.1599233870516126\na = 0.09512480881458793\n",
 }
+
+#: (config, window) of the wells above whose levels come from one bracket each, in both parities
+BRACKETED = (
+    ("uniform-half", "0:631.6546816697189"),
+    ("negative-dip", "-10:1e4"),
+    ("scaled-falling", "-0.8882725238976468:0.035749162938037315"),
+    ("constant-falling", "-1.2069824076211564:-0.5283659121142862"),
+)
 
 #: library requests: (L, beta_max, steps[, tol]) of ground_state_staircase
 STAIRCASES = (
@@ -178,6 +193,12 @@ def requests(config_dir: str) -> list[list]:
         out.append(["curves", "--config", wide_inner, "--branch", branch, "--range", "0:1e308"])
     wide = os.path.join(config_dir, "uniform-wide")
     out.append(["spectrum", "--config", wide, "--window=1:1e4", "--parity", "even", "--tol", "1"])
+    for name, window in BRACKETED:
+        config = os.path.join(config_dir, name)
+        for parity in ("even", "odd"):
+            out.append(["spectrum", "--config", config, f"--window={window}", "--parity", parity])
+    # b/nu * L underflows to 0 (exit 3)
+    out.append(["delta-limit", "--b-over-nu", "1e-300", "--L", "1e-30"])
     return out
 
 
