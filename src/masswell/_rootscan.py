@@ -21,7 +21,7 @@ __all__ = [
 #: the default absolute root tolerance of every solver and of the CLI
 DEFAULT_TOL = 1e-12
 
-#: the most points one call of a residual takes in a scan
+#: the most points one call of a residual takes in a scan or a level search
 _MAX_POINTS = 2**16 + 1
 
 #: the most roots one search takes: a secular window, or a level window counted by its brackets

@@ -12,27 +12,25 @@ effective-mass literature.
 Eigenvalues are the zeros in energy of :func:`seam_wronskian`, the
 scaled Wronskian of the two solutions at x = -a.  It takes a float or an
 array of energies, never overflows, and is the residual that :func:`levels`
-refines in s = sign(E) sqrt|E|, each level from its own bracket: the integers
-that the Pruefer winding crosses (:func:`winding`) where both regions
-oscillate, else the cells between the poles of the closed-form matching
-condition.  :func:`mismatch` is its signed scalar form.
+refines in s = sign(E) sqrt|E|, each level from its own cell between the
+poles of the closed-form matching condition; :func:`mismatch` is its signed scalar form.
 :func:`build_solution` assembles the state from the same two solutions, so wall and parity hold
 exactly and only the seam sees the root tolerance; :func:`level_diagnostics` reads its node count
 and localization at a level of :func:`levels` without building it.
 
-Because nothing here assumes a closed form for the quantization
-condition, this module doubles as the brute-force oracle for
-:mod:`masswell.secular` and it is the only solver for odd parity.
+The residual assumes no closed form for the quantization condition (the
+brackets read only where its two sides have poles), so this module
+doubles as the brute-force oracle for :mod:`masswell.secular` and it is
+the only solver for odd parity.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
-from ._rootscan import _SCALAR_BRACKETS, DEFAULT_TOL, ScanResolutionError, _refine, check_count
+from ._rootscan import _MAX_POINTS, DEFAULT_TOL, ScanResolutionError, _refine, check_count
 from .profiles import MassProfile
 from .wavefunction import PiecewiseWavefunction, RegionSolution, _value_slope, region_l2
 
@@ -44,6 +42,9 @@ __all__ = ["LINEAR_BAND", "build_solution", "level_diagnostics", "mismatch", "se
 LINEAR_BAND = 1e-12
 
 _PARITY_SIGN = {"even": 1.0, "odd": -1.0}
+
+#: the 9 points that cut a level bracket into 8 equal parts, as fractions of its width
+_EIGHTHS = np.arange(9) / 8.0
 
 
 def _parity_sign(parity: str) -> float:
@@ -191,33 +192,18 @@ def seam_wronskian(profile: MassProfile, energies, parity: str):
     return s_o * c_i + c_o * s_i
 
 
-def _prufer(q2, t: float, start: float):
+def _prufer(q2: float, t: float, start: float) -> float:
     """Pruefer angle theta (tan theta = psi / psi') at t of psi = S (start 0) or C (start pi/2) of
-    :func:`_scaled_basis`, for a float or an array of q2, as there.  A trig one's scaled angle phi
-    (tan phi = q tan theta) is start + q t, and theta = phi + atan((1/q - 1) sin phi cos phi /
-    (cos^2 phi + sin^2 phi / q)) has no branch cut; any other stays in [0, pi/2], where theta is atan2
-    of its value and slope.  A float goes through ``math``, an array through numpy on every entry, each
-    entry taking its own kind's value."""
-    if isinstance(q2, float):
-        kind, q = _solution_kind(q2)
-        if kind == "trig":
-            phi = start + q * t
-            c, s = math.cos(phi), math.sin(phi)
-            return phi + math.atan((1.0 / q - 1.0) * s * c / (c * c + s * s / q))
-        qs = math.tanh(q * t) if kind == "hyper" else t  # q S / C, or S where q = 0
-        return math.atan2(qs, q or 1.0) if start == 0.0 else math.atan2(1.0, q * qs)
-    trig, hyper = q2 > LINEAR_BAND, q2 < -LINEAR_BAND
-    q = np.sqrt(np.abs(q2))
-    phi = start + q * t
-    c, s = np.cos(phi), np.sin(phi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta = phi + np.arctan((1.0 / q - 1.0) * s * c / (c * c + s * s / q))
-    if np.count_nonzero(trig) == q2.size:
-        return theta
-    q = np.where(hyper, q, 0.0)
-    qs = np.where(hyper, np.tanh(q * t), t)  # q S / C, or S where q = 0
-    other = np.arctan2(qs, np.where(hyper, q, 1.0)) if start == 0.0 else np.arctan2(1.0, q * qs)
-    return np.where(trig, theta, other)
+    :func:`_scaled_basis`.  A trig one's scaled angle phi (tan phi = q tan theta) is start + q t, and
+    theta = phi + atan((1/q - 1) sin phi cos phi / (cos^2 phi + sin^2 phi / q)) has no branch cut;
+    any other stays in [0, pi/2], where theta is atan2 of its value and slope."""
+    kind, q = _solution_kind(q2)
+    if kind == "trig":
+        phi = start + q * t
+        c, s = math.cos(phi), math.sin(phi)
+        return phi + math.atan((1.0 / q - 1.0) * s * c / (c * c + s * s / q))
+    qs = math.tanh(q * t) if kind == "hyper" else t  # q S / C, or S where q = 0
+    return math.atan2(qs, q or 1.0) if start == 0.0 else math.atan2(1.0, q * qs)
 
 
 def winding(profile: MassProfile, energy: float, parity: str) -> float:
@@ -225,14 +211,14 @@ def winding(profile: MassProfile, energy: float, parity: str) -> float:
 
     theta_out is the wall-grown solution's Pruefer angle (:func:`_prufer`), 0 at -L.  theta_in is the
     center solution's, and x -> -x negates an angle: it is pi - _prufer(m E, a, pi/2) (even) or
-    -_prufer(m E, a, 0) (odd).  It rises with E wherever both regions oscillate (Sturm's argument), so
-    there the integers it crosses count the levels; :func:`levels` brackets each of them so.  Scalar
-    ``math``; ``_winding`` takes an array as well.
+    -_prufer(m E, a, 0) (odd).  The integers it crosses on one stretch of ``profile.pieces`` are a
+    lower bound on the levels there, and their number wherever it is monotone, as for positive mass
+    by Sturm's argument.  Scalar ``math``.
     """
     return _winding(profile, energy, float(profile.inner.value(energy)) * energy, parity)
 
 
-def _winding(profile: MassProfile, energy, me, parity: str):
+def _winding(profile: MassProfile, energy: float, me: float, parity: str) -> float:
     sign = _parity_sign(parity)
     geo = profile.geometry
     outer = _prufer(energy, geo.L - geo.a, 0.0)
@@ -261,103 +247,68 @@ def _stretches(profile: MassProfile, lo: float, hi: float) -> list[tuple[float, 
     return out
 
 
-def _pole_cells(t0: float, t1: float, c: float, delta: float):
-    """(lo, hi, cut, j) of the cells [j pi + delta, (j + 1) pi + delta] / c, j >= 0, that overlap [t0, t1], cut to
-    it; the index range reaches one cell past each end, so rounding drops none."""
-    j = np.arange(max(math.floor((c * t0 - delta) / math.pi) - 1, 0), math.ceil((c * t1 - delta) / math.pi) + 1)
-    lo, hi = (j * math.pi + delta) / c, ((j + 1) * math.pi + delta) / c
-    keep = (lo < t1) & (hi > t0)
-    lo, hi = lo[keep], hi[keep]
-    return np.maximum(lo, t0), np.minimum(hi, t1), (lo < t0) | (hi > t1), j[keep]
-
-
-def _theta_cells(profile: MassProfile, s0: float, s1: float, phase: float, parity: str):
-    """(lo, hi, cut, x): one cell of [s0, s1] per integer that a rising :func:`winding` crosses, and x where
-    Theta, read as linear across the cell, meets it.  Theta is sampled on 4 cells per pi of ``phase``, on
-    floats up to ``_SCALAR_BRACKETS`` samples, and a cell that two integers reach is split.  The seam
-    Wronskian has the sign of sin(pi Theta), so where the two disagree, or it is 0, a sample is a level to
-    rounding and no cell ends there; the first and last cells end on the stretch's ends and count as cut."""
-
-    def theta(s):
-        e = s * s
-        if e.size <= _SCALAR_BRACKETS:
-            w = np.array([winding(profile, x, parity) for x in e.tolist()])
-        else:
-            w = _winding(profile, e, profile.inner.value(e) * e, parity)
-        # only within 1e-6 of an integer can the two round to different signs
-        ok, near = np.ones(w.size, dtype=bool), np.abs(w - np.round(w)) <= 1e-6
-        if np.any(near):
-            v = seam_wronskian(profile, e[near], parity)
-            ok[near] = (v != 0.0) & ((v < 0.0) == (np.floor(w[near]) % 2.0 == 1.0))
-        return w, ok
-
-    s = np.linspace(s0, s1, max(1, math.ceil(4.0 * phase / math.pi)) + 1)
-    w, ok = theta(s)
-    k = np.arange(math.ceil(w[0]), math.floor(w[-1]) + 1)
-    for n in range(64):
-        ok[[0, -1]] = True
-        s, w = s[ok], w[ok]
-        i = np.searchsorted(w, k).clip(1, w.size - 1)
-        shared = np.flatnonzero(np.bincount(i) > 1)
-        if not shared.size:
-            lo, hi = s[i - 1], s[i]
-            return lo, hi, (i == 1) | (i == w.size - 1), lo + (k - w[i - 1]) / (w[i] - w[i - 1]) * (hi - lo)
-        # halves, or splits at 3/8 after a round whose split may have fallen on a level
-        cut = s[shared - 1] + (0.5 - 0.125 * (n % 2)) * (s[shared] - s[shared - 1])
-        w_cut, ok_cut = theta(cut)
-        ok = np.insert(np.ones(s.size, dtype=bool), shared, ok_cut)
-        s, w = np.insert(s, shared, cut), np.insert(w, shared, w_cut)
-    raise ScanResolutionError(f"the winding on s = {s0!r}:{s1!r} crosses two integers within 2**-64 of its range")
-
-
 def _level_brackets(profile: MassProfile, lo: float, hi: float, parity: str):
-    """(lo, hi, cut, x) in s: one bracket per level of [lo, hi], ``cut`` where it is cut to its stretch (its level
-    may lie outside), and an estimate x, by one rule per stretch (s0, s1, r); d = L - a, k = |s|, mu = sqrt|m|.
-    The README proves one level per cell (the matching route's four rules).
+    """(lo, hi, cut) in s: one bracket per level of [lo, hi], ``cut`` where it is cut to its stretch (its level
+    may lie outside).  The README proves one level per cell (the matching route's pole cells).
 
-    - r > 0, E > 0 (both regions oscillate): :func:`_theta_cells`.
-    - r = 0, E > 0: cot(kd) = -mu tanh(mu k a) (even) or -mu coth(mu k a) (odd) <= 0; cells between the
-      poles of cot, each holding one right half-branch.  Only measured for tanh, whose mu varies with E.
-    - r > 0, E < 0: in kappa = -s, r tan(r kappa a) (even) or -r cot(r kappa a) (odd) = coth(kappa d), whose
-      left side rises from 0 to +inf on each half-branch; cells between the zeros of tan or cot.  The
-      winding is not monotone here.  x takes three fixed-point steps from coth = 1.
-    - r = 0, E < 0: no level.
-
-    At the cells' ends the seam Wronskian is +-1 times a positive factor, alternating in sign.  The brackets
-    are counted before any is built; a stretch whose cells leave the float range holds no finite level.
+    In k = |s| on a stretch (s0, s1, r), with d = L - a, the cells lie between 0 and the poles of the matching
+    condition: those of cot(k d), at j pi / d, where E > 0 (the outer region oscillates), and where r > 0
+    (the inner one does) those of tan(r k a) (even) or cot(r k a) (odd), at (j pi + pi/2) / (r a) or
+    j pi / (r a); a stretch with neither holds no level.  Where neighbouring poles of the two sides are
+    closer than 2e-12 k L / min(a, d), the level between them may lie within 1e-12 k of one, where the seam
+    Wronskian's sign is not sure, so both move 1e-12 k apart.  The brackets are counted before any is built.
     """
     geo = profile.geometry
     d = geo.L - geo.a
-    delta = 0.5 * math.pi * (_parity_sign(parity) < 0.0)
-    # (s0, s1, r, c), c the rate of the phase in s
-    rules = [(s0, s1, r, d * (s0 >= 0.0) + geo.a * r) for s0, s1, r in _stretches(profile, lo, hi)]
-    rules = [rule for rule in rules if rule[3] * sys.float_info.max > 2.0 * math.pi]
-    check_count(sum(c * (s1 - s0) / math.pi + 2.0 for s0, s1, _, c in rules), f"the window {lo!r}:{hi!r}")
-    brackets = []
-    for s0, s1, rate, c in rules:
-        if s0 < 0.0:
-            t0, t1, cut, j = _pole_cells(-s1, -s0, c, delta)
-            kappa = math.inf
-            for _ in range(3):
-                kappa = (j * math.pi + delta + np.arctan2(1.0, rate * np.tanh(kappa * d))) / c
-            brackets.append((-t1, -t0, cut, -kappa))
-        elif rate == 0.0:  # x takes tanh and coth as 1, and mu at the cell's high end
-            lo_s, hi_s, cut, j = _pole_cells(s0, s1, d, 0.0)
-            mu = np.sqrt(np.maximum(-profile.inner.value(hi_s * hi_s), 0.0))
-            brackets.append((lo_s, hi_s, cut, ((j + 1) * math.pi - np.arctan2(1.0, mu)) / d))
-        else:
-            brackets.append(_theta_cells(profile, s0, s1, c * (s1 - s0), parity))
-    return [np.concatenate(parts) for parts in zip(*brackets)] if brackets else [np.empty(0)] * 4
+    inner = 0.5 * math.pi * (_parity_sign(parity) > 0.0)
+    rules = []
+    for s0, s1, r in _stretches(profile, lo, hi):
+        # the progressions (c, off) of poles (j pi + off) / c: the outer region's where E > 0, the inner one's;
+        # below c = 1e-300 the first pole lies past every s, which is at most sqrt(1.8e308)
+        rates = ((d * (s0 >= 0.0), 0.0), (geo.a * r, inner))
+        rates = [(c, off) for c, off in rates if c > 1e-300]
+        if rates:
+            rules.append((s0, s1, rates))
+    count = sum(c * (s1 - s0) / math.pi + 2.0 for s0, s1, rates in rules for c, _ in rates)
+    check_count(count, f"the window {lo!r}:{hi!r}")
+    brackets = [(np.empty(0), np.empty(0), np.empty(0, dtype=bool))]
+    for s0, s1, rates in rules:
+        t0, t1 = (s0, s1) if s0 >= 0.0 else (-s1, -s0)
+        p, side = [np.zeros(1)], [np.zeros(1)]
+        for n, (c, off) in enumerate(rates, 1):
+            # j from 1 where off = 0, as p holds 0 once; one pole past each end, so rounding drops none
+            j0 = max(math.floor((c * t0 - off) / math.pi) - 1, int(off == 0.0))
+            j = np.arange(j0, math.ceil((c * t1 - off) / math.pi) + 2)
+            p.append(j * (math.pi / c) + off / c)
+            side.append(np.full(j.size, n))
+        order = np.argsort(np.concatenate(p))
+        p, side = np.concatenate(p)[order], np.concatenate(side)[order]
+        # neighbours from the two sides whose level lies within 1e-12 k of either: both move 1e-12 k away from it
+        h = 1e-12 * p
+        close = np.flatnonzero((side[:-1] != side[1:]) & (np.diff(p) < 2.0 * geo.L / min(geo.a, d) * h[1:]))
+        if close.size:
+            p[close] -= h[close]
+            p[close + 1] += h[close + 1]
+        # the cells (p[k], p[k + 1]) that overlap (t0, t1); only the first and the last can stick out of it
+        k0, k1 = np.searchsorted(p, t0, side="right") - 1, np.searchsorted(p, t1)
+        a, b, cut = p[k0:k1].copy(), p[k0 + 1 : k1 + 1].copy(), np.zeros(k1 - k0, dtype=bool)
+        cut[0] |= a[0] < t0
+        cut[-1] |= b[-1] > t1
+        a[0], b[-1] = max(a[0], t0), min(b[-1], t1)
+        brackets.append((a, b, cut) if s0 >= 0.0 else (-b, -a, cut))
+    return [np.concatenate(parts) for parts in zip(*brackets)]
 
 
 def levels(profile: MassProfile, window: tuple[float, float], parity: str, tol: float = DEFAULT_TOL) -> list[float]:
     """All eigenvalues in the window, ascending, each refined in s = sign(E) sqrt|E| from its own bracket
     (:func:`_level_brackets`) to tol / (2 sqrt(max |E|)), so within ``tol`` (floored near machine precision).
 
-    The seam Wronskian is evaluated once at every bracket's ends and estimate, and the part on the side of
-    the estimate where its sign changes is refined.  A cut bracket with one sign at both ends holds no level
-    in the window; any other raises ``ScanResolutionError``.  More than ``_MAX_BREAKS`` brackets raise
-    ``ScanSizeError``, and a tol so coarse that roots closer than 4 tol merge raises ``ValueError``.
+    The seam Wronskian is evaluated at every bracket's ends and the 7 points that cut it into 8 equal parts,
+    in calls of at most ``_MAX_POINTS`` points: the first three halvings of all brackets at once.  A cut bracket
+    with one sign at both ends holds no level in the window; any other raises ``ScanResolutionError``.  The
+    first part whose ends differ in sign, or one of which is 0, is refined.  More than ``_MAX_BREAKS``
+    brackets raise ``ScanSizeError``, and a tol so coarse that roots closer than 4 tol merge raises
+    ``ValueError``.
     """
     lo, hi = window
     if not -math.inf < lo < hi < math.inf:
@@ -369,20 +320,26 @@ def levels(profile: MassProfile, window: tuple[float, float], parity: str, tol: 
     def residual(s):
         return seam_wronskian(profile, s * abs(s), parity)
 
-    a, b, cut, x = _level_brackets(profile, lo, hi, parity)
+    a, b, cut = _level_brackets(profile, lo, hi, parity)
     if not a.size:
         return []
-    x = np.where((x > a) & (x < b), x, 0.5 * (a + b))
-    f_a, f_b, f_x = np.split(residual(np.concatenate((a, b, x))), 3)
-    held = (f_a == 0.0) | (f_b == 0.0) | ((f_a < 0.0) != (f_b < 0.0))
-    missing = np.flatnonzero(~held & ~cut)
-    if missing.size:
-        i = missing[0]
-        raise ScanResolutionError(f"the bracket s = {a[i]!r}:{b[i]!r} holds no level, though it must hold one")
-    left = (f_a == 0.0) | ((f_x < 0.0) != (f_a < 0.0))
-    a, f_a = np.where(left, a, x)[held], np.where(left, f_a, f_x)[held]
-    b, f_b = np.where(left, x, b)[held], np.where(left, f_x, f_b)[held]
-    roots = sorted(_refine(residual, a, b, f_a, f_b, tol_s))
+    t = np.multiply.outer(b - a, _EIGHTHS)
+    t += a[:, None]
+    t[:, -1] = b
+    f = np.empty_like(t)
+    for i in range(0, t.size, _MAX_POINTS):
+        f.ravel()[i : i + _MAX_POINTS] = residual(t.ravel()[i : i + _MAX_POINTS])
+    sign = (f > 0.0).astype(np.int8) - (f < 0.0)
+    held = sign[:, 0] * sign[:, -1] <= 0
+    if not np.all(held | cut):
+        i = np.argmin(held | cut)
+        lo, hi = float(a[i]), float(b[i])
+        raise ScanResolutionError(f"the bracket s = {lo!r}:{hi!r} holds no level, though it must hold one")
+    rows = np.flatnonzero(held)
+    i = np.argmax(sign[:, :-1] * sign[:, 1:] <= 0, axis=1)[rows]
+    brackets = t[rows, i], t[rows, i + 1], f[rows, i], f[rows, i + 1]
+    del t, f, sign  # the lockstep refinement holds some 20 arrays of its own per bracket
+    roots = sorted(_refine(residual, *brackets, tol_s))
     merged = []
     for r in roots:
         if not merged or r - merged[-1] > 4.0 * max(tol_s, 1e-15 * max(1.0, abs(r))):

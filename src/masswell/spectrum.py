@@ -100,9 +100,9 @@ def _probe_kappas(geo: WellGeometry, pieces: list) -> tuple[float, float, float]
 
 def _levels_from(profile: MassProfile, pieces: list, parity: str, kappa: float) -> int:
     """Levels with kappa = sqrt(-E) in (0, kappa] that :func:`masswell.matching.winding` crosses on
-    ``pieces``, the profile's stretches below E = 0, cut at -kappa^2 and ended as the level scan ends
-    them; with inner rate r = 0 both sides of the seam are hyperbolic or linear, and hold no level.
-    With no margin, as no scan has to find them, a level on an end counts."""
+    ``pieces``, the profile's stretches below E = 0, cut at -kappa^2 and ended as :func:`masswell.matching.levels`
+    ends them; with inner rate r = 0 both sides of the seam are hyperbolic or linear, and hold no level.
+    With no margin, a level on an end counts."""
     lo = -kappa * kappa
     ends = [(max(e0, lo), _below_break(profile, e1)) for e0, e1, rate in pieces if rate > 0.0 and e1 > lo]
     return sum(integers_crossed(*(winding(profile, e, parity) for e in pair), 0.0) for pair in ends)

@@ -158,13 +158,13 @@ class TestSolverFailureExitCode:
         # holds none
         from masswell import matching
 
-        cells = matching._theta_cells
+        brackets = matching._level_brackets
 
         def emptied(*args):
-            lo, hi, cut, x = cells(*args)
-            return lo, np.nextafter(lo, np.inf), np.zeros_like(cut), x
+            lo, hi, cut = brackets(*args)
+            return lo, np.nextafter(lo, np.inf), np.zeros_like(cut)
 
-        monkeypatch.setattr(matching, "_theta_cells", emptied)
+        monkeypatch.setattr(matching, "_level_brackets", emptied)
         config = tmp_path / "wide.cfg"
         config.write_text("inner = constant\nm0 = 1\nL = 1000\na = 1\n")
         code = main(["spectrum", "--config", str(config), "--window=1:1e4", "--parity", "even"])

@@ -847,9 +847,9 @@ def test_either_refinement_gives_the_same_roots(monkeypatch, extra):
     """levels on _SCALAR_BRACKETS - 1, _SCALAR_BRACKETS and _SCALAR_BRACKETS + 1 brackets: one bracket at a
     time in floats up to the threshold, one lockstep call past it, and the same roots from the other route."""
     n = _rootscan._SCALAR_BRACKETS + extra
-    # the uniform well of half-width 2 has its even levels at k = (2j + 1) pi / 4, so k < n pi / 2 - 0.1 holds n
-    # (with the window end at n pi / 2, a winding sample falls exactly on a level)
-    profile, window = MassProfile(G2, ConstantInner(1.0)), (0.0, (n * math.pi / 2.0 - 0.1) ** 2)
+    # a uniform well of half-width 2 has its even levels at k = (2j + 1) pi / 4, so k < n pi / 2 - 0.1 holds n
+    # (with a = 1 they halve its bracket cells, so a sample falls exactly on a level)
+    profile, window = MassProfile(WellGeometry(2.0, 0.7), ConstantInner(1.0)), (0.0, (n * math.pi / 2.0 - 0.1) ** 2)
     lockstep = _refinement_steps(monkeypatch)
     got = levels(profile, window, "even")
     assert len(got) == n and len(lockstep) == (extra > 0)
@@ -885,6 +885,12 @@ class TestLevelDiagnostics:
         for energy in levels(profile, (lo, lo + width), parity):
             psi = build_solution(profile, energy, parity)
             assert level_diagnostics(profile, energy, parity) == (count_nodes(psi), localization_fraction(psi))
+
+    def test_an_int_energy_is_its_float(self):
+        profile = ScenarioConfig({"preset": "uniform"}).profile()
+        for parity in ("even", "odd"):
+            assert matching.winding(profile, 1, parity) == matching.winding(profile, 1.0, parity)
+            assert level_diagnostics(profile, 1, parity) == level_diagnostics(profile, 1.0, parity)
 
     @pytest.mark.parametrize("preset", sorted(PRESETS))
     def test_run_scenario_builds_no_state(self, preset, monkeypatch):
@@ -1054,20 +1060,3 @@ class TestAgainstTheScan:
         monkeypatch.setattr(_rootscan, "isolate_sign_changes", refuse)
         profile = ScenarioConfig({"preset": preset}).profile()
         assert all(levels(profile, (-1e4, 1e4), parity) for parity in ("even", "odd"))
-
-
-class TestArrayWinding:
-    """_winding on an array is its scalar winding per entry, within a few ulp of the angle."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        profile=st.composite(_wells)(),
-        energies=st.lists(st.floats(-1e4, 1e4) | st.sampled_from([0.0, 1e-13, -1e-13, 5e-13]), min_size=1,
-                          max_size=8),
-        parity=st.sampled_from(["even", "odd"]),
-    )
-    def test_each_entry_is_its_scalar_winding(self, profile, energies, parity):
-        e = np.array(energies)
-        got = matching._winding(profile, e, profile.inner.value(e) * e, parity)
-        want = np.array([matching.winding(profile, x, parity) for x in energies])
-        assert np.all(np.abs(got - want) <= 4e-15 * np.maximum(1.0, np.abs(want)))

@@ -61,16 +61,15 @@ def _winding_counts(profile, parity, kappas):
     return tuple(spectrum._levels_from(profile, pieces, parity, kappa) for kappa in kappas)
 
 
-def _emptied_brackets(monkeypatch, rule):
-    """Make every bracket of ``rule`` (``_theta_cells`` or ``_pole_cells``) one ulp wide at its low end and
-    uncut, so it holds no level though it must."""
-    original = getattr(matching, rule)
+def _emptied_brackets(monkeypatch):
+    """Make every level bracket one ulp wide at its low end and uncut, so it holds no level though it must."""
+    original = matching._level_brackets
 
     def emptied(*args):
-        lo, hi, cut, *rest = original(*args)
-        return (lo, np.nextafter(lo, np.inf), np.zeros_like(cut), *rest)
+        lo, hi, cut = original(*args)
+        return lo, np.nextafter(lo, np.inf), np.zeros_like(cut)
 
-    monkeypatch.setattr(matching, rule, emptied)
+    monkeypatch.setattr(matching, "_level_brackets", emptied)
 
 
 def _scan_count(profile, lo, hi, parity):
@@ -372,10 +371,11 @@ class TestDenseSegments:
         profile = MassProfile(WellGeometry(L, 1.0), ConstantInner(1.0))
         want = math.floor(x_hi) - math.ceil(x_lo) + 1
         assert _scan_count(profile, k_lo * k_lo, k_hi * k_hi, parity) == want
-        # the winding crosses one integer per level, and each takes one bracket
+        # the winding crosses one integer per level; each level has one bracket, and only the end ones may be cut
         w_lo, w_hi = (winding(profile, k * k, parity) for k in (k_lo, k_hi))
         assert integers_crossed(w_lo, w_hi, 0.0) == want
-        assert len(_level_brackets(profile, k_lo * k_lo, k_hi * k_hi, parity)[0]) == want
+        cut = _level_brackets(profile, k_lo * k_lo, k_hi * k_hi, parity)[2]
+        assert np.count_nonzero(cut) <= 2 and np.count_nonzero(~cut) <= want <= cut.size
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -430,26 +430,41 @@ class TestLevelCheck:
     """eigenvalues raises ScanResolutionError where a bracket that must hold a level does not."""
 
     @pytest.mark.parametrize(
-        "rule, profile, window",
+        "L", [2.0, math.nextafter(2.0, 3.0), math.nextafter(2.0, 1.0), 2.0 + 1e-13, 2.0 - 1e-13, 2.0 + 1e-9, 1.0 + 1e-6]
+    )
+    @pytest.mark.parametrize("parity", ["even", "odd"])
+    def test_nearly_coincident_poles_keep_their_level(self, L, parity):
+        # a uniform well has its levels at k L = n pi (odd) or (n + 1/2) pi (even), n >= 1 or 0; with a = 1 and
+        # L near 2 the poles j pi / (L - 1) of cot(k (L - a)) and j pi or (j + 1/2) pi of the inner side nearly
+        # coincide, and an odd level lies between each such pair
+        shift = 0.5 if parity == "even" else 1.0
+        want = [((n + shift) * math.pi / L) ** 2 for n in range(160)]
+        window = (0.0, ((159.5 + shift) * math.pi / L) ** 2)
+        got = levels(MassProfile(WellGeometry(L, 1.0), ConstantInner(1.0)), window, parity)
+        assert len(got) == len(want) and all(_close(g, w, 1e-12) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize(
+        "profile, window",
         [
-            ("_theta_cells", MassProfile(WellGeometry(1000.0, 1.0), ConstantInner(1.0)), (1.0, 1e4)),
-            ("_pole_cells", MassProfile(G2, ConstantInner(-1e6)), (-1e4, -1.0)),
-            ("_pole_cells", ScenarioConfig({"preset": "tanh"}).profile(), (2e3, 2e4)),
+            # both regions oscillate; the inner one is hyperbolic above E = 0; below E = 0 only the inner one turns
+            (MassProfile(WellGeometry(1000.0, 1.0), ConstantInner(1.0)), (1.0, 1e4)),
+            (ScenarioConfig({"preset": "tanh"}).profile(), (2e3, 2e4)),
+            (MassProfile(G2, ConstantInner(-1e6)), (-1e4, -1.0)),
         ],
     )
-    def test_an_empty_bracket_raises(self, monkeypatch, rule, profile, window):
+    def test_an_empty_bracket_raises(self, monkeypatch, profile, window):
         want = len(eigenvalues(profile, window, "even"))
-        _emptied_brackets(monkeypatch, rule)
+        _emptied_brackets(monkeypatch)
         with pytest.raises(ScanResolutionError, match=r"^the bracket s = \S+ holds no level, though it must hold one$"):
             eigenvalues(profile, window, "even")
         # a bracket cut to the window that holds no level is no error: the cut brackets alone find none
-        cut_only = getattr(matching, rule)
+        emptied = matching._level_brackets
 
         def cut(*args):
-            lo, hi, _, *rest = cut_only(*args)
-            return (lo, hi, np.ones(lo.size, dtype=bool), *rest)
+            lo, hi, _ = emptied(*args)
+            return lo, hi, np.ones(lo.size, dtype=bool)
 
-        monkeypatch.setattr(matching, rule, cut)
+        monkeypatch.setattr(matching, "_level_brackets", cut)
         assert 0 < want and eigenvalues(profile, window, "even") == []
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
@@ -523,7 +538,7 @@ class TestLawBreaks:
         profile = MassProfile(WellGeometry(4.0, 3.0), ScaledInner(0.5))
         ((s0, s1, rate),) = _stretches(profile, 9e4, 1.1e5)
         assert rate == 0.0 and (4.0 - 3.0) * (s1 - s0) == pytest.approx(31.66, abs=0.005)
-        lo, hi, cut, _ = _level_brackets(profile, 9e4, 1.1e5, "even")
+        lo, hi, cut = _level_brackets(profile, 9e4, 1.1e5, "even")
         assert cut.tolist() == [True] + [False] * 9 + [True]
         assert np.allclose(lo[1:], np.arange(96, 106) * math.pi) and np.allclose(hi[:-1], lo[1:])
         for parity in ("even", "odd"):
