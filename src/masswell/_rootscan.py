@@ -4,7 +4,8 @@ A residual maps a float to a float and an array elementwise.  Every search brack
 evaluates the residual and checks their number against one cap (:func:`check_count`).  The refinement
 evaluates the residual on floats, one bracket at a time by :func:`_bisect_one`, where at most
 ``_SCALAR_BRACKETS`` brackets are open, else on arrays, all in lockstep by :func:`bisect_root`, to the
-same roots.  :func:`isolate_sign_changes`, a sign-change scan, has no caller in the package.
+same roots; ``matching.levels`` builds and first evaluates its brackets on floats where at most that many
+can exist.  :func:`isolate_sign_changes`, a sign-change scan, has no caller in the package.
 """
 
 from __future__ import annotations
@@ -27,8 +28,9 @@ _MAX_POINTS = 2**16 + 1
 #: the most roots one search takes: a secular window, or a level window counted by its brackets
 _MAX_BREAKS = 2**20
 
-#: the most open brackets refined one at a time in floats; past it one lockstep call on arrays, whose
-#: fixed cost per numpy call the brackets share, is faster (the crossover is measured in the README)
+#: the most open brackets refined one at a time in floats, and the largest bound on its level brackets at which
+#: matching.levels works on floats alone; past it arrays, whose fixed cost per numpy call the brackets share, are
+#: faster (the crossovers are measured in the README)
 _SCALAR_BRACKETS = 16
 
 

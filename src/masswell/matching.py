@@ -26,11 +26,13 @@ the only solver for odd parity.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
 
-from ._rootscan import _MAX_POINTS, DEFAULT_TOL, ScanResolutionError, _refine, check_count
+from . import _rootscan
+from ._rootscan import _MAX_POINTS, DEFAULT_TOL, ScanResolutionError, check_count
 from .profiles import MassProfile
 from .wavefunction import PiecewiseWavefunction, RegionSolution, _value_slope, region_l2
 
@@ -45,6 +47,9 @@ _PARITY_SIGN = {"even": 1.0, "odd": -1.0}
 
 #: the 9 points that cut a level bracket into 8 equal parts, as fractions of its width
 _EIGHTHS = np.arange(9) / 8.0
+
+#: the message of the ScanResolutionError raised where a level bracket that must hold a level does not
+_NO_LEVEL = "the bracket s = {!r}:{!r} holds no level, though it must hold one"
 
 
 def _parity_sign(parity: str) -> float:
@@ -247,38 +252,46 @@ def _stretches(profile: MassProfile, lo: float, hi: float) -> list[tuple[float, 
     return out
 
 
-def _level_brackets(profile: MassProfile, lo: float, hi: float, parity: str):
-    """(lo, hi, cut) in s: one bracket per level of [lo, hi], ``cut`` where it is cut to its stretch (its level
-    may lie outside).  The README proves one level per cell (the matching route's pole cells).
-
-    In k = |s| on a stretch (s0, s1, r), with d = L - a, the cells lie between 0 and the poles of the matching
-    condition: those of cot(k d), at j pi / d, where E > 0 (the outer region oscillates), and where r > 0
-    (the inner one does) those of tan(r k a) (even) or cot(r k a) (odd), at (j pi + pi/2) / (r a) or
-    j pi / (r a); a stretch with neither holds no level.  Where neighbouring poles of the two sides are
-    closer than 2e-12 k L / min(a, d), the level between them may lie within 1e-12 k of one, where the seam
-    Wronskian's sign is not sure, so both move 1e-12 k apart.  The brackets are counted before any is built.
-    """
+def _pole_ranges(profile: MassProfile, lo: float, hi: float, parity: str):
+    """The poles that bound the cells of [lo, hi], one level each (README, the matching route's pole cells), and the
+    bound sum c (s1 - s0) / pi + 2 on the cells, checked first.  One (up, t0, t1, ranges) per stretch (s0, s1, r)
+    of :func:`_stretches`: ``up`` where s0 >= 0, t0:t1 in k = |s| and the (c, off, j0, j1) of the poles (j pi + off)
+    / c, j0 <= j < j1, that its cells need; with d = L - a, those of cot(k d) where E > 0 (the outer region
+    oscillates), and where r > 0 (the inner one does) those of tan(r k a) (even) or cot(r k a) (odd)."""
     geo = profile.geometry
-    d = geo.L - geo.a
     inner = 0.5 * math.pi * (_parity_sign(parity) > 0.0)
     rules = []
     for s0, s1, r in _stretches(profile, lo, hi):
-        # the progressions (c, off) of poles (j pi + off) / c: the outer region's where E > 0, the inner one's;
         # below c = 1e-300 the first pole lies past every s, which is at most sqrt(1.8e308)
-        rates = ((d * (s0 >= 0.0), 0.0), (geo.a * r, inner))
-        rates = [(c, off) for c, off in rates if c > 1e-300]
+        rates = [(c, off) for c, off in (((geo.L - geo.a) * (s0 >= 0.0), 0.0), (geo.a * r, inner)) if c > 1e-300]
         if rates:
             rules.append((s0, s1, rates))
     count = sum(c * (s1 - s0) / math.pi + 2.0 for s0, s1, rates in rules for c, _ in rates)
     check_count(count, f"the window {lo!r}:{hi!r}")
-    brackets = [(np.empty(0), np.empty(0), np.empty(0, dtype=bool))]
+    ranges = []
     for s0, s1, rates in rules:
         t0, t1 = (s0, s1) if s0 >= 0.0 else (-s1, -s0)
-        p, side = [np.zeros(1)], [np.zeros(1)]
-        for n, (c, off) in enumerate(rates, 1):
-            # j from 1 where off = 0, as p holds 0 once; one pole past each end, so rounding drops none
+        progressions = []
+        for c, off in rates:
+            # j from 1 where off = 0, as the cells start at the pole 0; one pole past each end, so rounding drops none
             j0 = max(math.floor((c * t0 - off) / math.pi) - 1, int(off == 0.0))
-            j = np.arange(j0, math.ceil((c * t1 - off) / math.pi) + 2)
+            progressions.append((c, off, j0, math.ceil((c * t1 - off) / math.pi) + 2))
+        ranges.append((s0 >= 0.0, t0, t1, progressions))
+    return ranges, count
+
+
+def _level_brackets(profile: MassProfile, ranges):
+    """(lo, hi, cut) in s, arrays with one bracket per cell of :func:`_pole_ranges`, ``cut`` where it is cut to its
+    stretch (its level may lie outside).  Where neighbouring poles of the two sides are closer than 2e-12 k L /
+    min(a, d), the level between them may lie within 1e-12 k of one, where the seam Wronskian's sign is not sure,
+    so both move 1e-12 k apart."""
+    geo = profile.geometry
+    d = geo.L - geo.a
+    brackets = [(np.empty(0), np.empty(0), np.empty(0, dtype=bool))]
+    for up, t0, t1, progressions in ranges:
+        p, side = [np.zeros(1)], [np.zeros(1)]
+        for n, (c, off, j0, j1) in enumerate(progressions, 1):
+            j = np.arange(j0, j1)
             p.append(j * (math.pi / c) + off / c)
             side.append(np.full(j.size, n))
         order = np.argsort(np.concatenate(p))
@@ -295,20 +308,69 @@ def _level_brackets(profile: MassProfile, lo: float, hi: float, parity: str):
         cut[0] |= a[0] < t0
         cut[-1] |= b[-1] > t1
         a[0], b[-1] = max(a[0], t0), min(b[-1], t1)
-        brackets.append((a, b, cut) if s0 >= 0.0 else (-b, -a, cut))
+        brackets.append((a, b, cut) if up else (-b, -a, cut))
     return [np.concatenate(parts) for parts in zip(*brackets)]
 
 
-def levels(profile: MassProfile, window: tuple[float, float], parity: str, tol: float = DEFAULT_TOL) -> list[float]:
-    """All eigenvalues in the window, ascending, each refined in s = sign(E) sqrt|E| from its own bracket
-    (:func:`_level_brackets`) to tol / (2 sqrt(max |E|)), so within ``tol`` (floored near machine precision).
+def _level_cells(profile: MassProfile, ranges) -> list[tuple[float, float, bool]]:
+    """:func:`_level_brackets` as (lo, hi, cut) in Python floats, by the same arithmetic, so bit for bit the same:
+    a stable sort orders two equal poles by side, which only a tie within 2e-12 k of a third pole could tell."""
+    geo = profile.geometry
+    cells = []
+    for up, t0, t1, progressions in ranges:
+        poles = [(0.0, 0)]
+        for n, (c, off, j0, j1) in enumerate(progressions, 1):
+            poles += [(j * (math.pi / c) + off / c, n) for j in range(j0, j1)]
+        p, side = map(list, zip(*sorted(poles)))
+        h, near = [1e-12 * x for x in p], 2.0 * geo.L / min(geo.a, geo.L - geo.a)
+        close = [k for k in range(len(p) - 1) if side[k] != side[k + 1] and p[k + 1] - p[k] < near * h[k + 1]]
+        for k in close:
+            p[k] -= h[k]
+        for k in close:
+            p[k + 1] += h[k + 1]
+        k0, k1 = bisect.bisect_right(p, t0) - 1, bisect.bisect_left(p, t1)
+        a, b, cut = p[k0:k1], p[k0 + 1 : k1 + 1], [False] * (k1 - k0)
+        cut[0] |= a[0] < t0
+        cut[-1] |= b[-1] > t1
+        a[0], b[-1] = max(a[0], t0), min(b[-1], t1)
+        cells += zip(a, b, cut) if up else [(-y, -x, c) for x, y, c in zip(a, b, cut)]
+    return cells
 
-    The seam Wronskian is evaluated at every bracket's ends and the 7 points that cut it into 8 equal parts,
-    in calls of at most ``_MAX_POINTS`` points: the first three halvings of all brackets at once.  A cut bracket
-    with one sign at both ends holds no level in the window; any other raises ``ScanResolutionError``.  The
-    first part whose ends differ in sign, or one of which is 0, is refined.  More than ``_MAX_BREAKS``
-    brackets raise ``ScanSizeError``, and a tol so coarse that roots closer than 4 tol merge raises
-    ``ValueError``.
+
+def _sign(f: float) -> int:
+    return (f > 0.0) - (f < 0.0)
+
+
+def _first_eighth(residual, a: float, b: float, cut: bool):
+    """One of the 8 equal parts of the cell [a, b] whose ends differ in sign or hold a 0, the first where the signs
+    change once, and its residuals, from a, b and three halvings; None for a cut cell with one sign at both ends."""
+    t = [(b - a) * (k / 8) + a for k in range(8)] + [b]
+    lo, hi, f_lo, f_hi = 0, 8, float(residual(t[0])), float(residual(b))
+    if _sign(f_lo) * _sign(f_hi) > 0:
+        if cut:
+            return None
+        raise ScanResolutionError(_NO_LEVEL.format(a, b))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        f_mid = float(residual(t[mid]))
+        if _sign(f_lo) * _sign(f_mid) <= 0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    return t[lo], t[hi], f_lo, f_hi
+
+
+def levels(profile: MassProfile, window: tuple[float, float], parity: str, tol: float = DEFAULT_TOL) -> list[float]:
+    """All eigenvalues in the window, ascending, each refined in s = sign(E) sqrt|E| from its own pole cell
+    (:func:`_pole_ranges`) to tol / (2 sqrt(max |E|)), so within ``tol`` (floored near machine precision).
+
+    Each cell is cut into 8 equal parts and the first part whose ends differ in sign, or one of which is 0, is
+    refined.  A cell cut to its stretch with one sign at both ends holds no level in the window; any other raises
+    ``ScanResolutionError``.  Where the bound on the cells is at most ``_SCALAR_BRACKETS``, the cells are floats
+    (:func:`_level_cells`), each part takes 5 residual calls (:func:`_first_eighth`) and is refined alone; else all
+    9 points of every cell (:func:`_level_brackets`) go in array calls of at most ``_MAX_POINTS`` points, and
+    ``_rootscan._refine`` refines the parts.  Both give the same roots.  A bound above ``_MAX_BREAKS`` raises
+    ``ScanSizeError``, and a tol so coarse that roots closer than 4 tol merge raises ``ValueError``.
     """
     lo, hi = window
     if not -math.inf < lo < hi < math.inf:
@@ -320,28 +382,32 @@ def levels(profile: MassProfile, window: tuple[float, float], parity: str, tol: 
     def residual(s):
         return seam_wronskian(profile, s * abs(s), parity)
 
-    a, b, cut = _level_brackets(profile, lo, hi, parity)
-    if not a.size:
-        return []
-    t = np.multiply.outer(b - a, _EIGHTHS)
-    t += a[:, None]
-    t[:, -1] = b
-    f = np.empty_like(t)
-    for i in range(0, t.size, _MAX_POINTS):
-        f.ravel()[i : i + _MAX_POINTS] = residual(t.ravel()[i : i + _MAX_POINTS])
-    sign = (f > 0.0).astype(np.int8) - (f < 0.0)
-    held = sign[:, 0] * sign[:, -1] <= 0
-    if not np.all(held | cut):
-        i = np.argmin(held | cut)
-        lo, hi = float(a[i]), float(b[i])
-        raise ScanResolutionError(f"the bracket s = {lo!r}:{hi!r} holds no level, though it must hold one")
-    rows = np.flatnonzero(held)
-    i = np.argmax(sign[:, :-1] * sign[:, 1:] <= 0, axis=1)[rows]
-    brackets = t[rows, i], t[rows, i + 1], f[rows, i], f[rows, i + 1]
-    del t, f, sign  # the lockstep refinement holds some 20 arrays of its own per bracket
-    roots = sorted(_refine(residual, *brackets, tol_s))
+    ranges, count = _pole_ranges(profile, lo, hi, parity)
+    if count <= _rootscan._SCALAR_BRACKETS:
+        parts = [_first_eighth(residual, *cell) for cell in _level_cells(profile, ranges)]
+        roots = [_rootscan._bisect_one(residual, *part, tol_s) for part in parts if part]
+    else:
+        a, b, cut = _level_brackets(profile, ranges)
+        if not a.size:
+            return []
+        t = np.multiply.outer(b - a, _EIGHTHS)
+        t += a[:, None]
+        t[:, -1] = b
+        f = np.empty_like(t)
+        for i in range(0, t.size, _MAX_POINTS):
+            f.ravel()[i : i + _MAX_POINTS] = residual(t.ravel()[i : i + _MAX_POINTS])
+        sign = (f > 0.0).astype(np.int8) - (f < 0.0)
+        held = sign[:, 0] * sign[:, -1] <= 0
+        if not np.all(held | cut):
+            i = np.argmin(held | cut)
+            raise ScanResolutionError(_NO_LEVEL.format(float(a[i]), float(b[i])))
+        rows = np.flatnonzero(held)
+        i = np.argmax(sign[:, :-1] * sign[:, 1:] <= 0, axis=1)[rows]
+        brackets = t[rows, i], t[rows, i + 1], f[rows, i], f[rows, i + 1]
+        del t, f, sign  # the lockstep refinement holds some 20 arrays of its own per bracket
+        roots = _rootscan._refine(residual, *brackets, tol_s)
     merged = []
-    for r in roots:
+    for r in sorted(roots):
         if not merged or r - merged[-1] > 4.0 * max(tol_s, 1e-15 * max(1.0, abs(r))):
             merged.append(r)
     if len(merged) < len(roots):

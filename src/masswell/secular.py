@@ -162,7 +162,12 @@ class _PositiveBranch(SecularBranch):
 
 
 def _tanh_inner(t, a):
-    """sqrt(tanh t^2) * tanh(a t sqrt(tanh t^2)), the inner factor of the tanh law."""
+    """sqrt(tanh t^2) * tanh(a t sqrt(tanh t^2)), the inner factor of the tanh law; a float takes ``min`` and
+    ``math.sqrt`` but numpy's tanh, as ``math.tanh`` can differ from it in the last bit, so it is its array entry."""
+    if isinstance(t, float):
+        clamped = min(t, _TANH_ONE)
+        root = math.sqrt(np.tanh(clamped * clamped))
+        return root * float(np.tanh(min(t * root, _TANH_ONE / a) * a))
     clamped = np.minimum(t, _TANH_ONE)
     root = np.sqrt(np.tanh(clamped * clamped))
     return root * np.tanh(np.minimum(t * root, _TANH_ONE / a) * a)

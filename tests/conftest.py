@@ -1,10 +1,11 @@
-"""Reference root finders for the tests: a plain sign-change scan, independent of the solvers' own brackets."""
+"""Reference root finders for the tests, a plain sign-change scan independent of the solvers' own brackets, and a
+patch that empties the level brackets of both routes of ``matching.levels``."""
 
 import math
 
 import numpy as np
 
-from masswell import _rootscan
+from masswell import _rootscan, matching
 from masswell.matching import _stretches, seam_wronskian
 
 
@@ -37,3 +38,19 @@ def scan_levels(profile, window, parity, tol):
     tol_s = tol / (2.0 * math.sqrt(max(abs(window[0]), abs(window[1]))))
     roots = scan_roots(lambda s: seam_wronskian(profile, s * np.abs(s), parity), segments, phases, tol_s)
     return [s * abs(s) for s in roots]
+
+
+def empty_level_cells(monkeypatch, cut=False):
+    """Make every level bracket of both routes (``matching._level_brackets``, arrays, and ``matching._level_cells``,
+    floats) one ulp wide at its low end, so it holds no level, and cut to its stretch or not as ``cut`` says."""
+    brackets, cells = matching._level_brackets, matching._level_cells
+
+    def emptied_brackets(*args):
+        lo, hi, was_cut = brackets(*args)
+        return lo, np.nextafter(lo, np.inf), np.full_like(was_cut, cut)
+
+    def emptied_cells(*args):
+        return [(lo, math.nextafter(lo, math.inf), cut) for lo, _, _ in cells(*args)]
+
+    monkeypatch.setattr(matching, "_level_brackets", emptied_brackets)
+    monkeypatch.setattr(matching, "_level_cells", emptied_cells)

@@ -28,6 +28,8 @@ from masswell.profiles import (
 )
 from masswell.secular import ConstantNegNeg, RootWindow, ScanResolutionError, find_roots
 
+from conftest import empty_level_cells
+
 
 class TestConfigGrammar:
     def test_basic_parse(self):
@@ -153,21 +155,17 @@ class TestSolverFailureExitCode:
         assert not out.exists()
         assert capsys.readouterr().err == f"solver failure: {error}\n"
 
-    def test_an_empty_bracket_exits_3(self, monkeypatch, tmp_path, capsys):
+    # thousands of levels, whose brackets are arrays, and a few, whose cells are floats
+    @pytest.mark.parametrize(
+        "argv", [["--config", "wide.cfg", "--window=1:1e4"], ["--preset", "uniform", "--window=-100:100"]]
+    )
+    def test_an_empty_bracket_exits_3(self, argv, monkeypatch, tmp_path, capsys):
         # every level bracket one ulp wide at its low end and not cut to its stretch: one that must hold a level
         # holds none
-        from masswell import matching
-
-        brackets = matching._level_brackets
-
-        def emptied(*args):
-            lo, hi, cut = brackets(*args)
-            return lo, np.nextafter(lo, np.inf), np.zeros_like(cut)
-
-        monkeypatch.setattr(matching, "_level_brackets", emptied)
-        config = tmp_path / "wide.cfg"
-        config.write_text("inner = constant\nm0 = 1\nL = 1000\na = 1\n")
-        code = main(["spectrum", "--config", str(config), "--window=1:1e4", "--parity", "even"])
+        empty_level_cells(monkeypatch)
+        (tmp_path / "wide.cfg").write_text("inner = constant\nm0 = 1\nL = 1000\na = 1\n")
+        monkeypatch.chdir(tmp_path)
+        code = main(["spectrum", *argv, "--parity", "even"])
         err = capsys.readouterr().err
         assert (code, err.startswith("solver failure: the bracket s = ")) == (3, True)
         assert err.endswith(" holds no level, though it must hold one\n")

@@ -1,5 +1,6 @@
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -857,6 +858,23 @@ def test_either_refinement_gives_the_same_roots(monkeypatch, extra):
     assert levels(profile, window, "even") == got and len(lockstep) == 1
 
 
+@pytest.mark.parametrize("extra", [-1, 0, 1])
+def test_either_route_gives_the_same_levels(monkeypatch, extra):
+    """levels where the bound on the pole cells is _SCALAR_BRACKETS - 1, equal to it and + 1: cells as floats up to
+    the threshold, as arrays past it, and the same levels, bit for bit, from the other route."""
+    n = _rootscan._SCALAR_BRACKETS + extra
+    # the bound 1.3 s / pi + 2 + 0.7 s / pi + 2 on 0:s is n at s = (n - 4) pi / 2, to within an ulp
+    profile, window = MassProfile(WellGeometry(2.0, 0.7), ConstantInner(1.0)), (0.0, ((n - 4) * math.pi / 2.0) ** 2)
+    assert matching._pole_ranges(profile, *window, "even")[1] == pytest.approx(n, rel=1e-15, abs=0.0)
+    floats = []
+    cells = matching._level_cells
+    monkeypatch.setattr(matching, "_level_cells", lambda *args: floats.append(args) or cells(*args))
+    got = levels(profile, window, "even")
+    assert len(got) == n - 4 and len(floats) == (extra <= 0)
+    monkeypatch.setattr(_rootscan, "_SCALAR_BRACKETS", n - 1 if extra <= 0 else n)
+    assert [e.hex() for e in levels(profile, window, "even")] == [e.hex() for e in got] and len(floats) == 1
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log10(lo), math.log10(hi)).map(lambda u: 10.0**u)
 
@@ -1039,7 +1057,12 @@ class TestAgainstTheScan:
     def test_levels_match_the_scan(self, request):
         profile, window, parity = request
         tol = 1e-12
-        got = np.array(levels(profile, window, parity, tol))
+        got = levels(profile, window, parity, tol)
+        # the other route, float cells past _SCALAR_BRACKETS or arrays below it, gives the same levels bit for bit
+        count = matching._pole_ranges(profile, *window, parity)[1]
+        with mock.patch.object(_rootscan, "_SCALAR_BRACKETS", count if count > _rootscan._SCALAR_BRACKETS else -1):
+            assert [e.hex() for e in levels(profile, window, parity, tol)] == [e.hex() for e in got]
+        got = np.array(got)
         want = np.array(scan_levels(profile, window, parity, tol))
         # the same levels to 2 tol, floored near machine precision, but for one within that of a window end,
         # which either may leave out

@@ -93,6 +93,20 @@ class TestResidual:
         assert np.array_equal(secular._tanh_inner(t, a), want)
         assert secular._tanh_inner(1e308, a) == 1.0
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        t=st.one_of(st.floats(0.0, 40.0), st.floats(0.0, 1.7e308), st.floats(-40.0, 0.0), st.just(math.inf)),
+        a=st.sampled_from([1.0, 3.0, 1e-4, 1e-300]),
+    )
+    # at and beside both clamps
+    @example(t=22.0, a=1.0)
+    @example(t=math.nextafter(22.0, 0.0), a=1.0)
+    @example(t=22.0 / 3.0, a=3.0)
+    def test_a_float_tanh_inner_is_its_entry_of_an_array(self, t, a):
+        got = secular._tanh_inner(t, a)
+        (want,) = secular._tanh_inner(np.array([t]), a)
+        assert type(got) is float and got.hex() == float(want).hex()
+
     @pytest.mark.parametrize("L", [2.0, 40.0, 1e-300])
     def test_reduced_coth_saturates_without_overflow(self, L):
         branch = TwoParamReduced(L, 1.5)

@@ -7,7 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 from masswell import _rootscan, matching, spectrum
 from masswell._rootscan import ScanResolutionError, integers_crossed
 from masswell.cli import PRESETS, ScenarioConfig
-from masswell.matching import _level_brackets, _stretches, build_solution, eigenvalues, levels, winding
+from masswell.matching import _level_brackets, _pole_ranges, _stretches, build_solution, eigenvalues, levels, winding
 from masswell.profiles import (
     ConstantInner,
     MassProfile,
@@ -36,7 +36,7 @@ from masswell.spectrum import (
 )
 from masswell.wavefunction import count_nodes
 
-from conftest import scan_levels
+from conftest import empty_level_cells, scan_levels
 
 G2 = WellGeometry(2.0, 1.0)
 
@@ -59,17 +59,6 @@ def _winding_counts(profile, parity, kappas):
     """The verdict's level counts, kappa = sqrt(-E) in (0, K] for each K of ``kappas``, from the winding."""
     pieces = profile.pieces(-math.inf, 0.0)
     return tuple(spectrum._levels_from(profile, pieces, parity, kappa) for kappa in kappas)
-
-
-def _emptied_brackets(monkeypatch):
-    """Make every level bracket one ulp wide at its low end and uncut, so it holds no level though it must."""
-    original = matching._level_brackets
-
-    def emptied(*args):
-        lo, hi, cut = original(*args)
-        return lo, np.nextafter(lo, np.inf), np.zeros_like(cut)
-
-    monkeypatch.setattr(matching, "_level_brackets", emptied)
 
 
 def _scan_count(profile, lo, hi, parity):
@@ -374,7 +363,7 @@ class TestDenseSegments:
         # the winding crosses one integer per level; each level has one bracket, and only the end ones may be cut
         w_lo, w_hi = (winding(profile, k * k, parity) for k in (k_lo, k_hi))
         assert integers_crossed(w_lo, w_hi, 0.0) == want
-        cut = _level_brackets(profile, k_lo * k_lo, k_hi * k_hi, parity)[2]
+        cut = _level_brackets(profile, _pole_ranges(profile, k_lo * k_lo, k_hi * k_hi, parity)[0])[2]
         assert np.count_nonzero(cut) <= 2 and np.count_nonzero(~cut) <= want <= cut.size
 
     @settings(max_examples=30, deadline=None)
@@ -450,21 +439,19 @@ class TestLevelCheck:
             (MassProfile(WellGeometry(1000.0, 1.0), ConstantInner(1.0)), (1.0, 1e4)),
             (ScenarioConfig({"preset": "tanh"}).profile(), (2e3, 2e4)),
             (MassProfile(G2, ConstantInner(-1e6)), (-1e4, -1.0)),
+            # a few levels, whose cells are floats; below E = 0 the outer region does not turn
+            (ScenarioConfig({"preset": "uniform"}).profile(), (-100.0, 100.0)),
+            (ScenarioConfig({"preset": "two-param"}).profile(), (-100.0, 100.0)),
+            (ScenarioConfig({"preset": "constant-negative"}).profile(), (-100.0, 0.0)),
         ],
     )
     def test_an_empty_bracket_raises(self, monkeypatch, profile, window):
         want = len(eigenvalues(profile, window, "even"))
-        _emptied_brackets(monkeypatch)
+        empty_level_cells(monkeypatch)
         with pytest.raises(ScanResolutionError, match=r"^the bracket s = \S+ holds no level, though it must hold one$"):
             eigenvalues(profile, window, "even")
         # a bracket cut to the window that holds no level is no error: the cut brackets alone find none
-        emptied = matching._level_brackets
-
-        def cut(*args):
-            lo, hi, _ = emptied(*args)
-            return lo, hi, np.ones(lo.size, dtype=bool)
-
-        monkeypatch.setattr(matching, "_level_brackets", cut)
+        empty_level_cells(monkeypatch, cut=True)
         assert 0 < want and eigenvalues(profile, window, "even") == []
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-6, 1e-300])
@@ -538,7 +525,7 @@ class TestLawBreaks:
         profile = MassProfile(WellGeometry(4.0, 3.0), ScaledInner(0.5))
         ((s0, s1, rate),) = _stretches(profile, 9e4, 1.1e5)
         assert rate == 0.0 and (4.0 - 3.0) * (s1 - s0) == pytest.approx(31.66, abs=0.005)
-        lo, hi, cut = _level_brackets(profile, 9e4, 1.1e5, "even")
+        lo, hi, cut = _level_brackets(profile, _pole_ranges(profile, 9e4, 1.1e5, "even")[0])
         assert cut.tolist() == [True] + [False] * 9 + [True]
         assert np.allclose(lo[1:], np.arange(96, 106) * math.pi) and np.allclose(hi[:-1], lo[1:])
         for parity in ("even", "odd"):

@@ -61,6 +61,8 @@ CONFIGS = {
     "negative-dip": "inner = constant\nm0 = -1e4\nL = 1\na = 0.5\n",
     "scaled-falling": "inner = scaled\nb = 5.751248763934483\nL = 41.704985884817425\na = 22.282346822054652\n",
     "constant-falling": "inner = constant\nm0 = -802.4809278397089\nL = 1.1599233870516126\na = 0.09512480881458793\n",
+    # a uniform well whose bound on the level cells of 0:((n - 4) pi / 2)^2 is n
+    "uniform-bound": "inner = constant\nm0 = 1\nL = 2\na = 0.7\n",
 }
 
 #: (config, window) of the wells above whose levels come from one bracket each, in both parities
@@ -197,6 +199,14 @@ def requests(config_dir: str) -> list[list]:
         config = os.path.join(config_dir, name)
         for parity in ("even", "odd"):
             out.append(["spectrum", "--config", config, f"--window={window}", "--parity", parity])
+    # bounds of 16 and 17 on the level cells: the most that are floats (_rootscan._SCALAR_BRACKETS), and one more
+    bound = os.path.join(config_dir, "uniform-bound")
+    for window in ("0:355.3057584392169", "0:416.9907859460254"):
+        for parity in ("even", "odd"):
+            out.append(["spectrum", "--config", bound, f"--window={window}", "--parity", parity])
+    # 8 and 16 tanh-pos roots, refined one at a time on floats
+    for window in ("0.05:25", "0.05:50"):
+        out.append(["curves", "--branch", "tanh-pos", "--range", window])
     # b/nu * L underflows to 0 (exit 3)
     out.append(["delta-limit", "--b-over-nu", "1e-300", "--L", "1e-30"])
     return out
